@@ -71,14 +71,11 @@ class BeliefPath:
 
 
 def assumed_cost(game: SingleStageGame, belief: np.ndarray) -> np.ndarray:
-    """Per-route cost assuming the other N-1 players each route from ``belief``."""
-    belief = np.asarray(belief, dtype=np.float64)
-    out = np.empty(game.route_count)
-    for j in range(game.route_count):
-        out[j] = game.travel_cost[j] + expected_tax_symmetric(
-            game.n_players, 1.0, float(belief[j]), float(game.reference[j]), game.alpha
-        )
-    return out
+    """Per-route cost assuming the other N-1 players each route from ``belief``.
+
+    A stack of beliefs with routes on the last axis gives a stack of costs.
+    """
+    return game.travel_cost + expected_tax_symmetric(game.n_players, 1.0, belief, game.reference, game.alpha)
 
 
 def fp_step(game: SingleStageGame, path: BeliefPath) -> BeliefPath:

@@ -13,62 +13,98 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
 
 from .kl_solver import PolicyKernel, _check_policy_shape
 from .mean_field import propagate
-from .scenario import Scenario, _readonly
+from .scenario import Scenario, TrafficGraph, _readonly
 
 GENERATOR_NAME = "pcg64"
 
-_LOG_BINOM_CACHE: dict[int, np.ndarray] = {}
+# Terms with |k - (N-1)p| > ceil(sqrt(WINDOW_SQ * (N-1))) + 1 have pmf below
+# exp(-2 * WINDOW_SQ) = e^-746 by Hoeffding's bound; exp() already rounds
+# such terms to exactly 0, so the window drops nothing the full sum keeps.
+_WINDOW_SQ = 373
+_CHUNK_FLOATS = 1 << 16  # elements per (rows x window) temporary
 
 
-def _log_binom_coeffs(n: int) -> np.ndarray:
-    """log of C(n, k) for k = 0..n."""
-    coeffs = _LOG_BINOM_CACHE.get(n)
-    if coeffs is None:
-        k = np.arange(n + 1)
-        coeffs = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-        coeffs.setflags(write=False)
-        _LOG_BINOM_CACHE[n] = coeffs
-    return coeffs
+@lru_cache(maxsize=8)
+def _binomial_tables(n_players: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """Per-N constants of the windowed sum, all read-only.
+
+    Returns log C(N-1, k) and log((k + 1) / N) for k = 0..N-1, the window
+    half-width, and the window's offsets from its first k.
+    """
+    n = n_players - 1
+    k = np.arange(n + 1)
+    coeffs = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    log_share = np.log((k + 1.0) / n_players)
+    half = math.ceil(math.sqrt(_WINDOW_SQ * n)) + 1
+    offsets = np.arange(min(n + 1, 2 * half + 2))
+    for table in (coeffs, log_share, offsets):
+        table.setflags(write=False)
+    return coeffs, log_share, half, offsets
 
 
-def binomial_expected_log_share(n_players: int, prob: float) -> float:
+def _interior_log_shares(n_players: int, probs: np.ndarray) -> np.ndarray:
+    """Windowed binomial sums for distinct probabilities strictly inside (0, 1)."""
+    n = n_players - 1
+    coeffs, log_share, half, offsets = _binomial_tables(n_players)
+    width = len(offsets)
+    start = np.minimum(np.maximum((n * probs).astype(np.int64) - half, 0), n + 1 - width)
+    # math.log, not the ufunc: an ulp of error in log p is multiplied by k below
+    log_p = np.fromiter(map(math.log, probs), np.float64, len(probs))[:, None]
+    log_q = np.fromiter(map(math.log1p, -probs), np.float64, len(probs))[:, None]
+    rows = max(1, _CHUNK_FLOATS // width)
+    out = np.empty(len(probs))
+    for lo in range(0, len(probs), rows):
+        hi = lo + rows
+        k = start[lo:hi, None] + offsets
+        log_pmf = coeffs[k] + k * log_p[lo:hi] + (n - k) * log_q[lo:hi]
+        out[lo:hi] = (log_share[k] * np.exp(log_pmf)).sum(axis=1)
+    return out
+
+
+def binomial_expected_log_share(n_players: int, prob):
     """E[log((K + 1) / N)] with K ~ Binomial(N - 1, prob).
 
     This is the expected log share of the population on an event the
-    tagged player is already counted in.  Terms are accumulated with
-    exactly rounded summation.
+    tagged player is already counted in.  A scalar ``prob`` gives a float,
+    an array gives an array of its shape.  Repeated probabilities are
+    summed once, each over the window of the support where the pmf does
+    not underflow.
     """
     if n_players < 1:
         raise ValueError("n_players must be >= 1")
-    n = n_players - 1
-    if prob <= 0.0:
-        return math.log(1.0 / n_players)
-    if prob >= 1.0:
-        return 0.0
-    k = np.arange(n + 1)
-    log_pmf = _log_binom_coeffs(n) + k * math.log(prob) + (n - k) * math.log1p(-prob)
-    terms = np.log((k + 1.0) / n_players) * np.exp(log_pmf)
-    return math.fsum(terms)
+    prob = np.asarray(prob, dtype=np.float64)
+    out = np.full(prob.shape, np.nan)
+    out[prob <= 0.0] = math.log(1.0 / n_players)
+    out[prob >= 1.0] = 0.0
+    interior = (prob > 0.0) & (prob < 1.0)
+    if interior.any():
+        values = prob[interior]
+        distinct = np.unique(values)
+        out[interior] = _interior_log_shares(n_players, distinct)[np.searchsorted(distinct, values)]
+    return float(out) if out.ndim == 0 else out
 
 
-def expected_tax_symmetric(
-    n_players: int, node_prob: float, edge_prob: float, ref: float, alpha: float
-) -> float:
+def expected_tax_symmetric(n_players: int, node_prob, edge_prob, ref, alpha: float):
     """Exact expected tax on an edge when all other players are exchangeable.
 
     ``node_prob`` is the probability that any other single player sits at
     the edge's source node; ``edge_prob`` is her conditional probability of
     then taking the edge; ``ref`` is the reference probability of the edge.
+    Array arguments broadcast; scalars give a float.
     """
-    share_edge = binomial_expected_log_share(n_players, node_prob * edge_prob)
-    share_node = binomial_expected_log_share(n_players, node_prob)
-    return alpha * (share_edge - share_node) - alpha * math.log(ref)
+    joint = np.multiply(node_prob, edge_prob, dtype=np.float64)
+    pair = np.empty((2,) + joint.shape)
+    pair[0], pair[1] = joint, node_prob
+    share_edge, share_node = binomial_expected_log_share(n_players, pair)
+    tax = alpha * (share_edge - share_node) - alpha * np.log(ref)
+    return float(tax) if np.ndim(tax) == 0 else tax
 
 
 def poisson_binomial_pmf(probs) -> np.ndarray:
@@ -203,24 +239,6 @@ def realized_taxes(sample: PopulationSample, scenario: Scenario) -> list[TaxReco
 # Convergence diagnostics and finite-N best response
 # ---------------------------------------------------------------------------
 
-def _expected_tax_table(scenario: Scenario, policy: PolicyKernel, n_players: int) -> np.ndarray:
-    """Exact expected tax per (t, edge) when everyone plays ``policy``."""
-    g = scenario.graph
-    flow = propagate(scenario, policy)
-    table = np.empty((scenario.horizon, g.edge_count))
-    for t in range(scenario.horizon):
-        node_probs = flow.distributions[t][g.edge_src]
-        for e in range(g.edge_count):
-            table[t, e] = expected_tax_symmetric(
-                n_players,
-                float(node_probs[e]),
-                float(policy.probs[t, e]),
-                float(scenario.reference.probs[t, e]),
-                scenario.alpha,
-            )
-    return table
-
-
 def expected_tax_gap(
     scenario: Scenario,
     population_policy: PolicyKernel,
@@ -233,32 +251,18 @@ def expected_tax_gap(
     maximum runs over edges whose mean-field flow probability exceeds
     ``support_tol``.
     """
-    g = scenario.graph
     flow = propagate(scenario, population_policy)
-    toll_log = population_policy.toll_log()
-    log_ref = np.log(scenario.reference.probs)
-    support = []
-    limits = []
-    for t in range(scenario.horizon):
-        node_probs = flow.distributions[t][g.edge_src]
-        mask = node_probs * population_policy.probs[t] > support_tol
-        for e in np.flatnonzero(mask):
-            support.append((t, int(e), float(node_probs[e])))
-            limits.append(scenario.alpha * (toll_log[t, e] - log_ref[t, e]))
+    node_probs = flow.distributions[:-1, scenario.graph.edge_src]
+    support = node_probs * population_policy.probs > support_tol
+    node_probs = node_probs[support]
+    edge_probs = population_policy.probs[support]
+    ref = scenario.reference.probs[support]
+    limits = scenario.alpha * (population_policy.toll_log() - np.log(scenario.reference.probs))[support]
 
     table: dict[int, float] = {}
     for n in n_list:
-        worst = 0.0
-        for (t, e, node_prob), limit in zip(support, limits):
-            tax = expected_tax_symmetric(
-                int(n),
-                node_prob,
-                float(population_policy.probs[t, e]),
-                float(scenario.reference.probs[t, e]),
-                scenario.alpha,
-            )
-            worst = max(worst, abs(tax - limit))
-        table[int(n)] = worst
+        tax = expected_tax_symmetric(int(n), node_probs, edge_probs, ref, scenario.alpha)
+        table[int(n)] = float(np.max(np.abs(tax - limits), initial=0.0))
     return table
 
 
@@ -285,25 +289,40 @@ def best_response_finite_n(
     rounding.
     """
     _check_policy_shape(scenario, population_policy)
-    g = scenario.graph
-    t_count = scenario.horizon
-    tax = _expected_tax_table(scenario, population_policy, n_players)
-    total_cost = scenario.edge_costs + tax
-
-    values = np.zeros((t_count + 1, g.node_count))
-    probs = np.zeros((t_count, g.edge_count))
-    for t in range(t_count - 1, -1, -1):
-        through = total_cost[t] + values[t + 1][g.edge_dst]
-        for i in range(g.node_count):
-            sl = g.edge_slice(i)
-            best = int(np.argmin(through[sl]))
-            values[t, i] = through[sl][best]
-            probs[t, sl.start + best] = 1.0
-
     flow = propagate(scenario, population_policy)
+    node_probs = flow.distributions[:-1, scenario.graph.edge_src]
+    tax = expected_tax_symmetric(
+        n_players, node_probs, population_policy.probs, scenario.reference.probs, scenario.alpha
+    )
+    total_cost = scenario.edge_costs + tax
+    probs, values = _shortest_path(scenario.graph, total_cost)
+
+    edge_flow = node_probs * population_policy.probs
     symmetric_cost = 0.0
-    for t in range(t_count):
-        edge_flow = flow.distributions[t][g.edge_src] * population_policy.probs[t]
-        symmetric_cost += float(edge_flow @ total_cost[t])
+    for t in range(scenario.horizon):
+        symmetric_cost += float(edge_flow[t] @ total_cost[t])
     best_cost = float(scenario.initial.mass @ values[0])
     return FiniteBestResponse(PolicyKernel(probs), symmetric_cost - best_cost, values, symmetric_cost)
+
+
+def _shortest_path(graph: TrafficGraph, total_cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic finite-horizon shortest path over per-(t, edge) costs.
+
+    Returns point-mass rows on each node's cheapest edge (ties go to the
+    first edge in the node's slice) and the (T+1, V) cost-to-go.
+    """
+    degrees = np.diff(graph.row_start)
+    if not np.all(degrees > 0):
+        raise ValueError(f"node {int(np.argmin(degrees))} has no out-edges")
+    t_count, e_count = total_cost.shape
+    starts = graph.row_start[:-1]
+    edge_ids = np.arange(e_count)
+    values = np.zeros((t_count + 1, graph.node_count))
+    probs = np.zeros((t_count, e_count))
+    for t in range(t_count - 1, -1, -1):
+        through = total_cost[t] + values[t + 1][graph.edge_dst]
+        lowest = np.minimum.reduceat(through, starts)
+        best = np.minimum.reduceat(np.where(through == lowest[graph.edge_src], edge_ids, e_count), starts)
+        values[t] = through[best]
+        probs[t, best] = 1.0
+    return probs, values

@@ -5,7 +5,7 @@ plus exact expected toll when everyone routes with probability q) is
 equalized across used routes and no unused route is cheaper.  Each f_j is
 continuous and strictly increasing, so the equilibrium is the unique
 solution of sum_j f_j^{-1}(lambda) = 1, found here by nested bisection:
-an inner bisection inverts each f_j, an outer one pins lambda.
+an inner bisection inverts every f_j at once, an outer one pins lambda.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fictitious_play import SingleStageGame, assumed_cost
-from .finite_population import expected_tax_symmetric
 from .scenario import _readonly
 
 INNER_TOL = 1e-12  # |f(q) - lambda| target for the per-route inversion
@@ -44,47 +43,61 @@ class EquilibriumResult:
 
 def route_cost(game: SingleStageGame, route: int, q: float) -> float:
     """Cost of the route when every player takes it with probability q."""
-    return float(game.travel_cost[route]) + expected_tax_symmetric(
-        game.n_players, 1.0, float(q), float(game.reference[route]), game.alpha
-    )
+    return float(assumed_cost(game, np.full(game.route_count, q))[route])
 
 
 def route_load(game: SingleStageGame, route: int, lam: float) -> float:
     """Inverse of route_cost clamped to [0, 1]; exploits strict monotonicity."""
-    if lam <= route_cost(game, route, 0.0):
-        return 0.0
-    if lam >= route_cost(game, route, 1.0):
-        return 1.0
-    lo, hi = 0.0, 1.0
+    return float(_route_loads(game, lam)[route])
+
+
+def _route_loads(game: SingleStageGame, lam) -> np.ndarray:
+    """Per-route inverse of the cost at each level in ``lam``, clamped to [0, 1].
+
+    The result has shape ``np.shape(lam) + (J,)``.  All inversions bisect
+    side by side with one cost evaluation per step; each is frozen once it
+    converges, so it follows the midpoints its own bisection would.
+    Frozen ones are probed at q = 0, which costs no binomial sum, and
+    their brackets are no longer read.
+    """
+    lam = np.asarray(lam, dtype=np.float64)[..., None]
+    at_zero = assumed_cost(game, np.zeros(game.route_count))
+    at_one = assumed_cost(game, np.ones(game.route_count))
+    loads = np.where(lam <= at_zero, 0.0, 1.0)
+    open_ = (lam > at_zero) & (lam < at_one)
+    lo, hi = np.zeros(loads.shape), np.ones(loads.shape)
+    for _ in range(_MAX_BISECT):
+        if not open_.any():
+            break
+        mid = 0.5 * (lo + hi)
+        val = assumed_cost(game, np.where(open_, mid, 0.0))
+        done = open_ & ((mid == lo) | (mid == hi) | (np.abs(val - lam) <= INNER_TOL))
+        loads[done] = mid[done]
+        open_ &= ~done
+        below = val < lam
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    loads[open_] = 0.5 * (lo + hi)[open_]
+    return loads
+
+
+def _mass_bracket(game: SingleStageGame, lo: float, hi: float) -> tuple[float, float]:
+    """Bisect for the lambdas where the total mass reaches one and where it exceeds one.
+
+    The two bisections run side by side; they probe the same midpoints
+    until the mass hits exactly one, so the cost kernel sees each probe once.
+    """
+    lo, hi = np.full(2, lo), np.full(2, hi)
+    open_ = np.ones(2, dtype=bool)
     for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+        open_ &= (mid != lo) & (mid != hi) & (hi - lo > OUTER_TOL)
+        if not open_.any():
             break
-        val = route_cost(game, route, mid)
-        if abs(val - lam) <= INNER_TOL:
-            return mid
-        if val < lam:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _mass_at(game: SingleStageGame, lam: float) -> float:
-    return sum(route_load(game, j, lam) for j in range(game.route_count))
-
-
-def _boundary(game: SingleStageGame, lo: float, hi: float, above) -> float:
-    """Bisect for the lambda where ``above(mass)`` flips from False to True."""
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi or hi - lo <= OUTER_TOL:
-            break
-        if above(_mass_at(game, mid)):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+        mass = _route_loads(game, mid).sum(axis=1)
+        above = np.array([mass[0] >= 1.0, mass[1] > 1.0])
+        lo, hi = np.where(open_ & ~above, mid, lo), np.where(open_ & above, mid, hi)
+    lam_lo, lam_hi = 0.5 * (lo + hi)
+    return float(lam_lo), float(lam_hi)
 
 
 def solve_symmetric_ne(game: SingleStageGame) -> EquilibriumResult:
@@ -99,32 +112,26 @@ def solve_symmetric_ne(game: SingleStageGame) -> EquilibriumResult:
     solver splits the mass evenly over the cheapest routes (the symmetric
     member of the equilibrium set).
     """
+    at_zero = assumed_cost(game, np.zeros(game.route_count))
     if game.n_players == 1:
-        costs = np.array([route_cost(game, j, 0.0) for j in range(game.route_count)])
-        lam = float(costs.min())
-        best = costs == lam
+        lam = float(at_zero.min())
+        best = at_zero == lam
         q = best / best.sum()
-        residuals = np.where(best, 0.0, np.maximum(0.0, lam - costs))
+        residuals = np.where(best, 0.0, np.maximum(0.0, lam - at_zero))
         return EquilibriumResult(q, lam, residuals, tuple(int(j) for j in np.flatnonzero(best)))
 
-    lo = min(route_cost(game, j, 0.0) for j in range(game.route_count)) - 1.0
-    hi = max(route_cost(game, j, 1.0) for j in range(game.route_count)) + 1.0
-    lam_lo = _boundary(game, lo, hi, lambda mass: mass >= 1.0)
-    lam_hi = _boundary(game, lo, hi, lambda mass: mass > 1.0)
+    lo = float(at_zero.min()) - 1.0
+    hi = float(assumed_cost(game, np.ones(game.route_count)).max()) + 1.0
+    lam_lo, lam_hi = _mass_bracket(game, lo, hi)
     lam_mid = 0.5 * (lam_lo + lam_hi)
 
-    q = np.array([route_load(game, j, lam_mid) for j in range(game.route_count)])
-    active = tuple(int(j) for j in np.flatnonzero(q > 0))
-
+    q = _route_loads(game, lam_mid)
+    used = q > 0
+    at_q = assumed_cost(game, q)
     # report the multiplier that makes the stationarity conditions sharp
-    lam = max(route_cost(game, j, float(q[j])) for j in active)
-    residuals = np.empty(game.route_count)
-    for j in range(game.route_count):
-        if q[j] > 0:
-            residuals[j] = abs(route_cost(game, j, float(q[j])) - lam)
-        else:
-            residuals[j] = max(0.0, lam - route_cost(game, j, 0.0))
-    return EquilibriumResult(q, lam, residuals, active)
+    lam = float(at_q[used].max())
+    residuals = np.where(used, np.abs(at_q - lam), np.maximum(0.0, lam - at_zero))
+    return EquilibriumResult(q, lam, residuals, tuple(int(j) for j in np.flatnonzero(used)))
 
 
 def solve_single_stage_mfe(game: SingleStageGame) -> np.ndarray:
@@ -133,8 +140,3 @@ def solve_single_stage_mfe(game: SingleStageGame) -> np.ndarray:
     score -= score.max()
     weights = np.exp(score)
     return weights / weights.sum()
-
-
-def best_response_costs(game: SingleStageGame, q: np.ndarray) -> np.ndarray:
-    """Per-route assumed costs against a symmetric profile q (Wardrop check)."""
-    return assumed_cost(game, q)

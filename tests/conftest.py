@@ -2,9 +2,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mftroute import SingleStageGame
 from mftroute.cli import three_route_scenario
+
+# Property tests draw the same examples on every run and have no per-example
+# deadline, so a loaded machine cannot make them flaky.
+settings.register_profile("mftroute", deadline=None, derandomize=True, database=None, max_examples=100)
+settings.load_profile("mftroute")
 
 
 @pytest.fixture

@@ -14,8 +14,18 @@ from decimal import Decimal, getcontext
 from fractions import Fraction
 
 import numpy as np
+from scipy.special import gammaln
 
-from mftroute import Distribution, PolicyKernel, ReferencePolicy, Scenario, StageCosts, TrafficGraph
+from mftroute import (
+    Distribution,
+    PolicyKernel,
+    ReferencePolicy,
+    Scenario,
+    SingleStageGame,
+    StageCosts,
+    TrafficGraph,
+    propagate,
+)
 
 
 def random_scenario(
@@ -49,6 +59,17 @@ def random_scenario(
         initial = Distribution(rng.dirichlet(np.ones(node_count)))
     alpha = float(np.exp(rng.uniform(math.log(alpha_range[0]), math.log(alpha_range[1]))))
     return Scenario(graph, costs, ReferencePolicy(probs), alpha, initial)
+
+
+def random_game(rng: np.random.Generator, max_players: int = 400) -> SingleStageGame:
+    """Random parallel-route game: 2-6 routes, 2..max_players-1 players."""
+    routes = int(rng.integers(2, 7))
+    costs = rng.uniform(-3.0, 3.0, size=routes)
+    reference = 0.9 * rng.dirichlet(np.ones(routes)) + 0.1 / routes
+    reference = reference / reference.sum()
+    alpha = float(np.exp(rng.uniform(math.log(0.1), math.log(10.0))))
+    n_players = int(rng.integers(2, max_players))
+    return SingleStageGame(costs, reference, alpha, n_players)
 
 
 def backward_pass_linear(scenario: Scenario) -> np.ndarray:
@@ -159,6 +180,152 @@ def exact_expected_log_share(n_players: int, prob: float) -> float:
         pmf = Fraction(math.comb(n, k)) * p**k * q ** (n - k)
         terms.append(math.log((k + 1) / n_players) * float(pmf))
     return math.fsum(terms)
+
+
+# ---------------------------------------------------------------------------
+# Scalar expected-toll reference: the full-support, exactly rounded kernel and
+# the per-element caller loops that the batched kernel replaced
+# ---------------------------------------------------------------------------
+
+def _log_binom_coeffs(n: int) -> np.ndarray:
+    """log of C(n, k) for k = 0..n."""
+    k = np.arange(n + 1)
+    return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+
+
+def binomial_expected_log_share_scalar(n_players: int, prob: float) -> float:
+    """E[log((K + 1) / N)] with K ~ Binomial(N - 1, prob).
+
+    This is the expected log share of the population on an event the
+    tagged player is already counted in.  Terms are accumulated with
+    exactly rounded summation.
+    """
+    if n_players < 1:
+        raise ValueError("n_players must be >= 1")
+    n = n_players - 1
+    if prob <= 0.0:
+        return math.log(1.0 / n_players)
+    if prob >= 1.0:
+        return 0.0
+    k = np.arange(n + 1)
+    log_pmf = _log_binom_coeffs(n) + k * math.log(prob) + (n - k) * math.log1p(-prob)
+    terms = np.log((k + 1.0) / n_players) * np.exp(log_pmf)
+    return math.fsum(terms)
+
+
+def expected_tax_symmetric_scalar(
+    n_players: int, node_prob: float, edge_prob: float, ref: float, alpha: float
+) -> float:
+    share_edge = binomial_expected_log_share_scalar(n_players, node_prob * edge_prob)
+    share_node = binomial_expected_log_share_scalar(n_players, node_prob)
+    return alpha * (share_edge - share_node) - alpha * math.log(ref)
+
+
+def expected_tax_table_loop(scenario: Scenario, policy: PolicyKernel, n_players: int) -> np.ndarray:
+    """Expected tax per (t, edge), one scalar reference evaluation at a time."""
+    g = scenario.graph
+    flow = propagate(scenario, policy)
+    table = np.empty((scenario.horizon, g.edge_count))
+    for t in range(scenario.horizon):
+        node_probs = flow.distributions[t][g.edge_src]
+        for e in range(g.edge_count):
+            table[t, e] = expected_tax_symmetric_scalar(
+                n_players,
+                float(node_probs[e]),
+                float(policy.probs[t, e]),
+                float(scenario.reference.probs[t, e]),
+                scenario.alpha,
+            )
+    return table
+
+
+def expected_tax_gap_loop(scenario: Scenario, policy: PolicyKernel, n_list, support_tol: float = 1e-9) -> dict:
+    """Worst |expected tax - alpha log(policy / reference)| over supported edges."""
+    g = scenario.graph
+    flow = propagate(scenario, policy)
+    table = {}
+    for n in n_list:
+        worst = 0.0
+        for t in range(scenario.horizon):
+            node_probs = flow.distributions[t][g.edge_src]
+            for e in range(g.edge_count):
+                node_p, edge_p = float(node_probs[e]), float(policy.probs[t, e])
+                if node_p * edge_p <= support_tol:
+                    continue
+                ref = float(scenario.reference.probs[t, e])
+                tax = expected_tax_symmetric_scalar(n, node_p, edge_p, ref, scenario.alpha)
+                worst = max(worst, abs(tax - scenario.alpha * (math.log(edge_p) - math.log(ref))))
+        table[n] = worst
+    return table
+
+
+def assumed_cost_loop(game: SingleStageGame, belief) -> np.ndarray:
+    return np.array(
+        [
+            float(game.travel_cost[j])
+            + expected_tax_symmetric_scalar(
+                game.n_players, 1.0, float(belief[j]), float(game.reference[j]), game.alpha
+            )
+            for j in range(game.route_count)
+        ]
+    )
+
+
+def symmetric_ne_scalar(game: SingleStageGame, tol: float = 1e-12, max_bisect: int = 200) -> np.ndarray:
+    """Symmetric equilibrium q by per-route scalar nested bisection (N >= 2)."""
+
+    def cost(j: int, q: float) -> float:
+        return float(game.travel_cost[j]) + expected_tax_symmetric_scalar(
+            game.n_players, 1.0, q, float(game.reference[j]), game.alpha
+        )
+
+    def load(j: int, lam: float) -> float:
+        if lam <= cost(j, 0.0):
+            return 0.0
+        if lam >= cost(j, 1.0):
+            return 1.0
+        lo, hi = 0.0, 1.0
+        for _ in range(max_bisect):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            val = cost(j, mid)
+            if abs(val - lam) <= tol:
+                return mid
+            lo, hi = (mid, hi) if val < lam else (lo, mid)
+        return 0.5 * (lo + hi)
+
+    def boundary(lo: float, hi: float, above) -> float:
+        for _ in range(max_bisect):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi or hi - lo <= tol:
+                break
+            if above(sum(load(j, mid) for j in range(game.route_count))):
+                hi = mid
+            else:
+                lo = mid
+        return 0.5 * (lo + hi)
+
+    routes = range(game.route_count)
+    lo = min(cost(j, 0.0) for j in routes) - 1.0
+    hi = max(cost(j, 1.0) for j in routes) + 1.0
+    lam = 0.5 * (boundary(lo, hi, lambda m: m >= 1.0) + boundary(lo, hi, lambda m: m > 1.0))
+    return np.array([load(j, lam) for j in routes])
+
+
+def shortest_path_loop(graph: TrafficGraph, total_cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Finite-horizon shortest path with a per-node argmin (first minimizer wins)."""
+    t_count = total_cost.shape[0]
+    values = np.zeros((t_count + 1, graph.node_count))
+    probs = np.zeros((t_count, graph.edge_count))
+    for t in range(t_count - 1, -1, -1):
+        through = total_cost[t] + values[t + 1][graph.edge_dst]
+        for i in range(graph.node_count):
+            sl = graph.edge_slice(i)
+            best = int(np.argmin(through[sl]))
+            values[t, i] = through[sl][best]
+            probs[t, sl.start + best] = 1.0
+    return probs, values
 
 
 def bfs_distances(width: int, height: int, obstacles, start: int) -> dict[int, int]:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import exact_expected_log_share
+from helpers import exact_expected_log_share, random_game
 from mftroute import (
     SingleStageGame,
     assumed_cost,
@@ -17,16 +17,6 @@ from mftroute import (
     solve_symmetric_ne,
 )
 from mftroute.cli import three_route_scenario
-
-
-def _random_game(rng: np.random.Generator) -> SingleStageGame:
-    routes = int(rng.integers(2, 7))
-    costs = rng.uniform(-3.0, 3.0, size=routes)
-    reference = 0.9 * rng.dirichlet(np.ones(routes)) + 0.1 / routes
-    reference = reference / reference.sum()
-    alpha = float(np.exp(rng.uniform(math.log(0.1), math.log(10.0))))
-    n_players = int(rng.integers(2, 400))
-    return SingleStageGame(costs, reference, alpha, n_players)
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +41,7 @@ def test_route_cost_matches_extended_precision_sum(three_route_game):
 def test_route_cost_is_strictly_increasing():
     rng = np.random.default_rng(41)
     for _ in range(5):
-        game = _random_game(rng)
+        game = random_game(rng)
         for j in range(game.route_count):
             grid = np.linspace(0.0, 1.0 - 1e-4, 40)
             vals = np.array([route_cost(game, j, q) for q in grid])
@@ -77,7 +67,7 @@ def test_inverse_round_trips(three_route_game):
 def test_forward_of_inverse_hits_the_level():
     rng = np.random.default_rng(42)
     for _ in range(5):
-        game = _random_game(rng)
+        game = random_game(rng)
         for j in range(game.route_count):
             lam = float(rng.uniform(route_cost(game, j, 0.0), route_cost(game, j, 1.0)))
             q = route_load(game, j, lam)
@@ -127,7 +117,7 @@ def test_two_player_two_route_matches_kkt_grid_search():
 def test_kkt_certificate_on_random_games():
     rng = np.random.default_rng(43)
     for _ in range(10):
-        game = _random_game(rng)
+        game = random_game(rng)
         result = solve_symmetric_ne(game)
         assert np.all(result.q >= 0)
         assert result.q.sum() == pytest.approx(1.0, abs=1e-9)
@@ -138,7 +128,7 @@ def test_kkt_certificate_on_random_games():
 def test_equilibrium_equalizes_assumed_costs_across_used_routes():
     rng = np.random.default_rng(44)
     for _ in range(10):
-        game = _random_game(rng)
+        game = random_game(rng)
         result = solve_symmetric_ne(game)
         y = assumed_cost(game, result.q)
         active = list(result.active_set)
@@ -169,7 +159,7 @@ def test_single_stage_mfe_agrees_with_the_network_solver(three_route_game):
 def test_first_order_condition_of_the_convex_program():
     rng = np.random.default_rng(45)
     for _ in range(10):
-        game = _random_game(rng)
+        game = random_game(rng)
         mfe = solve_single_stage_mfe(game)
         stationarity = game.travel_cost + game.alpha * (np.log(mfe / game.reference) + 1.0)
         assert stationarity.max() - stationarity.min() <= 1e-10

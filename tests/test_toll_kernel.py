@@ -1,0 +1,217 @@
+"""The batched, windowed expected-toll kernel against its scalar reference.
+
+The reference (tests/helpers.py) is the full-support, exactly rounded
+scalar kernel the batched one replaced, plus the per-element caller loops
+that used it.  Both kernels form every pmf term the same way, so they
+differ only in how the terms are summed and in the terms the window drops.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from helpers import (
+    assumed_cost_loop,
+    binomial_expected_log_share_scalar,
+    expected_tax_gap_loop,
+    expected_tax_table_loop,
+    random_game,
+    random_scenario,
+    shortest_path_loop,
+    symmetric_ne_scalar,
+)
+from mftroute import (
+    SingleStageGame,
+    assumed_cost,
+    best_response_finite_n,
+    build_gridworld,
+    expected_tax_gap,
+    expected_tax_symmetric,
+    fp_run,
+    mfe_solve,
+    propagate,
+    random_policy,
+    solve_symmetric_ne,
+)
+from mftroute.cli import FIG4_ALPHA, FIG4_COSTS, FIG4_REFERENCE
+from mftroute.finite_population import _shortest_path, binomial_expected_log_share
+
+PROBS = st.one_of(
+    st.sampled_from([0.0, 1.0, 5e-324, 1.0 - 1e-16]),
+    st.floats(-300.0, -1.0).map(lambda e: 10.0**e),
+    st.floats(0.0, 1.0),
+)
+
+
+def _assert_close(ours: float, ref: float, rel: float) -> None:
+    if ref == 0.0:
+        assert ours == 0.0
+    else:
+        assert abs(ours - ref) <= rel * abs(ref), (ours, ref)
+
+
+# ---------------------------------------------------------------------------
+# The kernel
+# ---------------------------------------------------------------------------
+
+@given(n_players=st.integers(1, 1000), prob=PROBS)
+def test_kernel_matches_the_scalar_reference(n_players, prob):
+    ours = binomial_expected_log_share(n_players, prob)
+    assert isinstance(ours, float)
+    _assert_close(ours, binomial_expected_log_share_scalar(n_players, prob), 1e-13)
+
+
+@given(n_players=st.integers(1001, 5000), prob=PROBS)
+def test_kernel_matches_the_scalar_reference_to_n_eps_at_large_n(n_players, prob):
+    # both kernels carry ~N eps error from the gammaln differences, so a
+    # flat bound between them cannot hold as N grows
+    ours = binomial_expected_log_share(n_players, prob)
+    _assert_close(ours, binomial_expected_log_share_scalar(n_players, prob), 2e-16 * n_players)
+
+
+@pytest.mark.parametrize("n_players", [10_000, 100_000])
+@pytest.mark.parametrize("prob", [1e-6, 0.01, 0.5, 0.99])
+def test_window_drops_nothing_the_full_support_sum_keeps(n_players, prob):
+    ours = binomial_expected_log_share(n_players, prob)
+    _assert_close(ours, binomial_expected_log_share_scalar(n_players, prob), 1e-15)
+
+
+@given(
+    n_players=st.integers(1, 1000),
+    probs=st.lists(PROBS, min_size=1, max_size=200),
+    repeat=st.integers(1, 3),
+)
+def test_array_call_equals_elementwise_scalar_calls(n_players, probs, repeat):
+    # repeats exercise the deduplication; 200 rows at N near 1000 span several chunks
+    batch = np.array(probs * repeat).reshape(repeat, -1)
+    shares = binomial_expected_log_share(n_players, batch)
+    assert shares.shape == batch.shape
+    expected = [binomial_expected_log_share(n_players, p) for p in probs] * repeat
+    np.testing.assert_array_equal(shares.ravel(), expected)
+
+
+def test_kernel_boundaries_nan_and_bad_population():
+    shares = binomial_expected_log_share(7, np.array([-0.5, 0.0, 1.0, 2.0, np.nan]))
+    np.testing.assert_array_equal(shares[:4], [math.log(1 / 7), math.log(1 / 7), 0.0, 0.0])
+    assert math.isnan(shares[4])
+    with pytest.raises(ValueError):
+        binomial_expected_log_share(0, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# Callers against their scalar loops
+# ---------------------------------------------------------------------------
+
+def test_tax_table_and_gap_match_scalar_loops():
+    rng = np.random.default_rng(61)
+    for _ in range(6):
+        scenario = random_scenario(rng, max_nodes=6, max_horizon=4)
+        policy = random_policy(scenario, rng)
+        node_probs = propagate(scenario, policy).distributions[:-1, scenario.graph.edge_src]
+        n_list = [1, 2, int(rng.integers(3, 60)), 500]
+        for n in n_list:
+            table = expected_tax_symmetric(n, node_probs, policy.probs, scenario.reference.probs, scenario.alpha)
+            np.testing.assert_allclose(
+                table,
+                expected_tax_table_loop(scenario, policy, n),
+                rtol=0,
+                atol=1e-12,
+            )
+        gaps = expected_tax_gap(scenario, policy, n_list)
+        for n, gap in expected_tax_gap_loop(scenario, policy, n_list).items():
+            assert gaps[n] == pytest.approx(gap, abs=1e-12)
+
+
+def test_expected_tax_symmetric_broadcasts_like_scalar_calls():
+    rng = np.random.default_rng(62)
+    node = rng.uniform(0, 1, size=(4, 1))
+    edge = rng.uniform(0, 1, size=(1, 5))
+    ref = rng.uniform(0.1, 0.9, size=5)
+    taxes = expected_tax_symmetric(40, node, edge, ref, 0.7)
+    assert taxes.shape == (4, 5)
+    for i in range(4):
+        for e in range(5):
+            assert taxes[i, e] == expected_tax_symmetric(40, node[i, 0], edge[0, e], ref[e], 0.7)
+
+
+def test_assumed_cost_matches_scalar_loop():
+    rng = np.random.default_rng(63)
+    for _ in range(20):
+        game = random_game(rng, 400)
+        belief = rng.dirichlet(np.ones(game.route_count))
+        belief[rng.integers(game.route_count)] = 0.0
+        np.testing.assert_allclose(assumed_cost(game, belief), assumed_cost_loop(game, belief), rtol=0, atol=1e-12)
+
+
+def test_symmetric_ne_matches_scalar_nested_bisection():
+    rng = np.random.default_rng(64)
+    for _ in range(5):
+        game = random_game(rng, 30)
+        result = solve_symmetric_ne(game)
+        np.testing.assert_allclose(result.q, symmetric_ne_scalar(game), rtol=0, atol=1e-10)
+        assert result.residuals.max() <= 1e-9
+
+
+# fig4 fictitious-play route choices over 3000 days, recorded with the full-support scalar kernel
+FIG4_CHOICES = {
+    20: ("82337092ec61d001f86caa15bbc91ed0d50c864c2f759bc42a6b0535305b6a68", [718, 2100, 182]),
+    200: ("23b29b20f6c346ffa60ad9c79e4ad77ecefef6bd240e642fe70443327e9ff46c", [732, 2003, 265]),
+}
+
+
+@pytest.mark.parametrize("n_players", sorted(FIG4_CHOICES))
+def test_fig4_fictitious_play_choices_are_unchanged(n_players):
+    game = SingleStageGame(np.array(FIG4_COSTS), np.array(FIG4_REFERENCE), FIG4_ALPHA, n_players)
+    choices = np.array(fp_run(game, np.full(3, 1 / 3), 3000).path.choices, dtype=np.int8)
+    digest, counts = FIG4_CHOICES[n_players]
+    assert np.bincount(choices, minlength=3).tolist() == counts
+    assert hashlib.sha256(choices.tobytes()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# Best-response argmin
+# ---------------------------------------------------------------------------
+
+def _random_grid(rng: np.random.Generator):
+    width, height = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+    cells = width * height
+    origin, destination = rng.choice(cells, size=2, replace=False)
+    free = np.setdiff1d(np.arange(cells), [origin, destination])
+    obstacles = rng.choice(free, size=int(rng.integers(0, len(free) // 3 + 1)), replace=False)
+    return build_gridworld(width, height, obstacles, int(origin), int(destination), int(rng.integers(1, 8)), 0.5)
+
+
+def test_segment_argmin_is_bit_identical_to_the_per_node_loop_under_ties():
+    rng = np.random.default_rng(65)
+    for _ in range(20):
+        scenario = _random_grid(rng) if rng.random() < 0.5 else random_scenario(rng, max_nodes=8)
+        g = scenario.graph
+        # few distinct integer costs force exact ties in every row
+        total_cost = rng.integers(0, 3, size=(scenario.horizon, g.edge_count)).astype(np.float64)
+        probs, values = _shortest_path(g, total_cost)
+        loop_probs, loop_values = shortest_path_loop(g, total_cost)
+        np.testing.assert_array_equal(probs, loop_probs)
+        np.testing.assert_array_equal(values, loop_values)
+
+
+def test_best_response_on_random_grids_matches_the_loop():
+    rng = np.random.default_rng(66)
+    for _ in range(5):
+        scenario = _random_grid(rng)
+        population = mfe_solve(scenario).policy
+        n_players = int(rng.integers(2, 200))
+        br = best_response_finite_n(scenario, population, n_players)
+        node_probs = propagate(scenario, population).distributions[:-1, scenario.graph.edge_src]
+        tax = expected_tax_symmetric(
+            n_players, node_probs, population.probs, scenario.reference.probs, scenario.alpha
+        )
+        total_cost = scenario.edge_costs + tax
+        loop_probs, loop_values = shortest_path_loop(scenario.graph, total_cost)
+        np.testing.assert_array_equal(br.policy.probs, loop_probs)
+        np.testing.assert_array_equal(br.state_values, loop_values)
