@@ -7,7 +7,7 @@ simulation, fictitious play, and an exact symmetric-equilibrium solver.
 
 __version__ = "0.1.0"
 
-from .fictitious_play import BeliefPath, SingleStageGame, assumed_cost, fp_run, fp_step
+from .fictitious_play import BeliefPath, fp_run, fp_step
 from .finite_population import (
     FiniteBestResponse,
     PopulationSample,
@@ -52,6 +52,8 @@ from .scenario import (
 )
 from .symmetric_equilibrium import (
     EquilibriumResult,
+    SingleStageGame,
+    assumed_cost,
     route_cost,
     route_load,
     solve_single_stage_mfe,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 import time
@@ -20,28 +21,32 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .fictitious_play import SingleStageGame, fp_run
+from .fictitious_play import FictitiousPlayResult, fp_run
 from .finite_population import (
     GENERATOR_NAME,
     best_response_finite_n,
     expected_tax_gap,
     realized_taxes,
     simulate_population,
-    simulate_replications,
 )
 from .kl_solver import PolicyKernel, backward_pass, extract_policy, value
-from .mean_field import FlowTrajectory, equalizer_gap, mfe_solve, propagate, random_policy
+from .mean_field import FlowTrajectory, equalizer_gap, mfe_solve, random_policy
 from .scenario import (
+    Distribution,
     InvalidScenarioError,
+    ReferencePolicy,
     Scenario,
     ScenarioFormatError,
+    StageCosts,
+    TrafficGraph,
     build_gridworld,
     grid_node,
     read_scenario,
+    require_valid,
     validate,
     write_scenario,
 )
-from .symmetric_equilibrium import solve_single_stage_mfe, solve_symmetric_ne
+from .symmetric_equilibrium import SingleStageGame, solve_single_stage_mfe, solve_symmetric_ne
 
 PROG = "mft-route"
 
@@ -83,8 +88,6 @@ def fig2_scenario(alpha: float) -> Scenario:
 
 def three_route_scenario(costs=FIG4_COSTS, reference=FIG4_REFERENCE, alpha=FIG4_ALPHA) -> Scenario:
     """Origin plus one sink per route; sinks self-loop at zero cost."""
-    from .scenario import Distribution, ReferencePolicy, StageCosts, TrafficGraph
-
     routes = len(costs)
     graph = TrafficGraph(
         (tuple(range(1, routes + 1)),) + tuple((j,) for j in range(1, routes + 1))
@@ -144,6 +147,24 @@ def write_csv(path, header: str, rows, manifest: RunManifest) -> None:
     for row in rows:
         lines.append(",".join(_num(x) if not isinstance(x, str) else x for x in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _write_node_table(path, header: str, table: np.ndarray, manifest: RunManifest) -> None:
+    """Write a (T+1, V) per-stage node table as (t, i, value) rows."""
+    stages, nodes = table.shape
+    rows = ((t, i, table[t, i]) for t in range(stages) for i in range(nodes))
+    write_csv(path, header, rows, manifest)
+
+
+def _write_fp_csv(path, result: FictitiousPlayResult, manifest: RunManifest) -> None:
+    """One row per day; the final day-after belief has no choice and is written with r = -1."""
+    beliefs, choices = result.path.beliefs, result.path.choices + [-1]
+    rows = (
+        (d + 1, *beliefs[d], choices[d], result.dist_to_finite_ne[d], result.dist_to_mfe[d])
+        for d in range(len(beliefs))
+    )
+    belief_cols = ",".join(f"q{j + 1}" for j in range(len(result.mfe)))
+    write_csv(path, f"day,{belief_cols},r,dist_to_ne,dist_to_mfe", rows, manifest)
 
 
 def emit_heatmap(
@@ -219,6 +240,8 @@ def read_policy_csv(path, scenario: Scenario) -> PolicyKernel:
             e = g.edge_index(i, j)
         except KeyError:
             raise ScenarioFormatError(f"line {lineno}: edge {i} -> {j} not in scenario graph") from None
+        if not math.isnan(probs[t, e]):
+            raise ScenarioFormatError(f"line {lineno}: duplicate policy row for stage {t} edge {i} -> {j}")
         probs[t, e] = p
     missing = np.argwhere(np.isnan(probs))
     if missing.size:
@@ -235,9 +258,7 @@ def read_policy_csv(path, scenario: Scenario) -> PolicyKernel:
 
 def _load_scenario(args) -> tuple[Scenario, dict]:
     scenario = read_scenario(args.scenario)
-    violations = validate(scenario)
-    if violations:
-        raise InvalidScenarioError(violations)
+    require_valid(scenario)
     return scenario, {"scenario": _digest(args.scenario)}
 
 
@@ -265,12 +286,7 @@ def _cmd_solve(args) -> int:
     if args.out_policy:
         write_policy_csv(args.out_policy, scenario, policy, manifest)
     if args.out_logphi:
-        rows = [
-            (t, i, desirability.log_phi[t, i])
-            for t in range(scenario.horizon + 1)
-            for i in range(scenario.graph.node_count)
-        ]
-        write_csv(args.out_logphi, "t,i,value", rows, manifest)
+        _write_node_table(args.out_logphi, "t,i,value", desirability.log_phi, manifest)
     print(f"optimal expected cost from the initial distribution: {value(desirability, scenario.initial, 0)!r}")
     return 0
 
@@ -290,12 +306,7 @@ def _cmd_mfe(args) -> int:
     if args.out_policy:
         write_policy_csv(args.out_policy, scenario, solution.policy, manifest)
     if args.out_flow:
-        rows = [
-            (t, i, solution.flow.distributions[t, i])
-            for t in range(scenario.horizon + 1)
-            for i in range(scenario.graph.node_count)
-        ]
-        write_csv(args.out_flow, "t,i,mass", rows, manifest)
+        _write_node_table(args.out_flow, "t,i,mass", solution.flow.distributions, manifest)
     if args.certify_equalizer:
         rng = np.random.default_rng(args.seed)
         trials = [random_policy(scenario, rng) for _ in range(args.certify_equalizer)]
@@ -312,15 +323,11 @@ def _cmd_simulate(args) -> int:
     digests["policy"] = _digest(args.policy)
 
     threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
-    if threads > 1 and args.reps > 1:
-        children = np.random.SeedSequence(args.seed).spawn(args.reps)
-        with ThreadPoolExecutor(max_workers=min(threads, args.reps)) as pool:
-            # substreams make replications order-independent; map keeps output order
-            samples = list(
-                pool.map(lambda c: simulate_population(scenario, policy, args.agents, c), children)
-            )
-    else:
-        samples = list(simulate_replications(scenario, policy, args.agents, args.seed, args.reps))
+    children = np.random.SeedSequence(args.seed).spawn(args.reps)
+    # at least one worker, so --reps 0 still writes a header-only table
+    with ThreadPoolExecutor(max_workers=max(1, min(threads, args.reps))) as pool:
+        # substreams make replications order-independent; map keeps output order
+        samples = list(pool.map(lambda c: simulate_population(scenario, policy, args.agents, c), children))
     rows = []
     for rep, sample in enumerate(samples):
         for record in realized_taxes(sample, scenario):
@@ -384,12 +391,6 @@ def _cmd_fp(args) -> int:
     else:
         initial = np.array([float(tok) for tok in args.init.split(",")])
     result = fp_run(game, initial, args.days)
-    rows = []
-    for d in range(len(result.path.beliefs)):
-        choice = result.path.choices[d] if d < len(result.path.choices) else -1
-        rows.append(
-            (d + 1, *result.path.beliefs[d], choice, result.dist_to_finite_ne[d], result.dist_to_mfe[d])
-        )
     duration = time.perf_counter() - start
     manifest = RunManifest(
         "fp",
@@ -404,8 +405,7 @@ def _cmd_fp(args) -> int:
         },
         duration_s=duration,
     )
-    belief_cols = ",".join(f"q{j + 1}" for j in range(game.route_count))
-    write_csv(args.out, f"day,{belief_cols},r,dist_to_ne,dist_to_mfe", rows, manifest)
+    _write_fp_csv(args.out, result, manifest)
     print(
         f"fictitious play finished after {args.days} days; final distance to the "
         f"finite-N equilibrium: {result.dist_to_finite_ne[-1]!r}"
@@ -468,12 +468,7 @@ def _cmd_reproduce(args) -> int:
                 manifest.header_lines(),
             )
             (out_dir / f"heatmap_t{t}.pgm").write_text(text, encoding="utf-8")
-        rows = [
-            (t, i, solution.flow.distributions[t, i])
-            for t in range(scenario.horizon + 1)
-            for i in range(scenario.graph.node_count)
-        ]
-        write_csv(out_dir / "flow.csv", "t,i,mass", rows, manifest)
+        _write_node_table(out_dir / "flow.csv", "t,i,mass", solution.flow.distributions, manifest)
         print(f"wrote {len(FIG2_FRAMES)} heatmap frames and flow.csv to {out_dir}")
         return 0
 
@@ -489,14 +484,7 @@ def _cmd_reproduce(args) -> int:
         manifest = RunManifest(
             "reproduce fig4", {"agents": n_players, "days": args.days}, duration_s=duration
         )
-        rows = []
-        for d in range(len(result.path.beliefs)):
-            choice = result.path.choices[d] if d < len(result.path.choices) else -1
-            rows.append(
-                (d + 1, *result.path.beliefs[d], choice, result.dist_to_finite_ne[d], result.dist_to_mfe[d])
-            )
-        belief_cols = ",".join(f"q{j + 1}" for j in range(game.route_count))
-        write_csv(out_dir / f"fp_n{n_players}.csv", f"day,{belief_cols},r,dist_to_ne,dist_to_mfe", rows, manifest)
+        _write_fp_csv(out_dir / f"fp_n{n_players}.csv", result, manifest)
     print(f"wrote fictitious play paths for N in {FIG4_PLAYERS} to {out_dir}")
     return 0
 
@@ -512,22 +500,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, scenario=True):
-        if scenario:
-            p.add_argument("--scenario", required=True, help="scenario file path")
-        p.add_argument("--seed", type=int, default=0, help="root RNG seed")
-        p.add_argument("--threads", type=int, default=0, help="worker threads, 0 = auto")
+    def scenario_parser(name, summary):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--scenario", required=True, help="scenario file path")
+        return p
 
-    p = sub.add_parser("validate", help="check a scenario file against all invariants")
-    common(p)
+    scenario_parser("validate", "check a scenario file against all invariants")
 
-    p = sub.add_parser("solve", help="backward pass and optimal policy extraction")
-    common(p)
+    p = scenario_parser("solve", "backward pass and optimal policy extraction")
     p.add_argument("--out-policy", help="write the optimal policy CSV (t,i,j,value)")
     p.add_argument("--out-logphi", help="write the log-desirability CSV (t,i,value)")
 
-    p = sub.add_parser("mfe", help="mean-field equilibrium policy and population flow")
-    common(p)
+    p = scenario_parser("mfe", "mean-field equilibrium policy and population flow")
     p.add_argument("--out-policy", help="write the equilibrium policy CSV (t,i,j,value)")
     p.add_argument("--out-flow", help="write the population flow CSV (t,i,mass)")
     p.add_argument(
@@ -537,21 +521,21 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="also check the equalizer property over N random policies",
     )
+    p.add_argument("--seed", type=int, default=0, help="RNG seed of the random policies")
 
-    p = sub.add_parser("simulate", help="finite-population Monte Carlo with realized tolls")
-    common(p)
+    p = scenario_parser("simulate", "finite-population Monte Carlo with realized tolls")
+    p.add_argument("--seed", type=int, default=0, help="root RNG seed of the replication substreams")
+    p.add_argument("--threads", type=int, default=0, help="worker threads, 0 = auto")
     p.add_argument("--policy", required=True, help="policy CSV to simulate under")
     p.add_argument("--agents", type=int, required=True, help="number of players")
     p.add_argument("--reps", type=int, default=1, help="independent replications")
     p.add_argument("--out", required=True, help="output CSV (rep,t,i,j,count,realized_tax)")
 
-    p = sub.add_parser("nash-gap", help="expected-tax convergence and best-response gaps per N")
-    common(p)
+    p = scenario_parser("nash-gap", "expected-tax convergence and best-response gaps per N")
     p.add_argument("--agents", required=True, help="comma-separated player counts")
     p.add_argument("--out", required=True, help="output CSV (n_agents,expected_tax_gap,epsilon_nash)")
 
     p = sub.add_parser("fp", help="symmetric fictitious play on a parallel-route game")
-    common(p, scenario=False)
     p.add_argument("--routes", type=int, required=True, help="number of parallel routes")
     p.add_argument("--costs", required=True, help="comma-separated route travel costs")
     p.add_argument("--ref", required=True, help="comma-separated reference probabilities")
@@ -562,7 +546,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV (day,q...,r,dist_to_ne,dist_to_mfe)")
 
     p = sub.add_parser("symmetric-ne", help="exact symmetric equilibrium of the route game")
-    common(p, scenario=False)
     p.add_argument("--routes", type=int, required=True)
     p.add_argument("--costs", required=True)
     p.add_argument("--ref", required=True)
@@ -571,7 +554,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV (record,route,value)")
 
     p = sub.add_parser("gridworld", help="generate a grid-world scenario file")
-    common(p, scenario=False)
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--obstacles", default="", help="comma-separated obstacle node ids")
@@ -586,8 +568,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.1, help="toll aggressiveness (fig2)")
     p.add_argument("--days", type=int, default=FIG4_DAYS, help="days to play (fig4)")
     p.add_argument("--out-dir", required=True, help="directory for output files")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=0)
 
     return parser
 
@@ -609,7 +589,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.subcommand](args)
-    except (ScenarioFormatError, InvalidScenarioError, ValueError) as exc:
+    except (ScenarioFormatError, InvalidScenarioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

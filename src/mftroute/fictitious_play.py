@@ -13,38 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .finite_population import expected_tax_symmetric
-from .scenario import ROW_SUM_TOL, _readonly
-
-
-@dataclass(frozen=True, eq=False)
-class SingleStageGame:
-    """N players pick one of J parallel routes once; tolls are log-population."""
-
-    travel_cost: np.ndarray
-    reference: np.ndarray
-    alpha: float
-    n_players: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "travel_cost", _readonly(self.travel_cost))
-        object.__setattr__(self, "reference", _readonly(self.reference))
-        if self.travel_cost.ndim != 1 or self.travel_cost.shape != self.reference.shape:
-            raise ValueError("travel_cost and reference must be equal-length vectors")
-        if self.route_count < 2:
-            raise ValueError("need at least two routes")
-        if np.any(self.reference <= 0):
-            raise ValueError("reference probabilities must be strictly positive")
-        if abs(float(self.reference.sum()) - 1.0) > ROW_SUM_TOL:
-            raise ValueError(f"reference sums to {self.reference.sum():.17g}, expected 1")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-        if self.n_players < 1:
-            raise ValueError("n_players must be >= 1")
-
-    @property
-    def route_count(self) -> int:
-        return self.travel_cost.shape[0]
+from .symmetric_equilibrium import SingleStageGame, assumed_cost, solve_single_stage_mfe, solve_symmetric_ne
 
 
 @dataclass
@@ -68,14 +37,6 @@ class BeliefPath:
         if np.any(belief < 0) or abs(float(belief.sum()) - 1.0) > 1e-9:
             raise ValueError("initial belief must lie in the probability simplex")
         return cls(beliefs=[belief.copy()])
-
-
-def assumed_cost(game: SingleStageGame, belief: np.ndarray) -> np.ndarray:
-    """Per-route cost assuming the other N-1 players each route from ``belief``.
-
-    A stack of beliefs with routes on the last axis gives a stack of costs.
-    """
-    return game.travel_cost + expected_tax_symmetric(game.n_players, 1.0, belief, game.reference, game.alpha)
 
 
 def fp_step(game: SingleStageGame, path: BeliefPath) -> BeliefPath:
@@ -109,9 +70,6 @@ def fp_run(game: SingleStageGame, initial_belief, days: int) -> FictitiousPlayRe
     """Run fictitious play for ``days`` days with per-day equilibrium distances."""
     if days < 1:
         raise ValueError("days must be >= 1")
-    # local import: this module owns the game type the equilibrium solvers consume
-    from .symmetric_equilibrium import solve_single_stage_mfe, solve_symmetric_ne
-
     path = BeliefPath.start(initial_belief)
     for _ in range(days):
         fp_step(game, path)

@@ -58,9 +58,6 @@ class PolicyKernel:
     def horizon(self) -> int:
         return self.probs.shape[0]
 
-    def row(self, t: int, node: int, graph) -> np.ndarray:
-        return self.probs[t, graph.edge_slice(node)]
-
     def toll_log(self) -> np.ndarray:
         """Log probabilities for toll evaluation; -inf marks true zeros."""
         if self.log_probs is not None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .kl_solver import LogDesirability, PolicyKernel, backward_pass, extract_policy, value
 from .kl_solver import _check_policy_shape
-from .scenario import Distribution, Scenario, _readonly
+from .scenario import Scenario, _readonly
 
 
 class ZeroSupportError(ValueError):
@@ -42,10 +42,6 @@ class FlowTrajectory:
     @property
     def horizon(self) -> int:
         return self.distributions.shape[0] - 1
-
-    def at(self, t: int) -> Distribution:
-        return Distribution(self.distributions[t])
-
 
 @dataclass(frozen=True, eq=False)
 class MeanFieldSolution:

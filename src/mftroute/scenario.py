@@ -17,6 +17,9 @@ import numpy as np
 
 ROW_SUM_TOL = 1e-12
 
+_REQUIRED_PARAMS = ("nodes", "horizon", "alpha", "initial")
+_PARAM_KEYS = _REQUIRED_PARAMS + ("stationary",)
+
 # Grid-world cost structure: staying is free, moving costs one unit, and
 # entering an obstacle cell adds a prohibitive penalty on top.
 GRID_MOVE_COST = 1.0
@@ -452,28 +455,21 @@ def serialize(scenario: Scenario) -> str:
     for e, i, j in g.edges():
         lines.append(f"{i} {j}")
 
+    def table_lines(table: np.ndarray) -> list[str]:
+        if stationary:
+            return [f"{i} {j} {_fmt(table[0, e])}" for e, i, j in g.edges()]
+        return [f"{t} {i} {j} {_fmt(table[t, e])}" for t in range(t_count) for e, i, j in g.edges()]
+
     lines.append("")
     lines.append("[costs]")
-    if stationary:
-        for e, i, j in g.edges():
-            lines.append(f"{i} {j} {_fmt(scenario.costs.stage[0, e])}")
-    else:
-        for t in range(t_count):
-            for e, i, j in g.edges():
-                lines.append(f"{t} {i} {j} {_fmt(scenario.costs.stage[t, e])}")
+    lines.extend(table_lines(scenario.costs.stage))
     if scenario.costs.terminal is not None:
         for j in range(g.node_count):
             lines.append(f"terminal {j} {_fmt(scenario.costs.terminal[j])}")
 
     lines.append("")
     lines.append("[reference]")
-    if stationary:
-        for e, i, j in g.edges():
-            lines.append(f"{i} {j} {_fmt(scenario.reference.probs[0, e])}")
-    else:
-        for t in range(t_count):
-            for e, i, j in g.edges():
-                lines.append(f"{t} {i} {j} {_fmt(scenario.reference.probs[t, e])}")
+    lines.extend(table_lines(scenario.reference.probs))
 
     lines.append("")
     return "\n".join(lines)
@@ -516,9 +512,15 @@ def deserialize(text: str) -> Scenario:
         if "=" not in line:
             raise ScenarioFormatError(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        params[key.lower()] = (lineno, value)
+        key = key.lower()
+        if key not in _PARAM_KEYS:
+            raise ScenarioFormatError(f"line {lineno}: unknown key '{key}' in [params]")
+        if key in params:
+            first = params[key][0]
+            raise ScenarioFormatError(f"line {lineno}: duplicate key '{key}' in [params] (first on line {first})")
+        params[key] = (lineno, value)
 
-    for field in ("nodes", "horizon", "alpha", "initial"):
+    for field in _REQUIRED_PARAMS:
         if field not in params:
             raise ScenarioFormatError(f"missing required field '{field}' in [params]")
 

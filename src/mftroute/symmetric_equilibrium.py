@@ -1,4 +1,4 @@
-"""Exact symmetric Nash equilibrium of the single-stage route game.
+"""The single-stage route game and its exact symmetric Nash equilibrium.
 
 At a symmetric equilibrium the per-route cost function f_j(q) (travel cost
 plus exact expected toll when everyone routes with probability q) is
@@ -14,12 +14,50 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fictitious_play import SingleStageGame, assumed_cost
-from .scenario import _readonly
+from .finite_population import expected_tax_symmetric
+from .scenario import ROW_SUM_TOL, _readonly
 
 INNER_TOL = 1e-12  # |f(q) - lambda| target for the per-route inversion
 OUTER_TOL = 1e-12  # width target for the lambda bracket
 _MAX_BISECT = 200
+
+
+@dataclass(frozen=True, eq=False)
+class SingleStageGame:
+    """N players pick one of J parallel routes once; tolls are log-population."""
+
+    travel_cost: np.ndarray
+    reference: np.ndarray
+    alpha: float
+    n_players: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "travel_cost", _readonly(self.travel_cost))
+        object.__setattr__(self, "reference", _readonly(self.reference))
+        if self.travel_cost.ndim != 1 or self.travel_cost.shape != self.reference.shape:
+            raise ValueError("travel_cost and reference must be equal-length vectors")
+        if self.route_count < 2:
+            raise ValueError("need at least two routes")
+        if np.any(self.reference <= 0):
+            raise ValueError("reference probabilities must be strictly positive")
+        if abs(float(self.reference.sum()) - 1.0) > ROW_SUM_TOL:
+            raise ValueError(f"reference sums to {self.reference.sum():.17g}, expected 1")
+        if not self.alpha > 0:
+            raise ValueError("alpha must be positive")
+        if self.n_players < 1:
+            raise ValueError("n_players must be >= 1")
+
+    @property
+    def route_count(self) -> int:
+        return self.travel_cost.shape[0]
+
+
+def assumed_cost(game: SingleStageGame, belief: np.ndarray) -> np.ndarray:
+    """Per-route cost assuming the other N-1 players each route from ``belief``.
+
+    A stack of beliefs with routes on the last axis gives a stack of costs.
+    """
+    return game.travel_cost + expected_tax_symmetric(game.n_players, 1.0, belief, game.reference, game.alpha)
 
 
 @dataclass(frozen=True, eq=False)

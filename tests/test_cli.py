@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mftroute import mfe_solve, read_scenario, write_scenario
+from mftroute import ScenarioFormatError, mfe_solve, read_scenario, write_scenario
 from mftroute.cli import (
     FIG2_OBSTACLES,
     FIG2_WIDTH,
@@ -50,10 +50,19 @@ def test_missing_scenario_flag_is_a_usage_error():
     assert excinfo.value.code == 2
 
 
-def test_unknown_flag_is_a_usage_error(three_route_file):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["mfe", "--scenario", str(three_route_file), "--frobnicate"])
-    assert excinfo.value.code == 2
+def test_unknown_flag_is_a_usage_error(tmp_path, three_route_file):
+    scenario = str(three_route_file)
+    out_dir = str(tmp_path / "unused")
+    for argv in (
+        ["mfe", "--scenario", scenario, "--frobnicate"],
+        # --seed and --threads exist only where a handler reads them
+        ["mfe", "--scenario", scenario, "--threads", "2"],
+        ["solve", "--scenario", scenario, "--seed", "1"],
+        ["reproduce", "fig4", "--out-dir", out_dir, "--seed", "1"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
 
 
 def test_help_exits_zero():
@@ -81,6 +90,25 @@ def test_parse_failure_exits_one(tmp_path, capsys):
     code = main(["solve", "--scenario", str(bad)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_unwritable_output_exits_one(tmp_path, three_route_file, capsys):
+    out = tmp_path / "missing_dir" / "gaps.csv"
+    code = main(["nash-gap", "--scenario", str(three_route_file), "--agents", "10", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_read_policy_csv_rejects_duplicate_rows(tmp_path, three_route_file):
+    policy_csv = tmp_path / "policy.csv"
+    main(["mfe", "--scenario", str(three_route_file), "--out-policy", str(policy_csv)])
+    lines = policy_csv.read_text().splitlines()
+    row = next(line for line in lines if line.startswith("0,0,2,"))
+    policy_csv.write_text("\n".join(lines + [row]) + "\n")
+    expected = rf"line {len(lines) + 1}: duplicate policy row for stage 0 edge 0 -> 2"
+    with pytest.raises(ScenarioFormatError, match=expected):
+        read_policy_csv(policy_csv, read_scenario(three_route_file))
 
 
 def test_solve_outputs_log_desirability(tmp_path, three_route_file):
@@ -135,6 +163,17 @@ def test_fp_subcommand_emits_diagnostics(tmp_path):
     assert len(lines) == 1 + 41  # initial belief plus one row per day
     first = lines[1].split(",")
     assert first[0] == "1" and first[4] == "1"  # day one best response: middle route
+
+
+def test_fp_payload_matches_reproduce_fig4(tmp_path):
+    out = tmp_path / "fp.csv"
+    code = main(
+        ["fp", "--routes", "3", "--costs", "2.0,1.0,3.0", "--ref",
+         f"{1/3!r},{1/3!r},{1/3!r}", "--alpha", "1", "--agents", "20", "--days", "50", "--out", str(out)]
+    )
+    assert code == 0
+    assert main(["reproduce", "fig4", "--days", "50", "--out-dir", str(tmp_path / "fig4")]) == 0
+    assert _payload(out) == _payload(tmp_path / "fig4" / "fp_n20.csv")
 
 
 def test_symmetric_ne_subcommand(tmp_path):

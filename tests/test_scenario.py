@@ -195,6 +195,23 @@ def test_parse_errors_carry_line_numbers(three_route):
         deserialize("\n".join(lines))
 
 
+def test_unknown_params_key_rejected_with_its_line(three_route):
+    lines = serialize(three_route).splitlines()
+    lines.insert(1, "horizn = 9")
+    with pytest.raises(ScenarioFormatError, match="line 2: unknown key 'horizn'"):
+        deserialize("\n".join(lines))
+
+
+def test_duplicate_params_key_rejected_with_its_line(three_route):
+    lines = serialize(three_route).splitlines()
+    first = next(n for n, line in enumerate(lines, start=1) if line.startswith("alpha"))
+    lines.insert(first, "ALPHA = 2")
+    with pytest.raises(
+        ScenarioFormatError, match=rf"line {first + 1}: duplicate key 'alpha' .*line {first}\)"
+    ):
+        deserialize("\n".join(lines))
+
+
 def test_undeclared_edge_rejected(three_route):
     text = serialize(three_route)
     mangled = text.replace("[costs]", "[costs]\n0 0 5.0", 1)
