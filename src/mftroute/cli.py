@@ -217,7 +217,8 @@ def write_policy_csv(path, scenario: Scenario, policy: PolicyKernel, manifest: R
 def read_policy_csv(path, scenario: Scenario) -> PolicyKernel:
     """Parse a (t, i, j, value) policy CSV against the scenario's edge set."""
     g = scenario.graph
-    probs = np.full((scenario.horizon, g.edge_count), np.nan)
+    probs = np.empty((scenario.horizon, g.edge_count))
+    seen = np.zeros(probs.shape, dtype=bool)
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -234,16 +235,19 @@ def read_policy_csv(path, scenario: Scenario) -> PolicyKernel:
             p = float(parts[3])
         except ValueError:
             raise ScenarioFormatError(f"line {lineno}: cannot parse policy row") from None
+        if not math.isfinite(p):
+            raise ScenarioFormatError(f"line {lineno}: policy value '{parts[3]}' is not finite")
         if not 0 <= t < scenario.horizon:
             raise ScenarioFormatError(f"line {lineno}: stage {t} outside 0..{scenario.horizon - 1}")
         try:
             e = g.edge_index(i, j)
         except KeyError:
             raise ScenarioFormatError(f"line {lineno}: edge {i} -> {j} not in scenario graph") from None
-        if not math.isnan(probs[t, e]):
+        if seen[t, e]:
             raise ScenarioFormatError(f"line {lineno}: duplicate policy row for stage {t} edge {i} -> {j}")
+        seen[t, e] = True
         probs[t, e] = p
-    missing = np.argwhere(np.isnan(probs))
+    missing = np.argwhere(~seen)
     if missing.size:
         t, e = (int(v) for v in missing[0])
         raise ScenarioFormatError(
@@ -317,6 +321,8 @@ def _cmd_mfe(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.reps < 0:
+        raise ValueError("--reps must be >= 0")
     start = time.perf_counter()
     scenario, digests = _load_scenario(args)
     policy = read_policy_csv(args.policy, scenario)

@@ -72,36 +72,29 @@ def _check_policy_shape(scenario: Scenario, policy: PolicyKernel) -> None:
         raise ValueError(f"policy shape {policy.probs.shape}, expected {expect}")
 
 
-def _segment_lse(values: np.ndarray, row_start: np.ndarray, seg_id: np.ndarray) -> np.ndarray:
-    """Log-sum-exp of each contiguous edge segment (one segment per node)."""
-    peak = np.maximum.reduceat(values, row_start[:-1])
-    shifted = np.exp(values - peak[seg_id])
-    return peak + np.log(np.add.reduceat(shifted, row_start[:-1]))
-
-
-def _log_weights(scenario: Scenario, log_phi_next: np.ndarray, t: int) -> np.ndarray:
-    """Per-edge log of reference * exp(-cost/alpha) * next-stage desirability."""
-    return (
-        np.log(scenario.reference.probs[t])
-        - scenario.edge_costs[t] / scenario.alpha
-        + log_phi_next[scenario.graph.edge_dst]
-    )
+def _log_kernel(scenario: Scenario) -> np.ndarray:
+    """Per-(t, edge) log of reference * exp(-cost/alpha), shape (T, E)."""
+    out = np.log(scenario.reference.probs)
+    out -= scenario.edge_costs / scenario.alpha
+    return out
 
 
 def backward_pass(scenario: Scenario) -> LogDesirability:
     """Run the linear backward recursion once, entirely in log domain.
 
     Stage t's table is the per-node log-sum-exp over out-edges of
-    log R - C/alpha + log_phi[t+1][dest], with log_phi[T] = 0.
+    log R - C/alpha + log_phi[t+1][dest], with log_phi[T] = 0; each
+    node's out-edges are one contiguous segment, shifted by its own max.
     """
     require_valid(scenario)
     g = scenario.graph
-    t_count = scenario.horizon
-    log_phi = np.zeros((t_count + 1, g.node_count))
-    for t in range(t_count - 1, -1, -1):
-        log_phi[t] = _segment_lse(
-            _log_weights(scenario, log_phi[t + 1], t), g.row_start, g.edge_src
-        )
+    starts = g.row_start[:-1]
+    log_kernel = _log_kernel(scenario)
+    log_phi = np.zeros((scenario.horizon + 1, g.node_count))
+    for t in range(scenario.horizon - 1, -1, -1):
+        weights = log_kernel[t] + log_phi[t + 1][g.edge_dst]
+        peak = np.maximum.reduceat(weights, starts)
+        log_phi[t] = peak + np.log(np.add.reduceat(np.exp(weights - peak[g.edge_src]), starts))
     return LogDesirability(log_phi, scenario.alpha)
 
 
@@ -114,20 +107,16 @@ def extract_policy(scenario: Scenario, desirability: LogDesirability) -> PolicyK
     entry.
     """
     g = scenario.graph
-    t_count = scenario.horizon
-    if desirability.horizon != t_count:
-        raise ValueError(
-            f"desirability horizon {desirability.horizon}, scenario horizon {t_count}"
-        )
-    probs = np.empty((t_count, g.edge_count))
-    log_probs = np.empty((t_count, g.edge_count))
-    for t in range(t_count):
-        raw_log = _log_weights(scenario, desirability.log_phi[t + 1], t)
-        raw_log -= desirability.log_phi[t][g.edge_src]
-        raw = np.exp(raw_log)
-        row_sums = np.add.reduceat(raw, g.row_start[:-1])
-        probs[t] = raw / row_sums[g.edge_src]
-        log_probs[t] = raw_log - np.log(row_sums)[g.edge_src]
+    if desirability.horizon != scenario.horizon:
+        raise ValueError(f"desirability horizon {desirability.horizon}, scenario horizon {scenario.horizon}")
+    # in place, so the (T, E) temporaries stay few
+    log_probs = _log_kernel(scenario)
+    log_probs += desirability.log_phi[1:, g.edge_dst]
+    log_probs -= desirability.log_phi[:-1, g.edge_src]
+    probs = np.exp(log_probs)
+    row_sums = np.add.reduceat(probs, g.row_start[:-1], axis=1)
+    probs /= row_sums[:, g.edge_src]
+    log_probs -= np.log(row_sums)[:, g.edge_src]
     return PolicyKernel(probs, log_probs)
 
 

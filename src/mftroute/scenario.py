@@ -271,60 +271,54 @@ def validate(scenario: Scenario) -> list[Violation]:
     """
     out: list[Violation] = []
     g = scenario.graph
-    t_count = scenario.horizon
 
-    if t_count < 1:
+    if scenario.horizon < 1:
         out.append(Violation("horizon", "horizon must be >= 1"))
     if not (math.isfinite(scenario.alpha) and scenario.alpha > 0):
         out.append(Violation("alpha", f"alpha must be a positive real, got {scenario.alpha}"))
 
-    for i, row in enumerate(g.out_neighbors):
-        if not row:
-            out.append(Violation("empty_out_neighbors", "node has no out-neighbors", node=i))
-        seen = set()
-        for j in row:
-            if j in seen:
-                out.append(Violation("duplicate_out_neighbor", "duplicate edge", node=i, dest=j))
-            seen.add(j)
+    src, dst = g.edge_src, g.edge_dst
+    degs = np.diff(g.row_start)
 
-    src = g.edge_src
-    dst = g.edge_dst
-    for t in range(t_count):
-        bad = ~np.isfinite(scenario.costs.stage[t])
-        for e in np.flatnonzero(bad):
-            out.append(
-                Violation("nonfinite_cost", "cost must be finite", t=t, node=int(src[e]), dest=int(dst[e]))
-            )
+    def at(t, e) -> dict:
+        return {"t": int(t), "node": int(src[e]), "dest": int(dst[e])}
+
+    # an edge is a duplicate unless it is the first of its node with that dest
+    duplicate = np.ones(g.edge_count, dtype=bool)
+    duplicate[np.unique(src * g.node_count + dst, return_index=True)[1]] = False
+    graph_violations = [
+        Violation("empty_out_neighbors", "node has no out-neighbors", node=int(i))
+        for i in np.flatnonzero(degs == 0)
+    ] + [
+        Violation("duplicate_out_neighbor", "duplicate edge", node=int(src[e]), dest=int(dst[e]))
+        for e in np.flatnonzero(duplicate)
+    ]
+    out.extend(sorted(graph_violations, key=lambda v: v.node))
+
+    for t, e in np.argwhere(~np.isfinite(scenario.costs.stage)):
+        out.append(Violation("nonfinite_cost", "cost must be finite", **at(t, e)))
     if scenario.costs.terminal is not None:
         for j in np.flatnonzero(~np.isfinite(scenario.costs.terminal)):
             out.append(Violation("nonfinite_terminal", "terminal cost must be finite", dest=int(j)))
 
+    # checks are written as ~(ok) so that NaN entries and NaN row sums fail them
     ref = scenario.reference.probs
-    for t in range(t_count):
-        nonpos = ref[t] <= 0
-        for e in np.flatnonzero(nonpos):
-            out.append(
-                Violation(
-                    "reference_nonpositive",
-                    f"reference probability {ref[t, e]} must be > 0",
-                    t=t,
-                    node=int(src[e]),
-                    dest=int(dst[e]),
-                )
-            )
-        for i in range(g.node_count):
-            if g.degree(i) == 0:
-                continue
-            row_sum = float(ref[t, g.edge_slice(i)].sum())
-            if abs(row_sum - 1.0) > ROW_SUM_TOL:
-                out.append(
-                    Violation(
-                        "reference_row_sum",
-                        f"reference row sums to {row_sum:.17g}, expected 1",
-                        t=t,
-                        node=i,
-                    )
-                )
+    rows = np.flatnonzero(degs > 0)
+    row_sums = np.add.reduceat(ref, g.row_start[rows], axis=1)
+    ref_violations = [
+        Violation("reference_nonpositive", f"reference probability {ref[t, e]} must be > 0", **at(t, e))
+        for t, e in np.argwhere(~(ref > 0))
+    ] + [
+        Violation(
+            "reference_row_sum",
+            f"reference row sums to {row_sums[t, k]:.17g}, expected 1",
+            t=int(t),
+            node=int(rows[k]),
+        )
+        for t, k in np.argwhere(~(np.abs(row_sums - 1.0) <= ROW_SUM_TOL))
+    ]
+    # stable: each stage's entry violations stay ahead of its row-sum violations
+    out.extend(sorted(ref_violations, key=lambda v: v.t))
 
     mass = scenario.initial.mass
     for i in np.flatnonzero(~np.isfinite(mass) | (mass < 0)):
@@ -398,11 +392,9 @@ def build_gridworld(
     )
 
     dest_x, dest_y = destination % width, destination // width
-    terminal = np.empty(node_count)
-    for y in range(height):
-        for x in range(width):
-            dist = abs(x - dest_x) + abs(y - dest_y)
-            terminal[grid_node(width, x, y)] = GRID_TERMINAL_WEIGHT * math.sqrt(dist)
+    cells = np.arange(node_count)
+    dist = np.abs(cells % width - dest_x) + np.abs(cells // width - dest_y)
+    terminal = GRID_TERMINAL_WEIGHT * np.sqrt(dist)
 
     return Scenario(
         graph=graph,
@@ -436,9 +428,10 @@ def serialize(scenario: Scenario) -> str:
     """Render a scenario in the sectioned text format (exact round trip)."""
     g = scenario.graph
     t_count = scenario.horizon
-    stationary = t_count >= 1 and bool(
-        np.all(scenario.costs.stage == scenario.costs.stage[0])
-        and np.all(scenario.reference.probs == scenario.reference.probs[0])
+    # compared bit for bit, so a -0.0 in a later stage is not written as stage 0's 0.0
+    stationary = t_count >= 1 and all(
+        np.all(table.view(np.uint64) == table[0].view(np.uint64))
+        for table in (scenario.costs.stage, scenario.reference.probs)
     )
 
     lines = ["[params]"]
@@ -568,7 +561,9 @@ def deserialize(text: str) -> Scenario:
     graph = TrafficGraph(tuple(tuple(row) for row in neighbors))
 
     def fill_table(section: str, label: str) -> tuple[np.ndarray, np.ndarray | None]:
-        table = np.full((horizon, graph.edge_count), np.nan)
+        # a stationary file fills one row, broadcast to every stage below
+        table = np.empty((1 if stationary else horizon, graph.edge_count))
+        seen = np.zeros(table.shape, dtype=bool)
         terminal: np.ndarray | None = None
         for lineno, line in sections[section]:
             tokens = line.split()
@@ -582,37 +577,29 @@ def deserialize(text: str) -> Scenario:
                     terminal = np.zeros(node_count)
                 terminal[j] = _parse_float(tokens[2], lineno, "terminal cost")
                 continue
-            if stationary:
-                if len(tokens) != 3:
-                    raise ScenarioFormatError(f"line {lineno}: stationary {label} lines are 'i j value'")
-                t_range = range(horizon)
-                i = _parse_int(tokens[0], lineno, "source node")
-                j = _parse_int(tokens[1], lineno, "destination node")
-                value = _parse_float(tokens[2], lineno, label)
-            else:
-                if len(tokens) != 4:
-                    raise ScenarioFormatError(f"line {lineno}: {label} lines are 't i j value'")
-                t = _parse_int(tokens[0], lineno, "stage")
-                if not 0 <= t < horizon:
-                    raise ScenarioFormatError(f"line {lineno}: stage {t} outside 0..{horizon - 1}")
-                t_range = range(t, t + 1)
-                i = _parse_int(tokens[1], lineno, "source node")
-                j = _parse_int(tokens[2], lineno, "destination node")
-                value = _parse_float(tokens[3], lineno, label)
+            if len(tokens) != (3 if stationary else 4):
+                form = "stationary {} lines are 'i j value'" if stationary else "{} lines are 't i j value'"
+                raise ScenarioFormatError(f"line {lineno}: " + form.format(label))
+            t = 0 if stationary else _parse_int(tokens[0], lineno, "stage")
+            if not 0 <= t < horizon:
+                raise ScenarioFormatError(f"line {lineno}: stage {t} outside 0..{horizon - 1}")
+            i = _parse_int(tokens[-3], lineno, "source node")
+            j = _parse_int(tokens[-2], lineno, "destination node")
+            value = _parse_float(tokens[-1], lineno, label)
             try:
                 e = graph.edge_index(i, j)
             except KeyError:
                 raise ScenarioFormatError(f"line {lineno}: edge {i} -> {j} not declared in [graph]") from None
-            for t in t_range:
-                if not math.isnan(table[t, e]):
-                    raise ScenarioFormatError(f"line {lineno}: duplicate {label} for stage {t} edge {i} -> {j}")
-                table[t, e] = value
-        missing = np.argwhere(np.isnan(table))
+            if seen[t, e]:
+                raise ScenarioFormatError(f"line {lineno}: duplicate {label} for stage {t} edge {i} -> {j}")
+            seen[t, e] = True
+            table[t, e] = value
+        missing = np.argwhere(~seen)
         if missing.size:
             t, e = (int(x) for x in missing[0])
             i, j = int(graph.edge_src[e]), int(graph.edge_dst[e])
             raise ScenarioFormatError(f"[{section}] missing {label} for stage {t} edge {i} -> {j}")
-        return table, terminal
+        return np.broadcast_to(table, (horizon, graph.edge_count)), terminal
 
     cost_table, terminal = fill_table("costs", "cost")
     ref_table, _ = fill_table("reference", "reference probability")

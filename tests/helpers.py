@@ -24,8 +24,10 @@ from mftroute import (
     SingleStageGame,
     StageCosts,
     TrafficGraph,
+    Violation,
     propagate,
 )
+from mftroute.scenario import ROW_SUM_TOL
 
 
 def random_scenario(
@@ -35,13 +37,14 @@ def random_scenario(
     cost_bound: float = 5.0,
     alpha_range: tuple[float, float] = (0.1, 10.0),
     point_mass_start: bool = False,
+    max_degree: int = 4,
 ) -> Scenario:
     """Random valid scenario within the randomized-fixture parameter box."""
     node_count = int(rng.integers(2, max_nodes + 1))
     horizon = int(rng.integers(1, max_horizon + 1))
     neigh = []
     for _ in range(node_count):
-        deg = int(rng.integers(1, min(4, node_count) + 1))
+        deg = int(rng.integers(1, min(max_degree, node_count) + 1))
         neigh.append(tuple(sorted(rng.choice(node_count, size=deg, replace=False).tolist())))
     graph = TrafficGraph(tuple(neigh))
 
@@ -359,3 +362,114 @@ def assert_rows_stochastic(graph: TrafficGraph, probs: np.ndarray, tol: float = 
     for t in range(probs.shape[0]):
         sums = np.add.reduceat(probs[t], graph.row_start[:-1])
         assert np.max(np.abs(sums - 1.0)) <= tol
+
+
+# ---------------------------------------------------------------------------
+# Loop references for the array validate, backward pass and policy extraction:
+# one Violation, one stage and one node at a time
+# ---------------------------------------------------------------------------
+
+def validate_loop(scenario: Scenario) -> list[Violation]:
+    """Per-stage, per-node validate; NaN fails the positivity and row-sum checks."""
+    out: list[Violation] = []
+    g = scenario.graph
+    t_count = scenario.horizon
+
+    if t_count < 1:
+        out.append(Violation("horizon", "horizon must be >= 1"))
+    if not (math.isfinite(scenario.alpha) and scenario.alpha > 0):
+        out.append(Violation("alpha", f"alpha must be a positive real, got {scenario.alpha}"))
+
+    for i, row in enumerate(g.out_neighbors):
+        if not row:
+            out.append(Violation("empty_out_neighbors", "node has no out-neighbors", node=i))
+        seen = set()
+        for j in row:
+            if j in seen:
+                out.append(Violation("duplicate_out_neighbor", "duplicate edge", node=i, dest=j))
+            seen.add(j)
+
+    src = g.edge_src
+    dst = g.edge_dst
+    for t in range(t_count):
+        bad = ~np.isfinite(scenario.costs.stage[t])
+        for e in np.flatnonzero(bad):
+            out.append(
+                Violation("nonfinite_cost", "cost must be finite", t=t, node=int(src[e]), dest=int(dst[e]))
+            )
+    if scenario.costs.terminal is not None:
+        for j in np.flatnonzero(~np.isfinite(scenario.costs.terminal)):
+            out.append(Violation("nonfinite_terminal", "terminal cost must be finite", dest=int(j)))
+
+    ref = scenario.reference.probs
+    for t in range(t_count):
+        nonpos = ~(ref[t] > 0)
+        for e in np.flatnonzero(nonpos):
+            out.append(
+                Violation(
+                    "reference_nonpositive",
+                    f"reference probability {ref[t, e]} must be > 0",
+                    t=t,
+                    node=int(src[e]),
+                    dest=int(dst[e]),
+                )
+            )
+        for i in range(g.node_count):
+            if g.degree(i) == 0:
+                continue
+            row_sum = float(ref[t, g.edge_slice(i)].sum())
+            if not abs(row_sum - 1.0) <= ROW_SUM_TOL:
+                out.append(
+                    Violation(
+                        "reference_row_sum",
+                        f"reference row sums to {row_sum:.17g}, expected 1",
+                        t=t,
+                        node=i,
+                    )
+                )
+
+    mass = scenario.initial.mass
+    for i in np.flatnonzero(~np.isfinite(mass) | (mass < 0)):
+        out.append(Violation("initial_negative", f"mass {mass[i]} must be finite and >= 0", node=int(i)))
+    if np.all(np.isfinite(mass)) and abs(float(mass.sum()) - 1.0) > ROW_SUM_TOL:
+        out.append(Violation("initial_sum", f"initial mass sums to {mass.sum():.17g}, expected 1"))
+
+    return out
+
+
+def _segment_lse_loop(values: np.ndarray, row_start: np.ndarray, seg_id: np.ndarray) -> np.ndarray:
+    peak = np.maximum.reduceat(values, row_start[:-1])
+    shifted = np.exp(values - peak[seg_id])
+    return peak + np.log(np.add.reduceat(shifted, row_start[:-1]))
+
+
+def _log_weights_loop(scenario: Scenario, log_phi_next: np.ndarray, t: int) -> np.ndarray:
+    return (
+        np.log(scenario.reference.probs[t])
+        - scenario.edge_costs[t] / scenario.alpha
+        + log_phi_next[scenario.graph.edge_dst]
+    )
+
+
+def backward_pass_loop(scenario: Scenario) -> np.ndarray:
+    """Log-desirability table (T+1, V), one stage's log weights at a time."""
+    g = scenario.graph
+    log_phi = np.zeros((scenario.horizon + 1, g.node_count))
+    for t in range(scenario.horizon - 1, -1, -1):
+        log_phi[t] = _segment_lse_loop(_log_weights_loop(scenario, log_phi[t + 1], t), g.row_start, g.edge_src)
+    return log_phi
+
+
+def extract_policy_loop(scenario: Scenario, log_phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(probs, log_probs), each (T, E), one stage at a time."""
+    g = scenario.graph
+    probs = np.empty((scenario.horizon, g.edge_count))
+    log_probs = np.empty((scenario.horizon, g.edge_count))
+    for t in range(scenario.horizon):
+        raw_log = _log_weights_loop(scenario, log_phi[t + 1], t)
+        raw_log -= log_phi[t][g.edge_src]
+        raw = np.exp(raw_log)
+        row_sums = np.add.reduceat(raw, g.row_start[:-1])
+        probs[t] = raw / row_sums[g.edge_src]
+        log_probs[t] = raw_log - np.log(row_sums)[g.edge_src]
+    return probs, log_probs

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mftroute import ScenarioFormatError, mfe_solve, read_scenario, write_scenario
+from mftroute import ScenarioFormatError, mfe_solve, read_scenario, serialize, write_scenario
 from mftroute.cli import (
     FIG2_OBSTACLES,
     FIG2_WIDTH,
@@ -109,6 +109,44 @@ def test_read_policy_csv_rejects_duplicate_rows(tmp_path, three_route_file):
     expected = rf"line {len(lines) + 1}: duplicate policy row for stage 0 edge 0 -> 2"
     with pytest.raises(ScenarioFormatError, match=expected):
         read_policy_csv(policy_csv, read_scenario(three_route_file))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_read_policy_csv_rejects_non_finite_values(tmp_path, three_route_file, capsys, value):
+    policy_csv = tmp_path / "policy.csv"
+    main(["mfe", "--scenario", str(three_route_file), "--out-policy", str(policy_csv)])
+    lines = policy_csv.read_text().splitlines()
+    n = next(k for k, line in enumerate(lines) if line.startswith("0,0,2,"))
+    lines[n] = f"0,0,2,{value}"
+    policy_csv.write_text("\n".join(lines) + "\n")
+    expected = f"line {n + 1}: policy value '{value}' is not finite"
+    with pytest.raises(ScenarioFormatError, match=expected):
+        read_policy_csv(policy_csv, read_scenario(three_route_file))
+    out = tmp_path / "sim.csv"
+    args = ["simulate", "--scenario", str(three_route_file), "--policy", str(policy_csv), "--agents", "10"]
+    assert main(args + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {expected}\n"
+
+
+def test_simulate_rejects_negative_reps_and_writes_a_header_for_zero(tmp_path, three_route_file, capsys):
+    policy_csv = tmp_path / "policy.csv"
+    main(["mfe", "--scenario", str(three_route_file), "--out-policy", str(policy_csv)])
+    out = tmp_path / "sim.csv"
+    args = ["simulate", "--scenario", str(three_route_file), "--policy", str(policy_csv), "--agents", "10"]
+    assert main(args + ["--reps", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --reps must be >= 0\n"
+    assert main(args + ["--reps", "0", "--out", str(out)]) == 0
+    assert _payload(out) == ["rep,t,i,j,count,realized_tax"]
+
+
+def test_validate_reports_a_nan_cost_with_its_location(tmp_path, capsys):
+    lines = serialize(three_route_scenario()).splitlines()
+    lines[lines.index("[costs]") + 1] = "0 1 nan"
+    path = tmp_path / "nan.scn"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["validate", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "nonfinite_cost[t=0, i=0, j=1]: cost must be finite\n1 violation(s) found\n"
 
 
 def test_solve_outputs_log_desirability(tmp_path, three_route_file):

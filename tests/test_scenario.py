@@ -8,11 +8,13 @@ import pytest
 from helpers import random_scenario
 from mftroute import (
     Distribution,
+    InvalidScenarioError,
     ReferencePolicy,
     Scenario,
     ScenarioFormatError,
     StageCosts,
     TrafficGraph,
+    backward_pass,
     build_gridworld,
     deserialize,
     grid_node,
@@ -38,6 +40,21 @@ def test_validate_flags_bad_reference_row_sum(three_route):
     )
     violations = validate(bad)
     assert any(v.code == "reference_row_sum" and v.t == 0 and v.node == 0 for v in violations)
+
+
+def test_validate_flags_nan_reference_entries(three_route):
+    probs = three_route.reference.probs.copy()
+    probs[0, 1] = np.nan  # edge 0 -> 2
+    bad = Scenario(
+        three_route.graph, three_route.costs, ReferencePolicy(probs), three_route.alpha, three_route.initial
+    )
+    violations = validate(bad)
+    assert [(v.code, v.t, v.node, v.dest) for v in violations] == [
+        ("reference_nonpositive", 0, 0, 2),
+        ("reference_row_sum", 0, 0, None),
+    ]
+    with pytest.raises(InvalidScenarioError):
+        backward_pass(bad)
 
 
 def test_validate_flags_empty_out_neighbors():
@@ -225,6 +242,22 @@ def test_missing_cost_entry_rejected(three_route):
     del lines[idx]
     with pytest.raises(ScenarioFormatError, match="missing cost"):
         deserialize("\n".join(lines))
+
+
+@pytest.mark.parametrize("stationary", [True, False])
+def test_nan_and_inf_values_in_a_file_reach_validate(stationary):
+    grid = build_gridworld(2, 2, (), 0, 3, 2, 1.0)
+    stage = grid.costs.stage if stationary else grid.costs.stage + np.arange(2.0)[:, None]
+    costs = StageCosts(2, stage, grid.costs.terminal)
+    scenario = Scenario(grid.graph, costs, grid.reference, grid.alpha, grid.initial)
+    lines = serialize(scenario).splitlines()
+    for section, value in (("[costs]", "nan"), ("[reference]", "inf")):
+        idx = lines.index(section) + 1  # the entry of edge 0 -> 0 at stage 0
+        lines[idx] = " ".join(lines[idx].split()[:-1] + [value])
+    stages = [0, 1] if stationary else [0]
+    located = [(v.code, v.t, v.node, v.dest) for v in validate(deserialize("\n".join(lines)))]
+    assert [v[1:] for v in located if v[0] == "nonfinite_cost"] == [(t, 0, 0) for t in stages]
+    assert [v[1:] for v in located if v[0] == "reference_row_sum"] == [(t, 0, None) for t in stages]
 
 
 # ---------------------------------------------------------------------------
