@@ -39,6 +39,9 @@ from .scenario import (
     ScenarioFormatError,
     StageCosts,
     TrafficGraph,
+    _bad_row_sums,
+    _fill_table,
+    _table_rows,
     build_gridworld,
     grid_node,
     read_scenario,
@@ -207,52 +210,39 @@ def emit_heatmap(
 
 
 def write_policy_csv(path, scenario: Scenario, policy: PolicyKernel, manifest: RunManifest) -> None:
-    rows = []
-    for t in range(scenario.horizon):
-        for e, i, j in scenario.graph.edges():
-            rows.append((t, i, j, policy.probs[t, e]))
-    write_csv(path, "t,i,j,value", rows, manifest)
+    write_csv(path, "t,i,j,value", _table_rows(scenario.graph, policy.probs), manifest)
 
 
 def read_policy_csv(path, scenario: Scenario) -> PolicyKernel:
-    """Parse a (t, i, j, value) policy CSV against the scenario's edge set."""
-    g = scenario.graph
-    probs = np.empty((scenario.horizon, g.edge_count))
-    seen = np.zeros(probs.shape, dtype=bool)
+    """Parse a (t, i, j, value) policy CSV against the scenario's edge set; rows must be stochastic."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioFormatError(f"cannot read policy file {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line or line == "t,i,j,value":
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ScenarioFormatError(f"line {lineno}: policy rows are 't,i,j,value'")
-        try:
-            t, i, j = int(parts[0]), int(parts[1]), int(parts[2])
-            p = float(parts[3])
-        except ValueError:
-            raise ScenarioFormatError(f"line {lineno}: cannot parse policy row") from None
-        if not math.isfinite(p):
-            raise ScenarioFormatError(f"line {lineno}: policy value '{parts[3]}' is not finite")
-        if not 0 <= t < scenario.horizon:
-            raise ScenarioFormatError(f"line {lineno}: stage {t} outside 0..{scenario.horizon - 1}")
-        try:
-            e = g.edge_index(i, j)
-        except KeyError:
-            raise ScenarioFormatError(f"line {lineno}: edge {i} -> {j} not in scenario graph") from None
-        if seen[t, e]:
-            raise ScenarioFormatError(f"line {lineno}: duplicate policy row for stage {t} edge {i} -> {j}")
-        seen[t, e] = True
-        probs[t, e] = p
-    missing = np.argwhere(~seen)
-    if missing.size:
-        t, e = (int(v) for v in missing[0])
-        raise ScenarioFormatError(
-            f"policy file missing stage {t} edge {int(g.edge_src[e])} -> {int(g.edge_dst[e])}"
-        )
+
+    def entries():
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line or line == "t,i,j,value":
+                continue
+            parts = line.split(",")
+            if len(parts) != 4:
+                raise ScenarioFormatError(f"line {lineno}: policy rows are 't,i,j,value'")
+            try:
+                t, i, j, p = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
+            except ValueError:
+                raise ScenarioFormatError(f"line {lineno}: cannot parse policy row") from None
+            if not math.isfinite(p):
+                raise ScenarioFormatError(f"line {lineno}: policy value '{parts[3]}' is not finite")
+            if p < 0:
+                raise ScenarioFormatError(f"line {lineno}: policy value '{parts[3]}' is negative")
+            yield lineno, t, i, j, p
+
+    g = scenario.graph
+    probs = _fill_table(g, scenario.horizon, entries(), "policy row", "not in scenario graph", "policy file missing")
+    bad_rows = _bad_row_sums(g, probs)
+    if bad_rows:
+        raise ScenarioFormatError("policy rows of stage {} node {} sum to {:.17g}, expected 1".format(*bad_rows[0]))
     return PolicyKernel(probs)
 
 

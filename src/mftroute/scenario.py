@@ -96,21 +96,18 @@ class TrafficGraph:
     def edge_slice(self, node: int) -> slice:
         return slice(int(self.row_start[node]), int(self.row_start[node + 1]))
 
+    @cached_property
+    def _edge_ids(self) -> dict[tuple[int, int], int]:
+        # built from the last edge back, so the first of duplicate edges wins
+        pairs = list(enumerate(zip(self.edge_src.tolist(), self.edge_dst.tolist())))
+        return {pair: e for e, pair in reversed(pairs)}
+
     def edge_index(self, node: int, dest: int) -> int:
         """Flat index of edge (node, dest); raises KeyError if absent."""
-        base = int(self.row_start[node])
-        for k, j in enumerate(self.out_neighbors[node]):
-            if j == dest:
-                return base + k
-        raise KeyError(f"no edge {node} -> {dest}")
-
-    def edges(self):
-        """Yield (flat_index, src, dst) in storage order."""
-        e = 0
-        for i, row in enumerate(self.out_neighbors):
-            for j in row:
-                yield e, i, j
-                e += 1
+        try:
+            return self._edge_ids[node, dest]
+        except KeyError:
+            raise KeyError(f"no edge {node} -> {dest}") from None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TrafficGraph) and self.out_neighbors == other.out_neighbors
@@ -263,6 +260,15 @@ class Violation:
         return f"{self.code}[{loc}]: {self.message}" if loc else f"{self.code}: {self.message}"
 
 
+def _bad_row_sums(graph: TrafficGraph, table: np.ndarray) -> list[tuple[int, int, float]]:
+    """(t, node, sum) of every non-empty out-neighborhood row of a (T, E) table that does not sum to 1."""
+    rows = np.flatnonzero(np.diff(graph.row_start) > 0)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf and overflow: NaN and inf sums fail below
+        sums = np.add.reduceat(table, graph.row_start[rows], axis=1)
+    bad = np.argwhere(~(np.abs(sums - 1.0) <= ROW_SUM_TOL))
+    return [(int(t), int(rows[k]), float(sums[t, k])) for t, k in bad]
+
+
 def validate(scenario: Scenario) -> list[Violation]:
     """Check every value-level invariant; an empty list means valid.
 
@@ -278,17 +284,16 @@ def validate(scenario: Scenario) -> list[Violation]:
         out.append(Violation("alpha", f"alpha must be a positive real, got {scenario.alpha}"))
 
     src, dst = g.edge_src, g.edge_dst
-    degs = np.diff(g.row_start)
 
     def at(t, e) -> dict:
         return {"t": int(t), "node": int(src[e]), "dest": int(dst[e])}
 
-    # an edge is a duplicate unless it is the first of its node with that dest
+    # an edge is a duplicate unless edge_index finds it: the first of its node with that dest
     duplicate = np.ones(g.edge_count, dtype=bool)
-    duplicate[np.unique(src * g.node_count + dst, return_index=True)[1]] = False
+    duplicate[list(g._edge_ids.values())] = False
     graph_violations = [
         Violation("empty_out_neighbors", "node has no out-neighbors", node=int(i))
-        for i in np.flatnonzero(degs == 0)
+        for i in np.flatnonzero(np.diff(g.row_start) == 0)
     ] + [
         Violation("duplicate_out_neighbor", "duplicate edge", node=int(src[e]), dest=int(dst[e]))
         for e in np.flatnonzero(duplicate)
@@ -301,21 +306,14 @@ def validate(scenario: Scenario) -> list[Violation]:
         for j in np.flatnonzero(~np.isfinite(scenario.costs.terminal)):
             out.append(Violation("nonfinite_terminal", "terminal cost must be finite", dest=int(j)))
 
-    # checks are written as ~(ok) so that NaN entries and NaN row sums fail them
+    # written as ~(ok) so that NaN entries fail
     ref = scenario.reference.probs
-    rows = np.flatnonzero(degs > 0)
-    row_sums = np.add.reduceat(ref, g.row_start[rows], axis=1)
     ref_violations = [
         Violation("reference_nonpositive", f"reference probability {ref[t, e]} must be > 0", **at(t, e))
         for t, e in np.argwhere(~(ref > 0))
     ] + [
-        Violation(
-            "reference_row_sum",
-            f"reference row sums to {row_sums[t, k]:.17g}, expected 1",
-            t=int(t),
-            node=int(rows[k]),
-        )
-        for t, k in np.argwhere(~(np.abs(row_sums - 1.0) <= ROW_SUM_TOL))
+        Violation("reference_row_sum", f"reference row sums to {total:.17g}, expected 1", t=t, node=i)
+        for t, i, total in _bad_row_sums(g, ref)
     ]
     # stable: each stage's entry violations stay ahead of its row-sum violations
     out.extend(sorted(ref_violations, key=lambda v: v.t))
@@ -424,6 +422,12 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _table_rows(graph: TrafficGraph, table: np.ndarray):
+    """(t, i, j, value) rows of a (T, E) table: stage by stage, edges in storage order."""
+    edges = list(zip(graph.edge_src.tolist(), graph.edge_dst.tolist()))
+    return ((t, i, j, x) for t, row in enumerate(table.tolist()) for (i, j), x in zip(edges, row))
+
+
 def serialize(scenario: Scenario) -> str:
     """Render a scenario in the sectioned text format (exact round trip)."""
     g = scenario.graph
@@ -445,20 +449,18 @@ def serialize(scenario: Scenario) -> str:
 
     lines.append("")
     lines.append("[graph]")
-    for e, i, j in g.edges():
-        lines.append(f"{i} {j}")
+    lines.extend(f"{i} {j}" for i, j in zip(g.edge_src.tolist(), g.edge_dst.tolist()))
 
     def table_lines(table: np.ndarray) -> list[str]:
         if stationary:
-            return [f"{i} {j} {_fmt(table[0, e])}" for e, i, j in g.edges()]
-        return [f"{t} {i} {j} {_fmt(table[t, e])}" for t in range(t_count) for e, i, j in g.edges()]
+            return [f"{i} {j} {_fmt(x)}" for _, i, j, x in _table_rows(g, table[:1])]
+        return [f"{t} {i} {j} {_fmt(x)}" for t, i, j, x in _table_rows(g, table)]
 
     lines.append("")
     lines.append("[costs]")
     lines.extend(table_lines(scenario.costs.stage))
     if scenario.costs.terminal is not None:
-        for j in range(g.node_count):
-            lines.append(f"terminal {j} {_fmt(scenario.costs.terminal[j])}")
+        lines.extend(f"terminal {j} {_fmt(c)}" for j, c in enumerate(scenario.costs.terminal.tolist()))
 
     lines.append("")
     lines.append("[reference]")
@@ -468,18 +470,32 @@ def serialize(scenario: Scenario) -> str:
     return "\n".join(lines)
 
 
-def _parse_float(token: str, lineno: int, what: str) -> float:
+def _parse(kind, token: str, lineno: int, what: str):
     try:
-        return float(token)
+        return kind(token)
     except ValueError:
         raise ScenarioFormatError(f"line {lineno}: cannot parse {what} '{token}'") from None
 
 
-def _parse_int(token: str, lineno: int, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ScenarioFormatError(f"line {lineno}: cannot parse {what} '{token}'") from None
+def _fill_table(graph: TrafficGraph, stages: int, entries, label: str, undeclared: str, missing: str) -> np.ndarray:
+    """Fill a (stages, E) table from (lineno, t, i, j, value) entries; reject bad, repeated and absent rows."""
+    table = np.empty((stages, graph.edge_count))
+    seen = np.zeros(table.shape, dtype=bool)
+    for lineno, t, i, j, value in entries:
+        if not 0 <= t < stages:
+            raise ScenarioFormatError(f"line {lineno}: stage {t} outside 0..{stages - 1}")
+        try:
+            e = graph.edge_index(i, j)
+        except KeyError:
+            raise ScenarioFormatError(f"line {lineno}: edge {i} -> {j} {undeclared}") from None
+        if seen[t, e]:
+            raise ScenarioFormatError(f"line {lineno}: duplicate {label} for stage {t} edge {i} -> {j}")
+        seen[t, e] = True
+        table[t, e] = value
+    if not seen.all():
+        t, e = (int(x) for x in np.argwhere(~seen)[0])
+        raise ScenarioFormatError(f"{missing} stage {t} edge {int(graph.edge_src[e])} -> {int(graph.edge_dst[e])}")
+    return table
 
 
 def deserialize(text: str) -> Scenario:
@@ -517,9 +533,9 @@ def deserialize(text: str) -> Scenario:
         if field not in params:
             raise ScenarioFormatError(f"missing required field '{field}' in [params]")
 
-    node_count = _parse_int(params["nodes"][1], params["nodes"][0], "nodes")
-    horizon = _parse_int(params["horizon"][1], params["horizon"][0], "horizon")
-    alpha = _parse_float(params["alpha"][1], params["alpha"][0], "alpha")
+    node_count = _parse(int, params["nodes"][1], params["nodes"][0], "nodes")
+    horizon = _parse(int, params["horizon"][1], params["horizon"][0], "horizon")
+    alpha = _parse(float, params["alpha"][1], params["alpha"][0], "alpha")
     if node_count < 1:
         raise ScenarioFormatError(f"line {params['nodes'][0]}: nodes must be >= 1")
     if horizon < 1:
@@ -540,10 +556,10 @@ def deserialize(text: str) -> Scenario:
         if ":" not in part:
             raise ScenarioFormatError(f"line {lineno}: initial entries must be 'node:mass'")
         node_tok, mass_tok = part.split(":", 1)
-        node = _parse_int(node_tok.strip(), lineno, "initial node")
+        node = _parse(int, node_tok.strip(), lineno, "initial node")
         if not 0 <= node < node_count:
             raise ScenarioFormatError(f"line {lineno}: initial node {node} outside 0..{node_count - 1}")
-        mass[node] = _parse_float(mass_tok.strip(), lineno, "initial mass")
+        mass[node] = _parse(float, mass_tok.strip(), lineno, "initial mass")
 
     if not sections["graph"]:
         raise ScenarioFormatError("missing or empty [graph] section")
@@ -552,61 +568,54 @@ def deserialize(text: str) -> Scenario:
         tokens = line.split()
         if len(tokens) != 2:
             raise ScenarioFormatError(f"line {lineno}: graph lines are 'i j'")
-        i = _parse_int(tokens[0], lineno, "source node")
-        j = _parse_int(tokens[1], lineno, "destination node")
+        i = _parse(int, tokens[0], lineno, "source node")
+        j = _parse(int, tokens[1], lineno, "destination node")
         for name, n in (("source", i), ("destination", j)):
             if not 0 <= n < node_count:
                 raise ScenarioFormatError(f"line {lineno}: {name} node {n} outside 0..{node_count - 1}")
         neighbors[i].append(j)
     graph = TrafficGraph(tuple(tuple(row) for row in neighbors))
 
-    def fill_table(section: str, label: str) -> tuple[np.ndarray, np.ndarray | None]:
-        # a stationary file fills one row, broadcast to every stage below
-        table = np.empty((1 if stationary else horizon, graph.edge_count))
-        seen = np.zeros(table.shape, dtype=bool)
-        terminal: np.ndarray | None = None
+    terminal = np.zeros(node_count)
+    terminal_lines: dict[int, int] = {}
+
+    def entries(section: str, label: str):
+        """Parse each table line as the fill consumes it, so faults surface in line order."""
         for lineno, line in sections[section]:
             tokens = line.split()
             if tokens[0].lower() == "terminal":
                 if section != "costs" or len(tokens) != 3:
                     raise ScenarioFormatError(f"line {lineno}: terminal lines are 'terminal j c' in [costs]")
-                j = _parse_int(tokens[1], lineno, "terminal node")
+                j = _parse(int, tokens[1], lineno, "terminal node")
                 if not 0 <= j < node_count:
                     raise ScenarioFormatError(f"line {lineno}: terminal node {j} outside 0..{node_count - 1}")
-                if terminal is None:
-                    terminal = np.zeros(node_count)
-                terminal[j] = _parse_float(tokens[2], lineno, "terminal cost")
+                if j in terminal_lines:
+                    raise ScenarioFormatError(
+                        f"line {lineno}: duplicate terminal cost for node {j} (first on line {terminal_lines[j]})"
+                    )
+                terminal_lines[j] = lineno
+                terminal[j] = _parse(float, tokens[2], lineno, "terminal cost")
                 continue
             if len(tokens) != (3 if stationary else 4):
                 form = "stationary {} lines are 'i j value'" if stationary else "{} lines are 't i j value'"
                 raise ScenarioFormatError(f"line {lineno}: " + form.format(label))
-            t = 0 if stationary else _parse_int(tokens[0], lineno, "stage")
-            if not 0 <= t < horizon:
-                raise ScenarioFormatError(f"line {lineno}: stage {t} outside 0..{horizon - 1}")
-            i = _parse_int(tokens[-3], lineno, "source node")
-            j = _parse_int(tokens[-2], lineno, "destination node")
-            value = _parse_float(tokens[-1], lineno, label)
-            try:
-                e = graph.edge_index(i, j)
-            except KeyError:
-                raise ScenarioFormatError(f"line {lineno}: edge {i} -> {j} not declared in [graph]") from None
-            if seen[t, e]:
-                raise ScenarioFormatError(f"line {lineno}: duplicate {label} for stage {t} edge {i} -> {j}")
-            seen[t, e] = True
-            table[t, e] = value
-        missing = np.argwhere(~seen)
-        if missing.size:
-            t, e = (int(x) for x in missing[0])
-            i, j = int(graph.edge_src[e]), int(graph.edge_dst[e])
-            raise ScenarioFormatError(f"[{section}] missing {label} for stage {t} edge {i} -> {j}")
-        return np.broadcast_to(table, (horizon, graph.edge_count)), terminal
+            t = 0 if stationary else _parse(int, tokens[0], lineno, "stage")
+            i = _parse(int, tokens[-3], lineno, "source node")
+            j = _parse(int, tokens[-2], lineno, "destination node")
+            yield lineno, t, i, j, _parse(float, tokens[-1], lineno, label)
 
-    cost_table, terminal = fill_table("costs", "cost")
-    ref_table, _ = fill_table("reference", "reference probability")
+    def table(section: str, label: str) -> np.ndarray:
+        # a stationary file fills one row, broadcast to every stage
+        stages, missing = (1 if stationary else horizon), f"[{section}] missing {label} for"
+        filled = _fill_table(graph, stages, entries(section, label), label, "not declared in [graph]", missing)
+        return np.broadcast_to(filled, (horizon, graph.edge_count))
+
+    cost_table = table("costs", "cost")
+    ref_table = table("reference", "reference probability")
 
     return Scenario(
         graph=graph,
-        costs=StageCosts(horizon, cost_table, terminal),
+        costs=StageCosts(horizon, cost_table, terminal if terminal_lines else None),
         reference=ReferencePolicy(ref_table),
         alpha=alpha,
         initial=Distribution(mass),

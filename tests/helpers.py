@@ -27,6 +27,7 @@ from mftroute import (
     Violation,
     propagate,
 )
+from mftroute.cli import write_csv
 from mftroute.scenario import ROW_SUM_TOL
 
 
@@ -473,3 +474,73 @@ def extract_policy_loop(scenario: Scenario, log_phi: np.ndarray) -> tuple[np.nda
         probs[t] = raw / row_sums[g.edge_src]
         log_probs[t] = raw_log - np.log(row_sums)[g.edge_src]
     return probs, log_probs
+
+
+# ---------------------------------------------------------------------------
+# Loop references for the edge-table writers: (t, i, j) columns from a walk
+# over out_neighbors, the way serialize and write_policy_csv used to build them
+# ---------------------------------------------------------------------------
+
+def edges_loop(graph: TrafficGraph):
+    """Yield (flat_index, src, dst) in storage order."""
+    e = 0
+    for i, row in enumerate(graph.out_neighbors):
+        for j in row:
+            yield e, i, j
+            e += 1
+
+
+def serialize_loop(scenario: Scenario) -> str:
+    """The sectioned text format, one edge and one stage at a time."""
+
+    def fmt(x: float) -> str:
+        return format(float(x), ".17g")
+
+    g = scenario.graph
+    t_count = scenario.horizon
+    stationary = t_count >= 1 and all(
+        np.all(table.view(np.uint64) == table[0].view(np.uint64))
+        for table in (scenario.costs.stage, scenario.reference.probs)
+    )
+
+    lines = ["[params]"]
+    lines.append(f"nodes = {g.node_count}")
+    lines.append(f"horizon = {t_count}")
+    lines.append(f"alpha = {fmt(scenario.alpha)}")
+    support = np.flatnonzero(scenario.initial.mass != 0)
+    lines.append("initial = " + ",".join(f"{i}:{fmt(scenario.initial.mass[i])}" for i in support))
+    if stationary:
+        lines.append("stationary = true")
+
+    lines.append("")
+    lines.append("[graph]")
+    for e, i, j in edges_loop(g):
+        lines.append(f"{i} {j}")
+
+    def table_lines(table: np.ndarray) -> list[str]:
+        if stationary:
+            return [f"{i} {j} {fmt(table[0, e])}" for e, i, j in edges_loop(g)]
+        return [f"{t} {i} {j} {fmt(table[t, e])}" for t in range(t_count) for e, i, j in edges_loop(g)]
+
+    lines.append("")
+    lines.append("[costs]")
+    lines.extend(table_lines(scenario.costs.stage))
+    if scenario.costs.terminal is not None:
+        for j in range(g.node_count):
+            lines.append(f"terminal {j} {fmt(scenario.costs.terminal[j])}")
+
+    lines.append("")
+    lines.append("[reference]")
+    lines.extend(table_lines(scenario.reference.probs))
+
+    lines.append("")
+    return "\n".join(lines)
+
+
+def write_policy_csv_loop(path, scenario: Scenario, policy: PolicyKernel, manifest) -> None:
+    """The (t, i, j, value) policy CSV, one stage and one edge at a time."""
+    rows = []
+    for t in range(scenario.horizon):
+        for e, i, j in edges_loop(scenario.graph):
+            rows.append((t, i, j, policy.probs[t, e]))
+    write_csv(path, "t,i,j,value", rows, manifest)

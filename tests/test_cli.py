@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mftroute import ScenarioFormatError, mfe_solve, read_scenario, serialize, write_scenario
+from helpers import random_scenario
+from mftroute import ScenarioFormatError, build_gridworld, mfe_solve, read_scenario, serialize, write_scenario
 from mftroute.cli import (
     FIG2_OBSTACLES,
     FIG2_WIDTH,
@@ -126,6 +127,46 @@ def test_read_policy_csv_rejects_non_finite_values(tmp_path, three_route_file, c
     args = ["simulate", "--scenario", str(three_route_file), "--policy", str(policy_csv), "--agents", "10"]
     assert main(args + ["--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {expected}\n"
+
+
+@pytest.mark.parametrize(
+    "values, error",
+    [
+        (("0.5", "0.9", "-0.4"), "line {n}: policy value '-0.4' is negative"),
+        (("0.5", "0.25", "0.125"), "policy rows of stage 0 node 0 sum to 0.875, expected 1"),
+    ],
+    ids=["negative entry", "row sum"],
+)
+def test_simulate_rejects_a_bad_policy_row(tmp_path, three_route_file, capsys, values, error):
+    policy_csv = tmp_path / "policy.csv"
+    main(["mfe", "--scenario", str(three_route_file), "--out-policy", str(policy_csv)])
+    lines = policy_csv.read_text().splitlines()
+    first = next(k for k, line in enumerate(lines) if line.startswith("0,0,1,"))
+    for k, (j, value) in enumerate(zip((1, 2, 3), values)):
+        lines[first + k] = f"0,0,{j},{value}"
+    policy_csv.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    out = tmp_path / "sim.csv"
+    args = ["simulate", "--scenario", str(three_route_file), "--policy", str(policy_csv), "--agents", "10"]
+    assert main(args + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {error.format(n=first + 3)}\n"
+    assert not out.exists()
+
+
+def test_every_policy_mfe_writes_reads_back(tmp_path):
+    rng = np.random.default_rng(5)
+    # alpha 0.1 against the obstacle penalty drives some probabilities to exactly 0
+    scenarios = [three_route_scenario(), build_gridworld(5, 4, (6, 7, 12), 0, 19, 12, 0.1)]
+    scenarios += [random_scenario(rng, max_degree=6) for _ in range(8)]
+    zeros = 0
+    for k, scenario in enumerate(scenarios):
+        scenario_file, policy_csv = tmp_path / f"{k}.scn", tmp_path / f"{k}.csv"
+        write_scenario(scenario, scenario_file)
+        assert main(["mfe", "--scenario", str(scenario_file), "--out-policy", str(policy_csv)]) == 0
+        parsed = read_policy_csv(policy_csv, read_scenario(scenario_file))
+        assert parsed.probs.tobytes() == mfe_solve(read_scenario(scenario_file)).policy.probs.tobytes()
+        zeros += int(np.count_nonzero(parsed.probs == 0))
+    assert zeros > 0
 
 
 def test_simulate_rejects_negative_reps_and_writes_a_header_for_zero(tmp_path, three_route_file, capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,19 @@ def test_validate_flags_nan_reference_entries(three_route):
         backward_pass(bad)
 
 
+def test_validate_reports_an_inf_minus_inf_row_without_a_warning(three_route):
+    probs = three_route.reference.probs.copy()
+    probs[0, :3] = [np.inf, -np.inf, 0.5]
+    bad = Scenario(
+        three_route.graph, three_route.costs, ReferencePolicy(probs), three_route.alpha, three_route.initial
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        violations = validate(bad)
+    row_sum = [v for v in violations if v.code == "reference_row_sum"]
+    assert [(v.t, v.node, v.message) for v in row_sum] == [(0, 0, "reference row sums to nan, expected 1")]
+
+
 def test_validate_flags_empty_out_neighbors():
     graph = TrafficGraph(((0,), ()))
     scenario = Scenario(
@@ -111,8 +125,10 @@ def test_graph_edge_layout():
     assert list(graph.edge_src) == [0, 0, 1, 2, 2]
     assert list(graph.edge_dst) == [1, 2, 1, 0, 2]
     assert graph.edge_index(2, 0) == 3
-    with pytest.raises(KeyError):
-        graph.edge_index(1, 0)
+    for node, dest in ((1, 0), (-1, 2), (3, 0)):  # absent edge, then nodes outside 0..2
+        with pytest.raises(KeyError, match=f"no edge {node} -> {dest}"):
+            graph.edge_index(node, dest)
+    assert TrafficGraph(((1, 1), (0,))).edge_index(0, 1) == 0  # the first of duplicate edges
     with pytest.raises(ValueError):
         TrafficGraph(((3,),))
 
@@ -231,9 +247,20 @@ def test_duplicate_params_key_rejected_with_its_line(three_route):
 
 def test_undeclared_edge_rejected(three_route):
     text = serialize(three_route)
-    mangled = text.replace("[costs]", "[costs]\n0 0 5.0", 1)
-    with pytest.raises(ScenarioFormatError, match="not declared"):
-        deserialize(mangled)
+    for i, j in ((0, 0), (-1, 3), (-2, 2), (9, 1)):  # the last three name nodes outside 0..3
+        mangled = text.replace("[costs]", f"[costs]\n{i} {j} 5.0", 1)
+        with pytest.raises(ScenarioFormatError, match=f"edge {i} -> {j} not declared"):
+            deserialize(mangled)
+
+
+def test_duplicate_terminal_line_rejected_with_its_line():
+    lines = serialize(build_gridworld(2, 2, (), 0, 3, 2, 1.0)).splitlines()
+    first = lines.index("[costs]") + 2
+    lines[first - 1 : first - 1] = ["terminal 0 5", "terminal 0 7"]
+    with pytest.raises(
+        ScenarioFormatError, match=rf"^line {first + 1}: duplicate terminal cost for node 0 \(first on line {first}\)$"
+    ):
+        deserialize("\n".join(lines))
 
 
 def test_missing_cost_entry_rejected(three_route):

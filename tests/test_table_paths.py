@@ -1,10 +1,12 @@
-"""The whole-table validate, parse and solver paths against their loop references.
+"""The whole-table validate, parse, write and solver paths against their loop references.
 
 The references (tests/helpers.py) walk one stage, node and edge at a time.
 ``validate`` must report the same violations in the same order; the only
 text allowed to differ is the printed sum of ``reference_row_sum``, since
 ``np.add.reduceat`` and ``ndarray.sum`` may add a long row in a different
-order.  The backward pass and policy extraction must agree bit for bit.
+order.  The backward pass and policy extraction must agree bit for bit, and
+the two edge-table writers byte for byte.  The two edge-table readers, the
+scenario file and the policy CSV, must report one fault with one message.
 """
 
 from __future__ import annotations
@@ -14,11 +16,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import backward_pass_loop, extract_policy_loop, random_scenario, validate_loop
+from helpers import (
+    backward_pass_loop,
+    extract_policy_loop,
+    random_scenario,
+    serialize_loop,
+    validate_loop,
+    write_policy_csv_loop,
+)
 from mftroute import (
     Distribution,
+    PolicyKernel,
     ReferencePolicy,
     Scenario,
+    ScenarioFormatError,
     StageCosts,
     TrafficGraph,
     backward_pass,
@@ -27,6 +38,7 @@ from mftroute import (
     serialize,
     validate,
 )
+from mftroute.cli import RunManifest, read_policy_csv, write_policy_csv
 
 SPECIAL = (0.0, -0.0, -0.5, 1.0, 1e5, np.inf, -np.inf, np.nan)
 
@@ -139,3 +151,99 @@ def test_serialize_keeps_the_signed_zeros_of_later_stages():
     text = serialize(scenario)
     assert "stationary = true" not in text
     assert deserialize(text).costs.stage.tobytes() == stage.tobytes()
+
+
+@given(st.one_of(serializable_scenarios(), defective_scenarios()))
+def test_writers_are_byte_identical_to_the_edge_loop_writers(tmp_path_factory, scenario):
+    assert serialize(scenario) == serialize_loop(scenario)
+    policy = PolicyKernel(scenario.reference.probs)
+    manifest = RunManifest("mfe", {"scenario": "x.scn"})
+    out = tmp_path_factory.mktemp("policy")
+    write_policy_csv(out / "new.csv", scenario, policy, manifest)
+    write_policy_csv_loop(out / "loop.csv", scenario, policy, manifest)
+    assert (out / "new.csv").read_bytes() == (out / "loop.csv").read_bytes()
+
+
+# Both readers get the same (t, i, j, value) rows on lines 18-23: the scenario
+# file after its [costs] header, the policy CSV after its manifest and header.
+_GRAPH_AND_REFERENCE = """[params]
+nodes = 2
+horizon = 2
+alpha = 1
+initial = 0:1
+[graph]
+0 0
+0 1
+1 1
+[reference]
+0 0 0 0.5
+0 0 1 0.5
+0 1 1 1
+1 0 0 0.5
+1 0 1 0.5
+1 1 1 1
+"""
+_ROWS = [(0, 0, 0, 0.5), (0, 0, 1, 0.5), (0, 1, 1, 1), (1, 0, 0, 0.5), (1, 0, 1, 0.5), (1, 1, 1, 1)]
+
+
+def _scenario_text(rows) -> str:
+    return _GRAPH_AND_REFERENCE + "[costs]\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows)
+
+
+def _edited(changes: dict) -> list:
+    """_ROWS with the row on each given line replaced, or dropped where the new row is None."""
+    by_line = {18 + k: row for k, row in enumerate(_ROWS)} | changes
+    return [row for _, row in sorted(by_line.items()) if row is not None]
+
+
+READER_FAULTS = {
+    "stage out of range": (
+        _edited({21: (2, 0, 0, 0.5)}),
+        "line 21: stage 2 outside 0..1",
+        "line 21: stage 2 outside 0..1",
+    ),
+    "undeclared edge": (
+        _edited({21: (1, 1, 0, 0.5)}),
+        "line 21: edge 1 -> 0 not declared in [graph]",
+        "line 21: edge 1 -> 0 not in scenario graph",
+    ),
+    "duplicate row": (
+        _edited({21: (0, 0, 0, 0.5)}),
+        "line 21: duplicate cost for stage 0 edge 0 -> 0",
+        "line 21: duplicate policy row for stage 0 edge 0 -> 0",
+    ),
+    "missing row": (
+        _edited({21: None}),
+        "[costs] missing cost for stage 1 edge 0 -> 0",
+        "policy file missing stage 1 edge 0 -> 0",
+    ),
+    "wrong field count": (
+        _edited({21: (1, 0, 0)}),
+        "line 21: cost lines are 't i j value'",
+        "line 21: policy rows are 't,i,j,value'",
+    ),
+    "first of two faults": (
+        _edited({19: (0, 1, 0, 0.5), 22: (5, 0, 1, 0.5)}),
+        "line 19: edge 1 -> 0 not declared in [graph]",
+        "line 19: edge 1 -> 0 not in scenario graph",
+    ),
+    "first fault, ahead of a later one and a missing row": (
+        _edited({20: (0, 0, 0, 0.5), 23: (7, 1, 1, 1)}),
+        "line 20: duplicate cost for stage 0 edge 0 -> 0",
+        "line 20: duplicate policy row for stage 0 edge 0 -> 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("rows, scenario_error, policy_error", READER_FAULTS.values(), ids=READER_FAULTS.keys())
+def test_both_edge_table_readers_report_a_fault_alike(tmp_path, rows, scenario_error, policy_error):
+    with pytest.raises(ScenarioFormatError) as scenario_fault:
+        deserialize(_scenario_text(rows))
+    assert str(scenario_fault.value) == scenario_error
+
+    policy_csv = tmp_path / "policy.csv"
+    header = "# manifest\n" * 16 + "t,i,j,value\n"
+    policy_csv.write_text(header + "".join(",".join(map(str, r)) + "\n" for r in rows))
+    with pytest.raises(ScenarioFormatError) as policy_fault:
+        read_policy_csv(policy_csv, deserialize(_scenario_text(_ROWS)))
+    assert str(policy_fault.value) == policy_error
