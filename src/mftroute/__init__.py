@@ -11,7 +11,6 @@ from .fictitious_play import BeliefPath, fp_run, fp_step
 from .finite_population import (
     FiniteBestResponse,
     PopulationSample,
-    TaxRecord,
     best_response_finite_n,
     expected_tax_heterogeneous,
     expected_tax_symmetric,
@@ -76,7 +75,6 @@ __all__ = [
     "ScenarioFormatError",
     "SingleStageGame",
     "StageCosts",
-    "TaxRecord",
     "TrafficGraph",
     "Violation",
     "ZeroSupportError",

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import math
 import os
 import sys
 import time
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import compress, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -39,9 +40,14 @@ from .scenario import (
     ScenarioFormatError,
     StageCosts,
     TrafficGraph,
+    _CHUNK_ROWS,
     _bad_row_sums,
+    _edge_prefixes,
     _fill_table,
-    _table_rows,
+    _line_blocks,
+    _parse_rows,
+    _stage_table_text,
+    _uncommented,
     build_gridworld,
     grid_node,
     read_scenario,
@@ -138,36 +144,53 @@ def _digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _num(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
+def _write_text(path, header: str, manifest: RunManifest, blocks) -> None:
+    """Write the manifest lines, the header and each block of newline-joined rows."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join([*manifest.header_lines(), header]) + "\n")
+        for block in blocks:
+            fh.write(block + "\n")
 
 
-def write_csv(path, header: str, rows, manifest: RunManifest) -> None:
-    lines = manifest.header_lines()
-    lines.append(header)
-    for row in rows:
-        lines.append(",".join(_num(x) if not isinstance(x, str) else x for x in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _column_text(values) -> list[str]:
+    """One column's cells: str for integers, repr for floats, strings as they are."""
+    array = np.asarray(values)
+    if array.dtype.kind in "iu":
+        return list(map(str, array.tolist()))
+    if array.dtype.kind == "f":
+        return list(map(repr, array.tolist()))
+    return list(values)
+
+
+def write_csv(path, header: str, columns, manifest: RunManifest) -> None:
+    """Write one row per index of the equal-length columns, _CHUNK_ROWS rows at a time.
+
+    Each column is formatted once per chunk by _column_text.  An iterator
+    of rows is read a chunk of rows at a time and transposed to columns.
+    """
+    if isinstance(columns, Iterator):
+        chunks = (list(zip(*rows)) for rows in iter(lambda: list(islice(columns, _CHUNK_ROWS)), []))
+    else:
+        count = len(columns[0]) if columns else 0
+        chunks = ([c[lo : lo + _CHUNK_ROWS] for c in columns] for lo in range(0, count, _CHUNK_ROWS))
+    blocks = ("\n".join(map(",".join, zip(*map(_column_text, chunk)))) for chunk in chunks)
+    _write_text(path, header, manifest, blocks)
 
 
 def _write_node_table(path, header: str, table: np.ndarray, manifest: RunManifest) -> None:
     """Write a (T+1, V) per-stage node table as (t, i, value) rows."""
-    stages, nodes = table.shape
-    rows = ((t, i, table[t, i]) for t in range(stages) for i in range(nodes))
-    write_csv(path, header, rows, manifest)
+    prefixes = [f"{i}," for i in range(table.shape[1])]
+    _write_text(path, header, manifest, _stage_table_text(prefixes, table, ",", repr))
 
 
 def _write_fp_csv(path, result: FictitiousPlayResult, manifest: RunManifest) -> None:
     """One row per day; the final day-after belief has no choice and is written with r = -1."""
-    beliefs, choices = result.path.beliefs, result.path.choices + [-1]
-    rows = (
-        (d + 1, *beliefs[d], choices[d], result.dist_to_finite_ne[d], result.dist_to_mfe[d])
-        for d in range(len(beliefs))
-    )
+    beliefs = np.array(result.path.beliefs)
+    days = np.arange(1, len(beliefs) + 1)
+    choices = result.path.choices + [-1]
+    columns = [days, *beliefs.T, choices, result.dist_to_finite_ne, result.dist_to_mfe]
     belief_cols = ",".join(f"q{j + 1}" for j in range(len(result.mfe)))
-    write_csv(path, f"day,{belief_cols},r,dist_to_ne,dist_to_mfe", rows, manifest)
+    write_csv(path, f"day,{belief_cols},r,dist_to_ne,dist_to_mfe", columns, manifest)
 
 
 def emit_heatmap(
@@ -189,57 +212,61 @@ def emit_heatmap(
             f"scenario has {mass.shape[0]} nodes, not a {width} x {height} grid"
         )
     peak = float(mass.max())
-    obstacle_set = {int(o) for o in obstacles}
+    # round() and np.rint both round half to even
+    levels = np.rint(255.0 * mass / peak).astype(np.int64) if peak != 0.0 else np.zeros(mass.shape, np.int64)
+    obstacle_ids = np.array(sorted({int(o) for o in obstacles}), dtype=np.int64)
+    levels[obstacle_ids[(obstacle_ids >= 0) & (obstacle_ids < len(levels))]] = OBSTACLE_SENTINEL
     lines = ["P2"]
     lines.append(f"# obstacle cells use sentinel value {OBSTACLE_SENTINEL}; data range is 0..255")
     lines.extend(header_lines)
     lines.append(f"{width} {height}")
     lines.append(str(OBSTACLE_SENTINEL))
-    for y in range(height):
-        row = []
-        for x in range(width):
-            node = grid_node(width, x, y)
-            if node in obstacle_set:
-                row.append(str(OBSTACLE_SENTINEL))
-            elif peak == 0.0:
-                row.append("0")
-            else:
-                row.append(str(int(round(255.0 * float(mass[node]) / peak))))
-        lines.append(" ".join(row))
+    lines.extend(" ".join(map(str, row)) for row in levels.reshape(height, width).tolist())
     return "\n".join(lines) + "\n"
 
 
 def write_policy_csv(path, scenario: Scenario, policy: PolicyKernel, manifest: RunManifest) -> None:
-    write_csv(path, "t,i,j,value", _table_rows(scenario.graph, policy.probs), manifest)
+    blocks = _stage_table_text(_edge_prefixes(scenario.graph, ","), policy.probs, ",", repr)
+    _write_text(path, "t,i,j,value", manifest, blocks)
 
 
 def read_policy_csv(path, scenario: Scenario) -> PolicyKernel:
-    """Parse a (t, i, j, value) policy CSV against the scenario's edge set; rows must be stochastic."""
+    """Parse a (t, i, j, value) policy CSV against the scenario's edge set; rows must be stochastic.
+
+    Lines are parsed a chunk at a time; the fault reported is the first
+    faulty line, with its first failing check: field count, parse, finite
+    value, sign, then the stage, edge and repeat checks of the fill.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioFormatError(f"cannot read policy file {path}: {exc}") from exc
 
-    def entries():
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line or line == "t,i,j,value":
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ScenarioFormatError(f"line {lineno}: policy rows are 't,i,j,value'")
-            try:
-                t, i, j, p = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
-            except ValueError:
-                raise ScenarioFormatError(f"line {lineno}: cannot parse policy row") from None
-            if not math.isfinite(p):
-                raise ScenarioFormatError(f"line {lineno}: policy value '{parts[3]}' is not finite")
-            if p < 0:
-                raise ScenarioFormatError(f"line {lineno}: policy value '{parts[3]}' is negative")
-            yield lineno, t, i, j, p
+    def columns():
+        for _, first, piece, lines in _line_blocks(text, 0, len(text), 1):
+            lines = list(map(str.strip, _uncommented(piece, lines)))
+            linenos = list(compress(range(first, first + len(lines)), lines))
+            lines = list(filter(None, lines))
+            if "t,i,j,value" in piece:
+                is_row = [line != "t,i,j,value" for line in lines]
+                linenos, lines = list(compress(linenos, is_row)), list(compress(lines, is_row))
+            counts = [n + 1 for n in map(str.count, lines, repeat(","))]
+            (t, i, j, p), stop = _parse_rows(counts, ",".join(lines).split(","), (int, int, int, float))
+            values = np.array(p, dtype=np.float64)
+            bad = np.flatnonzero(~np.isfinite(values) | (values < 0))
+            n = int(bad[0]) if len(bad) else len(values)
+            yield linenos[:n], t[:n], i[:n], j[:n], values[:n]
+            if n < len(lines):
+                parts, where = lines[n].split(","), f"line {linenos[n]}:"
+                if len(parts) != 4:
+                    raise ScenarioFormatError(f"{where} policy rows are 't,i,j,value'")
+                if n == stop:
+                    raise ScenarioFormatError(f"{where} cannot parse policy row")
+                fault = "is not finite" if not np.isfinite(values[n]) else "is negative"
+                raise ScenarioFormatError(f"{where} policy value '{parts[3]}' {fault}")
 
     g = scenario.graph
-    probs = _fill_table(g, scenario.horizon, entries(), "policy row", "not in scenario graph", "policy file missing")
+    probs = _fill_table(g, scenario.horizon, columns(), "policy row", "not in scenario graph", "policy file missing")
     bad_rows = _bad_row_sums(g, probs)
     if bad_rows:
         raise ScenarioFormatError("policy rows of stage {} node {} sum to {:.17g}, expected 1".format(*bad_rows[0]))
@@ -318,16 +345,17 @@ def _cmd_simulate(args) -> int:
     policy = read_policy_csv(args.policy, scenario)
     digests["policy"] = _digest(args.policy)
 
+    def replication(seeds) -> tuple[np.ndarray, ...]:
+        return realized_taxes(simulate_population(scenario, policy, args.agents, seeds), scenario)
+
     threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
     children = np.random.SeedSequence(args.seed).spawn(args.reps)
     # at least one worker, so --reps 0 still writes a header-only table
     with ThreadPoolExecutor(max_workers=max(1, min(threads, args.reps))) as pool:
         # substreams make replications order-independent; map keeps output order
-        samples = list(pool.map(lambda c: simulate_population(scenario, policy, args.agents, c), children))
-    rows = []
-    for rep, sample in enumerate(samples):
-        for record in realized_taxes(sample, scenario):
-            rows.append((rep, record.t, record.node, record.dest, record.count, record.tax))
+        tables = list(pool.map(replication, children))
+    reps = np.repeat(np.arange(args.reps), [len(table[0]) for table in tables])
+    columns = [reps, *(np.concatenate(column) for column in zip(*tables))]
     duration = time.perf_counter() - start
     manifest = RunManifest(
         "simulate",
@@ -342,7 +370,7 @@ def _cmd_simulate(args) -> int:
         input_digests=digests,
         duration_s=duration,
     )
-    write_csv(args.out, "rep,t,i,j,count,realized_tax", rows, manifest)
+    write_csv(args.out, "rep,t,i,j,count,realized_tax", columns, manifest)
     print(f"simulated {args.reps} replication(s) of {args.agents} agents")
     return 0
 
@@ -355,10 +383,7 @@ def _cmd_nash_gap(args) -> int:
         raise ValueError("--agents needs at least one player count")
     solution = mfe_solve(scenario)
     gaps = expected_tax_gap(scenario, solution.policy, n_list)
-    rows = []
-    for n in n_list:
-        br = best_response_finite_n(scenario, solution.policy, n)
-        rows.append((n, gaps[n], br.epsilon))
+    epsilon = [best_response_finite_n(scenario, solution.policy, n).epsilon for n in n_list]
     duration = time.perf_counter() - start
     manifest = RunManifest(
         "nash-gap",
@@ -366,7 +391,8 @@ def _cmd_nash_gap(args) -> int:
         input_digests=digests,
         duration_s=duration,
     )
-    write_csv(args.out, "n_agents,expected_tax_gap,epsilon_nash", rows, manifest)
+    columns = [n_list, [gaps[n] for n in n_list], epsilon]
+    write_csv(args.out, "n_agents,expected_tax_gap,epsilon_nash", columns, manifest)
     print(f"computed tax-convergence and best-response gaps for N in {n_list}")
     return 0
 
@@ -426,11 +452,10 @@ def _cmd_symmetric_ne(args) -> int:
         },
         duration_s=duration,
     )
-    rows = [("q", j, result.q[j]) for j in range(game.route_count)]
-    rows += [("kkt_residual", j, result.residuals[j]) for j in range(game.route_count)]
-    rows += [("mfe", j, mfe[j]) for j in range(game.route_count)]
-    rows.append(("lambda", -1, result.lam))
-    write_csv(args.out, "record,route,value", rows, manifest)
+    routes = list(range(game.route_count))
+    records = [name for name in ("q", "kkt_residual", "mfe") for _ in routes] + ["lambda"]
+    values = np.concatenate([result.q, result.residuals, mfe, [result.lam]])
+    write_csv(args.out, "record,route,value", [records, routes * 3 + [-1], values], manifest)
     print(f"symmetric equilibrium: {np.array2string(np.asarray(result.q), precision=6)}")
     return 0
 

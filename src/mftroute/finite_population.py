@@ -146,30 +146,24 @@ def expected_tax_heterogeneous(
 
 @dataclass(frozen=True, eq=False)
 class PopulationSample:
-    """One realized N-player rollout; motion is deterministic given actions."""
+    """One realized N-player rollout; motion is deterministic given actions.
+
+    ``SeedSequence(seed, spawn_key=spawn_key)`` re-derives the stream the
+    rollout drew from, also for a replication spawned from a root seed.
+    """
 
     n_agents: int
     locations: np.ndarray  # (T+1, N) node ids
     actions: np.ndarray  # (T, N) chosen destination nodes
     node_counts: np.ndarray  # (T+1, V)
     edge_counts: np.ndarray  # (T, E)
-    seed: int
+    seed: int | tuple[int, ...]  # the root entropy
+    spawn_key: tuple[int, ...] = ()
     generator: str = GENERATOR_NAME
 
     def __post_init__(self):
         for name in ("locations", "actions", "node_counts", "edge_counts"):
             object.__setattr__(self, name, _readonly(getattr(self, name), np.int64))
-
-
-@dataclass(frozen=True)
-class TaxRecord:
-    """Realized toll on one populated edge at one stage."""
-
-    t: int
-    node: int
-    dest: int
-    count: int
-    tax: float
 
 
 def simulate_population(
@@ -179,7 +173,8 @@ def simulate_population(
     if n_agents < 1:
         raise ValueError("n_agents must be >= 1")
     _check_policy_shape(scenario, policy)
-    rng = np.random.default_rng(seed)
+    seeds = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    rng = np.random.default_rng(seeds)
     g = scenario.graph
     t_count = scenario.horizon
 
@@ -205,11 +200,8 @@ def simulate_population(
         locations[t + 1] = actions[t]
     node_counts[t_count] = np.bincount(locations[t_count], minlength=g.node_count)
 
-    if isinstance(seed, np.random.SeedSequence):
-        seed_repr = int(seed.entropy) if isinstance(seed.entropy, int) else -1
-    else:
-        seed_repr = int(seed)
-    return PopulationSample(n_agents, locations, actions, node_counts, edge_counts, seed_repr)
+    entropy = int(seeds.entropy) if np.ndim(seeds.entropy) == 0 else tuple(map(int, seeds.entropy))
+    return PopulationSample(n_agents, locations, actions, node_counts, edge_counts, entropy, seeds.spawn_key)
 
 
 def simulate_replications(scenario: Scenario, policy: PolicyKernel, n_agents: int, seed: int, reps: int):
@@ -219,20 +211,19 @@ def simulate_replications(scenario: Scenario, policy: PolicyKernel, n_agents: in
         yield simulate_population(scenario, policy, n_agents, child)
 
 
-def realized_taxes(sample: PopulationSample, scenario: Scenario) -> list[TaxRecord]:
-    """Tolls on every populated edge; empty links produce no record."""
-    g = scenario.graph
-    records = []
-    for t in range(sample.actions.shape[0]):
-        for e in np.flatnonzero(sample.edge_counts[t]):
-            i, j = int(g.edge_src[e]), int(g.edge_dst[e])
-            k_edge = int(sample.edge_counts[t, e])
-            k_node = int(sample.node_counts[t, i])
-            tax = scenario.alpha * (
-                math.log(k_edge / k_node) - math.log(scenario.reference.probs[t, e])
-            )
-            records.append(TaxRecord(t, i, j, k_edge, tax))
-    return records
+def realized_taxes(sample: PopulationSample, scenario: Scenario) -> tuple[np.ndarray, ...]:
+    """Tolls on every populated edge as columns (t, node, dest, count, tax), stage by stage.
+
+    Edges no player took have no row.
+    """
+    t, e = np.nonzero(sample.edge_counts)
+    node = scenario.graph.edge_src[e]
+    count = sample.edge_counts[t, e]
+    share = count / sample.node_counts[t, node]
+    # math.log, not the ufunc, which can differ in the last ulp
+    log_share = np.fromiter(map(math.log, share.tolist()), np.float64, len(share))
+    log_ref = np.fromiter(map(math.log, scenario.reference.probs[t, e].tolist()), np.float64, len(share))
+    return t, node, scenario.graph.edge_dst[e], count, scenario.alpha * (log_share - log_ref)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ including the text file format (see docs/scenario_format.md).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, chain, compress
 
 import numpy as np
 
@@ -45,6 +47,14 @@ def _readonly(arr: np.ndarray, dtype=np.float64) -> np.ndarray:
     out = np.ascontiguousarray(arr, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def _int64(values) -> np.ndarray:
+    """Integers as int64; one beyond int64 becomes -1, which every node and stage range rejects."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array([v if -(2**63) <= v < 2**63 else -1 for v in values], dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,17 +107,26 @@ class TrafficGraph:
         return slice(int(self.row_start[node]), int(self.row_start[node + 1]))
 
     @cached_property
-    def _edge_ids(self) -> dict[tuple[int, int], int]:
-        # built from the last edge back, so the first of duplicate edges wins
-        pairs = list(enumerate(zip(self.edge_src.tolist(), self.edge_dst.tolist())))
-        return {pair: e for e, pair in reversed(pairs)}
+    def _edge_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted distinct src * V + dst keys and the first edge with each, then a key no edge reaches."""
+        keys, first = np.unique(self.edge_src * self.node_count + self.edge_dst, return_index=True)
+        return np.append(keys, np.iinfo(np.int64).max), np.append(first, -1)
+
+    def edge_ids(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Flat index of each edge (src[k], dst[k]), or -1 where there is none; the first of duplicate edges wins."""
+        v = self.node_count
+        keys, first = self._edge_keys
+        inside = (src >= 0) & (src < v) & (dst >= 0) & (dst < v)
+        query = np.where(inside, src, 0) * v + np.where(inside, dst, 0)
+        pos = np.searchsorted(keys, query)  # never past the last key
+        return np.where(inside & (keys[pos] == query), first[pos], -1)
 
     def edge_index(self, node: int, dest: int) -> int:
         """Flat index of edge (node, dest); raises KeyError if absent."""
-        try:
-            return self._edge_ids[node, dest]
-        except KeyError:
-            raise KeyError(f"no edge {node} -> {dest}") from None
+        e = int(self.edge_ids(_int64([node]), _int64([dest]))[0])
+        if e < 0:
+            raise KeyError(f"no edge {node} -> {dest}")
+        return e
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TrafficGraph) and self.out_neighbors == other.out_neighbors
@@ -288,9 +307,8 @@ def validate(scenario: Scenario) -> list[Violation]:
     def at(t, e) -> dict:
         return {"t": int(t), "node": int(src[e]), "dest": int(dst[e])}
 
-    # an edge is a duplicate unless edge_index finds it: the first of its node with that dest
-    duplicate = np.ones(g.edge_count, dtype=bool)
-    duplicate[list(g._edge_ids.values())] = False
+    # an edge is a duplicate unless edge_ids finds it: the first of its node with that dest
+    duplicate = g.edge_ids(src, dst) != np.arange(g.edge_count)
     graph_violations = [
         Violation("empty_out_neighbors", "node has no out-neighbors", node=int(i))
         for i in np.flatnonzero(np.diff(g.row_start) == 0)
@@ -418,14 +436,35 @@ def truncate_scenario(scenario: Scenario, start: int, initial: Distribution) -> 
 # Text format
 # ---------------------------------------------------------------------------
 
+_SECTIONS = ("params", "graph", "costs", "reference")
+_CHUNK_CHARS = 1 << 16  # characters of text split into lines and parsed at once
+# rows formatted at once by the table writers; few enough that one chunk of row
+# tuples read from an iterator is freed before it fills the garbage collector's
+# youngest generation (700 objects), which would promote it and trigger full collections
+_CHUNK_ROWS = 1 << 9
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _table_rows(graph: TrafficGraph, table: np.ndarray):
-    """(t, i, j, value) rows of a (T, E) table: stage by stage, edges in storage order."""
-    edges = list(zip(graph.edge_src.tolist(), graph.edge_dst.tolist()))
-    return ((t, i, j, x) for t, row in enumerate(table.tolist()) for (i, j), x in zip(edges, row))
+def _stage_table_text(prefixes: list[str], table: np.ndarray, sep: str, fmt, stage_column: bool = True):
+    """Rows 't{sep}{prefixes[k]}{value}' of a (T, K) table, stage by stage, as blocks of newline-joined rows.
+
+    Column k's fixed text ``prefixes[k]`` is built once and reused for every
+    stage; the values are formatted by ``fmt`` from ``.tolist()``.  A block
+    holds at most _CHUNK_ROWS rows of one stage.
+    """
+    for t, row in enumerate(table):
+        lead = f"{t}{sep}" if stage_column else ""
+        for lo in range(0, len(prefixes), _CHUNK_ROWS):
+            values = map(fmt, row[lo : lo + _CHUNK_ROWS].tolist())
+            yield lead + ("\n" + lead).join(map(str.__add__, prefixes[lo : lo + _CHUNK_ROWS], values))
+
+
+def _edge_prefixes(graph: TrafficGraph, sep: str) -> list[str]:
+    """'i{sep}j{sep}' of every edge, in storage order."""
+    return [f"{i}{sep}{j}{sep}" for i, j in zip(graph.edge_src.tolist(), graph.edge_dst.tolist())]
 
 
 def serialize(scenario: Scenario) -> str:
@@ -451,23 +490,116 @@ def serialize(scenario: Scenario) -> str:
     lines.append("[graph]")
     lines.extend(f"{i} {j}" for i, j in zip(g.edge_src.tolist(), g.edge_dst.tolist()))
 
-    def table_lines(table: np.ndarray) -> list[str]:
-        if stationary:
-            return [f"{i} {j} {_fmt(x)}" for _, i, j, x in _table_rows(g, table[:1])]
-        return [f"{t} {i} {j} {_fmt(x)}" for t, i, j, x in _table_rows(g, table)]
+    prefixes = _edge_prefixes(g, " ")
+
+    def table_blocks(table: np.ndarray):
+        # a stationary table is written once, without the stage column
+        return _stage_table_text(prefixes, table[:1] if stationary else table, " ", _fmt, not stationary)
 
     lines.append("")
     lines.append("[costs]")
-    lines.extend(table_lines(scenario.costs.stage))
+    lines.extend(table_blocks(scenario.costs.stage))
     if scenario.costs.terminal is not None:
         lines.extend(f"terminal {j} {_fmt(c)}" for j, c in enumerate(scenario.costs.terminal.tolist()))
 
     lines.append("")
     lines.append("[reference]")
-    lines.extend(table_lines(scenario.reference.probs))
+    lines.extend(table_blocks(scenario.reference.probs))
 
     lines.append("")
     return "\n".join(lines)
+
+
+def _line_blocks(text: str, start: int, stop: int, lineno: int, keepends: bool = False):
+    """(offset, first line number, piece, lines) of text[start:stop] in pieces of about _CHUNK_CHARS.
+
+    Pieces are cut just after a newline, so each holds whole lines and
+    ``str.splitlines`` numbers them as it would the whole text.
+    """
+    while start < stop:
+        end = text.find("\n", min(start + _CHUNK_CHARS, stop), stop) + 1 or stop
+        piece = text[start:end]
+        lines = piece.splitlines(keepends)
+        yield start, lineno, piece, lines
+        lineno += len(lines)
+        start = end
+
+
+def _uncommented(piece: str, lines: list[str]) -> list[str]:
+    """The piece's lines with any '#' comment dropped."""
+    return [line.split("#", 1)[0] for line in lines] if "#" in piece else lines
+
+
+def _section_spans(text: str) -> dict[str, list[tuple[int, int, int]]]:
+    """(start, stop, first line number) of the text under each section header, in file order.
+
+    Raises at the first unknown header or line of content ahead of every header.
+    """
+    spans: dict[str, list[tuple[int, int, int]]] = {name: [] for name in _SECTIONS}
+    current = None  # (name, start, first line number) of the open section
+    for offset, lineno, piece, lines in _line_blocks(text, 0, len(text), 1, keepends=True):
+        heads = []
+        if "[" in piece:
+            for k in [k for k, line in enumerate(lines) if "[" in line]:
+                line = lines[k].split("#", 1)[0].strip()
+                if line.startswith("[") and line.endswith("]"):
+                    heads.append((k, line[1:-1].strip().lower()))
+        if current is None:
+            ahead = lines[: heads[0][0]] if heads else lines
+            for k, line in enumerate(_uncommented(piece, ahead)):
+                if line.strip():
+                    raise ScenarioFormatError(f"line {lineno + k}: content before any section header")
+        if heads:
+            starts = list(accumulate(map(len, lines), initial=offset))
+        for k, name in heads:
+            if name not in spans:
+                raise ScenarioFormatError(f"line {lineno + k}: unknown section [{name}]")
+            if current is not None:
+                spans[current[0]].append((current[1], starts[k], current[2]))
+            current = (name, starts[k + 1], lineno + k + 1)
+    if current is not None:
+        spans[current[0]].append((current[1], len(text), current[2]))
+    return spans
+
+
+def _section_lines(text: str, spans):
+    """(first line number, lines without comments, piece) of the spans' text, a chunk at a time."""
+    for start, stop, lineno in spans:
+        for _, first, piece, lines in _line_blocks(text, start, stop, lineno):
+            yield first, _uncommented(piece, lines), piece
+
+
+def _whitespace_tokens(first: int, lines: list[str]) -> tuple[list[int], list[int], list[str]]:
+    """Line numbers and token counts of the lines that are not blank, and all their tokens in order."""
+    counts = list(map(len, map(str.split, lines)))
+    linenos = list(compress(range(first, first + len(lines)), counts))
+    return linenos, list(filter(None, counts)), " ".join(lines).split()
+
+
+def _parses(row, kinds) -> bool:
+    try:
+        for kind, token in zip(kinds, row):
+            kind(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _parse_rows(counts: list[int], tokens: list[str], kinds) -> tuple[list[list], int | None]:
+    """Parse rows stored back to back in tokens, counts[k] of them for row k, column c by kinds[c].
+
+    Parsing stops at the first row that does not hold one token per kind
+    or holds a token its kind rejects.  Returns the parsed columns of the
+    rows ahead of that row and its index, or None when every row parses.
+    """
+    width = len(kinds)
+    stop = next(k for k, n in enumerate(counts) if n != width) if set(counts) - {width} else None
+    columns = [tokens[c : width * (len(counts) if stop is None else stop) : width] for c in range(width)]
+    try:
+        return [list(map(kind, column)) for kind, column in zip(kinds, columns)], stop
+    except ValueError:
+        stop = next(k for k, row in enumerate(zip(*columns)) if not _parses(row, kinds))
+        return [list(map(kind, column[:stop])) for kind, column in zip(kinds, columns)], stop
 
 
 def _parse(kind, token: str, lineno: int, what: str):
@@ -477,21 +609,37 @@ def _parse(kind, token: str, lineno: int, what: str):
         raise ScenarioFormatError(f"line {lineno}: cannot parse {what} '{token}'") from None
 
 
-def _fill_table(graph: TrafficGraph, stages: int, entries, label: str, undeclared: str, missing: str) -> np.ndarray:
-    """Fill a (stages, E) table from (lineno, t, i, j, value) entries; reject bad, repeated and absent rows."""
-    table = np.empty((stages, graph.edge_count))
+def _fill_table(graph: TrafficGraph, stages: int, columns, label: str, undeclared: str, missing: str) -> np.ndarray:
+    """Fill a (stages, E) table from chunks of (line numbers, t, i, j, values) columns.
+
+    Each chunk is checked as whole columns.  The row reported is the first
+    faulty one in line order, with the first of its checks that fails:
+    stage range, edge lookup, repeat of an earlier row.  After the last
+    chunk the first absent row is reported.
+    """
+    e_count = graph.edge_count
+    table = np.empty((stages, e_count))
     seen = np.zeros(table.shape, dtype=bool)
-    for lineno, t, i, j, value in entries:
-        if not 0 <= t < stages:
-            raise ScenarioFormatError(f"line {lineno}: stage {t} outside 0..{stages - 1}")
-        try:
-            e = graph.edge_index(i, j)
-        except KeyError:
-            raise ScenarioFormatError(f"line {lineno}: edge {i} -> {j} {undeclared}") from None
-        if seen[t, e]:
-            raise ScenarioFormatError(f"line {lineno}: duplicate {label} for stage {t} edge {i} -> {j}")
-        seen[t, e] = True
-        table[t, e] = value
+    cells, cells_seen = table.reshape(-1), seen.reshape(-1)
+    for linenos, t, i, j, values in columns:
+        stage = _int64(t)
+        edge = graph.edge_ids(_int64(i), _int64(j))
+        ok = (stage >= 0) & (stage < stages) & (edge >= 0)
+        cell = stage[ok] * e_count + edge[ok]
+        first = np.zeros(len(cell), dtype=bool)
+        first[np.unique(cell, return_index=True)[1]] = True
+        bad = ~ok
+        bad[ok] = cells_seen[cell] | ~first
+        if bad.any():
+            k = int(np.argmax(bad))
+            where = f"line {linenos[k]}:"
+            if not 0 <= t[k] < stages:
+                raise ScenarioFormatError(f"{where} stage {t[k]} outside 0..{stages - 1}")
+            if edge[k] < 0:
+                raise ScenarioFormatError(f"{where} edge {i[k]} -> {j[k]} {undeclared}")
+            raise ScenarioFormatError(f"{where} duplicate {label} for stage {t[k]} edge {i[k]} -> {j[k]}")
+        cells[cell] = values
+        cells_seen[cell] = True
     if not seen.all():
         t, e = (int(x) for x in np.argwhere(~seen)[0])
         raise ScenarioFormatError(f"{missing} stage {t} edge {int(graph.edge_src[e])} -> {int(graph.edge_dst[e])}")
@@ -499,35 +647,31 @@ def _fill_table(graph: TrafficGraph, stages: int, entries, label: str, undeclare
 
 
 def deserialize(text: str) -> Scenario:
-    """Parse the sectioned text format; raises ScenarioFormatError with line info."""
-    sections: dict[str, list[tuple[int, str]]] = {"params": [], "graph": [], "costs": [], "reference": []}
-    current: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip().lower()
-            if name not in sections:
-                raise ScenarioFormatError(f"line {lineno}: unknown section [{name}]")
-            current = name
-            continue
-        if current is None:
-            raise ScenarioFormatError(f"line {lineno}: content before any section header")
-        sections[current].append((lineno, line))
+    """Parse the sectioned text format; raises ScenarioFormatError with line info.
+
+    Sections are read in the order params, graph, costs, reference, each a
+    chunk of lines at a time.  Within a section the fault reported is the
+    first faulty line (see docs/scenario_format.md for the check order).
+    """
+    spans = _section_spans(text)
 
     params: dict[str, tuple[int, str]] = {}
-    for lineno, line in sections["params"]:
-        if "=" not in line:
-            raise ScenarioFormatError(f"line {lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        key = key.lower()
-        if key not in _PARAM_KEYS:
-            raise ScenarioFormatError(f"line {lineno}: unknown key '{key}' in [params]")
-        if key in params:
-            first = params[key][0]
-            raise ScenarioFormatError(f"line {lineno}: duplicate key '{key}' in [params] (first on line {first})")
-        params[key] = (lineno, value)
+    for first, lines, _ in _section_lines(text, spans["params"]):
+        for lineno, line in enumerate(lines, start=first):
+            line = line.strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ScenarioFormatError(f"line {lineno}: expected 'key = value'")
+            key, value = (part.strip() for part in line.split("=", 1))
+            key = key.lower()
+            if key not in _PARAM_KEYS:
+                raise ScenarioFormatError(f"line {lineno}: unknown key '{key}' in [params]")
+            if key in params:
+                raise ScenarioFormatError(
+                    f"line {lineno}: duplicate key '{key}' in [params] (first on line {params[key][0]})"
+                )
+            params[key] = (lineno, value)
 
     for field in _REQUIRED_PARAMS:
         if field not in params:
@@ -561,11 +705,8 @@ def deserialize(text: str) -> Scenario:
             raise ScenarioFormatError(f"line {lineno}: initial node {node} outside 0..{node_count - 1}")
         mass[node] = _parse(float, mass_tok.strip(), lineno, "initial mass")
 
-    if not sections["graph"]:
-        raise ScenarioFormatError("missing or empty [graph] section")
-    neighbors: list[list[int]] = [[] for _ in range(node_count)]
-    for lineno, line in sections["graph"]:
-        tokens = line.split()
+    def graph_line(lineno: int, tokens: list[str]) -> None:
+        """Raise the fault of one graph line."""
         if len(tokens) != 2:
             raise ScenarioFormatError(f"line {lineno}: graph lines are 'i j'")
         i = _parse(int, tokens[0], lineno, "source node")
@@ -573,41 +714,89 @@ def deserialize(text: str) -> Scenario:
         for name, n in (("source", i), ("destination", j)):
             if not 0 <= n < node_count:
                 raise ScenarioFormatError(f"line {lineno}: {name} node {n} outside 0..{node_count - 1}")
-        neighbors[i].append(j)
+
+    neighbors: list[list[int]] = [[] for _ in range(node_count)]
+    edge_lines = 0
+    for first, lines, _ in _section_lines(text, spans["graph"]):
+        linenos, counts, tokens = _whitespace_tokens(first, lines)
+        (src, dst), stop = _parse_rows(counts, tokens, (int, int))
+        ends = np.concatenate([_int64(src), _int64(dst)]).reshape(2, -1)
+        outside = np.flatnonzero(((ends < 0) | (ends >= node_count)).any(axis=0))
+        stop = int(outside[0]) if len(outside) else stop
+        for i, j in zip(src[:stop], dst[:stop]):
+            neighbors[i].append(j)
+        edge_lines += len(counts)
+        if stop is not None:
+            graph_line(linenos[stop], tokens[2 * stop : 2 * stop + counts[stop]])
+    if not edge_lines:
+        raise ScenarioFormatError("missing or empty [graph] section")
     graph = TrafficGraph(tuple(tuple(row) for row in neighbors))
 
     terminal = np.zeros(node_count)
     terminal_lines: dict[int, int] = {}
 
-    def entries(section: str, label: str):
-        """Parse each table line as the fill consumes it, so faults surface in line order."""
-        for lineno, line in sections[section]:
-            tokens = line.split()
-            if tokens[0].lower() == "terminal":
-                if section != "costs" or len(tokens) != 3:
-                    raise ScenarioFormatError(f"line {lineno}: terminal lines are 'terminal j c' in [costs]")
-                j = _parse(int, tokens[1], lineno, "terminal node")
-                if not 0 <= j < node_count:
-                    raise ScenarioFormatError(f"line {lineno}: terminal node {j} outside 0..{node_count - 1}")
-                if j in terminal_lines:
-                    raise ScenarioFormatError(
-                        f"line {lineno}: duplicate terminal cost for node {j} (first on line {terminal_lines[j]})"
-                    )
-                terminal_lines[j] = lineno
-                terminal[j] = _parse(float, tokens[2], lineno, "terminal cost")
-                continue
-            if len(tokens) != (3 if stationary else 4):
-                form = "stationary {} lines are 'i j value'" if stationary else "{} lines are 't i j value'"
-                raise ScenarioFormatError(f"line {lineno}: " + form.format(label))
-            t = 0 if stationary else _parse(int, tokens[0], lineno, "stage")
-            i = _parse(int, tokens[-3], lineno, "source node")
-            j = _parse(int, tokens[-2], lineno, "destination node")
-            yield lineno, t, i, j, _parse(float, tokens[-1], lineno, label)
+    def terminal_line(lineno: int, tokens: list[str], section: str) -> None:
+        if section != "costs" or len(tokens) != 3:
+            raise ScenarioFormatError(f"line {lineno}: terminal lines are 'terminal j c' in [costs]")
+        j = _parse(int, tokens[1], lineno, "terminal node")
+        if not 0 <= j < node_count:
+            raise ScenarioFormatError(f"line {lineno}: terminal node {j} outside 0..{node_count - 1}")
+        if j in terminal_lines:
+            raise ScenarioFormatError(
+                f"line {lineno}: duplicate terminal cost for node {j} (first on line {terminal_lines[j]})"
+            )
+        terminal_lines[j] = lineno
+        terminal[j] = _parse(float, tokens[2], lineno, "terminal cost")
+
+    fields = ([] if stationary else [(int, "stage")]) + [(int, "source node"), (int, "destination node")]
+
+    def table_line(lineno: int, tokens: list[str], label: str) -> None:
+        """Raise the fault of one table line that does not parse."""
+        if len(tokens) != len(fields) + 1:
+            form = "stationary {} lines are 'i j value'" if stationary else "{} lines are 't i j value'"
+            raise ScenarioFormatError(f"line {lineno}: " + form.format(label))
+        for (kind, what), token in zip(fields + [(float, label)], tokens):
+            _parse(kind, token, lineno, what)
+
+    def columns(section: str, label: str):
+        """(line numbers, t, i, j, values) of a table section's rows, a chunk at a time.
+
+        A chunk ends ahead of its first faulty line, a table line that does
+        not parse or a terminal line that fails; once the fill has checked
+        the rows ahead of it, that line's fault is raised.
+        """
+        kinds = [kind for kind, _ in fields] + [float]
+        width = len(kinds)
+        for first, lines, piece in _section_lines(text, spans[section]):
+            linenos, counts, tokens = _whitespace_tokens(first, lines)
+            fault = None  # (line number, error) of the first faulty line
+            if "terminal" in piece.lower():
+                rows = [tokens[end - n : end] for n, end in zip(counts, accumulate(counts))]
+                is_terminal = [row[0].lower() == "terminal" for row in rows]
+                for lineno, row in compress(zip(linenos, rows), is_terminal):
+                    try:
+                        terminal_line(lineno, row, section)
+                    except ScenarioFormatError as exc:
+                        fault = (lineno, exc)
+                        break
+                is_table = [not x for x in is_terminal]
+                linenos, counts = list(compress(linenos, is_table)), list(compress(counts, is_table))
+                tokens = list(chain.from_iterable(compress(rows, is_table)))
+            cols, stop = _parse_rows(counts, tokens, kinds)
+            if stop is not None and (fault is None or linenos[stop] < fault[0]):
+                fault = (linenos[stop], None)
+            n = len(counts) if fault is None else bisect_left(linenos, fault[0])
+            t = [0] * n if stationary else cols[0][:n]
+            yield linenos[:n], t, cols[-3][:n], cols[-2][:n], np.array(cols[-1][:n], dtype=np.float64)
+            if fault is not None:
+                if fault[1] is not None:
+                    raise fault[1]
+                table_line(linenos[n], tokens[width * n : width * n + counts[n]], label)
 
     def table(section: str, label: str) -> np.ndarray:
         # a stationary file fills one row, broadcast to every stage
         stages, missing = (1 if stationary else horizon), f"[{section}] missing {label} for"
-        filled = _fill_table(graph, stages, entries(section, label), label, "not declared in [graph]", missing)
+        filled = _fill_table(graph, stages, columns(section, label), label, "not declared in [graph]", missing)
         return np.broadcast_to(filled, (horizon, graph.edge_count))
 
     cost_table = table("costs", "cost")

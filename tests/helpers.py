@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from pathlib import Path
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -27,8 +28,8 @@ from mftroute import (
     Violation,
     propagate,
 )
-from mftroute.cli import write_csv
-from mftroute.scenario import ROW_SUM_TOL
+from mftroute.cli import OBSTACLE_SENTINEL
+from mftroute.scenario import ROW_SUM_TOL, ScenarioFormatError, _bad_row_sums
 
 
 def random_scenario(
@@ -537,10 +538,255 @@ def serialize_loop(scenario: Scenario) -> str:
     return "\n".join(lines)
 
 
+def write_csv_loop(path, header: str, rows, manifest) -> None:
+    """The CSV writer one cell at a time: str for integers, repr for floats, strings as they are."""
+
+    def cell(x) -> str:
+        if isinstance(x, str):
+            return x
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+        return repr(float(x))
+
+    lines = manifest.header_lines()
+    lines.append(header)
+    for row in rows:
+        lines.append(",".join(cell(x) for x in row))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def write_policy_csv_loop(path, scenario: Scenario, policy: PolicyKernel, manifest) -> None:
     """The (t, i, j, value) policy CSV, one stage and one edge at a time."""
     rows = []
     for t in range(scenario.horizon):
         for e, i, j in edges_loop(scenario.graph):
             rows.append((t, i, j, policy.probs[t, e]))
-    write_csv(path, "t,i,j,value", rows, manifest)
+    write_csv_loop(path, "t,i,j,value", rows, manifest)
+
+
+def emit_heatmap_loop(mass: np.ndarray, width: int, height: int, obstacles=(), header_lines=()) -> str:
+    """The plain-text graymap of one stage's mass, one cell at a time."""
+    peak = float(mass.max())
+    obstacle_set = {int(o) for o in obstacles}
+    lines = ["P2"]
+    lines.append(f"# obstacle cells use sentinel value {OBSTACLE_SENTINEL}; data range is 0..255")
+    lines.extend(header_lines)
+    lines.append(f"{width} {height}")
+    lines.append(str(OBSTACLE_SENTINEL))
+    for y in range(height):
+        row = []
+        for x in range(width):
+            node = y * width + x
+            if node in obstacle_set:
+                row.append(str(OBSTACLE_SENTINEL))
+            elif peak == 0.0:
+                row.append("0")
+            else:
+                row.append(str(int(round(255.0 * float(mass[node]) / peak))))
+        lines.append(" ".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def realized_taxes_loop(sample, scenario: Scenario) -> list[tuple]:
+    """(t, node, dest, count, tax) of every populated edge, one stage and one edge at a time."""
+    g = scenario.graph
+    records = []
+    for t in range(sample.actions.shape[0]):
+        for e in np.flatnonzero(sample.edge_counts[t]):
+            i, j = int(g.edge_src[e]), int(g.edge_dst[e])
+            k_edge = int(sample.edge_counts[t, e])
+            k_node = int(sample.node_counts[t, i])
+            tax = scenario.alpha * (math.log(k_edge / k_node) - math.log(scenario.reference.probs[t, e]))
+            records.append((t, i, j, k_edge, tax))
+    return records
+
+
+# ---------------------------------------------------------------------------
+# Line-at-a-time references for the edge-table readers: each line is parsed
+# and checked in turn, and the first fault met is raised
+# ---------------------------------------------------------------------------
+
+_PARAM_KEYS = ("nodes", "horizon", "alpha", "initial", "stationary")
+
+
+def _parse_loop(kind, token: str, lineno: int, what: str):
+    try:
+        return kind(token)
+    except ValueError:
+        raise ScenarioFormatError(f"line {lineno}: cannot parse {what} '{token}'") from None
+
+
+def fill_table_loop(graph: TrafficGraph, stages: int, entries, label: str, undeclared: str, missing: str):
+    """Fill a (stages, E) table from (lineno, t, i, j, value) entries, one entry at a time."""
+    pairs = list(enumerate(zip(graph.edge_src.tolist(), graph.edge_dst.tolist())))
+    edge_ids = {pair: e for e, pair in reversed(pairs)}  # the first of duplicate edges wins
+    table = np.empty((stages, graph.edge_count))
+    seen = np.zeros(table.shape, dtype=bool)
+    for lineno, t, i, j, value in entries:
+        if not 0 <= t < stages:
+            raise ScenarioFormatError(f"line {lineno}: stage {t} outside 0..{stages - 1}")
+        if (i, j) not in edge_ids:
+            raise ScenarioFormatError(f"line {lineno}: edge {i} -> {j} {undeclared}")
+        e = edge_ids[i, j]
+        if seen[t, e]:
+            raise ScenarioFormatError(f"line {lineno}: duplicate {label} for stage {t} edge {i} -> {j}")
+        seen[t, e] = True
+        table[t, e] = value
+    if not seen.all():
+        t, e = (int(x) for x in np.argwhere(~seen)[0])
+        raise ScenarioFormatError(f"{missing} stage {t} edge {int(graph.edge_src[e])} -> {int(graph.edge_dst[e])}")
+    return table
+
+
+def deserialize_loop(text: str) -> Scenario:
+    """The sectioned text format read one line at a time."""
+    sections: dict[str, list[tuple[int, str]]] = {"params": [], "graph": [], "costs": [], "reference": []}
+    current = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            name = line[1:-1].strip().lower()
+            if name not in sections:
+                raise ScenarioFormatError(f"line {lineno}: unknown section [{name}]")
+            current = name
+            continue
+        if current is None:
+            raise ScenarioFormatError(f"line {lineno}: content before any section header")
+        sections[current].append((lineno, line))
+
+    params: dict[str, tuple[int, str]] = {}
+    for lineno, line in sections["params"]:
+        if "=" not in line:
+            raise ScenarioFormatError(f"line {lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        key = key.lower()
+        if key not in _PARAM_KEYS:
+            raise ScenarioFormatError(f"line {lineno}: unknown key '{key}' in [params]")
+        if key in params:
+            first = params[key][0]
+            raise ScenarioFormatError(f"line {lineno}: duplicate key '{key}' in [params] (first on line {first})")
+        params[key] = (lineno, value)
+    for field in ("nodes", "horizon", "alpha", "initial"):
+        if field not in params:
+            raise ScenarioFormatError(f"missing required field '{field}' in [params]")
+
+    node_count = _parse_loop(int, params["nodes"][1], params["nodes"][0], "nodes")
+    horizon = _parse_loop(int, params["horizon"][1], params["horizon"][0], "horizon")
+    alpha = _parse_loop(float, params["alpha"][1], params["alpha"][0], "alpha")
+    if node_count < 1:
+        raise ScenarioFormatError(f"line {params['nodes'][0]}: nodes must be >= 1")
+    if horizon < 1:
+        raise ScenarioFormatError(f"line {params['horizon'][0]}: horizon must be >= 1")
+    stationary = False
+    if "stationary" in params:
+        lineno, value = params["stationary"]
+        if value.lower() not in ("true", "false"):
+            raise ScenarioFormatError(f"line {lineno}: stationary must be true or false")
+        stationary = value.lower() == "true"
+
+    mass = np.zeros(node_count)
+    lineno, value = params["initial"]
+    for part in value.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        if ":" not in part:
+            raise ScenarioFormatError(f"line {lineno}: initial entries must be 'node:mass'")
+        node_tok, mass_tok = part.split(":", 1)
+        node = _parse_loop(int, node_tok.strip(), lineno, "initial node")
+        if not 0 <= node < node_count:
+            raise ScenarioFormatError(f"line {lineno}: initial node {node} outside 0..{node_count - 1}")
+        mass[node] = _parse_loop(float, mass_tok.strip(), lineno, "initial mass")
+
+    if not sections["graph"]:
+        raise ScenarioFormatError("missing or empty [graph] section")
+    neighbors: list[list[int]] = [[] for _ in range(node_count)]
+    for lineno, line in sections["graph"]:
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise ScenarioFormatError(f"line {lineno}: graph lines are 'i j'")
+        i = _parse_loop(int, tokens[0], lineno, "source node")
+        j = _parse_loop(int, tokens[1], lineno, "destination node")
+        for name, n in (("source", i), ("destination", j)):
+            if not 0 <= n < node_count:
+                raise ScenarioFormatError(f"line {lineno}: {name} node {n} outside 0..{node_count - 1}")
+        neighbors[i].append(j)
+    graph = TrafficGraph(tuple(tuple(row) for row in neighbors))
+
+    terminal = np.zeros(node_count)
+    terminal_lines: dict[int, int] = {}
+
+    def entries(section: str, label: str):
+        for lineno, line in sections[section]:
+            tokens = line.split()
+            if tokens[0].lower() == "terminal":
+                if section != "costs" or len(tokens) != 3:
+                    raise ScenarioFormatError(f"line {lineno}: terminal lines are 'terminal j c' in [costs]")
+                j = _parse_loop(int, tokens[1], lineno, "terminal node")
+                if not 0 <= j < node_count:
+                    raise ScenarioFormatError(f"line {lineno}: terminal node {j} outside 0..{node_count - 1}")
+                if j in terminal_lines:
+                    raise ScenarioFormatError(
+                        f"line {lineno}: duplicate terminal cost for node {j} (first on line {terminal_lines[j]})"
+                    )
+                terminal_lines[j] = lineno
+                terminal[j] = _parse_loop(float, tokens[2], lineno, "terminal cost")
+                continue
+            if len(tokens) != (3 if stationary else 4):
+                form = "stationary {} lines are 'i j value'" if stationary else "{} lines are 't i j value'"
+                raise ScenarioFormatError(f"line {lineno}: " + form.format(label))
+            t = 0 if stationary else _parse_loop(int, tokens[0], lineno, "stage")
+            i = _parse_loop(int, tokens[-3], lineno, "source node")
+            j = _parse_loop(int, tokens[-2], lineno, "destination node")
+            yield lineno, t, i, j, _parse_loop(float, tokens[-1], lineno, label)
+
+    def table(section: str, label: str) -> np.ndarray:
+        stages, missing = (1 if stationary else horizon), f"[{section}] missing {label} for"
+        filled = fill_table_loop(graph, stages, entries(section, label), label, "not declared in [graph]", missing)
+        return np.broadcast_to(filled, (horizon, graph.edge_count))
+
+    cost_table = table("costs", "cost")
+    ref_table = table("reference", "reference probability")
+    return Scenario(
+        graph=graph,
+        costs=StageCosts(horizon, cost_table, terminal if terminal_lines else None),
+        reference=ReferencePolicy(ref_table),
+        alpha=alpha,
+        initial=Distribution(mass),
+    )
+
+
+def read_policy_csv_loop(path, scenario: Scenario) -> PolicyKernel:
+    """The (t, i, j, value) policy CSV read one line at a time."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ScenarioFormatError(f"cannot read policy file {path}: {exc}") from exc
+
+    def entries():
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line or line == "t,i,j,value":
+                continue
+            parts = line.split(",")
+            if len(parts) != 4:
+                raise ScenarioFormatError(f"line {lineno}: policy rows are 't,i,j,value'")
+            try:
+                t, i, j, p = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
+            except ValueError:
+                raise ScenarioFormatError(f"line {lineno}: cannot parse policy row") from None
+            if not math.isfinite(p):
+                raise ScenarioFormatError(f"line {lineno}: policy value '{parts[3]}' is not finite")
+            if p < 0:
+                raise ScenarioFormatError(f"line {lineno}: policy value '{parts[3]}' is negative")
+            yield lineno, t, i, j, p
+
+    g = scenario.graph
+    missing = "policy file missing"
+    probs = fill_table_loop(g, scenario.horizon, entries(), "policy row", "not in scenario graph", missing)
+    bad_rows = _bad_row_sums(g, probs)
+    if bad_rows:
+        raise ScenarioFormatError("policy rows of stage {} node {} sum to {:.17g}, expected 1".format(*bad_rows[0]))
+    return PolicyKernel(probs)

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import random_scenario
+from helpers import emit_heatmap_loop, random_scenario
 from mftroute import ScenarioFormatError, build_gridworld, mfe_solve, read_scenario, serialize, write_scenario
 from mftroute.cli import (
     FIG2_OBSTACLES,
@@ -310,6 +314,28 @@ def test_heatmap_point_mass_and_uniform():
     text = emit_heatmap(FakeFlow(uniform), 0, 3, 2)
     pixels = [int(x) for row in text.splitlines()[4:] for x in row.split()]
     assert pixels == [255] * 6
+
+
+@given(
+    st.integers(1, 8),
+    st.integers(1, 8),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["random", "half steps", "all zero", "one cell"]),
+)
+def test_heatmap_is_byte_equal_to_the_cell_loop(width, height, seed, layout):
+    rng = np.random.default_rng(seed)
+    cells = width * height
+    mass = {
+        "random": rng.random(cells) ** 4,
+        "half steps": rng.integers(0, 511, cells) / 510,  # many exact .5 intensities: round half to even
+        "all zero": np.zeros(cells),
+        "one cell": np.eye(cells)[rng.integers(cells)],
+    }[layout]
+    # obstacle ids may fall outside the grid, which both ignore
+    obstacles = rng.choice(np.arange(-2, cells + 2), size=rng.integers(0, cells + 1), replace=False)
+    header = ["# manifest: subcommand=test"]
+    text = emit_heatmap(SimpleNamespace(distributions=mass[None]), 0, width, height, obstacles, header)
+    assert text == emit_heatmap_loop(mass, width, height, obstacles, header)
 
 
 def test_heatmap_rejects_non_grid_scenarios(three_route):

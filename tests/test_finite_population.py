@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import exact_expected_log_share, random_scenario
+from helpers import exact_expected_log_share, random_scenario, realized_taxes_loop
 from mftroute import (
     PolicyKernel,
     best_response_finite_n,
@@ -209,20 +209,49 @@ def test_realized_tax_records_cover_populated_edges_only():
     scenario = random_scenario(rng, max_nodes=5, max_horizon=3)
     policy = random_policy(scenario, rng)
     sample = simulate_population(scenario, policy, 30, seed=5)
-    records = realized_taxes(sample, scenario)
-    seen = {(r.t, r.node, r.dest) for r in records}
+    t, node, dest, _, tax = (column.tolist() for column in realized_taxes(sample, scenario))
+    seen = set(zip(t, node, dest))
     g = scenario.graph
-    for t in range(scenario.horizon):
+    for stage in range(scenario.horizon):
         for e in range(g.edge_count):
-            key = (t, int(g.edge_src[e]), int(g.edge_dst[e]))
-            assert (sample.edge_counts[t, e] >= 1) == (key in seen)
-    for r in records:
-        e = g.edge_index(r.node, r.dest)
+            key = (stage, int(g.edge_src[e]), int(g.edge_dst[e]))
+            assert (sample.edge_counts[stage, e] >= 1) == (key in seen)
+    for r_t, r_node, r_dest, r_tax in zip(t, node, dest, tax):
+        e = g.edge_index(r_node, r_dest)
         expected = scenario.alpha * (
-            math.log(sample.edge_counts[r.t, e] / sample.node_counts[r.t, r.node])
-            - math.log(scenario.reference.probs[r.t, e])
+            math.log(sample.edge_counts[r_t, e] / sample.node_counts[r_t, r_node])
+            - math.log(scenario.reference.probs[r_t, e])
         )
-        assert r.tax == pytest.approx(expected, abs=1e-14)
+        assert r_tax == pytest.approx(expected, abs=1e-14)
+
+
+def test_realized_tax_columns_are_bit_identical_to_the_edge_loop():
+    rng = np.random.default_rng(37)
+    for _ in range(20):
+        scenario = random_scenario(rng, max_nodes=8, max_horizon=5)
+        policy = random_policy(scenario, rng)
+        sample = simulate_population(scenario, policy, int(rng.integers(1, 300)), seed=int(rng.integers(1000)))
+        got = list(zip(*(column.tolist() for column in realized_taxes(sample, scenario))))
+        want = realized_taxes_loop(sample, scenario)
+        assert [r[:4] for r in got] == [r[:4] for r in want]
+        assert np.array([r[4] for r in got]).tobytes() == np.array([r[4] for r in want]).tobytes()
+
+
+@pytest.mark.parametrize("root", [123, [4, 5, 6]], ids=["int root", "sequence root"])
+def test_a_replication_is_re_derived_from_its_own_record(root):
+    rng = np.random.default_rng(38)
+    scenario = random_scenario(rng, max_nodes=6, max_horizon=4)
+    policy = random_policy(scenario, rng)
+    children = np.random.SeedSequence(root).spawn(3)
+    for child in children:
+        sample = simulate_population(scenario, policy, 50, child)
+        assert sample.spawn_key == child.spawn_key
+        seeds = np.random.SeedSequence(sample.seed, spawn_key=sample.spawn_key)
+        again = simulate_population(scenario, policy, 50, seeds)
+        for name in ("locations", "actions", "node_counts", "edge_counts"):
+            assert getattr(again, name).tobytes() == getattr(sample, name).tobytes()
+    first, second = (simulate_population(scenario, policy, 50, c) for c in children[:2])
+    assert first.spawn_key != second.spawn_key
 
 
 # ---------------------------------------------------------------------------

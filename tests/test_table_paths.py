@@ -11,17 +11,22 @@ scenario file and the policy CSV, must report one fault with one message.
 
 from __future__ import annotations
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     backward_pass_loop,
+    deserialize_loop,
     extract_policy_loop,
     random_scenario,
+    read_policy_csv_loop,
     serialize_loop,
     validate_loop,
+    write_csv_loop,
     write_policy_csv_loop,
 )
 from mftroute import (
@@ -38,7 +43,7 @@ from mftroute import (
     serialize,
     validate,
 )
-from mftroute.cli import RunManifest, read_policy_csv, write_policy_csv
+from mftroute.cli import RunManifest, read_policy_csv, write_csv, write_policy_csv
 
 SPECIAL = (0.0, -0.0, -0.5, 1.0, 1e5, np.inf, -np.inf, np.nan)
 
@@ -153,14 +158,49 @@ def test_serialize_keeps_the_signed_zeros_of_later_stages():
     assert deserialize(text).costs.stage.tobytes() == stage.tobytes()
 
 
-@given(st.one_of(serializable_scenarios(), defective_scenarios()))
-def test_writers_are_byte_identical_to_the_edge_loop_writers(tmp_path_factory, scenario):
-    assert serialize(scenario) == serialize_loop(scenario)
+@given(st.one_of(serializable_scenarios(), defective_scenarios()), st.sampled_from([1, 3, 1 << 12]))
+def test_writers_are_byte_identical_to_the_edge_loop_writers(tmp_path_factory, scenario, chunk):
     policy = PolicyKernel(scenario.reference.probs)
     manifest = RunManifest("mfe", {"scenario": "x.scn"})
     out = tmp_path_factory.mktemp("policy")
-    write_policy_csv(out / "new.csv", scenario, policy, manifest)
+    with patch("mftroute.scenario._CHUNK_ROWS", chunk):
+        assert serialize(scenario) == serialize_loop(scenario)
+        write_policy_csv(out / "new.csv", scenario, policy, manifest)
     write_policy_csv_loop(out / "loop.csv", scenario, policy, manifest)
+    assert (out / "new.csv").read_bytes() == (out / "loop.csv").read_bytes()
+
+
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+_FLOATS = st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, 1e-300, 1 / 3, 0.1, 2.0**53]))
+_COLUMN_KINDS = {
+    "int": _INT64,
+    "float": _FLOATS,
+    "record": st.sampled_from(["q", "kkt_residual", "mfe", "lambda"]),
+}
+
+
+@st.composite
+def csv_tables(draw):
+    """Columns of one length: int64 and float arrays or lists, and string columns."""
+    rows = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from(sorted(_COLUMN_KINDS)), min_size=1, max_size=6))
+    columns = []
+    for kind in kinds:
+        values = draw(st.lists(_COLUMN_KINDS[kind], min_size=rows, max_size=rows))
+        as_array = kind != "record" and draw(st.booleans())
+        columns.append(np.array(values, dtype=np.int64 if kind == "int" else np.float64) if as_array else values)
+    return columns
+
+
+@given(csv_tables(), st.sampled_from([1, 5, 1 << 12]), st.booleans())
+def test_write_csv_is_byte_identical_to_the_cell_loop(tmp_path_factory, columns, chunk, as_rows):
+    manifest = RunManifest("nash-gap", {"agents": "10,100"})
+    out = tmp_path_factory.mktemp("csv")
+    # an iterator of rows, as older callers pass them, holds numpy scalars taken from the arrays
+    table = zip(*columns) if as_rows else columns
+    with patch("mftroute.cli._CHUNK_ROWS", chunk):
+        write_csv(out / "new.csv", "a,b", table, manifest)
+    write_csv_loop(out / "loop.csv", "a,b", list(zip(*columns)), manifest)
     assert (out / "new.csv").read_bytes() == (out / "loop.csv").read_bytes()
 
 
@@ -247,3 +287,154 @@ def test_both_edge_table_readers_report_a_fault_alike(tmp_path, rows, scenario_e
     with pytest.raises(ScenarioFormatError) as policy_fault:
         read_policy_csv(policy_csv, deserialize(_scenario_text(_ROWS)))
     assert str(policy_fault.value) == policy_error
+
+
+# ---------------------------------------------------------------------------
+# Differential fuzz: the chunked column readers against the line-at-a-time
+# references on mutated scenario files and policy CSVs
+# ---------------------------------------------------------------------------
+
+MUTATIONS = ("replace token", "replace value", "swap tokens", "truncate", "stray character", "duplicate line",
+             "delete line", "swap lines", "terminal line", "comment or blank")
+TOKENS = ("", "x", "-1", "0", "1", "2", "99", "-0.0", "0.5", "1e400", "nan", "-inf", "0x10", "1_0", "٣",
+          "9" * 30, "-" + "9" * 25, "terminal", "TERMINAL", "[costs]", "[bogus]", "# note", "t,i,j,value")
+STRAY = (" ", "\t", ",", "#", "[", "]", "=", ":", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", " ", "\xa0",
+         "\xe9", "\x00")
+FILLERS = ("", "   ", "\t", "# comment", "  # comment, with, commas")
+mutations = st.lists(
+    st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 10**6), st.integers(0, 10**6), st.sampled_from(TOKENS),
+              st.sampled_from(STRAY + FILLERS)),
+    max_size=4,
+)
+
+
+def _mutate(text: str, ops, sep: str) -> str:
+    lines = text.split("\n")
+    for op, a, b, token, extra in ops:
+        k = a % len(lines)
+        line = lines[k]
+        parts = line.split(sep)
+        if op in ("replace token", "replace value") and "=" not in line:  # [params] stays small
+            parts[-1 if op == "replace value" else b % len(parts)] = token
+            lines[k] = sep.join(parts)
+        elif op == "swap tokens":
+            i, j = b % len(parts), (b // 7) % len(parts)
+            parts[i], parts[j] = parts[j], parts[i]
+            lines[k] = sep.join(parts)
+        elif op == "truncate":
+            lines[k] = line[: b % (len(line) + 1)]
+        elif op == "stray character":
+            at = b % (len(line) + 1)
+            lines[k] = line[:at] + extra + line[at:]
+        elif op == "duplicate line":
+            lines.insert(b % (len(lines) + 1), line)
+        elif op == "delete line":
+            del lines[k]
+        elif op == "swap lines":
+            j = b % len(lines)
+            lines[k], lines[j] = lines[j], lines[k]
+        elif op == "terminal line":
+            lines.insert(k, sep.join(["terminal", token or str(b % 7), "1.5"]))
+        elif op == "comment or blank":
+            lines.insert(k, extra)
+        if not lines:
+            lines = [""]
+    return "\n".join(lines)
+
+
+@st.composite
+def readable_scenarios(draw):
+    """Small valid scenarios, stationary or per stage, with or without terminal costs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = random_scenario(rng, max_nodes=5, max_horizon=3)
+    stage, probs = base.costs.stage, base.reference.probs
+    if draw(st.booleans()):
+        stage, probs = np.tile(stage[0], (base.horizon, 1)), np.tile(probs[0], (base.horizon, 1))
+    terminal = rng.uniform(0.0, 10.0, base.graph.node_count) if draw(st.booleans()) else None
+    return Scenario(base.graph, StageCosts(base.horizon, stage, terminal), ReferencePolicy(probs), base.alpha,
+                    base.initial)
+
+
+def _outcome(read, *args):
+    """The ScenarioFormatError message of a read, or None; any other exception propagates."""
+    try:
+        return None, read(*args)
+    except ScenarioFormatError as exc:
+        return str(exc), None
+
+
+def _scenario_bytes(scenario: Scenario) -> tuple:
+    terminal = scenario.costs.terminal
+    return (
+        scenario.graph.out_neighbors,
+        np.float64(scenario.alpha).tobytes(),
+        scenario.initial.mass.tobytes(),
+        scenario.costs.stage.tobytes(),
+        None if terminal is None else terminal.tobytes(),
+        scenario.reference.probs.tobytes(),
+    )
+
+
+@settings(max_examples=400)
+@given(readable_scenarios(), mutations, st.sampled_from([16, 64, 1 << 16]))
+def test_deserialize_matches_the_line_reference_on_mutated_files(scenario, ops, chunk):
+    text = _mutate(serialize(scenario), ops, " ")
+    with patch("mftroute.scenario._CHUNK_CHARS", chunk):
+        got_error, got = _outcome(deserialize, text)
+    want_error, want = _outcome(deserialize_loop, text)
+    assert got_error == want_error
+    if want is not None:
+        assert _scenario_bytes(got) == _scenario_bytes(want)
+
+
+@settings(max_examples=400)
+@given(readable_scenarios(), mutations, st.sampled_from([16, 64, 1 << 16]))
+def test_read_policy_csv_matches_the_line_reference_on_mutated_files(tmp_path_factory, scenario, ops, chunk):
+    out = tmp_path_factory.mktemp("policy")
+    write_policy_csv(out / "policy.csv", scenario, PolicyKernel(scenario.reference.probs), RunManifest("mfe", {}))
+    path = out / "mutated.csv"
+    path.write_text(_mutate((out / "policy.csv").read_text(encoding="utf-8"), ops, ","), encoding="utf-8")
+    with patch("mftroute.scenario._CHUNK_CHARS", chunk):
+        got_error, got = _outcome(read_policy_csv, path, scenario)
+    want_error, want = _outcome(read_policy_csv_loop, path, scenario)
+    assert got_error == want_error
+    if want is not None:
+        assert got.probs.tobytes() == want.probs.tobytes()
+
+
+_COSTS_WITH_TERMINALS = _GRAPH_AND_REFERENCE + "[costs]\n" + "".join(" ".join(map(str, r)) + "\n" for r in _ROWS)
+CHUNK_FAULTS = {
+    # the terminal lines go on lines 24-25, after the six cost rows on lines 18-23
+    "terminal fault, then a repeated row": (
+        _COSTS_WITH_TERMINALS + "terminal 1 2\nterminal 1 3\n0 0 0 0.5\n",
+        "line 25: duplicate terminal cost for node 1 (first on line 24)",
+    ),
+    "repeated row, then a terminal fault": (
+        _COSTS_WITH_TERMINALS + "0 0 0 0.5\nterminal 1 2\nterminal 1 3\n",
+        "line 24: duplicate cost for stage 0 edge 0 -> 0",
+    ),
+    "terminal fault, then a line that does not parse": (
+        _COSTS_WITH_TERMINALS + "terminal 7 2\n0 x 0 0.5\n",
+        "line 24: terminal node 7 outside 0..1",
+    ),
+    "line that does not parse, then a terminal fault": (
+        _COSTS_WITH_TERMINALS + "0 x 0 0.5\nterminal 7 2\n",
+        "line 24: cannot parse source node 'x'",
+    ),
+    "content after a long comment block": (
+        "# a comment\n" * 12 + "\n  \nnodes = 2\n" + _COSTS_WITH_TERMINALS,
+        "line 15: content before any section header",
+    ),
+}
+
+
+@pytest.mark.parametrize("chunk", [16, 64, 1 << 16])
+@pytest.mark.parametrize("text, error", CHUNK_FAULTS.values(), ids=CHUNK_FAULTS.keys())
+def test_the_first_faulty_line_wins_across_chunks_and_terminal_lines(text, error, chunk):
+    with patch("mftroute.scenario._CHUNK_CHARS", chunk):
+        with pytest.raises(ScenarioFormatError) as fault:
+            deserialize(text)
+    assert str(fault.value) == error
+    with pytest.raises(ScenarioFormatError) as reference_fault:
+        deserialize_loop(text)
+    assert str(reference_fault.value) == error
