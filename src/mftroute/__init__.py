@@ -53,8 +53,6 @@ from .symmetric_equilibrium import (
     EquilibriumResult,
     SingleStageGame,
     assumed_cost,
-    route_cost,
-    route_load,
     solve_single_stage_mfe,
     solve_symmetric_ne,
 )
@@ -88,10 +86,8 @@ __all__ = [
     "expected_tax_heterogeneous",
     "expected_tax_symmetric",
     "extract_policy",
-    "route_cost",
     "fp_run",
     "fp_step",
-    "route_load",
     "grid_node",
     "expected_tax_gap",
     "mfe_solve",

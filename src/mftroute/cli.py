@@ -277,6 +277,14 @@ def read_policy_csv(path, scenario: Scenario) -> PolicyKernel:
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 
+def _manifest(args, start: float, input_digests: dict | None = None) -> RunManifest:
+    """The handler's manifest: its parsed options except the subcommand, the seed and the out* paths."""
+    params = {k: v for k, v in vars(args).items() if k not in ("subcommand", "seed") and not k.startswith("out")}
+    return RunManifest(
+        args.subcommand, params, getattr(args, "seed", None), input_digests, time.perf_counter() - start
+    )
+
+
 def _load_scenario(args) -> tuple[Scenario, dict]:
     scenario = read_scenario(args.scenario)
     require_valid(scenario)
@@ -300,10 +308,7 @@ def _cmd_solve(args) -> int:
     scenario, digests = _load_scenario(args)
     desirability = backward_pass(scenario)
     policy = extract_policy(scenario, desirability)
-    duration = time.perf_counter() - start
-    manifest = RunManifest(
-        "solve", {"scenario": args.scenario}, input_digests=digests, duration_s=duration
-    )
+    manifest = _manifest(args, start, digests)
     if args.out_policy:
         write_policy_csv(args.out_policy, scenario, policy, manifest)
     if args.out_logphi:
@@ -313,17 +318,12 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_mfe(args) -> int:
+    if args.certify_equalizer < 0:
+        raise ValueError("--certify-equalizer must be >= 0")
     start = time.perf_counter()
     scenario, digests = _load_scenario(args)
     solution = mfe_solve(scenario)
-    duration = time.perf_counter() - start
-    manifest = RunManifest(
-        "mfe",
-        {"scenario": args.scenario, "certify_equalizer": args.certify_equalizer},
-        seed=args.seed,
-        input_digests=digests,
-        duration_s=duration,
-    )
+    manifest = _manifest(args, start, digests)
     if args.out_policy:
         write_policy_csv(args.out_policy, scenario, solution.policy, manifest)
     if args.out_flow:
@@ -340,6 +340,8 @@ def _cmd_mfe(args) -> int:
 def _cmd_simulate(args) -> int:
     if args.reps < 0:
         raise ValueError("--reps must be >= 0")
+    if args.threads < 0:
+        raise ValueError("--threads must be >= 0")
     start = time.perf_counter()
     scenario, digests = _load_scenario(args)
     policy = read_policy_csv(args.policy, scenario)
@@ -356,21 +358,7 @@ def _cmd_simulate(args) -> int:
         tables = list(pool.map(replication, children))
     reps = np.repeat(np.arange(args.reps), [len(table[0]) for table in tables])
     columns = [reps, *(np.concatenate(column) for column in zip(*tables))]
-    duration = time.perf_counter() - start
-    manifest = RunManifest(
-        "simulate",
-        {
-            "scenario": args.scenario,
-            "policy": args.policy,
-            "agents": args.agents,
-            "reps": args.reps,
-            "threads": args.threads,
-        },
-        seed=args.seed,
-        input_digests=digests,
-        duration_s=duration,
-    )
-    write_csv(args.out, "rep,t,i,j,count,realized_tax", columns, manifest)
+    write_csv(args.out, "rep,t,i,j,count,realized_tax", columns, _manifest(args, start, digests))
     print(f"simulated {args.reps} replication(s) of {args.agents} agents")
     return 0
 
@@ -384,15 +372,8 @@ def _cmd_nash_gap(args) -> int:
     solution = mfe_solve(scenario)
     gaps = expected_tax_gap(scenario, solution.policy, n_list)
     epsilon = [best_response_finite_n(scenario, solution.policy, n).epsilon for n in n_list]
-    duration = time.perf_counter() - start
-    manifest = RunManifest(
-        "nash-gap",
-        {"scenario": args.scenario, "agents": args.agents},
-        input_digests=digests,
-        duration_s=duration,
-    )
     columns = [n_list, [gaps[n] for n in n_list], epsilon]
-    write_csv(args.out, "n_agents,expected_tax_gap,epsilon_nash", columns, manifest)
+    write_csv(args.out, "n_agents,expected_tax_gap,epsilon_nash", columns, _manifest(args, start, digests))
     print(f"computed tax-convergence and best-response gaps for N in {n_list}")
     return 0
 
@@ -413,24 +394,10 @@ def _cmd_fp(args) -> int:
     else:
         initial = np.array([float(tok) for tok in args.init.split(",")])
     result = fp_run(game, initial, args.days)
-    duration = time.perf_counter() - start
-    manifest = RunManifest(
-        "fp",
-        {
-            "routes": args.routes,
-            "costs": args.costs,
-            "ref": args.ref,
-            "alpha": args.alpha,
-            "agents": args.agents,
-            "days": args.days,
-            "init": args.init,
-        },
-        duration_s=duration,
-    )
-    _write_fp_csv(args.out, result, manifest)
+    _write_fp_csv(args.out, result, _manifest(args, start))
     print(
         f"fictitious play finished after {args.days} days; final distance to the "
-        f"finite-N equilibrium: {result.dist_to_finite_ne[-1]!r}"
+        f"finite-N equilibrium: {float(result.dist_to_finite_ne[-1])!r}"
     )
     return 0
 
@@ -440,18 +407,7 @@ def _cmd_symmetric_ne(args) -> int:
     game = _parse_game(args)
     result = solve_symmetric_ne(game)
     mfe = solve_single_stage_mfe(game)
-    duration = time.perf_counter() - start
-    manifest = RunManifest(
-        "symmetric-ne",
-        {
-            "routes": args.routes,
-            "costs": args.costs,
-            "ref": args.ref,
-            "alpha": args.alpha,
-            "agents": args.agents,
-        },
-        duration_s=duration,
-    )
+    manifest = _manifest(args, start)
     routes = list(range(game.route_count))
     records = [name for name in ("q", "kkt_residual", "mfe") for _ in routes] + ["lambda"]
     values = np.concatenate([result.q, result.residuals, mfe, [result.lam]])

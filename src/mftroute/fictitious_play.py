@@ -34,7 +34,7 @@ class BeliefPath:
     @classmethod
     def start(cls, belief: np.ndarray) -> "BeliefPath":
         belief = np.asarray(belief, dtype=np.float64)
-        if np.any(belief < 0) or abs(float(belief.sum()) - 1.0) > 1e-9:
+        if np.any(~(belief >= 0)) or not abs(float(belief.sum()) - 1.0) <= 1e-9:
             raise ValueError("initial belief must lie in the probability simplex")
         return cls(beliefs=[belief.copy()])
 
@@ -70,6 +70,9 @@ def fp_run(game: SingleStageGame, initial_belief, days: int) -> FictitiousPlayRe
     """Run fictitious play for ``days`` days with per-day equilibrium distances."""
     if days < 1:
         raise ValueError("days must be >= 1")
+    initial_belief = np.asarray(initial_belief, dtype=np.float64)
+    if initial_belief.shape != (game.route_count,):
+        raise ValueError(f"initial belief has {initial_belief.size} entries for {game.route_count} routes")
     path = BeliefPath.start(initial_belief)
     for _ in range(days):
         fp_step(game, path)

@@ -146,7 +146,7 @@ def expected_tax_heterogeneous(
 
 @dataclass(frozen=True, eq=False)
 class PopulationSample:
-    """One realized N-player rollout; motion is deterministic given actions.
+    """One realized N-player rollout; each agent's next location is the node it chose.
 
     ``SeedSequence(seed, spawn_key=spawn_key)`` re-derives the stream the
     rollout drew from, also for a replication spawned from a root seed.
@@ -154,15 +154,13 @@ class PopulationSample:
 
     n_agents: int
     locations: np.ndarray  # (T+1, N) node ids
-    actions: np.ndarray  # (T, N) chosen destination nodes
     node_counts: np.ndarray  # (T+1, V)
     edge_counts: np.ndarray  # (T, E)
     seed: int | tuple[int, ...]  # the root entropy
     spawn_key: tuple[int, ...] = ()
-    generator: str = GENERATOR_NAME
 
     def __post_init__(self):
-        for name in ("locations", "actions", "node_counts", "edge_counts"):
+        for name in ("locations", "node_counts", "edge_counts"):
             object.__setattr__(self, name, _readonly(getattr(self, name), np.int64))
 
 
@@ -179,7 +177,6 @@ def simulate_population(
     t_count = scenario.horizon
 
     locations = np.empty((t_count + 1, n_agents), dtype=np.int64)
-    actions = np.empty((t_count, n_agents), dtype=np.int64)
     node_counts = np.empty((t_count + 1, g.node_count), dtype=np.int64)
     edge_counts = np.empty((t_count, g.edge_count), dtype=np.int64)
 
@@ -195,13 +192,12 @@ def simulate_population(
             # scale draws by the row total so rounding cannot push one past the end
             draws = rng.random(int(node_counts[t, i])) * cum[-1]
             chosen_edge[sel] = lo + np.searchsorted(cum, draws, side="right")
-        actions[t] = g.edge_dst[chosen_edge]
         edge_counts[t] = np.bincount(chosen_edge, minlength=g.edge_count)
-        locations[t + 1] = actions[t]
+        locations[t + 1] = g.edge_dst[chosen_edge]
     node_counts[t_count] = np.bincount(locations[t_count], minlength=g.node_count)
 
     entropy = int(seeds.entropy) if np.ndim(seeds.entropy) == 0 else tuple(map(int, seeds.entropy))
-    return PopulationSample(n_agents, locations, actions, node_counts, edge_counts, entropy, seeds.spawn_key)
+    return PopulationSample(n_agents, locations, node_counts, edge_counts, entropy, seeds.spawn_key)
 
 
 def simulate_replications(scenario: Scenario, policy: PolicyKernel, n_agents: int, seed: int, reps: int):

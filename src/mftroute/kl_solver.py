@@ -122,7 +122,6 @@ def extract_policy(scenario: Scenario, desirability: LogDesirability) -> PolicyK
 
 def value(desirability: LogDesirability, dist: Distribution, t: int) -> float:
     """Expected optimal cost-to-go from stage t under location distribution dist."""
-    mass = dist.mass if isinstance(dist, Distribution) else np.asarray(dist, dtype=np.float64)
     if not 0 <= t <= desirability.horizon:
         raise ValueError(f"stage {t} outside 0..{desirability.horizon}")
-    return float(-desirability.alpha * mass @ desirability.log_phi[t])
+    return float(-desirability.alpha * dist.mass @ desirability.log_phi[t])

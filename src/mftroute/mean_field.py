@@ -31,10 +31,9 @@ class ZeroSupportError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class FlowTrajectory:
-    """Population distributions P_0..P_T and the kernel that generated them."""
+    """Population distributions P_0..P_T."""
 
     distributions: np.ndarray
-    policy: PolicyKernel
 
     def __post_init__(self):
         object.__setattr__(self, "distributions", _readonly(self.distributions))
@@ -59,7 +58,7 @@ def propagate(scenario: Scenario, policy: PolicyKernel) -> FlowTrajectory:
     for t in range(scenario.horizon):
         edge_flow = dists[t][g.edge_src] * policy.probs[t]
         dists[t + 1] = np.bincount(g.edge_dst, weights=edge_flow, minlength=g.node_count)
-    return FlowTrajectory(dists, policy)
+    return FlowTrajectory(dists)
 
 
 def evaluate_policy_cost(

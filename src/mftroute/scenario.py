@@ -100,12 +100,6 @@ class TrafficGraph:
         degs = np.array([len(row) for row in self.out_neighbors], dtype=np.int64)
         return _readonly(np.concatenate([[0], np.cumsum(degs)]), np.int64)
 
-    def degree(self, node: int) -> int:
-        return len(self.out_neighbors[node])
-
-    def edge_slice(self, node: int) -> slice:
-        return slice(int(self.row_start[node]), int(self.row_start[node + 1]))
-
     @cached_property
     def _edge_keys(self) -> tuple[np.ndarray, np.ndarray]:
         """Sorted distinct src * V + dst keys and the first edge with each, then a key no edge reaches."""

@@ -38,12 +38,14 @@ class SingleStageGame:
             raise ValueError("travel_cost and reference must be equal-length vectors")
         if self.route_count < 2:
             raise ValueError("need at least two routes")
-        if np.any(self.reference <= 0):
+        if not np.all(np.isfinite(self.travel_cost)):
+            raise ValueError("travel costs must be finite")
+        if np.any(~(self.reference > 0)):
             raise ValueError("reference probabilities must be strictly positive")
-        if abs(float(self.reference.sum()) - 1.0) > ROW_SUM_TOL:
+        if not abs(float(self.reference.sum()) - 1.0) <= ROW_SUM_TOL:
             raise ValueError(f"reference sums to {self.reference.sum():.17g}, expected 1")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError(f"alpha must be a positive real, got {self.alpha}")
         if self.n_players < 1:
             raise ValueError("n_players must be >= 1")
 
@@ -72,21 +74,10 @@ class EquilibriumResult:
     q: np.ndarray
     lam: float
     residuals: np.ndarray
-    active_set: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "q", _readonly(self.q))
         object.__setattr__(self, "residuals", _readonly(self.residuals))
-
-
-def route_cost(game: SingleStageGame, route: int, q: float) -> float:
-    """Cost of the route when every player takes it with probability q."""
-    return float(assumed_cost(game, np.full(game.route_count, q))[route])
-
-
-def route_load(game: SingleStageGame, route: int, lam: float) -> float:
-    """Inverse of route_cost clamped to [0, 1]; exploits strict monotonicity."""
-    return float(_route_loads(game, lam)[route])
 
 
 def _route_loads(game: SingleStageGame, lam) -> np.ndarray:
@@ -156,7 +147,7 @@ def solve_symmetric_ne(game: SingleStageGame) -> EquilibriumResult:
         best = at_zero == lam
         q = best / best.sum()
         residuals = np.where(best, 0.0, np.maximum(0.0, lam - at_zero))
-        return EquilibriumResult(q, lam, residuals, tuple(int(j) for j in np.flatnonzero(best)))
+        return EquilibriumResult(q, lam, residuals)
 
     lo = float(at_zero.min()) - 1.0
     hi = float(assumed_cost(game, np.ones(game.route_count)).max()) + 1.0
@@ -169,7 +160,7 @@ def solve_symmetric_ne(game: SingleStageGame) -> EquilibriumResult:
     # report the multiplier that makes the stationarity conditions sharp
     lam = float(at_q[used].max())
     residuals = np.where(used, np.abs(at_q - lam), np.maximum(0.0, lam - at_zero))
-    return EquilibriumResult(q, lam, residuals, tuple(int(j) for j in np.flatnonzero(used)))
+    return EquilibriumResult(q, lam, residuals)
 
 
 def solve_single_stage_mfe(game: SingleStageGame) -> np.ndarray:

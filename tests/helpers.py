@@ -32,6 +32,11 @@ from mftroute.cli import OBSTACLE_SENTINEL
 from mftroute.scenario import ROW_SUM_TOL, ScenarioFormatError, _bad_row_sums
 
 
+def edge_slice(graph: TrafficGraph, node: int) -> slice:
+    """The node's out-edges, one contiguous run of the flat CSR edge order."""
+    return slice(int(graph.row_start[node]), int(graph.row_start[node + 1]))
+
+
 def random_scenario(
     rng: np.random.Generator,
     max_nodes: int = 10,
@@ -54,7 +59,7 @@ def random_scenario(
     probs = np.empty((horizon, graph.edge_count))
     for t in range(horizon):
         for i in range(node_count):
-            sl = graph.edge_slice(i)
+            sl = edge_slice(graph, i)
             deg = sl.stop - sl.start
             row = 0.9 * rng.dirichlet(np.ones(deg)) + 0.1 / deg
             probs[t, sl] = row / row.sum()
@@ -144,7 +149,7 @@ def grid_search_value(scenario: Scenario, step: float) -> tuple[float, float]:
         new_values = np.empty(g.node_count)
         stage_bound = 0.0
         for i in range(g.node_count):
-            sl = g.edge_slice(i)
+            sl = edge_slice(g, i)
             assert sl.stop - sl.start == 2, "grid oracle handles out-degree 2 only"
             e0, e1 = sl.start, sl.start + 1
             j0, j1 = int(g.edge_dst[e0]), int(g.edge_dst[e1])
@@ -326,7 +331,7 @@ def shortest_path_loop(graph: TrafficGraph, total_cost: np.ndarray) -> tuple[np.
     for t in range(t_count - 1, -1, -1):
         through = total_cost[t] + values[t + 1][graph.edge_dst]
         for i in range(graph.node_count):
-            sl = graph.edge_slice(i)
+            sl = edge_slice(graph, i)
             best = int(np.argmin(through[sl]))
             values[t, i] = through[sl][best]
             probs[t, sl.start + best] = 1.0
@@ -417,9 +422,9 @@ def validate_loop(scenario: Scenario) -> list[Violation]:
                 )
             )
         for i in range(g.node_count):
-            if g.degree(i) == 0:
+            if not g.out_neighbors[i]:
                 continue
-            row_sum = float(ref[t, g.edge_slice(i)].sum())
+            row_sum = float(ref[t, edge_slice(g, i)].sum())
             if not abs(row_sum - 1.0) <= ROW_SUM_TOL:
                 out.append(
                     Violation(
@@ -591,7 +596,7 @@ def realized_taxes_loop(sample, scenario: Scenario) -> list[tuple]:
     """(t, node, dest, count, tax) of every populated edge, one stage and one edge at a time."""
     g = scenario.graph
     records = []
-    for t in range(sample.actions.shape[0]):
+    for t in range(sample.edge_counts.shape[0]):
         for e in np.flatnonzero(sample.edge_counts[t]):
             i, j = int(g.edge_src[e]), int(g.edge_dst[e])
             k_edge = int(sample.edge_counts[t, e])

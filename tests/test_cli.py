@@ -184,6 +184,87 @@ def test_simulate_rejects_negative_reps_and_writes_a_header_for_zero(tmp_path, t
     assert _payload(out) == ["rep,t,i,j,count,realized_tax"]
 
 
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (["simulate", "--policy", "{policy}", "--agents", "10", "--threads", "-3", "--out", "{out}"], "--threads"),
+        (["mfe", "--certify-equalizer", "-1"], "--certify-equalizer"),
+    ],
+    ids=["threads", "certify-equalizer"],
+)
+def test_negative_counts_are_data_errors(tmp_path, three_route_file, capsys, args, error):
+    policy_csv = tmp_path / "policy.csv"
+    main(["mfe", "--scenario", str(three_route_file), "--out-policy", str(policy_csv)])
+    capsys.readouterr()
+    args = [a.format(policy=policy_csv, out=tmp_path / "sim.csv") for a in args]
+    assert main(args[:1] + ["--scenario", str(three_route_file)] + args[1:]) == 1
+    assert capsys.readouterr() == ("", f"error: {error} must be >= 0\n")
+
+
+_THIRDS = f"{1/3!r},{1/3!r},{1/3!r}"
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (["symmetric-ne", "--ref", "nan,0.5,0.5"], "reference probabilities must be strictly positive"),
+        (["symmetric-ne", "--ref", "0.5,0.5,inf"], "reference sums to inf, expected 1"),
+        (["symmetric-ne", "--costs", "nan,1,3"], "travel costs must be finite"),
+        (["symmetric-ne", "--alpha", "inf"], "alpha must be a positive real, got inf"),
+        (["symmetric-ne", "--alpha", "nan"], "alpha must be a positive real, got nan"),
+        (["fp", "--ref", "nan,0.5,0.5"], "reference probabilities must be strictly positive"),
+        (["fp", "--init", "nan,nan,nan"], "initial belief must lie in the probability simplex"),
+        (["fp", "--init", "0.5,0.5"], "initial belief has 2 entries for 3 routes"),
+    ],
+)
+def test_route_game_rejects_non_finite_and_misshapen_inputs(tmp_path, capsys, args, error):
+    options = {"--routes": "3", "--costs": "2,1,3", "--ref": _THIRDS, "--alpha": "1", "--agents": "20"}
+    if args[0] == "fp":
+        options["--days"] = "5"
+    options.update(zip(args[1::2], args[2::2]))
+    out = tmp_path / "out.csv"
+    assert main(args[:1] + [tok for item in options.items() for tok in item] + ["--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert not out.exists()
+
+
+def test_manifest_lines_of_every_handler(tmp_path, three_route_file):
+    policy_csv = tmp_path / "policy.csv"
+    policy_csv.write_text("t,i,j,value\n0,0,1,0.25\n0,0,2,0.5\n0,0,3,0.25\n0,1,1,1.0\n0,2,2,1.0\n0,3,3,1.0\n")
+    scenario = ["--scenario", str(three_route_file)]
+    game = ["--routes", "3", "--costs", "2,1,3", "--ref", _THIRDS, "--alpha", "1", "--agents", "20"]
+    runs = {
+        "solve": ["solve", *scenario, "--out-policy"],
+        "mfe": ["mfe", *scenario, "--certify-equalizer", "2", "--seed", "5", "--out-flow"],
+        "simulate": ["simulate", *scenario, "--policy", str(policy_csv), "--agents", "20", "--reps", "2",
+                     "--seed", "7", "--out"],
+        "nash-gap": ["nash-gap", *scenario, "--agents", "10,100", "--out"],
+        "fp": ["fp", *game, "--days", "5", "--out"],
+        "symmetric-ne": ["symmetric-ne", *game, "--out"],
+    }
+    digest = "sha256[scenario]=a9125cd67f722ab0e10b424224711516651d3f78dd5cc75fc9b82b6b9db0bf82"
+    game_params = ["agents=20", "alpha=1.0", "costs=2,1,3"]
+    expected = {
+        "solve": ["scenario=<tmp>/threeroute.scn", digest],
+        "mfe": ["certify_equalizer=2", "scenario=<tmp>/threeroute.scn", "seed=5 generator=pcg64", digest],
+        "simulate": [
+            "agents=20", "policy=<tmp>/policy.csv", "reps=2", "scenario=<tmp>/threeroute.scn", "threads=0",
+            "seed=7 generator=pcg64",
+            "sha256[policy]=d4f1ff4fd65d9d6178d8aa28982adec406ac035021a7263d664fb5408a2ea965", digest,
+        ],
+        "nash-gap": ["agents=10,100", "scenario=<tmp>/threeroute.scn", digest],
+        "fp": [*game_params, "days=5", "init=uniform", f"ref={_THIRDS}", "routes=3"],
+        "symmetric-ne": [*game_params, f"ref={_THIRDS}", "routes=3"],
+    }
+    for name, args in runs.items():
+        out = tmp_path / f"{name}.csv"
+        assert main(args + [str(out)]) == 0
+        lines = [line.replace(str(tmp_path), "<tmp>") for line in out.read_text().splitlines() if line.startswith("#")]
+        assert lines[-1].startswith("# manifest: duration_s=")
+        want = ["tool=mft-route version=0.1.0", f"subcommand={name}", *expected[name]]
+        assert lines[:-1] == [f"# manifest: {line}" for line in want]
+
+
 def test_validate_reports_a_nan_cost_with_its_location(tmp_path, capsys):
     lines = serialize(three_route_scenario()).splitlines()
     lines[lines.index("[costs]") + 1] = "0 1 nan"
@@ -233,7 +314,7 @@ def test_nash_gap_table(tmp_path, three_route_file):
     assert table[10][1] > table[100][1] >= 0
 
 
-def test_fp_subcommand_emits_diagnostics(tmp_path):
+def test_fp_subcommand_emits_diagnostics(tmp_path, capsys):
     out = tmp_path / "fp.csv"
     code = main(
         ["fp", "--routes", "3", "--costs", "2,1,3", "--ref",
@@ -246,6 +327,8 @@ def test_fp_subcommand_emits_diagnostics(tmp_path):
     assert len(lines) == 1 + 41  # initial belief plus one row per day
     first = lines[1].split(",")
     assert first[0] == "1" and first[4] == "1"  # day one best response: middle route
+    distance = lines[-1].split(",")[-2]  # a plain float repr, as in the table
+    assert capsys.readouterr().out.endswith(f"final distance to the finite-N equilibrium: {distance}\n")
 
 
 def test_fp_payload_matches_reproduce_fig4(tmp_path):

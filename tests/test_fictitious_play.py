@@ -18,6 +18,12 @@ def test_game_construction_rejects_bad_inputs():
         SingleStageGame(np.array([1.0, 2.0]), np.array([0.6, 0.6]), 1.0, 10)
     with pytest.raises(ValueError):
         SingleStageGame(np.array([1.0, 2.0]), np.array([0.5, 0.5]), -1.0, 10)
+    with pytest.raises(ValueError):
+        SingleStageGame(np.array([1.0, 2.0]), np.array([np.nan, 0.5]), 1.0, 10)
+    with pytest.raises(ValueError):
+        SingleStageGame(np.array([np.nan, 2.0]), np.array([0.5, 0.5]), 1.0, 10)
+    with pytest.raises(ValueError):
+        SingleStageGame(np.array([1.0, 2.0]), np.array([0.5, 0.5]), np.inf, 10)
 
 
 def test_assumed_cost_single_player(three_route_game):
@@ -136,3 +142,7 @@ def test_run_rejects_bad_arguments(three_route_game):
         fp_run(three_route_game(10), np.array([0.5, 0.2, 0.2]), days=10)
     with pytest.raises(ValueError):
         fp_run(three_route_game(10), np.full(3, 1 / 3), days=0)
+    with pytest.raises(ValueError, match="simplex"):
+        fp_run(three_route_game(10), np.full(3, np.nan), days=10)
+    with pytest.raises(ValueError, match="2 entries for 3 routes"):
+        fp_run(three_route_game(10), np.array([0.5, 0.5]), days=10)

@@ -38,8 +38,8 @@ def test_sampling_is_reproducible_and_seed_sensitive(three_route):
     a = simulate_population(three_route, solution.policy, 500, seed=7)
     b = simulate_population(three_route, solution.policy, 500, seed=7)
     c = simulate_population(three_route, solution.policy, 500, seed=8)
-    np.testing.assert_array_equal(a.actions, b.actions)
-    assert not np.array_equal(a.actions, c.actions)
+    np.testing.assert_array_equal(a.locations[1:], b.locations[1:])
+    assert not np.array_equal(a.locations[1:], c.locations[1:])
 
 
 def test_tally_consistency_and_deterministic_motion():
@@ -50,7 +50,6 @@ def test_tally_consistency_and_deterministic_motion():
     sample = simulate_population(scenario, policy, n_agents, seed=2)
 
     assert np.all(sample.node_counts.sum(axis=1) == n_agents)
-    np.testing.assert_array_equal(sample.locations[1:], sample.actions)
     g = scenario.graph
     for t in range(scenario.horizon):
         per_node = np.add.reduceat(sample.edge_counts[t], g.row_start[:-1])
@@ -195,7 +194,7 @@ def test_realized_tax_mean_matches_the_exact_expectation(three_route):
     reps = 100_000
     taxes = []
     for sample in simulate_replications(three_route, solution.policy, n_agents, 99, reps):
-        if sample.actions[0, 0] == 2:  # tagged player 0 took the middle route
+        if sample.locations[1, 0] == 2:  # tagged player 0 took the middle route
             k_edge = sample.edge_counts[0, route_edge]
             k_node = sample.node_counts[0, 0]
             taxes.append(math.log(k_edge / k_node) - math.log(1 / 3))
@@ -248,7 +247,7 @@ def test_a_replication_is_re_derived_from_its_own_record(root):
         assert sample.spawn_key == child.spawn_key
         seeds = np.random.SeedSequence(sample.seed, spawn_key=sample.spawn_key)
         again = simulate_population(scenario, policy, 50, seeds)
-        for name in ("locations", "actions", "node_counts", "edge_counts"):
+        for name in ("locations", "node_counts", "edge_counts"):
             assert getattr(again, name).tobytes() == getattr(sample, name).tobytes()
     first, second = (simulate_population(scenario, policy, 50, c) for c in children[:2])
     assert first.spawn_key != second.spawn_key

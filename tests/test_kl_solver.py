@@ -7,6 +7,7 @@ from helpers import (
     assert_rows_stochastic,
     backward_pass_linear,
     decimal_log_phi_three_route,
+    edge_slice,
     grid_search_value,
     random_scenario,
 )
@@ -139,7 +140,7 @@ def test_stage_constant_cost_shift_leaves_policy_invariant():
     g = scenario.graph
     for t in range(scenario.horizon):
         for i in range(g.node_count):
-            sl = g.edge_slice(i)
+            sl = edge_slice(g, i)
             assert np.argmax(base_policy.probs[t, sl]) == np.argmax(shifted_policy.probs[t, sl])
 
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import cost_plain_loop, random_scenario, shortest_path_nodes
+from helpers import cost_plain_loop, edge_slice, random_scenario, shortest_path_nodes
 from mftroute import (
     Distribution,
     PolicyKernel,
@@ -123,7 +123,7 @@ def test_zero_support_edge_is_reported():
     scenario = random_scenario(rng, point_mass_start=True)
     population = random_policy(scenario, rng).probs.copy()
     start = int(np.flatnonzero(scenario.initial.mass)[0])
-    sl = scenario.graph.edge_slice(start)
+    sl = edge_slice(scenario.graph, start)
     population[0, sl.start] = 0.0
     population[0, sl] /= population[0, sl].sum()
     deviation = np.zeros_like(population)

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from helpers import (
     backward_pass_loop,
     deserialize_loop,
+    edge_slice,
     extract_policy_loop,
     random_scenario,
     read_policy_csv_loop,
@@ -69,7 +70,7 @@ def defective_scenarios(draw):
     ref = np.tile((1.0 / np.maximum(degs, 1))[graph.edge_src], (horizon, 1))
     for t in range(horizon):
         for i in draw(st.lists(st.integers(0, node_count - 1), max_size=node_count)):
-            sl = graph.edge_slice(i)
+            sl = edge_slice(graph, i)
             ref[t, sl] = _values(draw, sl.stop - sl.start, st.floats(0.01, 1.0))
     alpha = draw(st.sampled_from([1.0, 0.1, 0.0, -1.0, np.inf, np.nan]))
     mass = np.array(_values(draw, node_count, st.floats(0, 1)), dtype=np.float64)
