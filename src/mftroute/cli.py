@@ -105,8 +105,8 @@ def three_route_scenario(costs=FIG4_COSTS, reference=FIG4_REFERENCE, alpha=FIG4_
     ref_row = np.concatenate([np.asarray(reference, dtype=np.float64), np.ones(routes)])
     return Scenario(
         graph=graph,
-        costs=StageCosts.stationary(cost_row, 1),
-        reference=ReferencePolicy.stationary(ref_row, 1),
+        costs=StageCosts(1, cost_row[None]),
+        reference=ReferencePolicy(ref_row[None]),
         alpha=float(alpha),
         initial=Distribution.point_mass(routes + 1, 0),
     )
@@ -342,6 +342,8 @@ def _cmd_simulate(args) -> int:
         raise ValueError("--reps must be >= 0")
     if args.threads < 0:
         raise ValueError("--threads must be >= 0")
+    if args.agents < 1:
+        raise ValueError("--agents must be >= 1")
     start = time.perf_counter()
     scenario, digests = _load_scenario(args)
     policy = read_policy_csv(args.policy, scenario)

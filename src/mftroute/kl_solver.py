@@ -72,27 +72,22 @@ def _check_policy_shape(scenario: Scenario, policy: PolicyKernel) -> None:
         raise ValueError(f"policy shape {policy.probs.shape}, expected {expect}")
 
 
-def _log_kernel(scenario: Scenario) -> np.ndarray:
-    """Per-(t, edge) log of reference * exp(-cost/alpha), shape (T, E)."""
-    out = np.log(scenario.reference.probs)
-    out -= scenario.edge_costs / scenario.alpha
-    return out
-
-
 def backward_pass(scenario: Scenario) -> LogDesirability:
     """Run the linear backward recursion once, entirely in log domain.
 
     Stage t's table is the per-node log-sum-exp over out-edges of
     log R - C/alpha + log_phi[t+1][dest], with log_phi[T] = 0; each
     node's out-edges are one contiguous segment, shifted by its own max.
+    The kernel is built a stage row at a time, so no (T, E) table is made.
     """
     require_valid(scenario)
     g = scenario.graph
     starts = g.row_start[:-1]
-    log_kernel = _log_kernel(scenario)
     log_phi = np.zeros((scenario.horizon + 1, g.node_count))
     for t in range(scenario.horizon - 1, -1, -1):
-        weights = log_kernel[t] + log_phi[t + 1][g.edge_dst]
+        weights = np.log(scenario.reference.probs[t])
+        weights -= scenario.edge_costs[t] / scenario.alpha
+        weights += log_phi[t + 1][g.edge_dst]
         peak = np.maximum.reduceat(weights, starts)
         log_phi[t] = peak + np.log(np.add.reduceat(np.exp(weights - peak[g.edge_src]), starts))
     return LogDesirability(log_phi, scenario.alpha)
@@ -109,8 +104,9 @@ def extract_policy(scenario: Scenario, desirability: LogDesirability) -> PolicyK
     g = scenario.graph
     if desirability.horizon != scenario.horizon:
         raise ValueError(f"desirability horizon {desirability.horizon}, scenario horizon {scenario.horizon}")
-    # in place, so the (T, E) temporaries stay few
-    log_probs = _log_kernel(scenario)
+    # in place, so the (T, E) temporaries stay few; C order whatever the reference's layout
+    log_probs = np.log(scenario.reference.probs, order="C")
+    log_probs -= scenario.edge_costs / scenario.alpha
     log_probs += desirability.log_phi[1:, g.edge_dst]
     log_probs -= desirability.log_phi[:-1, g.edge_src]
     probs = np.exp(log_probs)

@@ -44,7 +44,8 @@ class InvalidScenarioError(ValueError):
 
 
 def _readonly(arr: np.ndarray, dtype=np.float64) -> np.ndarray:
-    out = np.ascontiguousarray(arr, dtype=dtype)
+    """arr as a read-only array; it is copied only to change its dtype, so a broadcast view stays a view."""
+    out = np.asarray(arr, dtype=dtype)
     out.setflags(write=False)
     return out
 
@@ -130,9 +131,11 @@ class TrafficGraph:
 class StageCosts:
     """Per-stage edge travel costs, stage array shape (T, E).
 
-    ``terminal``, when present, is a per-node cost charged on the final
-    location; it is folded additively into the stage T-1 edge costs (by
-    destination node) when solvers ask for effective costs.
+    A stationary table may be one row broadcast over the stages; every
+    table is kept as given, read-only, with no copy.  ``terminal``, when
+    present, is a per-node cost charged on the final location; it is
+    folded additively into the stage T-1 edge costs (by destination node)
+    when solvers ask for effective costs.
     """
 
     horizon: int
@@ -148,12 +151,6 @@ class StageCosts:
         object.__setattr__(self, "stage", stage)
         if self.terminal is not None:
             object.__setattr__(self, "terminal", _readonly(self.terminal))
-
-    @classmethod
-    def stationary(cls, values: np.ndarray, horizon: int, terminal: np.ndarray | None = None):
-        """Replicate one per-edge cost row across all stages."""
-        row = np.asarray(values, dtype=np.float64)
-        return cls(horizon, np.tile(row, (horizon, 1)), terminal)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StageCosts):
@@ -176,13 +173,10 @@ class ReferencePolicy:
 
     @classmethod
     def uniform(cls, graph: TrafficGraph, horizon: int):
+        """Uniform over each out-neighborhood at every stage: one row, broadcast."""
         degs = np.diff(graph.row_start)
         row = (1.0 / degs.astype(np.float64))[graph.edge_src]
-        return cls(np.tile(row, (horizon, 1)))
-
-    @classmethod
-    def stationary(cls, values: np.ndarray, horizon: int):
-        return cls(np.tile(np.asarray(values, dtype=np.float64), (horizon, 1)))
+        return cls(np.broadcast_to(row, (horizon, graph.edge_count)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ReferencePolicy) and np.array_equal(self.probs, other.probs)
@@ -245,6 +239,59 @@ class Scenario:
         folded[-1] += self.costs.terminal[self.graph.edge_dst]
         return _readonly(folded)
 
+    @cached_property
+    def _violations(self) -> tuple[Violation, ...]:
+        """Every value-level invariant violation, in report order, checked once (see validate)."""
+        out: list[Violation] = []
+        g = self.graph
+
+        if self.horizon < 1:
+            out.append(Violation("horizon", "horizon must be >= 1"))
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            out.append(Violation("alpha", f"alpha must be a positive real, got {self.alpha}"))
+
+        src, dst = g.edge_src, g.edge_dst
+
+        def at(t, e) -> dict:
+            return {"t": int(t), "node": int(src[e]), "dest": int(dst[e])}
+
+        # an edge is a duplicate unless edge_ids finds it: the first of its node with that dest
+        duplicate = g.edge_ids(src, dst) != np.arange(g.edge_count)
+        graph_violations = [
+            Violation("empty_out_neighbors", "node has no out-neighbors", node=int(i))
+            for i in np.flatnonzero(np.diff(g.row_start) == 0)
+        ] + [
+            Violation("duplicate_out_neighbor", "duplicate edge", node=int(src[e]), dest=int(dst[e]))
+            for e in np.flatnonzero(duplicate)
+        ]
+        out.extend(sorted(graph_violations, key=lambda v: v.node))
+
+        for t, e in np.argwhere(~np.isfinite(self.costs.stage)):
+            out.append(Violation("nonfinite_cost", "cost must be finite", **at(t, e)))
+        if self.costs.terminal is not None:
+            for j in np.flatnonzero(~np.isfinite(self.costs.terminal)):
+                out.append(Violation("nonfinite_terminal", "terminal cost must be finite", dest=int(j)))
+
+        # written as ~(ok) so that NaN entries fail
+        ref = self.reference.probs
+        ref_violations = [
+            Violation("reference_nonpositive", f"reference probability {ref[t, e]} must be > 0", **at(t, e))
+            for t, e in np.argwhere(~(ref > 0))
+        ] + [
+            Violation("reference_row_sum", f"reference row sums to {total:.17g}, expected 1", t=t, node=i)
+            for t, i, total in _bad_row_sums(g, ref)
+        ]
+        # stable: each stage's entry violations stay ahead of its row-sum violations
+        out.extend(sorted(ref_violations, key=lambda v: v.t))
+
+        mass = self.initial.mass
+        for i in np.flatnonzero(~np.isfinite(mass) | (mass < 0)):
+            out.append(Violation("initial_negative", f"mass {mass[i]} must be finite and >= 0", node=int(i)))
+        if np.all(np.isfinite(mass)) and abs(float(mass.sum()) - 1.0) > ROW_SUM_TOL:
+            out.append(Violation("initial_sum", f"initial mass sums to {mass.sum():.17g}, expected 1"))
+
+        return tuple(out)
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Scenario)
@@ -287,56 +334,9 @@ def validate(scenario: Scenario) -> list[Violation]:
 
     Violations are data, not exceptions: a Scenario can always be
     constructed from shape-consistent inputs and inspected afterwards.
+    The checks run once per Scenario; each call returns a fresh list.
     """
-    out: list[Violation] = []
-    g = scenario.graph
-
-    if scenario.horizon < 1:
-        out.append(Violation("horizon", "horizon must be >= 1"))
-    if not (math.isfinite(scenario.alpha) and scenario.alpha > 0):
-        out.append(Violation("alpha", f"alpha must be a positive real, got {scenario.alpha}"))
-
-    src, dst = g.edge_src, g.edge_dst
-
-    def at(t, e) -> dict:
-        return {"t": int(t), "node": int(src[e]), "dest": int(dst[e])}
-
-    # an edge is a duplicate unless edge_ids finds it: the first of its node with that dest
-    duplicate = g.edge_ids(src, dst) != np.arange(g.edge_count)
-    graph_violations = [
-        Violation("empty_out_neighbors", "node has no out-neighbors", node=int(i))
-        for i in np.flatnonzero(np.diff(g.row_start) == 0)
-    ] + [
-        Violation("duplicate_out_neighbor", "duplicate edge", node=int(src[e]), dest=int(dst[e]))
-        for e in np.flatnonzero(duplicate)
-    ]
-    out.extend(sorted(graph_violations, key=lambda v: v.node))
-
-    for t, e in np.argwhere(~np.isfinite(scenario.costs.stage)):
-        out.append(Violation("nonfinite_cost", "cost must be finite", **at(t, e)))
-    if scenario.costs.terminal is not None:
-        for j in np.flatnonzero(~np.isfinite(scenario.costs.terminal)):
-            out.append(Violation("nonfinite_terminal", "terminal cost must be finite", dest=int(j)))
-
-    # written as ~(ok) so that NaN entries fail
-    ref = scenario.reference.probs
-    ref_violations = [
-        Violation("reference_nonpositive", f"reference probability {ref[t, e]} must be > 0", **at(t, e))
-        for t, e in np.argwhere(~(ref > 0))
-    ] + [
-        Violation("reference_row_sum", f"reference row sums to {total:.17g}, expected 1", t=t, node=i)
-        for t, i, total in _bad_row_sums(g, ref)
-    ]
-    # stable: each stage's entry violations stay ahead of its row-sum violations
-    out.extend(sorted(ref_violations, key=lambda v: v.t))
-
-    mass = scenario.initial.mass
-    for i in np.flatnonzero(~np.isfinite(mass) | (mass < 0)):
-        out.append(Violation("initial_negative", f"mass {mass[i]} must be finite and >= 0", node=int(i)))
-    if np.all(np.isfinite(mass)) and abs(float(mass.sum()) - 1.0) > ROW_SUM_TOL:
-        out.append(Violation("initial_sum", f"initial mass sums to {mass.sum():.17g}, expected 1"))
-
-    return out
+    return list(scenario._violations)
 
 
 def require_valid(scenario: Scenario) -> None:
@@ -408,7 +408,7 @@ def build_gridworld(
 
     return Scenario(
         graph=graph,
-        costs=StageCosts.stationary(cost_row, horizon, terminal),
+        costs=StageCosts(horizon, np.broadcast_to(cost_row, (horizon, graph.edge_count)), terminal),
         reference=ReferencePolicy.uniform(graph, horizon),
         alpha=float(alpha),
         initial=Distribution.point_mass(node_count, origin),

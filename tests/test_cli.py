@@ -187,10 +187,16 @@ def test_simulate_rejects_negative_reps_and_writes_a_header_for_zero(tmp_path, t
 @pytest.mark.parametrize(
     "args, error",
     [
-        (["simulate", "--policy", "{policy}", "--agents", "10", "--threads", "-3", "--out", "{out}"], "--threads"),
-        (["mfe", "--certify-equalizer", "-1"], "--certify-equalizer"),
+        (["simulate", "--policy", "{policy}", "--agents", "10", "--threads", "-3", "--out", "{out}"],
+         "--threads must be >= 0"),
+        (["mfe", "--certify-equalizer", "-1"], "--certify-equalizer must be >= 0"),
+        # checked before any replication runs, so --reps 0 cannot hide it
+        (["simulate", "--policy", "{policy}", "--agents", "-5", "--reps", "0", "--out", "{out}"],
+         "--agents must be >= 1"),
+        (["simulate", "--policy", "{policy}", "--agents", "0", "--reps", "1", "--out", "{out}"],
+         "--agents must be >= 1"),
     ],
-    ids=["threads", "certify-equalizer"],
+    ids=["threads", "certify-equalizer", "agents-negative-no-reps", "agents-zero"],
 )
 def test_negative_counts_are_data_errors(tmp_path, three_route_file, capsys, args, error):
     policy_csv = tmp_path / "policy.csv"
@@ -198,7 +204,8 @@ def test_negative_counts_are_data_errors(tmp_path, three_route_file, capsys, arg
     capsys.readouterr()
     args = [a.format(policy=policy_csv, out=tmp_path / "sim.csv") for a in args]
     assert main(args[:1] + ["--scenario", str(three_route_file)] + args[1:]) == 1
-    assert capsys.readouterr() == ("", f"error: {error} must be >= 0\n")
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert not (tmp_path / "sim.csv").exists()
 
 
 _THIRDS = f"{1/3!r},{1/3!r},{1/3!r}"
