@@ -244,7 +244,7 @@ def expected_tax_gap(
     node_probs = node_probs[support]
     edge_probs = population_policy.probs[support]
     ref = scenario.reference.probs[support]
-    limits = scenario.alpha * (population_policy.toll_log() - np.log(scenario.reference.probs))[support]
+    limits = scenario.alpha * (population_policy.toll_log()[support] - np.log(ref))
 
     table: dict[int, float] = {}
     for n in n_list:

@@ -75,7 +75,6 @@ def evaluate_policy_cost(
     _check_policy_shape(scenario, population_policy)
     g = scenario.graph
     toll_log = population_policy.toll_log()
-    log_ref = np.log(scenario.reference.probs)
     flow = propagate(scenario, policy)
 
     total = 0.0
@@ -86,7 +85,8 @@ def evaluate_policy_cost(
         if np.any(dead):
             e = int(np.flatnonzero(dead)[0])
             raise ZeroSupportError(t, int(g.edge_src[e]), int(g.edge_dst[e]))
-        stage_cost = scenario.edge_costs[t] + scenario.alpha * (toll_log[t] - log_ref[t])
+        log_ref = np.log(scenario.reference.probs[t])
+        stage_cost = scenario.edge_costs[t] + scenario.alpha * (toll_log[t] - log_ref)
         total += float(edge_flow[used] @ stage_cost[used])
     return total
 

@@ -4,12 +4,20 @@ At a symmetric equilibrium the per-route cost function f_j(q) (travel cost
 plus exact expected toll when everyone routes with probability q) is
 equalized across used routes and no unused route is cheaper.  Each f_j is
 continuous and strictly increasing, so the equilibrium is the unique
-solution of sum_j f_j^{-1}(lambda) = 1, found here by nested bisection:
-an inner bisection inverts every f_j at once, an outer one pins lambda.
+solution of sum_j f_j^{-1}(lambda) = 1.  An outer bisection pins lambda;
+at each of its steps an inner bisection per route inverts f_j.
+
+Two things keep one solve to a few dozen kernel calls.  Every inner
+bisection probes dyadic midpoints of [0, 1], so a per-solve probe table
+holds f_j at every (route, q) asked so far, and only unseen pairs go to
+the kernel, batched.  And an outer step needs only whether the mass
+reaches (or exceeds) one: the inner brackets bound each load, so their
+sums decide the step, often long before the inversions converge.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +54,9 @@ class SingleStageGame:
             raise ValueError(f"reference sums to {self.reference.sum():.17g}, expected 1")
         if not 0 < self.alpha < np.inf:
             raise ValueError(f"alpha must be a positive real, got {self.alpha}")
+        if not (math.isfinite(self.n_players) and self.n_players == int(self.n_players)):
+            raise ValueError(f"n_players must be an integer, got {self.n_players}")
+        object.__setattr__(self, "n_players", int(self.n_players))
         if self.n_players < 1:
             raise ValueError("n_players must be >= 1")
 
@@ -80,40 +91,126 @@ class EquilibriumResult:
         object.__setattr__(self, "residuals", _readonly(self.residuals))
 
 
+class _ProbeTable:
+    """Route costs f_j(q) at every (route, q) one solve has probed.
+
+    Every inversion starts at [0, 1] and halves, so its probes are dyadic
+    midpoints, and the inversion at each new level repeats the prefix
+    that earlier levels walked.  Each pair goes to the kernel once.
+    """
+
+    def __init__(self, game: SingleStageGame):
+        self.game = game
+        self.at_zero = assumed_cost(game, np.zeros(game.route_count))
+        self.at_one = assumed_cost(game, np.ones(game.route_count))
+        self.known: dict[tuple[int, float], float] = {}
+
+    def fetch(self, pairs) -> None:
+        """Add the costs at new (route, q) pairs in one batched kernel call, a column per route."""
+        columns = [[] for _ in range(self.game.route_count)]
+        for j, q in pairs:
+            columns[j].append(q)
+        batch = np.zeros((max(map(len, columns)), self.game.route_count))
+        for j, column in enumerate(columns):
+            batch[: len(column), j] = column
+        costs = assumed_cost(self.game, batch)
+        for j, column in enumerate(columns):
+            self.known.update(zip(((j, q) for q in column), costs[: len(column), j].tolist()))
+
+
+class _Inversions:
+    """Bisections of every route's cost inverse at each level in ``lam``.
+
+    ``lo`` and ``hi``, of shape ``np.shape(lam) + (J,)``, bracket each
+    route's load, clamped to [0, 1]; they are equal once the inversion
+    has converged or clamped.  Each inversion walks on through the probes
+    the table knows and stops at the first it does not.
+    """
+
+    def __init__(self, table: _ProbeTable, lam):
+        self.table = table
+        lam = np.asarray(lam, dtype=np.float64)[..., None]
+        loads = np.where(lam <= table.at_zero, 0.0, 1.0)
+        open_ = (lam > table.at_zero) & (lam < table.at_one)
+        self.shape = loads.shape
+        self._lam = np.broadcast_to(lam, loads.shape).ravel().tolist()
+        self._route = np.broadcast_to(np.arange(table.game.route_count), loads.shape).ravel().tolist()
+        self._lo = np.where(open_, 0.0, loads).ravel().tolist()
+        self._hi = np.where(open_, 1.0, loads).ravel().tolist()
+        self._depth = [0] * len(self._lo)
+        self._walk(range(len(self._lo)))
+
+    @property
+    def lo(self) -> np.ndarray:
+        return np.array(self._lo).reshape(self.shape)
+
+    @property
+    def hi(self) -> np.ndarray:
+        return np.array(self._hi).reshape(self.shape)
+
+    def _walk(self, indices) -> None:
+        known = self.table.known
+        for i in indices:
+            route, lam = self._route[i], self._lam[i]
+            lo, hi, depth = self._lo[i], self._hi[i], self._depth[i]
+            while lo != hi:
+                mid = 0.5 * (lo + hi)
+                if depth == _MAX_BISECT:  # still open: take the last midpoint
+                    lo = hi = mid
+                    break
+                val = known.get((route, mid))
+                if val is None:
+                    break
+                depth += 1
+                if mid == lo or mid == hi or abs(val - lam) <= INNER_TOL:
+                    lo = hi = mid
+                elif val < lam:
+                    lo = mid
+                else:
+                    hi = mid
+            self._lo[i], self._hi[i], self._depth[i] = lo, hi, depth
+
+    def refine(self, levels) -> bool:
+        """Probe the next midpoint of every open inversion at the selected levels, then walk on.
+
+        ``levels`` is a mask over ``lam``, or True for all of them.  The
+        new probes cost one kernel call; returns False, without one, when
+        no selected inversion is open.
+        """
+        selected = np.broadcast_to(np.asarray(levels)[..., None], self.shape).ravel().tolist()
+        open_ = [i for i, lo in enumerate(self._lo) if lo != self._hi[i] and selected[i]]
+        if not open_:
+            return False
+        pairs = dict.fromkeys((self._route[i], 0.5 * (self._lo[i] + self._hi[i])) for i in open_)
+        self.table.fetch(pairs)
+        self._walk(open_)
+        return True
+
+
+def _loads(table: _ProbeTable, lam) -> np.ndarray:
+    """Every route's load at each level in ``lam``, each inversion run to the end."""
+    inversions = _Inversions(table, lam)
+    while inversions.refine(True):
+        pass
+    return inversions.lo
+
+
 def _route_loads(game: SingleStageGame, lam) -> np.ndarray:
     """Per-route inverse of the cost at each level in ``lam``, clamped to [0, 1].
 
-    The result has shape ``np.shape(lam) + (J,)``.  All inversions bisect
-    side by side with one cost evaluation per step; each is frozen once it
-    converges, so it follows the midpoints its own bisection would.
-    Frozen ones are probed at q = 0, which costs no binomial sum, and
-    their brackets are no longer read.
+    The result has shape ``np.shape(lam) + (J,)``.
     """
-    lam = np.asarray(lam, dtype=np.float64)[..., None]
-    at_zero = assumed_cost(game, np.zeros(game.route_count))
-    at_one = assumed_cost(game, np.ones(game.route_count))
-    loads = np.where(lam <= at_zero, 0.0, 1.0)
-    open_ = (lam > at_zero) & (lam < at_one)
-    lo, hi = np.zeros(loads.shape), np.ones(loads.shape)
-    for _ in range(_MAX_BISECT):
-        if not open_.any():
-            break
-        mid = 0.5 * (lo + hi)
-        val = assumed_cost(game, np.where(open_, mid, 0.0))
-        done = open_ & ((mid == lo) | (mid == hi) | (np.abs(val - lam) <= INNER_TOL))
-        loads[done] = mid[done]
-        open_ &= ~done
-        below = val < lam
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    loads[open_] = 0.5 * (lo + hi)[open_]
-    return loads
+    return _loads(_ProbeTable(game), lam)
 
 
-def _mass_bracket(game: SingleStageGame, lo: float, hi: float) -> tuple[float, float]:
+def _mass_bracket(table: _ProbeTable, lo: float, hi: float) -> tuple[float, float]:
     """Bisect for the lambdas where the total mass reaches one and where it exceeds one.
 
-    The two bisections run side by side; they probe the same midpoints
-    until the mass hits exactly one, so the cost kernel sees each probe once.
+    The two bisections run side by side as the rows of one (2, J) load
+    array.  Each route's load lies in its bracket and a float sum in a
+    fixed order is monotone, so the row sums of the brackets bound the
+    row sum of the loads: the inversions stop as soon as those bounds
+    settle both comparisons.
     """
     lo, hi = np.full(2, lo), np.full(2, hi)
     open_ = np.ones(2, dtype=bool)
@@ -122,8 +219,13 @@ def _mass_bracket(game: SingleStageGame, lo: float, hi: float) -> tuple[float, f
         open_ &= (mid != lo) & (mid != hi) & (hi - lo > OUTER_TOL)
         if not open_.any():
             break
-        mass = _route_loads(game, mid).sum(axis=1)
-        above = np.array([mass[0] >= 1.0, mass[1] > 1.0])
+        inversions = _Inversions(table, mid)
+        while True:
+            low, high = inversions.lo.sum(axis=1), inversions.hi.sum(axis=1)
+            above = np.array([low[0] >= 1.0, low[1] > 1.0])
+            settled = ~open_ | above | np.array([high[0] < 1.0, high[1] <= 1.0])
+            if settled.all() or not inversions.refine(~settled):
+                break
         lo, hi = np.where(open_ & ~above, mid, lo), np.where(open_ & above, mid, hi)
     lam_lo, lam_hi = 0.5 * (lo + hi)
     return float(lam_lo), float(lam_hi)
@@ -141,7 +243,8 @@ def solve_symmetric_ne(game: SingleStageGame) -> EquilibriumResult:
     solver splits the mass evenly over the cheapest routes (the symmetric
     member of the equilibrium set).
     """
-    at_zero = assumed_cost(game, np.zeros(game.route_count))
+    table = _ProbeTable(game)
+    at_zero = table.at_zero
     if game.n_players == 1:
         lam = float(at_zero.min())
         best = at_zero == lam
@@ -150,11 +253,11 @@ def solve_symmetric_ne(game: SingleStageGame) -> EquilibriumResult:
         return EquilibriumResult(q, lam, residuals)
 
     lo = float(at_zero.min()) - 1.0
-    hi = float(assumed_cost(game, np.ones(game.route_count)).max()) + 1.0
-    lam_lo, lam_hi = _mass_bracket(game, lo, hi)
+    hi = float(table.at_one.max()) + 1.0
+    lam_lo, lam_hi = _mass_bracket(table, lo, hi)
     lam_mid = 0.5 * (lam_lo + lam_hi)
 
-    q = _route_loads(game, lam_mid)
+    q = _loads(table, lam_mid)
     used = q > 0
     at_q = assumed_cost(game, q)
     # report the multiplier that makes the stationarity conditions sharp

@@ -26,10 +26,13 @@ from mftroute import (
     StageCosts,
     TrafficGraph,
     Violation,
+    assumed_cost,
+    expected_tax_symmetric,
     propagate,
 )
 from mftroute.cli import OBSTACLE_SENTINEL
 from mftroute.scenario import ROW_SUM_TOL, ScenarioFormatError, _bad_row_sums
+from mftroute.symmetric_equilibrium import _MAX_BISECT, INNER_TOL, OUTER_TOL, EquilibriumResult
 
 
 def edge_slice(graph: TrafficGraph, node: int) -> slice:
@@ -121,6 +124,39 @@ def cost_plain_loop(scenario: Scenario, policy: PolicyKernel, population: Policy
                 nxt[j] += flow
         mass = nxt
     return total
+
+
+def evaluate_policy_cost_table_log(
+    scenario: Scenario, policy: PolicyKernel, population: PolicyKernel
+) -> float:
+    """Deviation cost as ``evaluate_policy_cost`` computed it from the log of the whole reference table."""
+    g = scenario.graph
+    toll_log = population.toll_log()
+    log_ref = np.log(scenario.reference.probs)
+    dists = propagate(scenario, policy).distributions
+    total = 0.0
+    for t in range(scenario.horizon):
+        edge_flow = dists[t][g.edge_src] * policy.probs[t]
+        used = edge_flow > 0
+        stage_cost = scenario.edge_costs[t] + scenario.alpha * (toll_log[t] - log_ref[t])
+        total += float(edge_flow[used] @ stage_cost[used])
+    return total
+
+
+def expected_tax_gap_table_log(
+    scenario: Scenario, policy: PolicyKernel, n_list, support_tol: float = 1e-9
+) -> dict:
+    """Per-N gaps as ``expected_tax_gap`` computed them from the log of the whole reference table."""
+    node_probs = propagate(scenario, policy).distributions[:-1, scenario.graph.edge_src]
+    support = node_probs * policy.probs > support_tol
+    limits = scenario.alpha * (policy.toll_log() - np.log(scenario.reference.probs))[support]
+    table = {}
+    for n in n_list:
+        tax = expected_tax_symmetric(
+            n, node_probs[support], policy.probs[support], scenario.reference.probs[support], scenario.alpha
+        )
+        table[n] = float(np.max(np.abs(tax - limits), initial=0.0))
+    return table
 
 
 def grid_search_value(scenario: Scenario, step: float) -> tuple[float, float]:
@@ -321,6 +357,83 @@ def symmetric_ne_scalar(game: SingleStageGame, tol: float = 1e-12, max_bisect: i
     hi = max(cost(j, 1.0) for j in routes) + 1.0
     lam = 0.5 * (boundary(lo, hi, lambda m: m >= 1.0) + boundary(lo, hi, lambda m: m > 1.0))
     return np.array([load(j, lam) for j in routes])
+
+
+def route_loads_bisection(game: SingleStageGame, lam) -> np.ndarray:
+    """Per-route inverse of the cost at each level in ``lam``, clamped to [0, 1].
+
+    The nested-bisection solver's inner layer, which probes every route at
+    every step afresh.  The result has shape ``np.shape(lam) + (J,)``.  All
+    inversions bisect side by side with one cost evaluation per step; each
+    is frozen once it converges, so it follows the midpoints its own
+    bisection would.  Frozen ones are probed at q = 0, which costs no
+    binomial sum, and their brackets are no longer read.
+    """
+    lam = np.asarray(lam, dtype=np.float64)[..., None]
+    at_zero = assumed_cost(game, np.zeros(game.route_count))
+    at_one = assumed_cost(game, np.ones(game.route_count))
+    loads = np.where(lam <= at_zero, 0.0, 1.0)
+    open_ = (lam > at_zero) & (lam < at_one)
+    lo, hi = np.zeros(loads.shape), np.ones(loads.shape)
+    for _ in range(_MAX_BISECT):
+        if not open_.any():
+            break
+        mid = 0.5 * (lo + hi)
+        val = assumed_cost(game, np.where(open_, mid, 0.0))
+        done = open_ & ((mid == lo) | (mid == hi) | (np.abs(val - lam) <= INNER_TOL))
+        loads[done] = mid[done]
+        open_ &= ~done
+        below = val < lam
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    loads[open_] = 0.5 * (lo + hi)[open_]
+    return loads
+
+
+def _mass_bracket_bisection(game: SingleStageGame, lo: float, hi: float) -> tuple[float, float]:
+    """Bisect for the lambdas where the total mass reaches one and where it exceeds one.
+
+    Every step inverts all route costs to completion.
+    """
+    lo, hi = np.full(2, lo), np.full(2, hi)
+    open_ = np.ones(2, dtype=bool)
+    for _ in range(_MAX_BISECT):
+        mid = 0.5 * (lo + hi)
+        open_ &= (mid != lo) & (mid != hi) & (hi - lo > OUTER_TOL)
+        if not open_.any():
+            break
+        mass = route_loads_bisection(game, mid).sum(axis=1)
+        above = np.array([mass[0] >= 1.0, mass[1] > 1.0])
+        lo, hi = np.where(open_ & ~above, mid, lo), np.where(open_ & above, mid, hi)
+    lam_lo, lam_hi = 0.5 * (lo + hi)
+    return float(lam_lo), float(lam_hi)
+
+
+def solve_symmetric_ne_bisection(game: SingleStageGame) -> EquilibriumResult:
+    """Symmetric equilibrium by plain nested bisection, the solver the probe table replaced.
+
+    An outer bisection pins lambda; at each of its steps the inner
+    bisection inverts every route cost to completion, asking the kernel
+    for every probe again.
+    """
+    at_zero = assumed_cost(game, np.zeros(game.route_count))
+    if game.n_players == 1:
+        lam = float(at_zero.min())
+        best = at_zero == lam
+        q = best / best.sum()
+        residuals = np.where(best, 0.0, np.maximum(0.0, lam - at_zero))
+        return EquilibriumResult(q, lam, residuals)
+
+    lo = float(at_zero.min()) - 1.0
+    hi = float(assumed_cost(game, np.ones(game.route_count)).max()) + 1.0
+    lam_lo, lam_hi = _mass_bracket_bisection(game, lo, hi)
+    lam_mid = 0.5 * (lam_lo + lam_hi)
+
+    q = route_loads_bisection(game, lam_mid)
+    used = q > 0
+    at_q = assumed_cost(game, q)
+    lam = float(at_q[used].max())
+    residuals = np.where(used, np.abs(at_q - lam), np.maximum(0.0, lam - at_zero))
+    return EquilibriumResult(q, lam, residuals)
 
 
 def shortest_path_loop(graph: TrafficGraph, total_cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

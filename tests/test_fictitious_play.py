@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from helpers import exact_expected_log_share
-from mftroute import BeliefPath, SingleStageGame, assumed_cost, expected_tax_symmetric, fp_run, fp_step
+from mftroute import (
+    BeliefPath,
+    SingleStageGame,
+    assumed_cost,
+    expected_tax_symmetric,
+    fp_run,
+    fp_step,
+    solve_symmetric_ne,
+)
 
 
 def test_game_construction_rejects_bad_inputs():
@@ -24,6 +32,17 @@ def test_game_construction_rejects_bad_inputs():
         SingleStageGame(np.array([np.nan, 2.0]), np.array([0.5, 0.5]), 1.0, 10)
     with pytest.raises(ValueError):
         SingleStageGame(np.array([1.0, 2.0]), np.array([0.5, 0.5]), np.inf, 10)
+    for n_players in (2.5, 0.5, np.float64(1e5 + 0.5), np.nan, np.inf):
+        with pytest.raises(ValueError, match="n_players must be an integer, got"):
+            SingleStageGame(np.array([1.0, 2.0]), np.array([0.5, 0.5]), 1.0, n_players)
+    with pytest.raises(ValueError, match="n_players must be >= 1"):
+        SingleStageGame(np.array([1.0, 2.0]), np.array([0.5, 0.5]), 1.0, 0.0)
+
+
+def test_integral_float_player_count_is_the_integer(three_route_game):
+    game = SingleStageGame(np.array([2.0, 1.0, 3.0]), np.full(3, 1.0 / 3.0), 1.0, 20.0)
+    assert type(game.n_players) is int and game.n_players == 20
+    assert solve_symmetric_ne(game).q.tobytes() == solve_symmetric_ne(three_route_game(20)).q.tobytes()
 
 
 def test_assumed_cost_single_player(three_route_game):

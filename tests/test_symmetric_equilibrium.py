@@ -4,17 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import exact_expected_log_share, random_game
+from helpers import exact_expected_log_share, random_game, route_loads_bisection, solve_symmetric_ne_bisection
 from mftroute import (
     SingleStageGame,
     assumed_cost,
     extract_policy,
     backward_pass,
+    finite_population,
     solve_single_stage_mfe,
     solve_symmetric_ne,
 )
-from mftroute.cli import three_route_scenario
+from mftroute.cli import FIG4_ALPHA, FIG4_COSTS, FIG4_REFERENCE, three_route_scenario
 from mftroute.symmetric_equilibrium import _route_loads
 
 
@@ -26,6 +29,23 @@ def route_cost(game: SingleStageGame, route: int, q: float) -> float:
 def route_load(game: SingleStageGame, route: int, lam: float) -> float:
     """The solver's inverse of route_cost at one level, clamped to [0, 1]."""
     return float(_route_loads(game, lam)[route])
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+@st.composite
+def tied_games(draw) -> SingleStageGame:
+    """2-8 routes with integer costs and often equal references, so that routes tie."""
+    routes = draw(st.integers(2, 8))
+    costs = draw(st.lists(st.integers(-3, 3), min_size=routes, max_size=routes))
+    mixed = st.lists(st.integers(1, 3), min_size=routes, max_size=routes)
+    weights = draw(st.one_of(st.just([1] * routes), mixed))
+    alpha = draw(st.floats(0.05, 3.0))
+    n_players = draw(st.sampled_from([1, 2, 3, 20, 200, 2000, 20000]))
+    reference = np.array(weights, dtype=np.float64) / sum(weights)
+    return SingleStageGame(np.array(costs, dtype=np.float64), reference, alpha, n_players)
 
 
 # ---------------------------------------------------------------------------
@@ -84,9 +104,54 @@ def test_forward_of_inverse_hits_the_level():
                 assert route_cost(game, j, q) == pytest.approx(lam, abs=1e-10)
 
 
+@settings(max_examples=30)
+@given(tied_games())
+def test_route_loads_match_nested_bisection_bit_for_bit(game):
+    """Levels at, just inside and just outside every route's clamp boundaries, and between them."""
+    at_zero = assumed_cost(game, np.zeros(game.route_count))
+    at_one = assumed_cost(game, np.ones(game.route_count))
+    edges = np.concatenate([at_zero, at_one])
+    lam = np.concatenate(
+        [
+            edges,
+            np.nextafter(edges, -np.inf),
+            np.nextafter(edges, np.inf),
+            np.linspace(at_zero.min() - 1.0, at_one.max() + 1.0, 9),
+        ]
+    )
+    for levels in (lam, lam[:6].reshape(2, 3), lam[7]):
+        got, want = _route_loads(game, levels), route_loads_bisection(game, levels)
+        assert got.shape == want.shape == np.shape(levels) + (game.route_count,)
+        assert np.array_equal(_bits(got), _bits(want))
+
+
 # ---------------------------------------------------------------------------
 # Equilibrium solver
 # ---------------------------------------------------------------------------
+
+@settings(max_examples=60)
+@given(tied_games())
+def test_solver_matches_nested_bisection_bit_for_bit(game):
+    got, want = solve_symmetric_ne(game), solve_symmetric_ne_bisection(game)
+    assert np.array_equal(_bits(got.q), _bits(want.q))
+    assert np.array_equal(_bits(got.lam), _bits(want.lam))
+    assert np.array_equal(_bits(got.residuals), _bits(want.residuals))
+
+
+def test_fig4_solve_makes_few_kernel_calls(monkeypatch):
+    """The fig4 game with N = 200: nested bisection made 1 868 calls to the binomial kernel."""
+    calls = []
+    kernel = finite_population._interior_log_shares
+
+    def counted(n_players, probs):
+        calls.append(len(probs))
+        return kernel(n_players, probs)
+
+    monkeypatch.setattr(finite_population, "_interior_log_shares", counted)
+    game = SingleStageGame(np.array(FIG4_COSTS), np.array(FIG4_REFERENCE), FIG4_ALPHA, 200)
+    solve_symmetric_ne(game)
+    assert 0 < len(calls) <= 200
+
 
 def test_symmetric_game_has_the_uniform_equilibrium():
     for n_players in (1, 2, 7, 64, 500):

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import edge_slice
+from helpers import edge_slice, evaluate_policy_cost_table_log, expected_tax_gap_table_log
 from mftroute import (
     Distribution,
     InvalidScenarioError,
@@ -24,6 +24,7 @@ from mftroute import (
     best_response_finite_n,
     build_gridworld,
     equalizer_gap,
+    evaluate_policy_cost,
     expected_tax_gap,
     extract_policy,
     mfe_solve,
@@ -35,6 +36,7 @@ from mftroute import (
     simulate_population,
     truncate_scenario,
     validate,
+    value,
     write_scenario,
 )
 from mftroute.cli import main
@@ -154,6 +156,48 @@ def test_solve_holds_few_whole_tables(tmp_path):
         tracemalloc.stop()
     table_bytes = horizon * scenario.graph.edge_count * 8
     assert peak / table_bytes <= 5.5
+
+
+@pytest.mark.parametrize("stationary", [True, False], ids=["stationary", "per-stage"])
+@pytest.mark.parametrize("seed", range(4))
+def test_stage_row_logs_of_the_reference_keep_every_bit(seed, stationary):
+    """The deviation cost and the tax gap log the reference per stage or per edge, keeping every bit."""
+    for scenario in _random_grid(seed, stationary, terminal=True):
+        desirability = backward_pass(scenario)
+        policy = extract_policy(scenario, desirability)
+        rng = np.random.default_rng(seed)
+        trials = [random_policy(scenario, rng) for _ in range(3)]
+        v0 = value(desirability, scenario.initial, 0)
+        want_gap = max(abs(evaluate_policy_cost_table_log(scenario, trial, policy) - v0) for trial in trials)
+        got_gap = equalizer_gap(scenario, policy, trials, desirability)
+        assert _bits(got_gap).tobytes() == _bits(want_gap).tobytes()
+        got = expected_tax_gap(scenario, policy, [2, 10, 1000])
+        want = expected_tax_gap_table_log(scenario, policy, [2, 10, 1000])
+        assert _bits(list(got.values())).tobytes() == _bits(list(want.values())).tobytes()
+
+
+def test_deviation_cost_holds_no_whole_table():
+    """evaluate_policy_cost on a stationary 40x40/T60 grid peaks below half of one (T, E) table.
+
+    The (T+1, V) flow is a fifth of a table and every other array is one
+    stage's; the policies and the scenario exist before the call.  A
+    whole-table log of the reference took the peak to 1.28 tables.
+    """
+    width = height = 40
+    horizon = 60
+    wall = [y * width + 20 for y in range(30)]
+    scenario = build_gridworld(width, height, wall, 0, width * height - 1, horizon, 0.1)
+    population = mfe_solve(scenario).policy
+    trial = random_policy(scenario, np.random.default_rng(0))
+    scenario.edge_costs  # the cached cost table is the scenario's, not the call's
+    tracemalloc.start()
+    try:
+        evaluate_policy_cost(scenario, trial, population)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table_bytes = horizon * scenario.graph.edge_count * 8
+    assert peak / table_bytes <= 0.5
 
 
 @pytest.fixture
