@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .kl_solver import PolicyKernel, _check_policy_shape
 from .mean_field import propagate
@@ -30,6 +29,18 @@ GENERATOR_NAME = "pcg64"
 _WINDOW_SQ = 373
 _CHUNK_FLOATS = 1 << 16  # elements per (rows x window) temporary
 
+# expected_tax_gap's floor on an edge's mean-field flow probability
+SUPPORT_TOL = 1e-9
+
+
+def _player_count(n_players) -> int:
+    """n_players as an int; an integral float or numpy integer passes, any other value raises."""
+    if not (math.isfinite(n_players) and n_players == int(n_players)):
+        raise ValueError(f"n_players must be an integer, got {n_players}")
+    if n_players < 1:
+        raise ValueError("n_players must be >= 1")
+    return int(n_players)
+
 
 @lru_cache(maxsize=8)
 def _binomial_tables(n_players: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
@@ -38,6 +49,10 @@ def _binomial_tables(n_players: int) -> tuple[np.ndarray, np.ndarray, int, np.nd
     Returns log C(N-1, k) and log((k + 1) / N) for k = 0..N-1, the window
     half-width, and the window's offsets from its first k.
     """
+    # imported here, not at module level: scipy.special is about half of the
+    # package's start-up, and most commands never reach the toll kernel
+    from scipy.special import gammaln
+
     n = n_players - 1
     k = np.arange(n + 1)
     coeffs = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
@@ -77,8 +92,7 @@ def binomial_expected_log_share(n_players: int, prob):
     summed once, each over the window of the support where the pmf does
     not underflow.
     """
-    if n_players < 1:
-        raise ValueError("n_players must be >= 1")
+    n_players = _player_count(n_players)
     prob = np.asarray(prob, dtype=np.float64)
     out = np.full(prob.shape, np.nan)
     out[prob <= 0.0] = math.log(1.0 / n_players)
@@ -226,30 +240,25 @@ def realized_taxes(sample: PopulationSample, scenario: Scenario) -> tuple[np.nda
 # Convergence diagnostics and finite-N best response
 # ---------------------------------------------------------------------------
 
-def expected_tax_gap(
-    scenario: Scenario,
-    population_policy: PolicyKernel,
-    n_list,
-    support_tol: float = 1e-9,
-) -> dict[int, float]:
+def expected_tax_gap(scenario: Scenario, population_policy: PolicyKernel, n_list) -> dict[int, float]:
     """Per-N worst gap between the exact expected tax and its large-N limit.
 
     The limit on a supported edge is alpha * log(policy / reference); the
     maximum runs over edges whose mean-field flow probability exceeds
-    ``support_tol``.
+    ``SUPPORT_TOL``.
     """
     flow = propagate(scenario, population_policy)
     node_probs = flow.distributions[:-1, scenario.graph.edge_src]
-    support = node_probs * population_policy.probs > support_tol
+    support = node_probs * population_policy.probs > SUPPORT_TOL
     node_probs = node_probs[support]
     edge_probs = population_policy.probs[support]
     ref = scenario.reference.probs[support]
     limits = scenario.alpha * (population_policy.toll_log()[support] - np.log(ref))
 
     table: dict[int, float] = {}
-    for n in n_list:
-        tax = expected_tax_symmetric(int(n), node_probs, edge_probs, ref, scenario.alpha)
-        table[int(n)] = float(np.max(np.abs(tax - limits), initial=0.0))
+    for n in map(_player_count, n_list):
+        tax = expected_tax_symmetric(n, node_probs, edge_probs, ref, scenario.alpha)
+        table[n] = float(np.max(np.abs(tax - limits), initial=0.0))
     return table
 
 
@@ -278,10 +287,11 @@ def best_response_finite_n(
     _check_policy_shape(scenario, population_policy)
     flow = propagate(scenario, population_policy)
     node_probs = flow.distributions[:-1, scenario.graph.edge_src]
-    tax = expected_tax_symmetric(
+    total_cost = expected_tax_symmetric(
         n_players, node_probs, population_policy.probs, scenario.reference.probs, scenario.alpha
     )
-    total_cost = scenario.edge_costs + tax
+    for t in range(scenario.horizon):
+        np.add(scenario.stage_costs(t), total_cost[t], out=total_cost[t])
     probs, values = _shortest_path(scenario.graph, total_cost)
 
     edge_flow = node_probs * population_policy.probs

@@ -54,10 +54,6 @@ class PolicyKernel:
         if self.log_probs is not None:
             object.__setattr__(self, "log_probs", _readonly(np.atleast_2d(self.log_probs)))
 
-    @property
-    def horizon(self) -> int:
-        return self.probs.shape[0]
-
     def toll_log(self) -> np.ndarray:
         """Log probabilities for toll evaluation; -inf marks true zeros."""
         if self.log_probs is not None:
@@ -70,6 +66,14 @@ def _check_policy_shape(scenario: Scenario, policy: PolicyKernel) -> None:
     expect = (scenario.horizon, scenario.graph.edge_count)
     if policy.probs.shape != expect:
         raise ValueError(f"policy shape {policy.probs.shape}, expected {expect}")
+
+
+def _log_weights(scenario: Scenario, log_phi_next: np.ndarray, t: int) -> np.ndarray:
+    """Stage t's unnormalized log kernel row: log R[t] - C_t/alpha + log_phi[t+1][dest]."""
+    weights = np.log(scenario.reference.probs[t])
+    weights -= scenario.stage_costs(t) / scenario.alpha
+    weights += log_phi_next[scenario.graph.edge_dst]
+    return weights
 
 
 def backward_pass(scenario: Scenario) -> LogDesirability:
@@ -85,9 +89,7 @@ def backward_pass(scenario: Scenario) -> LogDesirability:
     starts = g.row_start[:-1]
     log_phi = np.zeros((scenario.horizon + 1, g.node_count))
     for t in range(scenario.horizon - 1, -1, -1):
-        weights = np.log(scenario.reference.probs[t])
-        weights -= scenario.edge_costs[t] / scenario.alpha
-        weights += log_phi[t + 1][g.edge_dst]
+        weights = _log_weights(scenario, log_phi[t + 1], t)
         peak = np.maximum.reduceat(weights, starts)
         log_phi[t] = peak + np.log(np.add.reduceat(np.exp(weights - peak[g.edge_src]), starts))
     return LogDesirability(log_phi, scenario.alpha)
@@ -99,20 +101,19 @@ def extract_policy(scenario: Scenario, desirability: LogDesirability) -> PolicyK
     Rows are renormalized to machine-exact stochasticity after
     exponentiation; the pre-normalization row sums already equal one up to
     float rounding because each row's log normalizer is its own log_phi
-    entry.
+    entry.  The two (T, E) outputs are filled a stage row at a time.
     """
     g = scenario.graph
     if desirability.horizon != scenario.horizon:
         raise ValueError(f"desirability horizon {desirability.horizon}, scenario horizon {scenario.horizon}")
-    # in place, so the (T, E) temporaries stay few; C order whatever the reference's layout
-    log_probs = np.log(scenario.reference.probs, order="C")
-    log_probs -= scenario.edge_costs / scenario.alpha
-    log_probs += desirability.log_phi[1:, g.edge_dst]
-    log_probs -= desirability.log_phi[:-1, g.edge_src]
-    probs = np.exp(log_probs)
-    row_sums = np.add.reduceat(probs, g.row_start[:-1], axis=1)
-    probs /= row_sums[:, g.edge_src]
-    log_probs -= np.log(row_sums)[:, g.edge_src]
+    probs, log_probs = np.empty((2, scenario.horizon, g.edge_count))
+    for t, (row, log_row) in enumerate(zip(probs, log_probs)):
+        log_row[:] = _log_weights(scenario, desirability.log_phi[t + 1], t)
+        log_row -= desirability.log_phi[t][g.edge_src]
+        np.exp(log_row, out=row)
+        row_sums = np.add.reduceat(row, g.row_start[:-1])
+        row /= row_sums[g.edge_src]
+        log_row -= np.log(row_sums)[g.edge_src]
     return PolicyKernel(probs, log_probs)
 
 

@@ -38,9 +38,6 @@ class FlowTrajectory:
     def __post_init__(self):
         object.__setattr__(self, "distributions", _readonly(self.distributions))
 
-    @property
-    def horizon(self) -> int:
-        return self.distributions.shape[0] - 1
 
 @dataclass(frozen=True, eq=False)
 class MeanFieldSolution:
@@ -86,7 +83,7 @@ def evaluate_policy_cost(
             e = int(np.flatnonzero(dead)[0])
             raise ZeroSupportError(t, int(g.edge_src[e]), int(g.edge_dst[e]))
         log_ref = np.log(scenario.reference.probs[t])
-        stage_cost = scenario.edge_costs[t] + scenario.alpha * (toll_log[t] - log_ref)
+        stage_cost = scenario.stage_costs(t) + scenario.alpha * (toll_log[t] - log_ref)
         total += float(edge_flow[used] @ stage_cost[used])
     return total
 

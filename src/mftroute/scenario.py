@@ -230,14 +230,14 @@ class Scenario:
     def horizon(self) -> int:
         return self.costs.horizon
 
-    @cached_property
-    def edge_costs(self) -> np.ndarray:
-        """Effective (T, E) costs with the terminal cost folded into stage T-1."""
-        if self.costs.terminal is None:
-            return self.costs.stage
-        folded = self.costs.stage.copy()
-        folded[-1] += self.costs.terminal[self.graph.edge_dst]
-        return _readonly(folded)
+    def stage_costs(self, t: int) -> np.ndarray:
+        """Stage t's effective (E,) edge costs, 0 <= t < T: a view of costs.stage[t], plus terminal[dest] at T-1."""
+        if not 0 <= t < self.horizon:
+            raise ValueError(f"stage {t} outside 0..{self.horizon - 1}")
+        row = self.costs.stage[t]
+        if t < self.horizon - 1 or self.costs.terminal is None:
+            return row
+        return row + self.costs.terminal[self.graph.edge_dst]
 
     @cached_property
     def _violations(self) -> tuple[Violation, ...]:
@@ -686,6 +686,7 @@ def deserialize(text: str) -> Scenario:
         stationary = value.lower() == "true"
 
     mass = np.zeros(node_count)
+    seen: set[int] = set()
     lineno, value = params["initial"]
     for part in value.split(","):
         part = part.strip()
@@ -697,6 +698,9 @@ def deserialize(text: str) -> Scenario:
         node = _parse(int, node_tok.strip(), lineno, "initial node")
         if not 0 <= node < node_count:
             raise ScenarioFormatError(f"line {lineno}: initial node {node} outside 0..{node_count - 1}")
+        if node in seen:
+            raise ScenarioFormatError(f"line {lineno}: duplicate initial node {node}")
+        seen.add(node)
         mass[node] = _parse(float, mass_tok.strip(), lineno, "initial mass")
 
     def graph_line(lineno: int, tokens: list[str]) -> None:

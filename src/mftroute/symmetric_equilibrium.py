@@ -17,12 +17,11 @@ sums decide the step, often long before the inversions converge.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_population import expected_tax_symmetric
+from .finite_population import _player_count, expected_tax_symmetric
 from .scenario import ROW_SUM_TOL, _readonly
 
 INNER_TOL = 1e-12  # |f(q) - lambda| target for the per-route inversion
@@ -54,11 +53,7 @@ class SingleStageGame:
             raise ValueError(f"reference sums to {self.reference.sum():.17g}, expected 1")
         if not 0 < self.alpha < np.inf:
             raise ValueError(f"alpha must be a positive real, got {self.alpha}")
-        if not (math.isfinite(self.n_players) and self.n_players == int(self.n_players)):
-            raise ValueError(f"n_players must be an integer, got {self.n_players}")
-        object.__setattr__(self, "n_players", int(self.n_players))
-        if self.n_players < 1:
-            raise ValueError("n_players must be >= 1")
+        object.__setattr__(self, "n_players", _player_count(self.n_players))
 
     @property
     def route_count(self) -> int:

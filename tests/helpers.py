@@ -40,6 +40,14 @@ def edge_slice(graph: TrafficGraph, node: int) -> slice:
     return slice(int(graph.row_start[node]), int(graph.row_start[node + 1]))
 
 
+def folded_costs(scenario: Scenario) -> np.ndarray:
+    """Effective (T, E) costs: a copy of the stage table with the terminal cost folded into stage T-1."""
+    folded = scenario.costs.stage.copy()
+    if scenario.costs.terminal is not None:
+        folded[-1] += scenario.costs.terminal[scenario.graph.edge_dst]
+    return folded
+
+
 def random_scenario(
     rng: np.random.Generator,
     max_nodes: int = 10,
@@ -89,6 +97,7 @@ def backward_pass_linear(scenario: Scenario) -> np.ndarray:
     """Naive linear-domain desirability recursion (plain loops, no LSE)."""
     g = scenario.graph
     t_count = scenario.horizon
+    costs = folded_costs(scenario)
     phi = np.ones((t_count + 1, g.node_count))
     for t in range(t_count - 1, -1, -1):
         for i in range(g.node_count):
@@ -97,7 +106,7 @@ def backward_pass_linear(scenario: Scenario) -> np.ndarray:
                 e = g.row_start[i] + k
                 total += (
                     scenario.reference.probs[t, e]
-                    * math.exp(-scenario.edge_costs[t, e] / scenario.alpha)
+                    * math.exp(-costs[t, e] / scenario.alpha)
                     * phi[t + 1, j]
                 )
             phi[t, i] = total
@@ -107,6 +116,7 @@ def backward_pass_linear(scenario: Scenario) -> np.ndarray:
 def cost_plain_loop(scenario: Scenario, policy: PolicyKernel, population: PolicyKernel) -> float:
     """Deviation cost by direct summation with Python loops and dict state."""
     g = scenario.graph
+    costs = folded_costs(scenario)
     mass = {i: float(scenario.initial.mass[i]) for i in range(g.node_count)}
     total = 0.0
     for t in range(scenario.horizon):
@@ -120,7 +130,7 @@ def cost_plain_loop(scenario: Scenario, policy: PolicyKernel, population: Policy
                         math.log(float(population.probs[t, e]))
                         - math.log(float(scenario.reference.probs[t, e]))
                     )
-                    total += flow * (float(scenario.edge_costs[t, e]) + toll)
+                    total += flow * (float(costs[t, e]) + toll)
                 nxt[j] += flow
         mass = nxt
     return total
@@ -133,12 +143,13 @@ def evaluate_policy_cost_table_log(
     g = scenario.graph
     toll_log = population.toll_log()
     log_ref = np.log(scenario.reference.probs)
+    costs = folded_costs(scenario)
     dists = propagate(scenario, policy).distributions
     total = 0.0
     for t in range(scenario.horizon):
         edge_flow = dists[t][g.edge_src] * policy.probs[t]
         used = edge_flow > 0
-        stage_cost = scenario.edge_costs[t] + scenario.alpha * (toll_log[t] - log_ref[t])
+        stage_cost = costs[t] + scenario.alpha * (toll_log[t] - log_ref[t])
         total += float(edge_flow[used] @ stage_cost[used])
     return total
 
@@ -170,6 +181,7 @@ def grid_search_value(scenario: Scenario, step: float) -> tuple[float, float]:
     """
     g = scenario.graph
     t_count = scenario.horizon
+    costs = folded_costs(scenario)
     grid = np.arange(0.0, 1.0 + step / 2, step)
     grid[-1] = 1.0
 
@@ -189,8 +201,8 @@ def grid_search_value(scenario: Scenario, step: float) -> tuple[float, float]:
             assert sl.stop - sl.start == 2, "grid oracle handles out-degree 2 only"
             e0, e1 = sl.start, sl.start + 1
             j0, j1 = int(g.edge_dst[e0]), int(g.edge_dst[e1])
-            rho0 = float(scenario.edge_costs[t, e0]) + values[j0]
-            rho1 = float(scenario.edge_costs[t, e1]) + values[j1]
+            rho0 = float(costs[t, e0]) + values[j0]
+            rho1 = float(costs[t, e1]) + values[j1]
             ref0 = float(scenario.reference.probs[t, e0])
             ref1 = float(scenario.reference.probs[t, e1])
             obj = row_objective(rho0, rho1, ref0, ref1, grid)
@@ -563,10 +575,10 @@ def _segment_lse_loop(values: np.ndarray, row_start: np.ndarray, seg_id: np.ndar
     return peak + np.log(np.add.reduceat(shifted, row_start[:-1]))
 
 
-def _log_weights_loop(scenario: Scenario, log_phi_next: np.ndarray, t: int) -> np.ndarray:
+def _log_weights_loop(scenario: Scenario, costs: np.ndarray, log_phi_next: np.ndarray, t: int) -> np.ndarray:
     return (
         np.log(scenario.reference.probs[t])
-        - scenario.edge_costs[t] / scenario.alpha
+        - costs[t] / scenario.alpha
         + log_phi_next[scenario.graph.edge_dst]
     )
 
@@ -574,19 +586,21 @@ def _log_weights_loop(scenario: Scenario, log_phi_next: np.ndarray, t: int) -> n
 def backward_pass_loop(scenario: Scenario) -> np.ndarray:
     """Log-desirability table (T+1, V), one stage's log weights at a time."""
     g = scenario.graph
+    costs = folded_costs(scenario)
     log_phi = np.zeros((scenario.horizon + 1, g.node_count))
     for t in range(scenario.horizon - 1, -1, -1):
-        log_phi[t] = _segment_lse_loop(_log_weights_loop(scenario, log_phi[t + 1], t), g.row_start, g.edge_src)
+        log_phi[t] = _segment_lse_loop(_log_weights_loop(scenario, costs, log_phi[t + 1], t), g.row_start, g.edge_src)
     return log_phi
 
 
 def extract_policy_loop(scenario: Scenario, log_phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(probs, log_probs), each (T, E), one stage at a time."""
     g = scenario.graph
+    costs = folded_costs(scenario)
     probs = np.empty((scenario.horizon, g.edge_count))
     log_probs = np.empty((scenario.horizon, g.edge_count))
     for t in range(scenario.horizon):
-        raw_log = _log_weights_loop(scenario, log_phi[t + 1], t)
+        raw_log = _log_weights_loop(scenario, costs, log_phi[t + 1], t)
         raw_log -= log_phi[t][g.edge_src]
         raw = np.exp(raw_log)
         row_sums = np.add.reduceat(raw, g.row_start[:-1])
@@ -805,6 +819,7 @@ def deserialize_loop(text: str) -> Scenario:
         stationary = value.lower() == "true"
 
     mass = np.zeros(node_count)
+    seen: set[int] = set()
     lineno, value = params["initial"]
     for part in value.split(","):
         part = part.strip()
@@ -816,6 +831,9 @@ def deserialize_loop(text: str) -> Scenario:
         node = _parse_loop(int, node_tok.strip(), lineno, "initial node")
         if not 0 <= node < node_count:
             raise ScenarioFormatError(f"line {lineno}: initial node {node} outside 0..{node_count - 1}")
+        if node in seen:
+            raise ScenarioFormatError(f"line {lineno}: duplicate initial node {node}")
+        seen.add(node)
         mass[node] = _parse_loop(float, mass_tok.strip(), lineno, "initial mass")
 
     if not sections["graph"]:

@@ -317,3 +317,25 @@ def test_best_response_output_can_be_fed_back(three_route):
     br = best_response_finite_n(three_route, solution.policy, 50)
     again = best_response_finite_n(three_route, br.policy, 50)
     assert again.epsilon >= -1e-10
+
+
+def test_integral_player_counts_of_any_type_give_the_int_results(three_route):
+    policy = mfe_solve(three_route).policy
+    for n, alias in ((2, 2.0), (3, np.int64(3)), (40, np.float64(40.0))):
+        assert binomial_expected_log_share(alias, 0.3) == binomial_expected_log_share(n, 0.3)
+        assert expected_tax_gap(three_route, policy, [alias]) == expected_tax_gap(three_route, policy, [n])
+        got, want = best_response_finite_n(three_route, policy, alias), best_response_finite_n(three_route, policy, n)
+        assert got.epsilon == want.epsilon and np.array_equal(got.state_values, want.state_values)
+    assert [type(n) for n in expected_tax_gap(three_route, policy, [2.0, np.int64(3)])] == [int, int]
+
+
+@pytest.mark.parametrize("n_players", [2.5, math.nan, math.inf])
+def test_a_non_integral_player_count_is_rejected(three_route, n_players):
+    policy = mfe_solve(three_route).policy
+    message = f"n_players must be an integer, got {n_players}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        binomial_expected_log_share(n_players, 0.3)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        best_response_finite_n(three_route, policy, n_players)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        expected_tax_gap(three_route, policy, [10, n_players])

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -51,3 +54,20 @@ def test_package_imports_sit_at_module_level():
         if node not in tree.body
     ]
     assert local == []
+
+
+def test_scipy_special_loads_with_the_toll_kernel_not_with_the_cli():
+    """Importing scipy.special is about half of the start-up; commands that skip the toll kernel skip it."""
+    script = (
+        "import sys\n"
+        "import mftroute.cli\n"
+        "print('scipy.special' in sys.modules)\n"
+        "from mftroute.finite_population import binomial_expected_log_share\n"
+        "binomial_expected_log_share(3, 0.5)\n"
+        "print('scipy.special' in sys.modules)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False", "True"]

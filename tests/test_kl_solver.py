@@ -8,6 +8,7 @@ from helpers import (
     backward_pass_linear,
     decimal_log_phi_three_route,
     edge_slice,
+    folded_costs,
     grid_search_value,
     random_scenario,
 )
@@ -92,10 +93,11 @@ def test_pre_normalization_row_sums_hit_one():
     scenario = random_scenario(rng)
     g = scenario.graph
     desirability = backward_pass(scenario)
+    costs = folded_costs(scenario)
     for t in range(scenario.horizon):
         raw_log = (
             np.log(scenario.reference.probs[t])
-            - scenario.edge_costs[t] / scenario.alpha
+            - costs[t] / scenario.alpha
             + desirability.log_phi[t + 1][g.edge_dst]
             - desirability.log_phi[t][g.edge_src]
         )
@@ -115,7 +117,7 @@ def test_log_domain_agrees_with_linear_recursion_in_safe_range():
     rng = np.random.default_rng(7)
     for _ in range(5):
         scenario = random_scenario(rng, cost_bound=5.0, alpha_range=(0.25, 10.0))
-        assert np.max(np.abs(scenario.edge_costs)) / scenario.alpha <= 20.0
+        assert np.max(np.abs(folded_costs(scenario))) / scenario.alpha <= 20.0
         log_phi = backward_pass(scenario).log_phi
         linear_phi = backward_pass_linear(scenario)
         np.testing.assert_allclose(np.exp(log_phi), linear_phi, rtol=1e-10)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import edge_slice, random_scenario
+from helpers import edge_slice, folded_costs, random_scenario
 from mftroute import (
     Distribution,
     InvalidScenarioError,
@@ -166,7 +166,7 @@ def test_gridworld_obstacle_edges_carry_move_plus_penalty():
     assert scenario.costs.stage[0, e] == 100001.0
     # terminal stage folds in 10 * sqrt(manhattan distance to the destination)
     expected_terminal = 10.0 * math.sqrt(abs(1 - 1) + abs(1 - 0))
-    assert scenario.edge_costs[1, e] == 100001.0 + expected_terminal
+    assert folded_costs(scenario)[1, e] == 100001.0 + expected_terminal
     # staying put is free, plain moves cost one
     self_e = g.edge_index(0, 0)
     move_e = g.edge_index(0, grid_node(2, 1, 0))
@@ -260,6 +260,15 @@ def test_duplicate_terminal_line_rejected_with_its_line():
     with pytest.raises(
         ScenarioFormatError, match=rf"^line {first + 1}: duplicate terminal cost for node 0 \(first on line {first}\)$"
     ):
+        deserialize("\n".join(lines))
+
+
+@pytest.mark.parametrize("initial", ["0:1,0:1", "0:0.25,1:0.75,0:0.25"])
+def test_duplicate_initial_node_rejected_with_its_line(initial):
+    lines = serialize(build_gridworld(2, 2, (), 0, 3, 2, 1.0)).splitlines()
+    at = next(n for n, line in enumerate(lines, start=1) if line.startswith("initial"))
+    lines[at - 1] = f"initial = {initial}"
+    with pytest.raises(ScenarioFormatError, match=rf"^line {at}: duplicate initial node 0$"):
         deserialize("\n".join(lines))
 
 

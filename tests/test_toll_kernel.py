@@ -21,6 +21,7 @@ from helpers import (
     binomial_expected_log_share_scalar,
     expected_tax_gap_loop,
     expected_tax_table_loop,
+    folded_costs,
     random_game,
     random_scenario,
     shortest_path_loop,
@@ -211,7 +212,7 @@ def test_best_response_on_random_grids_matches_the_loop():
         tax = expected_tax_symmetric(
             n_players, node_probs, population.probs, scenario.reference.probs, scenario.alpha
         )
-        total_cost = scenario.edge_costs + tax
+        total_cost = folded_costs(scenario) + tax
         loop_probs, loop_values = shortest_path_loop(scenario.graph, total_cost)
         np.testing.assert_array_equal(br.policy.probs, loop_probs)
         np.testing.assert_array_equal(br.state_values, loop_values)
