@@ -58,6 +58,70 @@ def propagate(scenario: Scenario, policy: PolicyKernel) -> FlowTrajectory:
     return FlowTrajectory(dists)
 
 
+def _deviation_costs(
+    scenario: Scenario, trials: list[PolicyKernel], population_policy: PolicyKernel
+) -> list[float]:
+    """Cost of each trial deviating alone against ``population_policy``, in one pass over the stages.
+
+    Each stage builds the population's toll row once, stacks the K trials'
+    rows into one (K, E) flow, adds each trial's masked dot, and advances
+    all K distributions with one bincount: bin k*V + dest sums trial k's
+    edges in edge order, as a bincount over trial k alone would.  A trial
+    stops at its first fault, a negative or NaN entry (ValueError) or mass
+    on a zero-support edge (ZeroSupportError); the lowest failed trial's
+    fault is raised, as evaluating the trials one after another would.
+    """
+    for trial in trials:
+        _check_policy_shape(scenario, trial)
+    _check_policy_shape(scenario, population_policy)
+    g = scenario.graph
+    k_count, v = len(trials), g.node_count
+    toll_log = population_policy.toll_log()
+    bins = (np.arange(k_count)[:, None] * v + g.edge_dst).ravel()
+    dists = np.tile(scenario.initial.mass, (k_count, 1))
+    edge_flow = np.empty((k_count, g.edge_count))
+    totals = [0.0] * k_count
+    faults: dict[int, ValueError] = {}
+    for t in range(scenario.horizon):
+        for row, trial in zip(edge_flow, trials):
+            row[:] = trial.probs[t]
+        bad = ~(edge_flow >= 0)
+        # np.take keeps the gather C-ordered; dists[:, edge_src] is Fortran-ordered and
+        # made this product several times slower
+        edge_flow *= np.take(dists, g.edge_src, axis=1)
+        used = edge_flow > 0
+        dead = used & np.isneginf(toll_log[t])
+        for k in np.flatnonzero((bad | dead).any(axis=1)).tolist():
+            if k not in faults:
+                faults[k] = _fault(scenario, trials[k], k, t, bad[k], dead[k])
+        if 0 in faults:  # trial 0's fault is the one raised, whatever later stages find
+            break
+        log_ref = np.log(scenario.reference.probs[t])
+        stage_cost = scenario.stage_costs(t) + scenario.alpha * (toll_log[t] - log_ref)
+        for k in range(k_count):
+            if k not in faults:
+                totals[k] += float(edge_flow[k][used[k]] @ stage_cost[used[k]])
+        dists = np.bincount(bins, weights=edge_flow.ravel(), minlength=k_count * v).reshape(k_count, v)
+    if faults:
+        raise faults[min(faults)]
+    return totals
+
+
+def _fault(
+    scenario: Scenario, trial: PolicyKernel, k: int, t: int, bad: np.ndarray, dead: np.ndarray
+) -> ValueError:
+    """Trial k's fault at stage t: its first entry that is not >= 0, else its first zero-support edge."""
+    g = scenario.graph
+    e = int(np.flatnonzero(bad if bad.any() else dead)[0])
+    node, dest = int(g.edge_src[e]), int(g.edge_dst[e])
+    if bad.any():
+        return ValueError(
+            f"trial policy {k} has probability {float(trial.probs[t, e])!r} at stage {t}, node {node}, "
+            f"edge to {dest}; routing probabilities must be >= 0"
+        )
+    return ZeroSupportError(t, node, dest)
+
+
 def evaluate_policy_cost(
     scenario: Scenario, policy: PolicyKernel, population_policy: PolicyKernel
 ) -> float:
@@ -65,27 +129,12 @@ def evaluate_policy_cost(
 
     The deviator's own flow weights each stage; the population enters only
     through the limiting toll alpha * log(population policy / reference).
-    Raises ZeroSupportError when the deviation is weighted onto an edge
-    with zero population probability.
+    The flow goes forward a stage row at a time, so no (T+1, V) flow table
+    is made.  Raises ZeroSupportError when the deviation is weighted onto an
+    edge with zero population probability, and ValueError when ``policy``
+    has a negative or NaN entry.
     """
-    _check_policy_shape(scenario, policy)
-    _check_policy_shape(scenario, population_policy)
-    g = scenario.graph
-    toll_log = population_policy.toll_log()
-    flow = propagate(scenario, policy)
-
-    total = 0.0
-    for t in range(scenario.horizon):
-        edge_flow = flow.distributions[t][g.edge_src] * policy.probs[t]
-        used = edge_flow > 0
-        dead = used & np.isneginf(toll_log[t])
-        if np.any(dead):
-            e = int(np.flatnonzero(dead)[0])
-            raise ZeroSupportError(t, int(g.edge_src[e]), int(g.edge_dst[e]))
-        log_ref = np.log(scenario.reference.probs[t])
-        stage_cost = scenario.stage_costs(t) + scenario.alpha * (toll_log[t] - log_ref)
-        total += float(edge_flow[used] @ stage_cost[used])
-    return total
+    return _deviation_costs(scenario, [policy], population_policy)[0]
 
 
 def equalizer_gap(
@@ -98,14 +147,16 @@ def equalizer_gap(
 
     When the population policy is the optimal kernel from the backward
     pass, the gap vanishes (up to float error): the population equalizes
-    the cost of every admissible deviation.
+    the cost of every admissible deviation.  ``trial_policies`` is read
+    into a list and all trials are evaluated in one forward pass, so every
+    trial's table is held at once; the first failed trial's error is raised.
     """
+    trials = list(trial_policies)
     if desirability is None:
         desirability = backward_pass(scenario)
     v0 = value(desirability, scenario.initial, 0)
     gap = 0.0
-    for trial in trial_policies:
-        cost = evaluate_policy_cost(scenario, trial, population_policy)
+    for cost in _deviation_costs(scenario, trials, population_policy):
         gap = max(gap, abs(cost - v0))
     return gap
 
@@ -119,8 +170,13 @@ def mfe_solve(scenario: Scenario) -> MeanFieldSolution:
 
 
 def random_policy(scenario: Scenario, rng: np.random.Generator) -> PolicyKernel:
-    """Full-support routing kernel with each row drawn flat over its simplex."""
+    """Full-support routing kernel with each row drawn flat over its simplex.
+
+    The (T, E) exponential draws are divided by their node sums in place,
+    a stage row at a time, so the table is the only whole (T, E) array.
+    """
     g = scenario.graph
-    draws = rng.standard_exponential((scenario.horizon, g.edge_count))
-    row_sums = np.add.reduceat(draws, g.row_start[:-1], axis=1)
-    return PolicyKernel(draws / row_sums[:, g.edge_src])
+    probs = rng.standard_exponential((scenario.horizon, g.edge_count))
+    for row in probs:
+        row /= np.add.reduceat(row, g.row_start[:-1])[g.edge_src]
+    return PolicyKernel(probs)

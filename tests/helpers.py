@@ -26,6 +26,7 @@ from mftroute import (
     StageCosts,
     TrafficGraph,
     Violation,
+    ZeroSupportError,
     assumed_cost,
     expected_tax_symmetric,
     propagate,
@@ -152,6 +153,48 @@ def evaluate_policy_cost_table_log(
         stage_cost = costs[t] + scenario.alpha * (toll_log[t] - log_ref[t])
         total += float(edge_flow[used] @ stage_cost[used])
     return total
+
+
+def evaluate_policy_cost_per_trial(
+    scenario: Scenario, policy: PolicyKernel, population: PolicyKernel
+) -> float:
+    """Deviation cost of one trial: its whole flow from ``propagate``, then a second walk over the stages.
+
+    The reference for the one-pass kernel behind ``evaluate_policy_cost``
+    and ``equalizer_gap``: the same float operations in the same order,
+    the population's toll row rebuilt for every trial.
+    """
+    g = scenario.graph
+    toll_log = population.toll_log()
+    dists = propagate(scenario, policy).distributions
+    total = 0.0
+    for t in range(scenario.horizon):
+        edge_flow = dists[t][g.edge_src] * policy.probs[t]
+        used = edge_flow > 0
+        dead = used & np.isneginf(toll_log[t])
+        if np.any(dead):
+            e = int(np.flatnonzero(dead)[0])
+            raise ZeroSupportError(t, int(g.edge_src[e]), int(g.edge_dst[e]))
+        log_ref = np.log(scenario.reference.probs[t])
+        stage_cost = scenario.stage_costs(t) + scenario.alpha * (toll_log[t] - log_ref)
+        total += float(edge_flow[used] @ stage_cost[used])
+    return total
+
+
+def equalizer_gap_per_trial(scenario: Scenario, population: PolicyKernel, trials, v0: float) -> float:
+    """Max |cost - v0| over the trials, evaluated one trial after another."""
+    gap = 0.0
+    for trial in trials:
+        gap = max(gap, abs(evaluate_policy_cost_per_trial(scenario, trial, population) - v0))
+    return gap
+
+
+def random_policy_one_shot(scenario: Scenario, rng: np.random.Generator) -> PolicyKernel:
+    """``random_policy``'s draws normalized in one whole-table division by their (T, V) node sums."""
+    g = scenario.graph
+    draws = rng.standard_exponential((scenario.horizon, g.edge_count))
+    row_sums = np.add.reduceat(draws, g.row_start[:-1], axis=1)
+    return PolicyKernel(draws / row_sums[:, g.edge_src])
 
 
 def expected_tax_gap_table_log(

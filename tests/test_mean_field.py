@@ -3,13 +3,24 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import cost_plain_loop, edge_slice, random_scenario, shortest_path_nodes
+from helpers import (
+    cost_plain_loop,
+    edge_slice,
+    equalizer_gap_per_trial,
+    evaluate_policy_cost_per_trial,
+    random_policy_one_shot,
+    random_scenario,
+    shortest_path_nodes,
+)
 from mftroute import (
     Distribution,
     PolicyKernel,
+    ReferencePolicy,
     Scenario,
+    StageCosts,
     ZeroSupportError,
     backward_pass,
+    build_gridworld,
     equalizer_gap,
     evaluate_policy_cost,
     mfe_solve,
@@ -156,6 +167,122 @@ def test_reference_policy_is_not_an_equalizer(three_route):
     trials = [solution.policy, reference]
     gap = equalizer_gap(three_route, reference, trials)
     assert gap > 0.1
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+def _stationary(scenario: Scenario, rng: np.random.Generator) -> Scenario:
+    """The scenario's stage-0 cost and reference rows broadcast over every stage, plus a terminal cost."""
+    shape = scenario.costs.stage.shape
+    costs = StageCosts(
+        scenario.horizon,
+        np.broadcast_to(scenario.costs.stage[0], shape),
+        rng.uniform(-2.0, 2.0, scenario.graph.node_count),
+    )
+    reference = ReferencePolicy(np.broadcast_to(scenario.reference.probs[0], shape))
+    return Scenario(scenario.graph, costs, reference, scenario.alpha, scenario.initial)
+
+
+@pytest.mark.parametrize("trial_count", [1, 3, 8])
+@pytest.mark.parametrize("stationary", [False, True], ids=["per-stage", "stationary"])
+@pytest.mark.parametrize("seed", range(8))
+def test_one_pass_kernels_match_the_per_trial_references(seed, stationary, trial_count):
+    """random_policy, evaluate_policy_cost and equalizer_gap keep every bit of the per-trial kernels."""
+    rng = np.random.default_rng(seed)
+    scenario = random_scenario(rng, point_mass_start=seed % 2 == 1)
+    if stationary:
+        scenario = _stationary(scenario, rng)
+    solution = mfe_solve(scenario)
+    v0 = value(solution.desirability, scenario.initial, 0)
+    draws, reference_draws = np.random.default_rng(seed), np.random.default_rng(seed)
+    trials = [random_policy(scenario, draws) for _ in range(trial_count)]
+    for trial in trials:
+        want = random_policy_one_shot(scenario, reference_draws)
+        assert trial.probs.tobytes() == want.probs.tobytes()
+    # the extracted policy has log_probs; a random population tolls through log(probs)
+    for population in (solution.policy, random_policy(scenario, draws)):
+        for trial in [*trials, solution.policy]:
+            got = evaluate_policy_cost(scenario, trial, population)
+            assert _bits(got) == _bits(evaluate_policy_cost_per_trial(scenario, trial, population))
+        got = equalizer_gap(scenario, population, trials, solution.desirability)
+        assert _bits(got) == _bits(equalizer_gap_per_trial(scenario, population, trials, v0))
+
+
+def _fault_grid() -> tuple[Scenario, PolicyKernel]:
+    scenario = build_gridworld(6, 5, [8, 14, 21], 0, 29, 12, 0.3)
+    return scenario, mfe_solve(scenario).policy
+
+
+def _spoiled_trial(scenario: Scenario, seed: int, spoil) -> PolicyKernel:
+    probs = random_policy(scenario, np.random.default_rng(seed)).probs.copy()
+    spoil(probs)
+    return PolicyKernel(probs)
+
+
+def _nan_entry(probs):
+    probs[3, 7] = np.nan
+
+
+def _negative_entry(probs):
+    probs[3, 7] = -probs[3, 7]
+
+
+def _nan_row(probs):
+    probs[3, :] = np.nan
+
+
+@pytest.mark.parametrize("spoil", [_nan_entry, _negative_entry, _nan_row], ids=["nan", "negative", "nan-row"])
+def test_a_trial_entry_that_is_not_nonnegative_is_rejected_with_its_place(spoil):
+    scenario, population = _fault_grid()
+    g = scenario.graph
+    bad = _spoiled_trial(scenario, 0, spoil)
+    e = int(np.flatnonzero(~(bad.probs[3] >= 0))[0])
+    place = f"at stage 3, node {int(g.edge_src[e])}, edge to {int(g.edge_dst[e])}"
+    with pytest.raises(ValueError, match=f"trial policy 0 has probability .* {place}") as excinfo:
+        evaluate_policy_cost(scenario, bad, population)
+    assert type(excinfo.value) is ValueError
+    trials = [random_policy(scenario, np.random.default_rng(seed)) for seed in (1, 2)] + [bad]
+    with pytest.raises(ValueError, match=f"trial policy 2 has probability .* {place}") as excinfo:
+        equalizer_gap(scenario, population, trials)
+    assert type(excinfo.value) is ValueError
+
+
+def test_equalizer_gap_raises_the_first_failed_trials_zero_support_error():
+    """Trial 2 meets a zero-support edge at stage 1, trial 1 only at stage 5; trial 1's error is raised."""
+    scenario, _ = _fault_grid()
+    g = scenario.graph
+    start = int(np.flatnonzero(scenario.initial.mass)[0])
+    early, late = edge_slice(g, start).start, edge_slice(g, start).stop - 1
+
+    def without(probs, *cells):
+        for t, e in cells:
+            probs[t, e] = 0.0
+            row = edge_slice(g, int(g.edge_src[e]))
+            probs[t, row] /= probs[t, row].sum()
+
+    population = _spoiled_trial(scenario, 10, lambda p: without(p, (1, early), (5, late)))
+    trials = [
+        _spoiled_trial(scenario, 11, lambda p: without(p, (1, early), (5, late))),
+        _spoiled_trial(scenario, 12, lambda p: without(p, (1, early))),
+        random_policy(scenario, np.random.default_rng(13)),
+    ]
+    with pytest.raises(ZeroSupportError) as excinfo:
+        equalizer_gap(scenario, population, trials)
+    want = (5, start, int(g.edge_dst[late]))
+    assert (excinfo.value.t, excinfo.value.node, excinfo.value.dest) == want
+    with pytest.raises(ZeroSupportError) as excinfo:
+        equalizer_gap_per_trial(scenario, population, trials, 0.0)
+    assert (excinfo.value.t, excinfo.value.node, excinfo.value.dest) == want
+    with pytest.raises(ZeroSupportError) as excinfo:
+        evaluate_policy_cost(scenario, trials[2], population)
+    assert (excinfo.value.t, excinfo.value.node, excinfo.value.dest) == (1, start, int(g.edge_dst[early]))
+    evaluate_policy_cost(scenario, trials[0], population)
+    misshaped = PolicyKernel(trials[0].probs[:-1])
+    with pytest.raises(ValueError, match=r"policy shape \(11, \d+\), expected \(12, \d+\)") as excinfo:
+        equalizer_gap(scenario, population, [*trials, misshaped])
+    assert type(excinfo.value) is ValueError
 
 
 def test_mfe_concentrates_on_shortest_paths_for_small_alpha():

@@ -218,6 +218,49 @@ def test_deviation_cost_holds_no_whole_table():
     assert peak / table_bytes <= 0.5
 
 
+def _walled_grid_40x40() -> Scenario:
+    width = height = 40
+    wall = [y * width + 20 for y in range(30)]
+    return build_gridworld(width, height, wall, 0, width * height - 1, 60, 0.1)
+
+
+def test_random_policy_holds_one_whole_table():
+    """random_policy on a 40x40/T60 grid peaks within 1.1 (T, E) tables: the draws, normalized in place.
+
+    A whole-table division by gathered (T, E) row sums took the peak to 3.4 tables.
+    """
+    scenario = _walled_grid_40x40()
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        random_policy(scenario, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table_bytes = scenario.horizon * scenario.graph.edge_count * 8
+    assert peak / table_bytes <= 1.1
+
+
+def test_equalizer_gap_over_five_trials_holds_no_whole_table():
+    """equalizer_gap over 5 trials on a 40x40/T60 grid peaks below half of one (T, E) table.
+
+    The trials and the population exist before the call; the pass holds a
+    few (K, E) stage arrays, K/T of a table each, and no (T+1, V) flow.
+    """
+    scenario = _walled_grid_40x40()
+    solution = mfe_solve(scenario)
+    rng = np.random.default_rng(0)
+    trials = [random_policy(scenario, rng) for _ in range(5)]
+    tracemalloc.start()
+    try:
+        equalizer_gap(scenario, solution.policy, trials, solution.desirability)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table_bytes = scenario.horizon * scenario.graph.edge_count * 8
+    assert peak / table_bytes <= 0.5
+
+
 @pytest.fixture
 def counted_checks(monkeypatch):
     """Counts the runs of the scenario checks."""
