@@ -7,7 +7,7 @@ simulation, fictitious play, and an exact symmetric-equilibrium solver.
 
 __version__ = "0.1.0"
 
-from .fictitious_play import BeliefPath, fp_run, fp_step
+from .fictitious_play import BeliefPath, fp_run
 from .finite_population import (
     FiniteBestResponse,
     PopulationSample,
@@ -87,7 +87,6 @@ __all__ = [
     "expected_tax_symmetric",
     "extract_policy",
     "fp_run",
-    "fp_step",
     "grid_node",
     "expected_tax_gap",
     "mfe_solve",

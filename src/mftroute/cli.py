@@ -185,9 +185,9 @@ def _write_node_table(path, header: str, table: np.ndarray, manifest: RunManifes
 
 def _write_fp_csv(path, result: FictitiousPlayResult, manifest: RunManifest) -> None:
     """One row per day; the final day-after belief has no choice and is written with r = -1."""
-    beliefs = np.array(result.path.beliefs)
+    beliefs = result.path.beliefs
     days = np.arange(1, len(beliefs) + 1)
-    choices = result.path.choices + [-1]
+    choices = np.append(result.path.choices, -1)
     columns = [days, *beliefs.T, choices, result.dist_to_finite_ne, result.dist_to_mfe]
     belief_cols = ",".join(f"q{j + 1}" for j in range(len(result.mfe)))
     write_csv(path, f"day,{belief_cols},r,dist_to_ne,dist_to_mfe", columns, manifest)
@@ -352,10 +352,10 @@ def _cmd_simulate(args) -> int:
     def replication(seeds) -> tuple[np.ndarray, ...]:
         return realized_taxes(simulate_population(scenario, policy, args.agents, seeds), scenario)
 
-    threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
+    cpus = os.cpu_count() or 1
     children = np.random.SeedSequence(args.seed).spawn(args.reps)
-    # at least one worker, so --reps 0 still writes a header-only table
-    with ThreadPoolExecutor(max_workers=max(1, min(threads, args.reps))) as pool:
+    # at most one worker per CPU and per replication; at least one, so --reps 0 writes a header
+    with ThreadPoolExecutor(max_workers=max(1, min(args.threads or cpus, cpus, args.reps))) as pool:
         # substreams make replications order-independent; map keeps output order
         tables = list(pool.map(replication, children))
     reps = np.repeat(np.arange(args.reps), [len(table[0]) for table in tables])
@@ -484,6 +484,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=True, help="scenario file path")
         return p
 
+    def game_parser(name, summary):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--routes", type=int, required=True, help="number of parallel routes")
+        p.add_argument("--costs", required=True, help="comma-separated route travel costs")
+        p.add_argument("--ref", required=True, help="comma-separated reference probabilities")
+        p.add_argument("--alpha", type=float, required=True, help="toll aggressiveness")
+        p.add_argument("--agents", type=int, required=True, help="number of players")
+        return p
+
     scenario_parser("validate", "check a scenario file against all invariants")
 
     p = scenario_parser("solve", "backward pass and optimal policy extraction")
@@ -514,22 +523,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--agents", required=True, help="comma-separated player counts")
     p.add_argument("--out", required=True, help="output CSV (n_agents,expected_tax_gap,epsilon_nash)")
 
-    p = sub.add_parser("fp", help="symmetric fictitious play on a parallel-route game")
-    p.add_argument("--routes", type=int, required=True, help="number of parallel routes")
-    p.add_argument("--costs", required=True, help="comma-separated route travel costs")
-    p.add_argument("--ref", required=True, help="comma-separated reference probabilities")
-    p.add_argument("--alpha", type=float, required=True, help="toll aggressiveness")
-    p.add_argument("--agents", type=int, required=True, help="number of players")
+    p = game_parser("fp", "symmetric fictitious play on a parallel-route game")
     p.add_argument("--days", type=int, required=True, help="days to play")
     p.add_argument("--init", default="uniform", help="'uniform' or comma-separated belief")
     p.add_argument("--out", required=True, help="output CSV (day,q...,r,dist_to_ne,dist_to_mfe)")
 
-    p = sub.add_parser("symmetric-ne", help="exact symmetric equilibrium of the route game")
-    p.add_argument("--routes", type=int, required=True)
-    p.add_argument("--costs", required=True)
-    p.add_argument("--ref", required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--agents", type=int, required=True)
+    p = game_parser("symmetric-ne", "exact symmetric equilibrium of the route game")
     p.add_argument("--out", required=True, help="output CSV (record,route,value)")
 
     p = sub.add_parser("gridworld", help="generate a grid-world scenario file")

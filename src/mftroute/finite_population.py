@@ -248,7 +248,8 @@ def expected_tax_gap(scenario: Scenario, population_policy: PolicyKernel, n_list
     ``SUPPORT_TOL``.
     """
     flow = propagate(scenario, population_policy)
-    node_probs = flow.distributions[:-1, scenario.graph.edge_src]
+    # np.take keeps the gather C-ordered like the policy tables; flow[:, edge_src] is Fortran-ordered
+    node_probs = np.take(flow.distributions[:-1], scenario.graph.edge_src, axis=1)
     support = node_probs * population_policy.probs > SUPPORT_TOL
     node_probs = node_probs[support]
     edge_probs = population_policy.probs[support]
@@ -286,7 +287,7 @@ def best_response_finite_n(
     """
     _check_policy_shape(scenario, population_policy)
     flow = propagate(scenario, population_policy)
-    node_probs = flow.distributions[:-1, scenario.graph.edge_src]
+    node_probs = np.take(flow.distributions[:-1], scenario.graph.edge_src, axis=1)
     total_cost = expected_tax_symmetric(
         n_players, node_probs, population_policy.probs, scenario.reference.probs, scenario.alpha
     )

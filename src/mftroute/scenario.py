@@ -372,6 +372,8 @@ def build_gridworld(
     each neighborhood and the population starts as a point mass at the
     origin.
     """
+    if width < 1 or height < 1:
+        raise ValueError(f"grid width {width} and height {height} must both be >= 1")
     node_count = width * height
     obstacle_set = {int(o) for o in obstacles}
     for name, node in (("origin", origin), ("destination", destination)):

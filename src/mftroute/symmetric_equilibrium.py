@@ -9,8 +9,8 @@ at each of its steps an inner bisection per route inverts f_j.
 
 Two things keep one solve to a few dozen kernel calls.  Every inner
 bisection probes dyadic midpoints of [0, 1], so a per-solve probe table
-holds f_j at every (route, q) asked so far, and only unseen pairs go to
-the kernel, batched.  And an outer step needs only whether the mass
+holds every f_j at each q asked so far, and only unseen q go to the
+kernel, batched.  And an outer step needs only whether the mass
 reaches (or exceeds) one: the inner brackets bound each load, so their
 sums decide the step, often long before the inversions converge.
 """
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_population import _player_count, expected_tax_symmetric
+from .finite_population import _player_count, binomial_expected_log_share
 from .scenario import ROW_SUM_TOL, _readonly
 
 INNER_TOL = 1e-12  # |f(q) - lambda| target for the per-route inversion
@@ -63,9 +63,12 @@ class SingleStageGame:
 def assumed_cost(game: SingleStageGame, belief: np.ndarray) -> np.ndarray:
     """Per-route cost assuming the other N-1 players each route from ``belief``.
 
-    A stack of beliefs with routes on the last axis gives a stack of costs.
+    Travel cost plus the toll alpha * (E[log((K + 1) / N)] - log reference)
+    with K ~ Binomial(N - 1, belief); the origin holds every player, so its
+    share adds nothing.  Beliefs stacked with routes last give stacked costs.
     """
-    return game.travel_cost + expected_tax_symmetric(game.n_players, 1.0, belief, game.reference, game.alpha)
+    share = binomial_expected_log_share(game.n_players, belief)
+    return game.travel_cost + (game.alpha * share - game.alpha * np.log(game.reference))
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,30 +90,23 @@ class EquilibriumResult:
 
 
 class _ProbeTable:
-    """Route costs f_j(q) at every (route, q) one solve has probed.
+    """Every route's cost at each q one solve has probed, as a tuple keyed by q.
 
     Every inversion starts at [0, 1] and halves, so its probes are dyadic
     midpoints, and the inversion at each new level repeats the prefix
-    that earlier levels walked.  Each pair goes to the kernel once.
+    that earlier levels walked.  Each q goes to the kernel once.
     """
 
     def __init__(self, game: SingleStageGame):
         self.game = game
         self.at_zero = assumed_cost(game, np.zeros(game.route_count))
         self.at_one = assumed_cost(game, np.ones(game.route_count))
-        self.known: dict[tuple[int, float], float] = {}
+        self.known: dict[float, tuple[float, ...]] = {}
 
-    def fetch(self, pairs) -> None:
-        """Add the costs at new (route, q) pairs in one batched kernel call, a column per route."""
-        columns = [[] for _ in range(self.game.route_count)]
-        for j, q in pairs:
-            columns[j].append(q)
-        batch = np.zeros((max(map(len, columns)), self.game.route_count))
-        for j, column in enumerate(columns):
-            batch[: len(column), j] = column
-        costs = assumed_cost(self.game, batch)
-        for j, column in enumerate(columns):
-            self.known.update(zip(((j, q) for q in column), costs[: len(column), j].tolist()))
+    def fetch(self, qs: list[float]) -> None:
+        """Add the route costs at the unseen probabilities ``qs`` in one batched kernel call."""
+        costs = assumed_cost(self.game, np.repeat(np.array(qs)[:, None], self.game.route_count, axis=1))
+        self.known.update(zip(qs, map(tuple, costs.tolist())))
 
 
 class _Inversions:
@@ -153,9 +149,9 @@ class _Inversions:
                 if depth == _MAX_BISECT:  # still open: take the last midpoint
                     lo = hi = mid
                     break
-                val = known.get((route, mid))
-                if val is None:
+                if mid not in known:
                     break
+                val = known[mid][route]
                 depth += 1
                 if mid == lo or mid == hi or abs(val - lam) <= INNER_TOL:
                     lo = hi = mid
@@ -176,8 +172,7 @@ class _Inversions:
         open_ = [i for i, lo in enumerate(self._lo) if lo != self._hi[i] and selected[i]]
         if not open_:
             return False
-        pairs = dict.fromkeys((self._route[i], 0.5 * (self._lo[i] + self._hi[i])) for i in open_)
-        self.table.fetch(pairs)
+        self.table.fetch(list(dict.fromkeys(0.5 * (self._lo[i] + self._hi[i]) for i in open_)))
         self._walk(open_)
         return True
 
@@ -188,14 +183,6 @@ def _loads(table: _ProbeTable, lam) -> np.ndarray:
     while inversions.refine(True):
         pass
     return inversions.lo
-
-
-def _route_loads(game: SingleStageGame, lam) -> np.ndarray:
-    """Per-route inverse of the cost at each level in ``lam``, clamped to [0, 1].
-
-    The result has shape ``np.shape(lam) + (J,)``.
-    """
-    return _loads(_ProbeTable(game), lam)
 
 
 def _mass_bracket(table: _ProbeTable, lo: float, hi: float) -> tuple[float, float]:

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import emit_heatmap_loop, random_scenario
-from mftroute import ScenarioFormatError, build_gridworld, mfe_solve, read_scenario, serialize, write_scenario
+from mftroute import ScenarioFormatError, build_gridworld, cli, mfe_solve, read_scenario, serialize, write_scenario
 from mftroute.cli import (
     FIG2_OBSTACLES,
     FIG2_WIDTH,
@@ -222,6 +222,8 @@ _THIRDS = f"{1/3!r},{1/3!r},{1/3!r}"
         (["fp", "--ref", "nan,0.5,0.5"], "reference probabilities must be strictly positive"),
         (["fp", "--init", "nan,nan,nan"], "initial belief must lie in the probability simplex"),
         (["fp", "--init", "0.5,0.5"], "initial belief has 2 entries for 3 routes"),
+        (["fp", "--routes", "4"], "--routes 4 but 3 costs given"),
+        (["symmetric-ne", "--routes", "2"], "--routes 2 but 3 costs given"),
     ],
 )
 def test_route_game_rejects_non_finite_and_misshapen_inputs(tmp_path, capsys, args, error):
@@ -361,6 +363,65 @@ def test_symmetric_ne_subcommand(tmp_path):
     q = {int(line.split(",")[1]): float(line.split(",")[2]) for line in lines if line.startswith("q,")}
     assert abs(q[1] - 0.665) <= 0.05
     assert any(line.startswith("lambda,") for line in lines)
+
+
+@pytest.mark.parametrize("width, height", [("-2", "-3"), ("3", "0")])
+def test_gridworld_subcommand_rejects_an_empty_grid(tmp_path, capsys, width, height):
+    out = tmp_path / "grid.scn"
+    args = ["gridworld", "--width", width, "--height", height, "--origin", "0", "--dest", "0",
+            "--horizon", "3", "--alpha", "1", "--out", str(out)]
+    assert main(args) == 1
+    assert capsys.readouterr() == ("", f"error: grid width {width} and height {height} must both be >= 1\n")
+    assert not out.exists()
+
+
+def test_unreadable_inputs_and_an_empty_agent_list_are_data_errors(tmp_path, three_route_file, capsys):
+    missing = tmp_path / "missing"
+    out = tmp_path / "out.csv"
+    assert main(["solve", "--scenario", str(missing)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read scenario file {missing}: ")
+    args = ["simulate", "--scenario", str(three_route_file), "--policy", str(missing), "--agents", "10"]
+    assert main(args + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read policy file {missing}: ")
+    assert main(["nash-gap", "--scenario", str(three_route_file), "--agents", ",", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --agents needs at least one player count\n"
+    assert not out.exists()
+
+
+class _SerialPool:
+    """Stands in for ThreadPoolExecutor: records the requested pool size and maps in the caller."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize(
+    "threads, reps, cpus, size",
+    [("5000", "5000", 2, 2), ("0", "5000", 3, 3), ("0", "2", None, 1), ("4", "0", 8, 1), ("3", "2", 8, 2)],
+)
+def test_simulate_pool_is_capped_by_cpus_and_reps(tmp_path, three_route_file, monkeypatch, threads, reps, cpus, size):
+    policy_csv = tmp_path / "policy.csv"
+    main(["mfe", "--scenario", str(three_route_file), "--out-policy", str(policy_csv)])
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", _SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    out = tmp_path / "sim.csv"
+    args = ["simulate", "--scenario", str(three_route_file), "--policy", str(policy_csv), "--agents", "2",
+            "--threads", threads, "--reps", reps, "--out", str(out)]
+    assert main(args) == 0
+    assert _SerialPool.sizes == [size]
+    assert len({line.split(",")[0] for line in _payload(out)[1:]}) == int(reps)
 
 
 def test_gridworld_subcommand_writes_loadable_scenario(tmp_path):

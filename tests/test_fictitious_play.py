@@ -7,12 +7,10 @@ import pytest
 
 from helpers import exact_expected_log_share
 from mftroute import (
-    BeliefPath,
     SingleStageGame,
     assumed_cost,
     expected_tax_symmetric,
     fp_run,
-    fp_step,
     solve_symmetric_ne,
 )
 
@@ -37,6 +35,8 @@ def test_game_construction_rejects_bad_inputs():
             SingleStageGame(np.array([1.0, 2.0]), np.array([0.5, 0.5]), 1.0, n_players)
     with pytest.raises(ValueError, match="n_players must be >= 1"):
         SingleStageGame(np.array([1.0, 2.0]), np.array([0.5, 0.5]), 1.0, 0.0)
+    with pytest.raises(ValueError, match="^travel_cost and reference must be equal-length vectors$"):
+        SingleStageGame(np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.5]), 1.0, 10)
 
 
 def test_integral_float_player_count_is_the_integer(three_route_game):
@@ -71,32 +71,35 @@ def test_assumed_cost_consistent_with_exact_tax_machinery(three_route_game):
 
 def test_first_day_best_response_picks_the_cheap_route(three_route_game):
     game = three_route_game(100)
-    path = BeliefPath.start(np.full(3, 1 / 3))
-    fp_step(game, path)
-    assert path.choices == [1]  # the middle route has the lowest travel cost
+    path = fp_run(game, np.full(3, 1 / 3), days=1).path
+    assert path.choices.tolist() == [1]  # the middle route has the lowest travel cost
 
 
 def test_exact_tie_breaks_to_the_lowest_route_index():
     game = SingleStageGame(np.array([2.0, 2.0, 2.0]), np.full(3, 1 / 3), 1.0, 25)
-    path = BeliefPath.start(np.full(3, 1 / 3))
-    fp_step(game, path)
-    assert path.choices == [0]
+    path = fp_run(game, np.full(3, 1 / 3), days=1).path
+    assert path.choices.tolist() == [0]
 
 
 def test_belief_update_is_exact_averaging():
     game = SingleStageGame(np.array([1.0, 1.0]), np.array([0.5, 0.5]), 1.0, 12)
-    path = BeliefPath.start(np.array([1.0, 0.0]))
-    fp_step(game, path)
+    path = fp_run(game, np.array([1.0, 0.0]), days=1).path
     # day one: everyone believed route 1 was crowded, so route 2 was chosen
-    assert path.choices == [1]
+    assert path.choices.tolist() == [1]
     np.testing.assert_array_equal(path.beliefs[1], [0.5, 0.5])
+
+
+def test_the_whole_pulse_vector_is_averaged_in():
+    """-0.0 + 0.0 is +0.0: an unchosen route's negative-zero belief turns positive on day one, as in the CSV."""
+    game = SingleStageGame(np.array([1.0, 1.0, 10.0]), np.full(3, 1 / 3), 1.0, 20)
+    path = fp_run(game, np.array([0.5, 0.5, -0.0]), days=1).path
+    assert path.choices.tolist() == [0]
+    assert np.signbit(path.beliefs[:, 2]).tolist() == [True, False]
 
 
 def test_averaging_identity_holds_to_near_machine_precision(three_route_game):
     game = three_route_game(60)
-    path = BeliefPath.start(np.array([0.7, 0.1, 0.2]))
-    for _ in range(400):
-        fp_step(game, path)
+    path = fp_run(game, np.array([0.7, 0.1, 0.2]), days=400).path
     for day in range(1, len(path.beliefs)):
         prev = path.beliefs[day - 1]
         pulse = np.zeros(3)
@@ -108,9 +111,7 @@ def test_averaging_identity_holds_to_near_machine_precision(three_route_game):
 
 def test_step_size_identity(three_route_game):
     game = three_route_game(35)
-    path = BeliefPath.start(np.full(3, 1 / 3))
-    for _ in range(300):
-        fp_step(game, path)
+    path = fp_run(game, np.full(3, 1 / 3), days=300).path
     for day in range(1, len(path.beliefs)):
         jump = np.abs(path.beliefs[day] - path.beliefs[day - 1]).sum()
         held = path.beliefs[day - 1][path.choices[day - 1]]
@@ -129,11 +130,30 @@ def test_single_day_run_is_one_step(three_route_game):
     game = three_route_game(10)
     initial = np.full(3, 1 / 3)
     result = fp_run(game, initial, days=1)
-    path = BeliefPath.start(initial)
-    fp_step(game, path)
-    assert len(result.path.beliefs) == 2
-    np.testing.assert_array_equal(result.path.beliefs[1], path.beliefs[1])
+    choice = int(np.argmin(assumed_cost(game, initial)))
+    pulse = np.zeros(3)
+    pulse[choice] = 1.0
+    assert result.path.beliefs.shape == (2, 3) and result.path.choices.tolist() == [choice]
+    np.testing.assert_array_equal(result.path.beliefs[1], (1 * initial + pulse) / 2)
     assert result.dist_to_mfe.shape == (2,)
+
+
+def test_path_arrays_are_read_only(three_route_game):
+    path = fp_run(three_route_game(10), np.full(3, 1 / 3), days=5).path
+    assert path.beliefs.shape == (6, 3) and path.choices.shape == (5,)
+    for array in (path.beliefs, path.choices):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_run_extends_every_prefix_run(three_route_game):
+    """Day d of a long run is day d of the run stopped there."""
+    game = three_route_game(30)
+    long = fp_run(game, np.array([0.2, 0.3, 0.5]), days=60).path
+    for days in (1, 7, 59):
+        short = fp_run(game, np.array([0.2, 0.3, 0.5]), days=days).path
+        assert short.beliefs.tobytes() == long.beliefs[: days + 1].tobytes()
+        assert short.choices.tolist() == long.choices[:days].tolist()
 
 
 def test_large_population_converges_near_the_mean_field_point(three_route_game):

@@ -7,7 +7,12 @@ import pytest
 
 from helpers import exact_expected_log_share, random_scenario, realized_taxes_loop
 from mftroute import (
+    Distribution,
     PolicyKernel,
+    ReferencePolicy,
+    Scenario,
+    StageCosts,
+    TrafficGraph,
     best_response_finite_n,
     expected_tax_heterogeneous,
     expected_tax_symmetric,
@@ -339,3 +344,23 @@ def test_a_non_integral_player_count_is_rejected(three_route, n_players):
         best_response_finite_n(three_route, policy, n_players)
     with pytest.raises(ValueError, match=f"^{message}$"):
         expected_tax_gap(three_route, policy, [10, n_players])
+
+
+def test_kernels_reject_bad_probabilities_counts_and_graphs(three_route):
+    for probs in ([0.5, 1.5], [-0.1]):
+        with pytest.raises(ValueError, match=r"^probabilities must lie in \[0, 1\]$"):
+            poisson_binomial_pmf(probs)
+    with pytest.raises(ValueError, match=r"^need one event probability per other player \(N - 1 each\)$"):
+        expected_tax_heterogeneous(5, [0.1] * 3, [0.2] * 4, 0.5, 1.0)
+    with pytest.raises(ValueError, match="^n_agents must be >= 1$"):
+        simulate_population(three_route, mfe_solve(three_route).policy, 0, seed=1)
+    # node 1 is a dead end: the shortest path has no edge to take there
+    dead_end = Scenario(
+        TrafficGraph(((1,), ())),
+        StageCosts(2, np.ones((2, 1))),
+        ReferencePolicy(np.ones((2, 1))),
+        1.0,
+        Distribution.point_mass(2, 0),
+    )
+    with pytest.raises(ValueError, match="^node 1 has no out-edges$"):
+        best_response_finite_n(dead_end, PolicyKernel(np.ones((2, 1))), 5)

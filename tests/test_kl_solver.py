@@ -20,6 +20,7 @@ from mftroute import (
     StageCosts,
     TrafficGraph,
     backward_pass,
+    build_gridworld,
     extract_policy,
     truncate_scenario,
     value,
@@ -193,3 +194,13 @@ def test_backward_pass_rejects_invalid_scenario():
     )
     with pytest.raises(InvalidScenarioError):
         backward_pass(scenario)
+
+
+def test_extract_policy_and_value_reject_a_foreign_horizon_or_stage(three_route):
+    desirability = backward_pass(three_route)
+    grid = build_gridworld(2, 2, (), 0, 3, 2, 1.0)
+    with pytest.raises(ValueError, match=r"^desirability horizon 1, scenario horizon 2$"):
+        extract_policy(grid, desirability)
+    for t in (-1, 2):
+        with pytest.raises(ValueError, match=rf"^stage {t} outside 0\.\.1$"):
+            value(desirability, three_route.initial, t)

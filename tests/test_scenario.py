@@ -181,6 +181,14 @@ def test_gridworld_rejects_bad_endpoints_and_horizon():
         build_gridworld(2, 2, (), 0, 4, 2, 1.0)
     with pytest.raises(ValueError, match="horizon"):
         build_gridworld(2, 2, (), 0, 3, 0, 1.0)
+    with pytest.raises(ValueError, match=r"^obstacle 9 is off-grid \(0\.\.8\)$"):
+        build_gridworld(3, 3, (9,), 0, 8, 4, 1.0)
+
+
+@pytest.mark.parametrize("width, height", [(-2, -3), (3, 0), (0, 3)])
+def test_gridworld_rejects_an_empty_grid_naming_both_sizes(width, height):
+    with pytest.raises(ValueError, match=f"^grid width {width} and height {height} must both be >= 1$"):
+        build_gridworld(width, height, (), 0, 0, 3, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -310,3 +318,40 @@ def test_truncate_slices_stages_and_keeps_terminal():
     np.testing.assert_array_equal(sub.initial.mass, injected.mass)
     with pytest.raises(ValueError):
         truncate_scenario(scenario, 5, injected)
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        (("nodes = 4", "nodes = 0"), "^line 2: nodes must be >= 1$"),
+        (("initial = 0:1", "initial = 0:0.5,1"), "^line 5: initial entries must be 'node:mass'$"),
+        (("initial = 0:1", "initial = 4:1"), r"^line 5: initial node 4 outside 0\.\.3$"),
+        (("[graph]", "[grph]"), r"^line 8: unknown section \[grph\]$"),
+    ],
+    ids=["zero-nodes", "initial-without-colon", "initial-node-out-of-range", "misspelt-graph"],
+)
+def test_params_faults_are_located(three_route, edit, error):
+    with pytest.raises(ScenarioFormatError, match=error):
+        deserialize(serialize(three_route).replace(*edit))
+
+
+def test_a_file_without_a_graph_section_is_rejected(three_route):
+    text = serialize(three_route)
+    params, rest = text.split("[graph]")
+    without_graph = params + "[costs]" + rest.split("[costs]")[1]
+    with pytest.raises(ScenarioFormatError, match=r"^missing or empty \[graph\] section$"):
+        deserialize(without_graph)
+
+
+def test_stage_costs_and_scenario_reject_mis_shaped_tables(three_route):
+    with pytest.raises(ValueError, match="^stage cost table has 2 stages, horizon is 3$"):
+        StageCosts(3, np.ones((2, 4)))
+    g, costs, ref, init = three_route.graph, three_route.costs, three_route.reference, three_route.initial
+    cases = [
+        ((StageCosts(1, costs.stage, np.zeros(3)), ref, init), r"^terminal cost shape \(3,\), expected \(4,\)$"),
+        ((costs, ReferencePolicy(np.ones((2, 6))), init), r"^reference table shape \(2, 6\), expected \(1, 6\)$"),
+        ((costs, ref, Distribution(np.full(5, 0.2))), r"^initial distribution shape \(5,\), expected \(4,\)$"),
+    ]
+    for (c, r, i), error in cases:
+        with pytest.raises(ValueError, match=error):
+            Scenario(g, c, r, 1.0, i)

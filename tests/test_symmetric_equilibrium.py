@@ -18,7 +18,12 @@ from mftroute import (
     solve_symmetric_ne,
 )
 from mftroute.cli import FIG4_ALPHA, FIG4_COSTS, FIG4_REFERENCE, three_route_scenario
-from mftroute.symmetric_equilibrium import _route_loads
+from mftroute.symmetric_equilibrium import _loads, _ProbeTable
+
+
+def _route_loads(game: SingleStageGame, lam) -> np.ndarray:
+    """The solver's per-route inverse of the cost at each level in ``lam``, from a fresh probe table."""
+    return _loads(_ProbeTable(game), lam)
 
 
 def route_cost(game: SingleStageGame, route: int, q: float) -> float:
