@@ -20,6 +20,7 @@ from scipy.special import gammaln
 from mftroute import (
     Distribution,
     PolicyKernel,
+    PopulationSample,
     ReferencePolicy,
     Scenario,
     SingleStageGame,
@@ -760,6 +761,38 @@ def emit_heatmap_loop(mass: np.ndarray, width: int, height: int, obstacles=(), h
                 row.append(str(int(round(255.0 * float(mass[node]) / peak))))
         lines.append(" ".join(row))
     return "\n".join(lines) + "\n"
+
+
+def simulate_population_mask_loop(
+    scenario: Scenario, policy: PolicyKernel, n_agents: int, seed
+) -> PopulationSample:
+    """N-player rollout with one draw call and one full-population mask per occupied node and stage."""
+    seeds = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    rng = np.random.default_rng(seeds)
+    g = scenario.graph
+    t_count = scenario.horizon
+
+    locations = np.empty((t_count + 1, n_agents), dtype=np.int64)
+    node_counts = np.empty((t_count + 1, g.node_count), dtype=np.int64)
+    edge_counts = np.empty((t_count, g.edge_count), dtype=np.int64)
+
+    locations[0] = rng.choice(g.node_count, size=n_agents, p=scenario.initial.mass)
+    for t in range(t_count):
+        here = locations[t]
+        node_counts[t] = np.bincount(here, minlength=g.node_count)
+        chosen_edge = np.empty(n_agents, dtype=np.int64)
+        for i in np.flatnonzero(node_counts[t]):
+            sel = here == i
+            lo, hi = int(g.row_start[i]), int(g.row_start[i + 1])
+            cum = np.cumsum(policy.probs[t, lo:hi])
+            draws = rng.random(int(node_counts[t, i])) * cum[-1]
+            chosen_edge[sel] = lo + np.searchsorted(cum, draws, side="right")
+        edge_counts[t] = np.bincount(chosen_edge, minlength=g.edge_count)
+        locations[t + 1] = g.edge_dst[chosen_edge]
+    node_counts[t_count] = np.bincount(locations[t_count], minlength=g.node_count)
+
+    entropy = int(seeds.entropy) if np.ndim(seeds.entropy) == 0 else tuple(map(int, seeds.entropy))
+    return PopulationSample(n_agents, locations, node_counts, edge_counts, entropy, seeds.spawn_key)
 
 
 def realized_taxes_loop(sample, scenario: Scenario) -> list[tuple]:

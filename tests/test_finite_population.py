@@ -1,11 +1,18 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from helpers import exact_expected_log_share, random_scenario, realized_taxes_loop
+from helpers import (
+    edge_slice,
+    exact_expected_log_share,
+    random_scenario,
+    realized_taxes_loop,
+    simulate_population_mask_loop,
+)
 from mftroute import (
     Distribution,
     PolicyKernel,
@@ -14,6 +21,7 @@ from mftroute import (
     StageCosts,
     TrafficGraph,
     best_response_finite_n,
+    build_gridworld,
     expected_tax_heterogeneous,
     expected_tax_symmetric,
     expected_tax_gap,
@@ -24,7 +32,7 @@ from mftroute import (
     simulate_population,
     simulate_replications,
 )
-from mftroute.finite_population import binomial_expected_log_share
+from mftroute.finite_population import _MASK_NODES, _MASK_SHARE, binomial_expected_log_share
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +85,83 @@ def test_route_frequencies_match_policy_within_three_standard_errors(three_route
     target = solution.policy.probs[0, :3]
     stderr = np.sqrt(target * (1 - target) / n_agents)
     assert np.all(np.abs(freqs - target) <= 3 * stderr)
+
+
+def _sharp_policy(scenario: Scenario, rng: np.random.Generator) -> PolicyKernel:
+    """0.97 on one random edge of each row: the population stays near one node for a few stages."""
+    g = scenario.graph
+    probs = np.empty((scenario.horizon, g.edge_count))
+    for t in range(scenario.horizon):
+        for i in range(g.node_count):
+            sl = edge_slice(g, i)
+            deg = sl.stop - sl.start
+            row = np.full(deg, 0.03 / max(deg - 1, 1))
+            row[rng.integers(deg)] = 0.97 if deg > 1 else 1.0
+            probs[t, sl] = row
+    return PolicyKernel(probs)
+
+
+def _grouping_ways(sample) -> set[str]:
+    """Which of the sampler's two ways of grouping agents by node each stage of the sample took."""
+    ways = set()
+    for counts in sample.node_counts[:-1]:
+        few = np.count_nonzero(counts) <= _MASK_NODES and counts.max() >= _MASK_SHARE * sample.n_agents
+        ways.add("masks" if few else "sort")
+    return ways
+
+
+def test_grouped_sampler_is_bit_identical_to_the_mask_loop():
+    rng = np.random.default_rng(40)
+    ways = set()
+    hub_visits = 0  # samples in which a node of degree above 5 was occupied
+    for case in range(12):
+        scenario = random_scenario(rng, max_nodes=10, max_horizon=6, point_mass_start=case % 2 == 0, max_degree=8)
+        hubs = np.diff(scenario.graph.row_start) > 5
+        policy = (random_policy if case % 4 < 2 else _sharp_policy)(scenario, rng)
+        for n_agents in (1, 2, 37, 400, 5000):
+            for seed in (int(rng.integers(1000)), *np.random.SeedSequence(int(rng.integers(1000))).spawn(2)):
+                got = simulate_population(scenario, policy, n_agents, seed)
+                want = simulate_population_mask_loop(scenario, policy, n_agents, seed)
+                for name in ("locations", "node_counts", "edge_counts"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+                assert (got.n_agents, got.seed, got.spawn_key) == (want.n_agents, want.seed, want.spawn_key)
+                ways |= _grouping_ways(got)
+                hub_visits += bool(got.node_counts[:-1, hubs].any())
+    assert hub_visits >= 1 and ways == {"masks", "sort"}
+
+
+def test_a_non_stochastic_row_at_an_occupied_node_is_located():
+    scenario = build_gridworld(6, 5, [8, 14, 21], 0, 29, 12, 0.3)
+    policy = mfe_solve(scenario).policy
+    g = scenario.graph
+    sample = simulate_population(scenario, policy, 50, seed=6)
+    # stage 0 is the point mass at node 0; at stage 3 take the last occupied node
+    for t, node in ((0, 0), (3, int(np.flatnonzero(sample.node_counts[3])[-1]))):
+        sl = edge_slice(g, node)
+        dests = g.edge_dst[sl].tolist()
+        last = sl.stop - 1
+        bad_entry = f"at stage {t}, node {node}, edge to {dests[-1]}; routing probabilities must be finite and >= 0"
+        cases = [
+            (sl, 0.0, f"policy row at stage {t}, node {node} (edges to {', '.join(map(str, dests))}) sums to 0.0; "
+             "an occupied node's routing probabilities must have a positive finite sum"),
+            (last, math.nan, f"policy has probability nan {bad_entry}"),
+            (last, -0.25, f"policy has probability -0.25 {bad_entry}"),
+            (last, math.inf, f"policy has probability inf {bad_entry}"),
+        ]
+        for where, value, message in cases:
+            probs = policy.probs.copy()
+            probs[t, where] = value
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                simulate_population(scenario, PolicyKernel(probs), 50, seed=6)
+
+    # rows are scaled by their totals, and rows where nobody stands are not read
+    doubled = simulate_population(scenario, PolicyKernel(policy.probs * 2.0), 50, seed=6)
+    probs = policy.probs.copy()
+    probs[0, edge_slice(g, 29)] = math.nan
+    unread = simulate_population(scenario, PolicyKernel(probs), 50, seed=6)
+    for other in (doubled, unread):
+        for name in ("locations", "node_counts", "edge_counts"):
+            assert getattr(other, name).tobytes() == getattr(sample, name).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +417,10 @@ def test_integral_player_counts_of_any_type_give_the_int_results(three_route):
         got, want = best_response_finite_n(three_route, policy, alias), best_response_finite_n(three_route, policy, n)
         assert got.epsilon == want.epsilon and np.array_equal(got.state_values, want.state_values)
     assert [type(n) for n in expected_tax_gap(three_route, policy, [2.0, np.int64(3)])] == [int, int]
+    for n, alias in ((3, 3.0), (3, np.int32(3)), (40, np.float64(40.0))):
+        got, want = simulate_population(three_route, policy, alias, seed=4), simulate_population(three_route, policy, n, seed=4)
+        assert type(got.n_agents) is int and got.n_agents == n
+        assert got.locations.tobytes() == want.locations.tobytes()
 
 
 @pytest.mark.parametrize("n_players", [2.5, math.nan, math.inf])
@@ -354,6 +443,8 @@ def test_kernels_reject_bad_probabilities_counts_and_graphs(three_route):
         expected_tax_heterogeneous(5, [0.1] * 3, [0.2] * 4, 0.5, 1.0)
     with pytest.raises(ValueError, match="^n_agents must be >= 1$"):
         simulate_population(three_route, mfe_solve(three_route).policy, 0, seed=1)
+    with pytest.raises(ValueError, match=r"^n_agents must be an integer, got 2\.5$"):
+        simulate_population(three_route, mfe_solve(three_route).policy, 2.5, seed=1)
     # node 1 is a dead end: the shortest path has no edge to take there
     dead_end = Scenario(
         TrafficGraph(((1,), ())),
