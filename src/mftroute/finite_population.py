@@ -137,7 +137,7 @@ def poisson_binomial_pmf(probs) -> np.ndarray:
     O(n^2) convolution recurrence; exact up to float rounding.
     """
     probs = np.asarray(probs, dtype=np.float64)
-    if np.any((probs < 0) | (probs > 1)):
+    if np.any(~((probs >= 0) & (probs <= 1))):
         raise ValueError("probabilities must lie in [0, 1]")
     pmf = np.array([1.0])
     for p in probs:
@@ -158,6 +158,8 @@ def expected_tax_heterogeneous(
     node_probs = np.asarray(node_probs, dtype=np.float64)
     if edge_probs.shape != (n_players - 1,) or node_probs.shape != (n_players - 1,):
         raise ValueError("need one event probability per other player (N - 1 each)")
+    if not ref > 0:
+        raise ValueError(f"reference probability must be positive, got {ref}")
     log_share = np.log(np.arange(1, n_players + 1) / n_players)
     share_edge = math.fsum(log_share * poisson_binomial_pmf(edge_probs))
     share_node = math.fsum(log_share * poisson_binomial_pmf(node_probs))

@@ -4,19 +4,18 @@ At a symmetric equilibrium the per-route cost function f_j(q) (travel cost
 plus exact expected toll when everyone routes with probability q) is
 equalized across used routes and no unused route is cheaper.  Each f_j is
 continuous and strictly increasing, so the equilibrium is the unique
-solution of sum_j f_j^{-1}(lambda) = 1.  An outer bisection pins lambda;
-at each of its steps an inner bisection per route inverts f_j.
+solution of sum_j f_j^{-1}(lambda) = 1.
 
-Two things keep one solve to a few dozen kernel calls.  Every inner
-bisection probes dyadic midpoints of [0, 1], so a per-solve probe table
-holds every f_j at each q asked so far, and only unseen q go to the
-kernel, batched.  And an outer step needs only whether the mass
-reaches (or exceeds) one: the inner brackets bound each load, so their
-sums decide the step, often long before the inversions converge.
+Two bisections on lambda run in turn, for where the total mass reaches
+one and where it exceeds one.  Each of their steps brackets every
+f_j^{-1}(lambda) by bisection over dyadic midpoints of [0, 1].  A per-solve
+memo holds every f_j at each q probed so far, so only unseen q go to the
+kernel, batched, and a step stops once the sums of the brackets decide it.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,128 +88,62 @@ class EquilibriumResult:
         object.__setattr__(self, "residuals", _readonly(self.residuals))
 
 
-class _ProbeTable:
-    """Every route's cost at each q one solve has probed, as a tuple keyed by q.
+def _brackets(game: SingleStageGame, memo: dict, lam: float, settled=None) -> tuple[list, list]:
+    """Bracket every route's load at level ``lam`` by bisecting the inverse of its cost.
 
-    Every inversion starts at [0, 1] and halves, so its probes are dyadic
-    midpoints, and the inversion at each new level repeats the prefix
-    that earlier levels walked.  Each q goes to the kernel once.
+    ``memo`` maps each probed q, 0 and 1 among them, to every route's cost
+    there.  Each bracket starts at [0, 1], or closed where lam clamps it,
+    and walks through the probes in the memo.  Returns ``(lo, hi)`` once
+    every bracket is closed (lo == hi) or ``settled(lo, hi)`` holds; until
+    then the unseen midpoints of the open brackets go to the kernel in one
+    call, and the walks go on.
     """
-
-    def __init__(self, game: SingleStageGame):
-        self.game = game
-        self.at_zero = assumed_cost(game, np.zeros(game.route_count))
-        self.at_one = assumed_cost(game, np.ones(game.route_count))
-        self.known: dict[float, tuple[float, ...]] = {}
-
-    def fetch(self, qs: list[float]) -> None:
-        """Add the route costs at the unseen probabilities ``qs`` in one batched kernel call."""
-        costs = assumed_cost(self.game, np.repeat(np.array(qs)[:, None], self.game.route_count, axis=1))
-        self.known.update(zip(qs, map(tuple, costs.tolist())))
-
-
-class _Inversions:
-    """Bisections of every route's cost inverse at each level in ``lam``.
-
-    ``lo`` and ``hi``, of shape ``np.shape(lam) + (J,)``, bracket each
-    route's load, clamped to [0, 1]; they are equal once the inversion
-    has converged or clamped.  Each inversion walks on through the probes
-    the table knows and stops at the first it does not.
-    """
-
-    def __init__(self, table: _ProbeTable, lam):
-        self.table = table
-        lam = np.asarray(lam, dtype=np.float64)[..., None]
-        loads = np.where(lam <= table.at_zero, 0.0, 1.0)
-        open_ = (lam > table.at_zero) & (lam < table.at_one)
-        self.shape = loads.shape
-        self._lam = np.broadcast_to(lam, loads.shape).ravel().tolist()
-        self._route = np.broadcast_to(np.arange(table.game.route_count), loads.shape).ravel().tolist()
-        self._lo = np.where(open_, 0.0, loads).ravel().tolist()
-        self._hi = np.where(open_, 1.0, loads).ravel().tolist()
-        self._depth = [0] * len(self._lo)
-        self._walk(range(len(self._lo)))
-
-    @property
-    def lo(self) -> np.ndarray:
-        return np.array(self._lo).reshape(self.shape)
-
-    @property
-    def hi(self) -> np.ndarray:
-        return np.array(self._hi).reshape(self.shape)
-
-    def _walk(self, indices) -> None:
-        known = self.table.known
-        for i in indices:
-            route, lam = self._route[i], self._lam[i]
-            lo, hi, depth = self._lo[i], self._hi[i], self._depth[i]
-            while lo != hi:
-                mid = 0.5 * (lo + hi)
-                if depth == _MAX_BISECT:  # still open: take the last midpoint
-                    lo = hi = mid
+    hi = [float(lam > cost) for cost in memo[0.0]]
+    lo = [load if lam >= cost else 0.0 for load, cost in zip(hi, memo[1.0])]
+    depth, walking = [0] * len(lo), range(len(lo))
+    while True:
+        for j in walking:
+            a, b, steps = lo[j], hi[j], depth[j]
+            while a != b:
+                mid = 0.5 * (a + b)
+                if steps == _MAX_BISECT:  # still open: take the next midpoint
+                    a = b = mid
                     break
-                if mid not in known:
+                if mid not in memo:
                     break
-                val = known[mid][route]
-                depth += 1
-                if mid == lo or mid == hi or abs(val - lam) <= INNER_TOL:
-                    lo = hi = mid
-                elif val < lam:
-                    lo = mid
+                val = memo[mid][j]
+                steps += 1
+                if mid == a or mid == b or abs(val - lam) <= INNER_TOL:
+                    a = b = mid
                 else:
-                    hi = mid
-            self._lo[i], self._hi[i], self._depth[i] = lo, hi, depth
-
-    def refine(self, levels) -> bool:
-        """Probe the next midpoint of every open inversion at the selected levels, then walk on.
-
-        ``levels`` is a mask over ``lam``, or True for all of them.  The
-        new probes cost one kernel call; returns False, without one, when
-        no selected inversion is open.
-        """
-        selected = np.broadcast_to(np.asarray(levels)[..., None], self.shape).ravel().tolist()
-        open_ = [i for i, lo in enumerate(self._lo) if lo != self._hi[i] and selected[i]]
-        if not open_:
-            return False
-        self.table.fetch(list(dict.fromkeys(0.5 * (self._lo[i] + self._hi[i]) for i in open_)))
-        self._walk(open_)
-        return True
+                    a, b = (mid, b) if val < lam else (a, mid)
+            lo[j], hi[j], depth[j] = a, b, steps
+        walking = [j for j in walking if lo[j] != hi[j]]
+        if not walking or (settled is not None and settled(lo, hi)):
+            return lo, hi
+        qs = list(dict.fromkeys(0.5 * (lo[j] + hi[j]) for j in walking))
+        costs = assumed_cost(game, np.repeat(np.array(qs)[:, None], len(lo), axis=1))
+        memo.update(zip(qs, map(tuple, costs.tolist())))
 
 
-def _loads(table: _ProbeTable, lam) -> np.ndarray:
-    """Every route's load at each level in ``lam``, each inversion run to the end."""
-    inversions = _Inversions(table, lam)
-    while inversions.refine(True):
-        pass
-    return inversions.lo
+def _threshold(game: SingleStageGame, memo: dict, lo: float, hi: float, reaches) -> float:
+    """Bisect [lo, hi] for the lambda where the total mass starts to satisfy ``reaches(mass, 1.0)``.
 
-
-def _mass_bracket(table: _ProbeTable, lo: float, hi: float) -> tuple[float, float]:
-    """Bisect for the lambdas where the total mass reaches one and where it exceeds one.
-
-    The two bisections run side by side as the rows of one (2, J) load
-    array.  Each route's load lies in its bracket and a float sum in a
-    fixed order is monotone, so the row sums of the brackets bound the
-    row sum of the loads: the inversions stop as soon as those bounds
-    settle both comparisons.
+    Each load lies in its bracket and a float sum in a fixed order is
+    monotone, so the bracket sums bound the mass: a step stops as soon as
+    they settle the comparison.
     """
-    lo, hi = np.full(2, lo), np.full(2, hi)
-    open_ = np.ones(2, dtype=bool)
+
+    def settled(low, high) -> bool:
+        return reaches(np.sum(low), 1.0) or not reaches(np.sum(high), 1.0)
+
     for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)
-        open_ &= (mid != lo) & (mid != hi) & (hi - lo > OUTER_TOL)
-        if not open_.any():
+        if mid == lo or mid == hi or not hi - lo > OUTER_TOL:
             break
-        inversions = _Inversions(table, mid)
-        while True:
-            low, high = inversions.lo.sum(axis=1), inversions.hi.sum(axis=1)
-            above = np.array([low[0] >= 1.0, low[1] > 1.0])
-            settled = ~open_ | above | np.array([high[0] < 1.0, high[1] <= 1.0])
-            if settled.all() or not inversions.refine(~settled):
-                break
-        lo, hi = np.where(open_ & ~above, mid, lo), np.where(open_ & above, mid, hi)
-    lam_lo, lam_hi = 0.5 * (lo + hi)
-    return float(lam_lo), float(lam_hi)
+        low, _ = _brackets(game, memo, mid, settled)
+        lo, hi = (lo, mid) if reaches(np.sum(low), 1.0) else (mid, hi)
+    return 0.5 * (lo + hi)
 
 
 def solve_symmetric_ne(game: SingleStageGame) -> EquilibriumResult:
@@ -225,8 +158,7 @@ def solve_symmetric_ne(game: SingleStageGame) -> EquilibriumResult:
     solver splits the mass evenly over the cheapest routes (the symmetric
     member of the equilibrium set).
     """
-    table = _ProbeTable(game)
-    at_zero = table.at_zero
+    at_zero = assumed_cost(game, np.zeros(game.route_count))
     if game.n_players == 1:
         lam = float(at_zero.min())
         best = at_zero == lam
@@ -234,12 +166,14 @@ def solve_symmetric_ne(game: SingleStageGame) -> EquilibriumResult:
         residuals = np.where(best, 0.0, np.maximum(0.0, lam - at_zero))
         return EquilibriumResult(q, lam, residuals)
 
-    lo = float(at_zero.min()) - 1.0
-    hi = float(table.at_one.max()) + 1.0
-    lam_lo, lam_hi = _mass_bracket(table, lo, hi)
+    at_one = assumed_cost(game, np.ones(game.route_count))
+    memo = {0.0: tuple(at_zero.tolist()), 1.0: tuple(at_one.tolist())}
+    lo, hi = float(at_zero.min()) - 1.0, float(at_one.max()) + 1.0
+    # mass >= 1, then mass > 1: the second bisection walks the first's probes until its path leaves them
+    lam_lo, lam_hi = (_threshold(game, memo, lo, hi, reaches) for reaches in (operator.ge, operator.gt))
     lam_mid = 0.5 * (lam_lo + lam_hi)
 
-    q = _loads(table, lam_mid)
+    q = np.array(_brackets(game, memo, lam_mid)[0])
     used = q > 0
     at_q = assumed_cost(game, q)
     # report the multiplier that makes the stationarity conditions sharp

@@ -436,11 +436,16 @@ def test_a_non_integral_player_count_is_rejected(three_route, n_players):
 
 
 def test_kernels_reject_bad_probabilities_counts_and_graphs(three_route):
-    for probs in ([0.5, 1.5], [-0.1]):
+    for probs in ([0.5, 1.5], [-0.1], [0.5, np.nan]):
         with pytest.raises(ValueError, match=r"^probabilities must lie in \[0, 1\]$"):
             poisson_binomial_pmf(probs)
     with pytest.raises(ValueError, match=r"^need one event probability per other player \(N - 1 each\)$"):
         expected_tax_heterogeneous(5, [0.1] * 3, [0.2] * 4, 0.5, 1.0)
+    with pytest.raises(ValueError, match=r"^probabilities must lie in \[0, 1\]$"):
+        expected_tax_heterogeneous(3, [0.1, np.nan], [0.2, 0.3], 0.5, 1.0)
+    for ref, shown in ((np.nan, "nan"), (0.0, "0.0"), (-0.5, "-0.5")):
+        with pytest.raises(ValueError, match=rf"^reference probability must be positive, got {shown}$"):
+            expected_tax_heterogeneous(3, [0.1, 0.2], [0.2, 0.3], ref, 1.0)
     with pytest.raises(ValueError, match="^n_agents must be >= 1$"):
         simulate_population(three_route, mfe_solve(three_route).policy, 0, seed=1)
     with pytest.raises(ValueError, match=r"^n_agents must be an integer, got 2\.5$"):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import exact_expected_log_share, random_game, route_loads_bisection, solve_symmetric_ne_bisection
@@ -18,12 +18,19 @@ from mftroute import (
     solve_symmetric_ne,
 )
 from mftroute.cli import FIG4_ALPHA, FIG4_COSTS, FIG4_REFERENCE, three_route_scenario
-from mftroute.symmetric_equilibrium import _loads, _ProbeTable
+from mftroute.symmetric_equilibrium import _brackets
 
 
 def _route_loads(game: SingleStageGame, lam) -> np.ndarray:
-    """The solver's per-route inverse of the cost at each level in ``lam``, from a fresh probe table."""
-    return _loads(_ProbeTable(game), lam)
+    """The solver's per-route inverse of the cost at each level in ``lam``, from a fresh memo.
+
+    The result has shape ``np.shape(lam) + (J,)``; the levels share the memo.
+    """
+    at_zero = assumed_cost(game, np.zeros(game.route_count))
+    at_one = assumed_cost(game, np.ones(game.route_count))
+    memo = {0.0: tuple(at_zero.tolist()), 1.0: tuple(at_one.tolist())}
+    loads = [_brackets(game, memo, level)[0] for level in np.ravel(lam).tolist()]
+    return np.array(loads).reshape(np.shape(lam) + (game.route_count,))
 
 
 def route_cost(game: SingleStageGame, route: int, q: float) -> float:
@@ -51,6 +58,24 @@ def tied_games(draw) -> SingleStageGame:
     n_players = draw(st.sampled_from([1, 2, 3, 20, 200, 2000, 20000]))
     reference = np.array(weights, dtype=np.float64) / sum(weights)
     return SingleStageGame(np.array(costs, dtype=np.float64), reference, alpha, n_players)
+
+
+def _wide_game(costs, weights, alpha: float, n_players: int) -> SingleStageGame:
+    reference = np.array(weights, dtype=np.float64) / sum(weights)
+    return SingleStageGame(np.array(costs, dtype=np.float64), reference, alpha, n_players)
+
+
+# From 8 routes up numpy sums a vector out of left-to-right order, which the
+# solver's mass tests must follow; tied_games draws at most 8 routes.
+WIDE_GAMES = [
+    _wide_game(costs, weights, alpha, n_players)
+    for costs, weights, alpha in (
+        ([0, 1, -1, 2, 0, 1, -2, 3], [1] * 8, 0.7),
+        ([2, -1, 0, 0, 3, 1, -2, 1, 0], [1, 2, 3, 1, 2, 3, 1, 2, 3], 1.3),
+        ([0.5, -1.25, 2, 0, 0, 1.5, -0.75, 3, -2, 1, 0.25, 0], [1] * 6 + [2] * 6, 0.4),
+    )
+    for n_players in (3, 200)
+]
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +161,12 @@ def test_route_loads_match_nested_bisection_bit_for_bit(game):
 
 @settings(max_examples=60)
 @given(tied_games())
+@example(WIDE_GAMES[0])
+@example(WIDE_GAMES[1])
+@example(WIDE_GAMES[2])
+@example(WIDE_GAMES[3])
+@example(WIDE_GAMES[4])
+@example(WIDE_GAMES[5])
 def test_solver_matches_nested_bisection_bit_for_bit(game):
     got, want = solve_symmetric_ne(game), solve_symmetric_ne_bisection(game)
     assert np.array_equal(_bits(got.q), _bits(want.q))
@@ -143,8 +174,9 @@ def test_solver_matches_nested_bisection_bit_for_bit(game):
     assert np.array_equal(_bits(got.residuals), _bits(want.residuals))
 
 
-def test_fig4_solve_makes_few_kernel_calls(monkeypatch):
-    """The fig4 game with N = 200: nested bisection made 1 868 calls to the binomial kernel."""
+@pytest.mark.parametrize("players", [2, 20, 200, 20000])
+def test_fig4_solve_makes_few_kernel_calls(monkeypatch, players):
+    """The fig4 game: with N = 200 nested bisection made 1 868 calls to the binomial kernel."""
     calls = []
     kernel = finite_population._interior_log_shares
 
@@ -153,7 +185,7 @@ def test_fig4_solve_makes_few_kernel_calls(monkeypatch):
         return kernel(n_players, probs)
 
     monkeypatch.setattr(finite_population, "_interior_log_shares", counted)
-    game = SingleStageGame(np.array(FIG4_COSTS), np.array(FIG4_REFERENCE), FIG4_ALPHA, 200)
+    game = SingleStageGame(np.array(FIG4_COSTS), np.array(FIG4_REFERENCE), FIG4_ALPHA, players)
     solve_symmetric_ne(game)
     assert 0 < len(calls) <= 200
 
