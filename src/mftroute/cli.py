@@ -16,7 +16,7 @@ import time
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import compress, islice, repeat
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +45,7 @@ from .scenario import (
     _edge_prefixes,
     _fill_table,
     _line_blocks,
-    _parse_rows,
+    _read_rows,
     _stage_table_text,
     _uncommented,
     build_gridworld,
@@ -245,22 +245,19 @@ def read_policy_csv(path, scenario: Scenario) -> PolicyKernel:
     def columns():
         for _, first, piece, lines in _line_blocks(text, 0, len(text), 1):
             lines = list(map(str.strip, _uncommented(piece, lines)))
-            linenos = list(compress(range(first, first + len(lines)), lines))
-            lines = list(filter(None, lines))
-            if "t,i,j,value" in piece:
-                is_row = [line != "t,i,j,value" for line in lines]
-                linenos, lines = list(compress(linenos, is_row)), list(compress(lines, is_row))
-            counts = [n + 1 for n in map(str.count, lines, repeat(","))]
-            (t, i, j, p), stop = _parse_rows(counts, ",".join(lines).split(","), (int, int, int, float))
-            values = np.array(p, dtype=np.float64)
+            if "t,i,j,value" in piece:  # the header is blanked, so the rows keep their line numbers
+                lines = ["" if line == "t,i,j,value" else line for line in lines]
+            rows = _read_rows(first, piece, lines, (int, int, int, float), ",")
+            t, i, j, p = rows.columns
+            values = np.asarray(p, dtype=np.float64)
             bad = np.flatnonzero(~np.isfinite(values) | (values < 0))
             n = int(bad[0]) if len(bad) else len(values)
-            yield linenos[:n], t[:n], i[:n], j[:n], values[:n]
-            if n < len(lines):
-                parts, where = lines[n].split(","), f"line {linenos[n]}:"
+            yield rows.lineno, t[:n], i[:n], j[:n], values[:n]
+            if n < rows.count:
+                parts, where = rows.tokens(n), f"line {rows.lineno(n)}:"
                 if len(parts) != 4:
                     raise ScenarioFormatError(f"{where} policy rows are 't,i,j,value'")
-                if n == stop:
+                if n == rows.stop:
                     raise ScenarioFormatError(f"{where} cannot parse policy row")
                 fault = "is not finite" if not np.isfinite(values[n]) else "is negative"
                 raise ScenarioFormatError(f"{where} policy value '{parts[3]}' {fault}")

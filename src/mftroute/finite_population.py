@@ -42,6 +42,12 @@ _MASK_SHARE = 0.9
 # expected_tax_gap's floor on an edge's mean-field flow probability
 SUPPORT_TOL = 1e-9
 
+# How far expected_tax_symmetric lets a probability pass 1.  A propagated
+# node mass carries rounding (1 + 2**-52 on some random scenarios), and a
+# policy read from a file may sum to 1 + ROW_SUM_TOL at every stage; such a
+# probability counts as 1.  This covers that slack over 1000 stages.
+PROB_TOL = 1e-9
+
 
 def _player_count(n_players, name: str = "n_players") -> int:
     """n_players as an int; an integral float or numpy integer passes, any other value raises."""
@@ -121,14 +127,31 @@ def expected_tax_symmetric(n_players: int, node_prob, edge_prob, ref, alpha: flo
     ``node_prob`` is the probability that any other single player sits at
     the edge's source node; ``edge_prob`` is her conditional probability of
     then taking the edge; ``ref`` is the reference probability of the edge.
-    Array arguments broadcast; scalars give a float.
+    Array arguments broadcast; scalars give a float.  A probability
+    outside [0, 1] (beyond PROB_TOL above 1) or NaN, and a reference
+    probability that is not positive and finite, raise a ValueError.
     """
-    joint = np.multiply(node_prob, edge_prob, dtype=np.float64)
+    node_prob = np.asarray(node_prob, dtype=np.float64)
+    edge_prob = np.asarray(edge_prob, dtype=np.float64)
+    for probs in (node_prob, edge_prob):
+        if not np.all((probs >= 0) & (probs <= 1 + PROB_TOL)):
+            raise ValueError("probabilities must lie in [0, 1]")
+    _check_reference(ref)
+    joint = np.multiply(node_prob, edge_prob)
     pair = np.empty((2,) + joint.shape)
     pair[0], pair[1] = joint, node_prob
     share_edge, share_node = binomial_expected_log_share(n_players, pair)
     tax = alpha * (share_edge - share_node) - alpha * np.log(ref)
     return float(tax) if np.ndim(tax) == 0 else tax
+
+
+def _check_reference(ref) -> None:
+    """Raise unless every reference probability is positive and finite; NaN fails."""
+    ref = np.asarray(ref, dtype=np.float64)
+    bad = ~((ref > 0) & (ref < math.inf))
+    if bad.any():
+        value = ref[bad][0]
+        raise ValueError(f"reference probability must be {'finite' if value > 0 else 'positive'}, got {value}")
 
 
 def poisson_binomial_pmf(probs) -> np.ndarray:
@@ -158,8 +181,9 @@ def expected_tax_heterogeneous(
     node_probs = np.asarray(node_probs, dtype=np.float64)
     if edge_probs.shape != (n_players - 1,) or node_probs.shape != (n_players - 1,):
         raise ValueError("need one event probability per other player (N - 1 each)")
-    if not ref > 0:
-        raise ValueError(f"reference probability must be positive, got {ref}")
+    _check_reference(ref)
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     log_share = np.log(np.arange(1, n_players + 1) / n_players)
     share_edge = math.fsum(log_share * poisson_binomial_pmf(edge_probs))
     share_node = math.fsum(log_share * poisson_binomial_pmf(node_probs))

@@ -13,7 +13,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, compress
+from itertools import accumulate, compress, repeat
 
 import numpy as np
 
@@ -565,11 +565,12 @@ def _section_lines(text: str, spans):
             yield first, _uncommented(piece, lines), piece
 
 
-def _whitespace_tokens(first: int, lines: list[str]) -> tuple[list[int], list[int], list[str]]:
-    """Line numbers and token counts of the lines that are not blank, and all their tokens in order."""
-    counts = list(map(len, map(str.split, lines)))
-    linenos = list(compress(range(first, first + len(lines)), counts))
-    return linenos, list(filter(None, counts)), " ".join(lines).split()
+def _tokens(lines: list[str], sep: str | None) -> tuple[list[int], list[str]]:
+    """Token counts of the lines that are not blank, and all their tokens in order, split at sep or whitespace."""
+    if sep is None:
+        return list(filter(None, map(len, map(str.split, lines)))), " ".join(lines).split()
+    rows = list(compress(lines, map(str.strip, lines)))
+    return [n + 1 for n in map(str.count, rows, repeat(sep))], sep.join(rows).split(sep)
 
 
 def _parses(row, kinds) -> bool:
@@ -598,6 +599,60 @@ def _parse_rows(counts: list[int], tokens: list[str], kinds) -> tuple[list[list]
         return [list(map(kind, column[:stop])) for kind, column in zip(kinds, columns)], stop
 
 
+@dataclass(eq=False)
+class _Rows:
+    """A chunk's table rows, one per line that is not blank, parsed a column at a time.
+
+    ``columns`` holds the parsed columns of the rows ahead of ``stop``, the
+    first row that does not hold one token per kind or holds a token its
+    kind rejects (None when every row parses); ``count`` rows in all.  A
+    row's line number and tokens are looked up only when a fault is reported.
+    """
+
+    first: int
+    lines: list[str]
+    sep: str | None
+    columns: list
+    stop: int | None
+    count: int
+
+    @cached_property
+    def linenos(self) -> list[int]:
+        return list(compress(range(self.first, self.first + len(self.lines)), map(str.strip, self.lines)))
+
+    def lineno(self, k: int) -> int:
+        return self.linenos[k]
+
+    def tokens(self, k: int) -> list[str]:
+        return self.lines[self.linenos[k] - self.first].split(self.sep)
+
+
+def _read_rows(first: int, piece: str, lines: list[str], kinds, sep: str | None = None) -> _Rows:
+    """The rows of a chunk of uncommented lines, column c parsed by kinds[c], split at sep or whitespace.
+
+    numpy's C text reader parses a chunk in one call and gives the bits
+    int() and float() give.  A chunk it rejects is walked a token at a time
+    by int() and float() themselves, which read every spelling they accept
+    (1_0, non-ASCII digits, integers beyond int64) and find the first row
+    that does not parse.  The C reader never sees a chunk that is blank,
+    holds non-ASCII text (it reads some letters as digits) or, split at
+    sep, a '\\x1f' (it strips one around a field; int() and float() do not).
+    """
+    if not any(map(str.strip, lines)):
+        return _Rows(first, lines, sep, [[] for _ in kinds], None, 0)
+    if (piece.isascii() or "".join(lines).isascii()) and (sep is None or "\x1f" not in piece):
+        dtype = [(f"c{c}", np.int64 if kind is int else np.float64) for c, kind in enumerate(kinds)]
+        try:
+            table = np.loadtxt(lines, dtype=dtype, comments=None, delimiter=sep, ndmin=1)
+        except (ValueError, OverflowError):
+            pass
+        else:
+            return _Rows(first, lines, sep, [table[name] for name in table.dtype.names], None, len(table))
+    counts, tokens = _tokens(lines, sep)
+    columns, stop = _parse_rows(counts, tokens, kinds)
+    return _Rows(first, lines, sep, columns, stop, len(counts))
+
+
 def _parse(kind, token: str, lineno: int, what: str):
     try:
         return kind(token)
@@ -606,7 +661,7 @@ def _parse(kind, token: str, lineno: int, what: str):
 
 
 def _fill_table(graph: TrafficGraph, stages: int, columns, label: str, undeclared: str, missing: str) -> np.ndarray:
-    """Fill a (stages, E) table from chunks of (line numbers, t, i, j, values) columns.
+    """Fill a (stages, E) table from chunks of (line number of row k, t, i, j, values) columns.
 
     Each chunk is checked as whole columns.  The row reported is the first
     faulty one in line order, with the first of its checks that fails:
@@ -617,7 +672,7 @@ def _fill_table(graph: TrafficGraph, stages: int, columns, label: str, undeclare
     table = np.empty((stages, e_count))
     seen = np.zeros(table.shape, dtype=bool)
     cells, cells_seen = table.reshape(-1), seen.reshape(-1)
-    for linenos, t, i, j, values in columns:
+    for lineno, t, i, j, values in columns:
         stage = _int64(t)
         edge = graph.edge_ids(_int64(i), _int64(j))
         ok = (stage >= 0) & (stage < stages) & (edge >= 0)
@@ -628,7 +683,7 @@ def _fill_table(graph: TrafficGraph, stages: int, columns, label: str, undeclare
         bad[ok] = cells_seen[cell] | ~first
         if bad.any():
             k = int(np.argmax(bad))
-            where = f"line {linenos[k]}:"
+            where = f"line {lineno(k)}:"
             if not 0 <= t[k] < stages:
                 raise ScenarioFormatError(f"{where} stage {t[k]} outside 0..{stages - 1}")
             if edge[k] < 0:
@@ -717,17 +772,17 @@ def deserialize(text: str) -> Scenario:
 
     neighbors: list[list[int]] = [[] for _ in range(node_count)]
     edge_lines = 0
-    for first, lines, _ in _section_lines(text, spans["graph"]):
-        linenos, counts, tokens = _whitespace_tokens(first, lines)
-        (src, dst), stop = _parse_rows(counts, tokens, (int, int))
+    for first, lines, piece in _section_lines(text, spans["graph"]):
+        rows = _read_rows(first, piece, lines, (int, int))
+        src, dst = rows.columns
         ends = np.concatenate([_int64(src), _int64(dst)]).reshape(2, -1)
         outside = np.flatnonzero(((ends < 0) | (ends >= node_count)).any(axis=0))
-        stop = int(outside[0]) if len(outside) else stop
-        for i, j in zip(src[:stop], dst[:stop]):
+        stop = int(outside[0]) if len(outside) else rows.stop
+        for i, j in zip(ends[0, :stop].tolist(), ends[1, :stop].tolist()):
             neighbors[i].append(j)
-        edge_lines += len(counts)
+        edge_lines += rows.count
         if stop is not None:
-            graph_line(linenos[stop], tokens[2 * stop : 2 * stop + counts[stop]])
+            graph_line(rows.lineno(stop), rows.tokens(stop))
     if not edge_lines:
         raise ScenarioFormatError("missing or empty [graph] section")
     graph = TrafficGraph(tuple(tuple(row) for row in neighbors))
@@ -763,35 +818,35 @@ def deserialize(text: str) -> Scenario:
 
         A chunk ends ahead of its first faulty line, a table line that does
         not parse or a terminal line that fails; once the fill has checked
-        the rows ahead of it, that line's fault is raised.
+        the rows ahead of it, that line's fault is raised.  Terminal lines
+        are read first and then blanked, so the table rows keep their line
+        numbers.
         """
         kinds = [kind for kind, _ in fields] + [float]
-        width = len(kinds)
         for first, lines, piece in _section_lines(text, spans[section]):
-            linenos, counts, tokens = _whitespace_tokens(first, lines)
             fault = None  # (line number, error) of the first faulty line
             if "terminal" in piece.lower():
-                rows = [tokens[end - n : end] for n, end in zip(counts, accumulate(counts))]
-                is_terminal = [row[0].lower() == "terminal" for row in rows]
-                for lineno, row in compress(zip(linenos, rows), is_terminal):
-                    try:
-                        terminal_line(lineno, row, section)
-                    except ScenarioFormatError as exc:
-                        fault = (lineno, exc)
-                        break
-                is_table = [not x for x in is_terminal]
-                linenos, counts = list(compress(linenos, is_table)), list(compress(counts, is_table))
-                tokens = list(chain.from_iterable(compress(rows, is_table)))
-            cols, stop = _parse_rows(counts, tokens, kinds)
-            if stop is not None and (fault is None or linenos[stop] < fault[0]):
-                fault = (linenos[stop], None)
-            n = len(counts) if fault is None else bisect_left(linenos, fault[0])
+                for k in [k for k, line in enumerate(lines) if "terminal" in line.lower()]:
+                    tokens = lines[k].split()
+                    if tokens[0].lower() != "terminal":
+                        continue
+                    lines[k] = ""
+                    if fault is None:
+                        try:
+                            terminal_line(first + k, tokens, section)
+                        except ScenarioFormatError as exc:
+                            fault = (first + k, exc)
+            rows = _read_rows(first, piece, lines, kinds)
+            if rows.stop is not None and (fault is None or rows.lineno(rows.stop) < fault[0]):
+                fault = (rows.lineno(rows.stop), None)
+            n = rows.count if fault is None else bisect_left(rows.linenos, fault[0])
+            cols = rows.columns
             t = [0] * n if stationary else cols[0][:n]
-            yield linenos[:n], t, cols[-3][:n], cols[-2][:n], np.array(cols[-1][:n], dtype=np.float64)
+            yield rows.lineno, t, cols[-3][:n], cols[-2][:n], np.asarray(cols[-1][:n], dtype=np.float64)
             if fault is not None:
                 if fault[1] is not None:
                     raise fault[1]
-                table_line(linenos[n], tokens[width * n : width * n + counts[n]], label)
+                table_line(rows.lineno(n), rows.tokens(n), label)
 
     def table(section: str, label: str) -> np.ndarray:
         # a stationary file fills one row, broadcast to every stage

@@ -190,6 +190,45 @@ def test_expected_log_share_matches_exact_rational_oracle():
             assert ours == pytest.approx(oracle, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "node_prob, edge_prob, ref, error",
+    [
+        (0.5, 1.5, 0.5, r"probabilities must lie in \[0, 1\]"),
+        (-0.1, 0.5, 0.5, r"probabilities must lie in \[0, 1\]"),
+        (np.nan, 0.5, 0.5, r"probabilities must lie in \[0, 1\]"),
+        (0.5, [0.2, np.nan], 0.5, r"probabilities must lie in \[0, 1\]"),
+        (0.5, 0.5, np.nan, "reference probability must be positive, got nan"),
+        (0.5, 0.5, 0.0, "reference probability must be positive, got 0.0"),
+        (0.5, 0.5, [0.5, -0.5], "reference probability must be positive, got -0.5"),
+        (0.5, 0.5, np.inf, "reference probability must be finite, got inf"),
+    ],
+)
+def test_the_symmetric_toll_rejects_bad_probabilities_and_references(node_prob, edge_prob, ref, error):
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        expected_tax_symmetric(10, node_prob, edge_prob, ref, 1.0)
+
+
+def test_the_symmetric_toll_counts_a_rounded_flow_above_one_as_one():
+    # propagate can sum a node's mass to 1 + 2**-52; the toll is that of mass 1
+    above = np.nextafter(1.0, 2.0)
+    assert expected_tax_symmetric(10, above, 0.5, 0.5, 1.0) == expected_tax_symmetric(10, 1.0, 0.5, 0.5, 1.0)
+    assert expected_tax_symmetric(10, 0.5, above, 0.5, 1.0) == expected_tax_symmetric(10, 0.5, 1.0, 0.5, 1.0)
+
+
+@pytest.mark.parametrize(
+    "ref, alpha, error",
+    [
+        (np.inf, 1.0, "reference probability must be finite, got inf"),
+        (0.5, np.nan, "alpha must be finite, got nan"),
+        (0.5, np.inf, "alpha must be finite, got inf"),
+        (0.5, -np.inf, "alpha must be finite, got -inf"),
+    ],
+)
+def test_the_heterogeneous_toll_rejects_an_infinite_reference_and_a_nonfinite_alpha(ref, alpha, error):
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        expected_tax_heterogeneous(3, [0.1, 0.2], [0.2, 0.3], ref, alpha)
+
+
 def test_large_population_tax_approaches_the_log_ratio(three_route):
     solution = mfe_solve(three_route)
     q2 = float(solution.policy.probs[0, 1])

@@ -297,10 +297,13 @@ def test_both_edge_table_readers_report_a_fault_alike(tmp_path, rows, scenario_e
 
 MUTATIONS = ("replace token", "replace value", "swap tokens", "truncate", "stray character", "duplicate line",
              "delete line", "swap lines", "terminal line", "comment or blank")
+# spellings where numpy's C reader and int()/float() could part ways: signs, bare dots, exponents in
+# integer columns, NaN spellings, C-only float forms, quotes, and characters numpy strips or misreads
 TOKENS = ("", "x", "-1", "0", "1", "2", "99", "-0.0", "0.5", "1e400", "nan", "-inf", "0x10", "1_0", "٣",
-          "9" * 30, "-" + "9" * 25, "terminal", "TERMINAL", "[costs]", "[bogus]", "# note", "t,i,j,value")
+          "9" * 30, "-" + "9" * 25, "terminal", "TERMINAL", "[costs]", "[bogus]", "# note", "t,i,j,value",
+          "+1", "-0", "1.", ".5", "1.0", "1e3", "infinity", "+nan", "-nan", "NaN", "1d5", "0x1p3", '"1"')
 STRAY = (" ", "\t", ",", "#", "[", "]", "=", ":", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", " ", "\xa0",
-         "\xe9", "\x00")
+         "\xe9", "\x00", "\u3000", "\x1f", "\u01fe")
 FILLERS = ("", "   ", "\t", "# comment", "  # comment, with, commas")
 mutations = st.lists(
     st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 10**6), st.integers(0, 10**6), st.sampled_from(TOKENS),
@@ -401,6 +404,58 @@ def test_read_policy_csv_matches_the_line_reference_on_mutated_files(tmp_path_fa
     assert got_error == want_error
     if want is not None:
         assert got.probs.tobytes() == want.probs.tobytes()
+
+
+# every spelling the fuzz draws, and each character numpy strips or misreads, in front of and behind a digit
+SPELLINGS = TOKENS + tuple(f"{c}1" for c in STRAY) + tuple(f"1{c}" for c in STRAY)
+
+
+@pytest.mark.parametrize("spelling", SPELLINGS)
+def test_each_spelling_in_each_column_reads_as_the_line_reference(tmp_path, spelling):
+    """The fourth row of a cost table and of a policy CSV with one of its four fields spelled otherwise."""
+    scenario = deserialize(_scenario_text(_ROWS))
+    for column in range(4):
+        row = list(_ROWS[3])
+        row[column] = spelling
+        rows = _ROWS[:3] + [row] + _ROWS[4:]
+        got_error, got = _outcome(deserialize, _scenario_text(rows))
+        want_error, want = _outcome(deserialize_loop, _scenario_text(rows))
+        assert got_error == want_error
+        if want is not None:
+            assert _scenario_bytes(got) == _scenario_bytes(want)
+
+        path = tmp_path / f"policy{column}.csv"
+        path.write_text("t,i,j,value\n" + "".join(",".join(map(str, r)) + "\n" for r in rows), encoding="utf-8")
+        got_error, got = _outcome(read_policy_csv, path, scenario)
+        want_error, want = _outcome(read_policy_csv_loop, path, scenario)
+        assert got_error == want_error
+        if want is not None:
+            assert got.probs.tobytes() == want.probs.tobytes()
+
+
+@pytest.mark.parametrize("stationary", [False, True])
+def test_writer_output_is_read_without_the_token_walk(tmp_path, stationary):
+    """Clean files go through numpy's C reader alone: the Python token walk is never called."""
+    rng = np.random.default_rng(15)
+    base = random_scenario(rng, max_nodes=40, max_horizon=6, max_degree=6)
+    stage, probs = base.costs.stage, base.reference.probs
+    if stationary:
+        stage, probs = np.tile(stage[0], (base.horizon, 1)), np.tile(probs[0], (base.horizon, 1))
+    terminal = rng.uniform(0.0, 10.0, base.graph.node_count)
+    scenario = Scenario(base.graph, StageCosts(base.horizon, stage, terminal), ReferencePolicy(probs), base.alpha,
+                        base.initial)
+    text = serialize(scenario)
+    assert ("stationary = true" in text) == stationary
+    policy = PolicyKernel(scenario.reference.probs)
+    write_policy_csv(tmp_path / "policy.csv", scenario, policy, RunManifest("mfe", {"scenario": "x.scn"}))
+    walk = AssertionError("the token walk was called on a clean chunk")
+    with patch("mftroute.scenario._tokens", side_effect=walk), patch("mftroute.scenario._parse_rows", side_effect=walk):
+        for chunk in (64, 1 << 16):
+            with patch("mftroute.scenario._CHUNK_CHARS", chunk):
+                again = deserialize(text)
+                back = read_policy_csv(tmp_path / "policy.csv", scenario)
+            assert _scenario_bytes(again) == _scenario_bytes(scenario)
+            assert back.probs.tobytes() == policy.probs.tobytes()
 
 
 _COSTS_WITH_TERMINALS = _GRAPH_AND_REFERENCE + "[costs]\n" + "".join(" ".join(map(str, r)) + "\n" for r in _ROWS)
