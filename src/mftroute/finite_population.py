@@ -23,11 +23,15 @@ from .scenario import Scenario, TrafficGraph, _readonly
 
 GENERATOR_NAME = "pcg64"
 
-# Terms with |k - (N-1)p| > ceil(sqrt(WINDOW_SQ * (N-1))) + 1 have pmf below
-# exp(-2 * WINDOW_SQ) = e^-746 by Hoeffding's bound; exp() already rounds
-# such terms to exactly 0, so the window drops nothing the full sum keeps.
-_WINDOW_SQ = 373
-_CHUNK_FLOATS = 1 << 16  # elements per (rows x window) temporary
+# exp() rounds every argument below about -745.13 to exactly 0.0, so a term
+# whose log pmf is below _LOG_FLOOR adds nothing to the binomial sum, and the
+# sum may skip it.  Up to _WHOLE_SUPPORT players no term is skipped: the sums
+# of the route game (N = 2 to 200 in fig4) keep the bits of the full-support
+# kernel.  Which terms are summed depends on N and p only, never on the other
+# probabilities of a call.
+_LOG_FLOOR = -746.0
+_WHOLE_SUPPORT = 256
+_CHUNK_FLOATS = 1 << 16  # elements per temporary: rows x window in a sum, probabilities per search block
 
 # simulate_population selects a stage's agents node by node through comparison
 # masks while few nodes are occupied and one of them holds nearly every agent;
@@ -42,7 +46,7 @@ _MASK_SHARE = 0.9
 # expected_tax_gap's floor on an edge's mean-field flow probability
 SUPPORT_TOL = 1e-9
 
-# How far expected_tax_symmetric lets a probability pass 1.  A propagated
+# How far the binomial kernel lets a probability pass 1.  A propagated
 # node mass carries rounding (1 + 2**-52 on some random scenarios), and a
 # policy read from a file may sum to 1 + ROW_SUM_TOL at every stage; such a
 # probability counts as 1.  This covers that slack over 1000 stages.
@@ -59,12 +63,8 @@ def _player_count(n_players, name: str = "n_players") -> int:
 
 
 @lru_cache(maxsize=8)
-def _binomial_tables(n_players: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
-    """Per-N constants of the windowed sum, all read-only.
-
-    Returns log C(N-1, k) and log((k + 1) / N) for k = 0..N-1, the window
-    half-width, and the window's offsets from its first k.
-    """
+def _binomial_tables(n_players: int) -> tuple[np.ndarray, np.ndarray]:
+    """log C(N-1, k) and log((k + 1) / N) for k = 0..N-1, both read-only."""
     # imported here, not at module level: scipy.special is about half of the
     # package's start-up, and most commands never reach the toll kernel
     from scipy.special import gammaln
@@ -73,29 +73,83 @@ def _binomial_tables(n_players: int) -> tuple[np.ndarray, np.ndarray, int, np.nd
     k = np.arange(n + 1)
     coeffs = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
     log_share = np.log((k + 1.0) / n_players)
-    half = math.ceil(math.sqrt(_WINDOW_SQ * n)) + 1
-    offsets = np.arange(min(n + 1, 2 * half + 2))
-    for table in (coeffs, log_share, offsets):
+    for table in (coeffs, log_share):
         table.setflags(write=False)
-    return coeffs, log_share, half, offsets
+    return coeffs, log_share
+
+
+def _log_pmf(coeffs: np.ndarray, k: np.ndarray, log_p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
+    """log P(K = k) for K ~ Binomial(len(coeffs) - 1, p); the window search and the sum share it."""
+    return coeffs[k] + k * log_p + (len(coeffs) - 1 - k) * log_q
+
+
+def _windows(coeffs: np.ndarray, probs: np.ndarray, log_p: np.ndarray, log_q: np.ndarray):
+    """First k and width of the rectangle of terms summed for each probability.
+
+    It holds the k whose log pmf is at least _LOG_FLOOR, is the least power
+    of two that does (at most N) and lies inside the support.  The binomial
+    pmf is log-concave in k, so those k form one interval around the mode;
+    each end is bisected between the mode, where the pmf is at least 1/N,
+    and a virtual k (-1 or N) outside the support.
+    """
+    n_players = len(coeffs)
+    count = len(probs)
+    mode = np.minimum((n_players * probs).astype(np.int64), n_players - 1)
+    # rows [0, count) bisect the first k, rows [count, 2 count) the last: each
+    # row keeps log pmf >= floor at good and < floor at bad, and its midpoint
+    # rounds toward good
+    good = np.concatenate([mode, mode])
+    bad = np.repeat([-1, n_players], count)
+    toward_good = np.repeat([1, 0], count)
+    log_p, log_q = np.concatenate([log_p, log_p]), np.concatenate([log_q, log_q])
+    for _ in range(n_players.bit_length()):
+        mid = (good + bad + toward_good) >> 1
+        keep = _log_pmf(coeffs, mid, log_p, log_q) >= _LOG_FLOOR
+        good, bad = np.where(keep, mid, good), np.where(keep, bad, mid)
+    first, last = good[:count], good[count:]
+    # 2 ** e with last - first < 2 ** e
+    width = np.minimum(np.left_shift(1, np.frexp(last - first)[1]), n_players)
+    return np.minimum(first, n_players - width), width
+
+
+def _window_sums(coeffs, log_share, start, width: int, log_p, log_q) -> np.ndarray:
+    """Per row, the sum of log((k + 1) / N) P(K = k) over k = start .. start + width - 1."""
+    offsets = np.arange(width)
+    rows = max(1, _CHUNK_FLOATS // width)
+    out = np.empty(len(start))
+    for lo in range(0, len(start), rows):
+        hi = lo + rows
+        k = start[lo:hi, None] + offsets
+        log_pmf = _log_pmf(coeffs, k, log_p[lo:hi, None], log_q[lo:hi, None])
+        # the same 0.0 that exp() rounds such terms to, without numpy's slow underflow path
+        pmf = np.exp(log_pmf, out=np.zeros_like(log_pmf), where=log_pmf >= _LOG_FLOOR)
+        out[lo:hi] = (log_share[k] * pmf).sum(axis=1)
+    return out
 
 
 def _interior_log_shares(n_players: int, probs: np.ndarray) -> np.ndarray:
-    """Windowed binomial sums for distinct probabilities strictly inside (0, 1)."""
-    n = n_players - 1
-    coeffs, log_share, half, offsets = _binomial_tables(n_players)
-    width = len(offsets)
-    start = np.minimum(np.maximum((n * probs).astype(np.int64) - half, 0), n + 1 - width)
+    """Binomial sums for distinct probabilities strictly inside (0, 1).
+
+    Up to _WHOLE_SUPPORT players each sum runs over the whole support,
+    above it over the rectangle ``_windows`` picks; rows of one width are
+    summed together.
+    """
+    coeffs, log_share = _binomial_tables(n_players)
     # math.log, not the ufunc: an ulp of error in log p is multiplied by k below
-    log_p = np.fromiter(map(math.log, probs), np.float64, len(probs))[:, None]
-    log_q = np.fromiter(map(math.log1p, -probs), np.float64, len(probs))[:, None]
-    rows = max(1, _CHUNK_FLOATS // width)
+    log_p = np.fromiter(map(math.log, probs), np.float64, len(probs))
+    log_q = np.fromiter(map(math.log1p, -probs), np.float64, len(probs))
+    if n_players <= _WHOLE_SUPPORT:
+        return _window_sums(coeffs, log_share, np.zeros(len(probs), dtype=np.int64), n_players, log_p, log_q)
+    start = np.empty(len(probs), dtype=np.int64)
+    width = np.empty(len(probs), dtype=np.int64)
+    # in blocks: the search's temporaries are several times the size of its input
+    for lo in range(0, len(probs), _CHUNK_FLOATS):
+        block = slice(lo, lo + _CHUNK_FLOATS)
+        start[block], width[block] = _windows(coeffs, probs[block], log_p[block], log_q[block])
     out = np.empty(len(probs))
-    for lo in range(0, len(probs), rows):
-        hi = lo + rows
-        k = start[lo:hi, None] + offsets
-        log_pmf = coeffs[k] + k * log_p[lo:hi] + (n - k) * log_q[lo:hi]
-        out[lo:hi] = (log_share[k] * np.exp(log_pmf)).sum(axis=1)
+    for w in np.unique(width).tolist():
+        at = np.flatnonzero(width == w)
+        out[at] = _window_sums(coeffs, log_share, start[at], w, log_p[at], log_q[at])
     return out
 
 
@@ -105,15 +159,20 @@ def binomial_expected_log_share(n_players: int, prob):
     This is the expected log share of the population on an event the
     tagged player is already counted in.  A scalar ``prob`` gives a float,
     an array gives an array of its shape.  Repeated probabilities are
-    summed once, each over the window of the support where the pmf does
-    not underflow.
+    summed once, each over its exact window: the k where the pmf does not
+    underflow, or the whole support up to _WHOLE_SUPPORT players.  A
+    probability below 0, above 1 + PROB_TOL or NaN raises a ValueError; one
+    within PROB_TOL above 1 counts as 1.
     """
     n_players = _player_count(n_players)
     prob = np.asarray(prob, dtype=np.float64)
-    out = np.full(prob.shape, np.nan)
-    out[prob <= 0.0] = math.log(1.0 / n_players)
-    out[prob >= 1.0] = 0.0
     interior = (prob > 0.0) & (prob < 1.0)
+    out = np.zeros(prob.shape)
+    if not interior.all():
+        # the rest must be 0, or 1 up to PROB_TOL; NaN is neither
+        if not np.all((prob >= 0.0) & (prob <= 1.0 + PROB_TOL)):
+            raise ValueError("probabilities must lie in [0, 1]")
+        out[prob == 0.0] = math.log(1.0 / n_players)
     if interior.any():
         values = prob[interior]
         distinct = np.unique(values)
@@ -133,9 +192,9 @@ def expected_tax_symmetric(n_players: int, node_prob, edge_prob, ref, alpha: flo
     """
     node_prob = np.asarray(node_prob, dtype=np.float64)
     edge_prob = np.asarray(edge_prob, dtype=np.float64)
-    for probs in (node_prob, edge_prob):
-        if not np.all((probs >= 0) & (probs <= 1 + PROB_TOL)):
-            raise ValueError("probabilities must lie in [0, 1]")
+    # the kernel checks node_prob and the joint probability; only edge_prob is not passed to it
+    if not np.all((edge_prob >= 0) & (edge_prob <= 1 + PROB_TOL)):
+        raise ValueError("probabilities must lie in [0, 1]")
     _check_reference(ref)
     joint = np.multiply(node_prob, edge_prob)
     pair = np.empty((2,) + joint.shape)

@@ -315,6 +315,35 @@ def binomial_expected_log_share_scalar(n_players: int, prob: float) -> float:
     return math.fsum(terms)
 
 
+# Terms with |k - (N-1)p| > ceil(sqrt(WINDOW_SQ * (N-1))) + 1 have pmf below
+# exp(-2 * WINDOW_SQ) = e^-746 by Hoeffding's bound, so exp() rounds them to 0.
+_WINDOW_SQ = 373
+_HOEFFDING_CHUNK = 1 << 16
+
+
+def interior_log_shares_hoeffding(n_players: int, probs: np.ndarray) -> np.ndarray:
+    """The batched kernel the exact windows replaced: every probability's sum
+    runs over one rectangle of Hoeffding half-widths around (N-1)p, for
+    distinct probabilities strictly inside (0, 1)."""
+    n = n_players - 1
+    coeffs = _log_binom_coeffs(n)
+    log_share = np.log((np.arange(n + 1) + 1.0) / n_players)
+    half = math.ceil(math.sqrt(_WINDOW_SQ * n)) + 1
+    offsets = np.arange(min(n + 1, 2 * half + 2))
+    width = len(offsets)
+    start = np.minimum(np.maximum((n * probs).astype(np.int64) - half, 0), n + 1 - width)
+    log_p = np.fromiter(map(math.log, probs), np.float64, len(probs))[:, None]
+    log_q = np.fromiter(map(math.log1p, -probs), np.float64, len(probs))[:, None]
+    rows = max(1, _HOEFFDING_CHUNK // width)
+    out = np.empty(len(probs))
+    for lo in range(0, len(probs), rows):
+        hi = lo + rows
+        k = start[lo:hi, None] + offsets
+        log_pmf = coeffs[k] + k * log_p[lo:hi] + (n - k) * log_q[lo:hi]
+        out[lo:hi] = (log_share[k] * np.exp(log_pmf)).sum(axis=1)
+    return out
+
+
 def expected_tax_symmetric_scalar(
     n_players: int, node_prob: float, edge_prob: float, ref: float, alpha: float
 ) -> float:

@@ -1,9 +1,10 @@
-"""The batched, windowed expected-toll kernel against its scalar reference.
+"""The batched, windowed expected-toll kernel against its references.
 
-The reference (tests/helpers.py) is the full-support, exactly rounded
-scalar kernel the batched one replaced, plus the per-element caller loops
-that used it.  Both kernels form every pmf term the same way, so they
-differ only in how the terms are summed and in the terms the window drops.
+The references (tests/helpers.py) are the full-support, exactly rounded
+scalar kernel the batched one replaced, the batched kernel over Hoeffding
+rectangles that the exact windows replaced, and the per-element caller
+loops.  All kernels form every pmf term the same way, so they differ only
+in how the terms are summed and in the terms the window drops.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from helpers import (
     expected_tax_gap_loop,
     expected_tax_table_loop,
     folded_costs,
+    interior_log_shares_hoeffding,
     random_game,
     random_scenario,
     shortest_path_loop,
@@ -41,12 +43,27 @@ from mftroute import (
     solve_symmetric_ne,
 )
 from mftroute.cli import FIG4_ALPHA, FIG4_COSTS, FIG4_REFERENCE
-from mftroute.finite_population import _shortest_path, binomial_expected_log_share
+from mftroute.finite_population import (
+    _LOG_FLOOR,
+    _WHOLE_SUPPORT,
+    PROB_TOL,
+    _binomial_tables,
+    _interior_log_shares,
+    _shortest_path,
+    _windows,
+    binomial_expected_log_share,
+)
 
 PROBS = st.one_of(
     st.sampled_from([0.0, 1.0, 5e-324, 1.0 - 1e-16]),
     st.floats(-300.0, -1.0).map(lambda e: 10.0**e),
     st.floats(0.0, 1.0),
+)
+INTERIOR = st.one_of(
+    st.sampled_from([1e-300, 0.5, 1.0 - 1e-16]),
+    st.floats(-300.0, -1.0).map(lambda e: 10.0**e),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(-16.0, -1.0).map(lambda e: 1.0 - 10.0**e),
 )
 
 
@@ -84,12 +101,13 @@ def test_window_drops_nothing_the_full_support_sum_keeps(n_players, prob):
 
 
 @given(
-    n_players=st.integers(1, 1000),
+    n_players=st.integers(1, 5000),
     probs=st.lists(PROBS, min_size=1, max_size=200),
     repeat=st.integers(1, 3),
 )
 def test_array_call_equals_elementwise_scalar_calls(n_players, probs, repeat):
-    # repeats exercise the deduplication; 200 rows at N near 1000 span several chunks
+    # repeats exercise the deduplication; 200 rows at N near 1000 span several chunks,
+    # and above _WHOLE_SUPPORT players one call sums rows of several window widths
     batch = np.array(probs * repeat).reshape(repeat, -1)
     shares = binomial_expected_log_share(n_players, batch)
     assert shares.shape == batch.shape
@@ -98,11 +116,54 @@ def test_array_call_equals_elementwise_scalar_calls(n_players, probs, repeat):
 
 
 def test_kernel_boundaries_nan_and_bad_population():
-    shares = binomial_expected_log_share(7, np.array([-0.5, 0.0, 1.0, 2.0, np.nan]))
-    np.testing.assert_array_equal(shares[:4], [math.log(1 / 7), math.log(1 / 7), 0.0, 0.0])
-    assert math.isnan(shares[4])
+    shares = binomial_expected_log_share(7, np.array([-0.0, 0.0, 1.0, 1.0 + PROB_TOL]))
+    np.testing.assert_array_equal(shares, [math.log(1 / 7), math.log(1 / 7), 0.0, 0.0])
+    for bad in (-0.5, 2.0, np.nan, 1.0 + 2 * PROB_TOL):
+        with pytest.raises(ValueError, match=r"^probabilities must lie in \[0, 1\]$"):
+            binomial_expected_log_share(7, np.array([0.0, 0.5, bad]))
     with pytest.raises(ValueError):
         binomial_expected_log_share(0, 0.5)
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.2, math.nan])
+def test_kernel_and_route_costs_reject_a_probability_outside_the_unit_interval(bad):
+    message = r"^probabilities must lie in \[0, 1\]$"
+    with pytest.raises(ValueError, match=message):
+        binomial_expected_log_share(10, bad)
+    game = SingleStageGame(np.array(FIG4_COSTS), np.array(FIG4_REFERENCE), FIG4_ALPHA, 10)
+    with pytest.raises(ValueError, match=message):
+        assumed_cost(game, np.array([0.3, bad, 0.2]))
+
+
+@given(
+    n_players=st.one_of(st.integers(1, 5000), st.sampled_from([10_000, 100_000])),
+    probs=st.lists(INTERIOR, min_size=1, max_size=50),
+)
+def test_windowed_kernel_matches_the_hoeffding_rectangle(n_players, probs):
+    probs = np.unique(probs)
+    ours = _interior_log_shares(n_players, probs)
+    ref = interior_log_shares_hoeffding(n_players, probs)
+    bad = np.abs(ours - ref) > 1e-15 * np.abs(ref)
+    assert not bad.any(), (probs[bad], ours[bad], ref[bad])
+
+
+@pytest.mark.parametrize("n_players", [2, 100, _WHOLE_SUPPORT, _WHOLE_SUPPORT + 1, 1000, 5000, 100_000])
+def test_terms_outside_the_window_are_exact_zeros(n_players):
+    # the kernel sums the whole support up to _WHOLE_SUPPORT players and these rectangles above it
+    probs = np.array([1e-300, 1e-200, 1e-12, 1e-3, 0.3, 0.5, 1.0 - 1e-9, 1.0 - 1e-16])
+    coeffs, _ = _binomial_tables(n_players)
+    log_p, log_q = np.array([math.log(p) for p in probs]), np.array([math.log1p(-p) for p in probs])
+    starts, widths = _windows(coeffs, probs, log_p, log_q)
+    k = np.arange(n_players)
+    for p, start, width in zip(probs, starts.tolist(), widths.tolist()):
+        # the full-support log pmf, each term formed as the kernel forms it
+        log_pmf = coeffs + k * math.log(p) + (n_players - 1 - k) * math.log1p(-p)
+        inside = (k >= start) & (k < start + width)
+        assert start >= 0 and start + width <= n_players
+        assert np.all(np.exp(log_pmf[~inside]) == 0.0), p
+        # the least power of two that holds every k with log pmf >= _LOG_FLOOR, or N
+        kept = int(np.count_nonzero(log_pmf >= _LOG_FLOOR))
+        assert kept <= width and (width == n_players or width < 2 * kept), (p, kept, width)
 
 
 # ---------------------------------------------------------------------------
