@@ -33,13 +33,15 @@ _LOG_FLOOR = -746.0
 _WHOLE_SUPPORT = 256
 _CHUNK_FLOATS = 1 << 16  # elements per temporary: rows x window in a sum, probabilities per search block
 
-# simulate_population selects a stage's agents node by node through comparison
-# masks while few nodes are occupied and one of them holds nearly every agent;
-# otherwise it groups them by one stable sort.  Assigning through a mask that
-# rarely flips is cheap, through one that flips often is not: on a 2-core
-# x86-64 VM, with 2-8 occupied nodes and N = 1.5e4 or 1e5 shuffled agents, the
-# masks cost 0.1-0.6x the sort when 1 % of the agents sit off the fullest
-# node, 0.6-1.05x at 10 % and 1.0-1.9x at 25 % (BENCH_13.json).
+# simulate_population draws a stage's routes in node order; these constants
+# only choose how it groups the agents by node to write the choices back.
+# Through one comparison mask per node while few nodes are occupied and one
+# of them holds nearly every agent, otherwise through one stable sort.
+# Assigning through a mask that rarely flips is cheap, through one that flips
+# often is not: on a 2-core x86-64 VM, with 2-8 occupied nodes and N = 1.5e4
+# or 1e5 shuffled agents, the masks cost 0.1-0.6x the sort when 1 % of the
+# agents sit off the fullest node, 0.6-1.05x at 10 % and 1.0-1.9x at 25 %
+# (BENCH_13.json).
 _MASK_NODES = 8
 _MASK_SHARE = 0.9
 
@@ -53,12 +55,12 @@ SUPPORT_TOL = 1e-9
 PROB_TOL = 1e-9
 
 
-def _player_count(n_players, name: str = "n_players") -> int:
-    """n_players as an int; an integral float or numpy integer passes, any other value raises."""
+def _player_count(n_players, name: str = "n_players", least: int = 1) -> int:
+    """n_players as an int; an integral float or numpy integer of at least ``least`` passes, any other value raises."""
     if not (math.isfinite(n_players) and n_players == int(n_players)):
         raise ValueError(f"{name} must be an integer, got {n_players}")
-    if n_players < 1:
-        raise ValueError(f"{name} must be >= 1")
+    if n_players < least:
+        raise ValueError(f"{name} must be >= {least}")
     return int(n_players)
 
 
@@ -282,7 +284,8 @@ def simulate_population(
     order, and draws one uniform per agent in that order.  A node's draws
     are scaled by its policy row's total, so a positive row need not sum
     to 1; an occupied node whose row has an entry that is not finite and
-    >= 0, or sums to 0, raises a ValueError that names it.
+    >= 0, or sums to 0, raises a ValueError that names it (the lowest such
+    node of the earliest such stage).
     """
     n_agents = _player_count(n_agents, "n_agents")
     _check_policy_shape(scenario, policy)
@@ -290,7 +293,7 @@ def simulate_population(
     rng = np.random.default_rng(seeds)
     g = scenario.graph
     t_count = scenario.horizon
-    row_start = g.row_start.tolist()
+    degrees = np.diff(g.row_start)
 
     locations = np.empty((t_count + 1, n_agents), dtype=np.int64)
     node_counts = np.empty((t_count + 1, g.node_count), dtype=np.int64)
@@ -301,38 +304,62 @@ def simulate_population(
         here = locations[t]
         node_counts[t] = np.bincount(here, minlength=g.node_count)
         occupied = np.flatnonzero(node_counts[t])
-        counts = node_counts[t, occupied].tolist()
-        # each occupied node's agents, in ascending index
-        if len(occupied) <= _MASK_NODES and max(counts) >= _MASK_SHARE * n_agents:
-            groups = [here == i for i in occupied]
+        counts = node_counts[t, occupied]
+        lo = g.row_start[occupied]
+        thresholds, totals = _thresholds(g, policy.probs[t], t, occupied, lo, degrees[occupied])
+        # one draw per agent, node after node: the same PCG64 numbers as one draw call per node;
+        # repeat expands per-node values to the node-sorted agents as contiguous fills
+        scaled = rng.random(n_agents)
+        scaled *= totals.repeat(counts)
+        step = np.zeros(n_agents, dtype=np.min_scalar_type(len(thresholds)))
+        for column in thresholds:
+            step += column.repeat(counts) <= scaled
+        chosen_edge = lo.repeat(counts) + step
+        edge_counts[t] = np.bincount(chosen_edge, minlength=g.edge_count)
+        chosen_node = g.edge_dst[chosen_edge]
+        # from node order back to agent order
+        if len(occupied) <= _MASK_NODES and counts.max() >= _MASK_SHARE * n_agents:
+            for i, count, stop in zip(occupied.tolist(), counts.tolist(), counts.cumsum().tolist()):
+                locations[t + 1, here == i] = chosen_node[stop - count : stop]
         else:
             # keyed by rank among the occupied nodes: up to 65 536 of them the key has <= 16 bits,
             # and numpy's stable sort of such keys is a radix sort (wider keys go to timsort)
             rank = np.zeros(g.node_count, dtype=np.min_scalar_type(len(occupied) - 1))
             rank[occupied] = np.arange(len(occupied))
-            order = np.argsort(rank[here], kind="stable")
-            stops = np.cumsum(counts).tolist()
-            groups = [order[stop - count : stop] for count, stop in zip(counts, stops)]
-        # one draw per agent, node after node: the same PCG64 numbers as one draw call per node
-        draws = rng.random(n_agents)
-        chosen_edge = np.empty(n_agents, dtype=np.int64)
-        end = 0
-        for i, count, group in zip(occupied.tolist(), counts, groups):
-            lo, hi = row_start[i], row_start[i + 1]
-            row = policy.probs[t, lo:hi]
-            cum = np.cumsum(row)
-            # a NaN or infinite entry makes the total fail; min of a list is cheaper than ndarray.min on a row
-            if not (0.0 < cum[-1] < math.inf and min(row.tolist()) >= 0.0):
-                raise _row_fault(g, row, t, i)
-            begin, end = end, end + count
-            # scale draws by the row total so rounding cannot push one past the end
-            chosen_edge[group] = lo + np.searchsorted(cum, draws[begin:end] * cum[-1], side="right")
-        edge_counts[t] = np.bincount(chosen_edge, minlength=g.edge_count)
-        locations[t + 1] = g.edge_dst[chosen_edge]
+            locations[t + 1, rank[here].argsort(kind="stable")] = chosen_node
     node_counts[t_count] = np.bincount(locations[t_count], minlength=g.node_count)
 
     entropy = int(seeds.entropy) if np.ndim(seeds.entropy) == 0 else tuple(map(int, seeds.entropy))
     return PopulationSample(n_agents, locations, node_counts, edge_counts, entropy, seeds.spawn_key)
+
+
+def _thresholds(graph: TrafficGraph, probs: np.ndarray, t: int, occupied: np.ndarray, lo, degree):
+    """Edge thresholds (max degree - 1 columns) and row totals of the policy rows of the occupied nodes.
+
+    ``lo`` and ``degree`` hold the occupied nodes' first edges and degrees.
+    An agent at occupied node k whose draw, scaled by the row total, is x
+    takes the node's edge number sum_j (thresholds[j][k] <= x).  Row k's
+    thresholds are its cumulative sums below the total; a sum that reaches
+    the total is +inf, and so is the zero padding past the node's degree.
+    A scaled draw stays below a normal total, and there this is
+    ``searchsorted(cum, x, side="right")``.  A draw that rounds up to a
+    sub-normal total takes the last positive edge, not the next node's.
+    """
+    # at least one column: an occupied node without edges has a zero total
+    columns = np.arange(max(int(degree.max()), 1))
+    rows = probs.take(lo[:, None] + columns, mode="clip")
+    rows[columns >= degree[:, None]] = 0.0
+    # cumsum adds in sequence along a row, as it does on one node's row
+    cum = rows.cumsum(axis=1)
+    totals = cum[:, -1].copy()
+    # NaN fails every comparison, and an infinite entry makes its total fail
+    if not (rows.min() >= 0.0 and totals.min() > 0.0 and totals.max() < math.inf):
+        good = (rows.min(axis=1) >= 0.0) & (totals > 0.0) & (totals < math.inf)
+        k = int(np.argmin(good))
+        raise _row_fault(graph, probs[lo[k] : lo[k] + degree[k]], t, int(occupied[k]))
+    cum[cum >= totals[:, None]] = math.inf
+    # the last column always reaches the total
+    return cum[:, :-1].T, totals
 
 
 def _row_fault(graph: TrafficGraph, row: np.ndarray, t: int, node: int) -> ValueError:
@@ -347,16 +374,19 @@ def _row_fault(graph: TrafficGraph, row: np.ndarray, t: int, node: int) -> Value
         )
     dests = ", ".join(map(str, graph.edge_dst[lo : lo + len(row)].tolist()))
     return ValueError(
-        f"policy row at stage {t}, node {node} (edges to {dests}) sums to {float(np.sum(row))!r}; "
+        f"policy row at stage {t}, node {node} ({f'edges to {dests}' if dests else 'no edges'}) "
+        f"sums to {float(np.sum(row))!r}; "
         "an occupied node's routing probabilities must have a positive finite sum"
     )
 
 
 def simulate_replications(scenario: Scenario, policy: PolicyKernel, n_agents: int, seed: int, reps: int):
-    """Independent replications on substreams spawned from one root seed."""
-    children = np.random.SeedSequence(seed).spawn(reps)
-    for child in children:
-        yield simulate_population(scenario, policy, n_agents, child)
+    """Independent replications on substreams spawned from one root seed, drawn as they are iterated.
+
+    A ``reps`` that is negative or not an integer raises a ValueError at the call.
+    """
+    children = np.random.SeedSequence(seed).spawn(_player_count(reps, "reps", least=0))
+    return (simulate_population(scenario, policy, n_agents, child) for child in children)
 
 
 def realized_taxes(sample: PopulationSample, scenario: Scenario) -> tuple[np.ndarray, ...]:

@@ -33,6 +33,7 @@ from mftroute import (
     propagate,
 )
 from mftroute.cli import OBSTACLE_SENTINEL
+from mftroute.finite_population import _MASK_NODES, _MASK_SHARE, _row_fault
 from mftroute.scenario import ROW_SUM_TOL, ScenarioFormatError, _bad_row_sums
 from mftroute.symmetric_equilibrium import _MAX_BISECT, INNER_TOL, OUTER_TOL, EquilibriumResult
 
@@ -816,6 +817,64 @@ def simulate_population_mask_loop(
             cum = np.cumsum(policy.probs[t, lo:hi])
             draws = rng.random(int(node_counts[t, i])) * cum[-1]
             chosen_edge[sel] = lo + np.searchsorted(cum, draws, side="right")
+        edge_counts[t] = np.bincount(chosen_edge, minlength=g.edge_count)
+        locations[t + 1] = g.edge_dst[chosen_edge]
+    node_counts[t_count] = np.bincount(locations[t_count], minlength=g.node_count)
+
+    entropy = int(seeds.entropy) if np.ndim(seeds.entropy) == 0 else tuple(map(int, seeds.entropy))
+    return PopulationSample(n_agents, locations, node_counts, edge_counts, entropy, seeds.spawn_key)
+
+
+def simulate_population_grouped_loop(
+    scenario: Scenario, policy: PolicyKernel, n_agents: int, seed
+) -> PopulationSample:
+    """N-player rollout with one draw call per stage, grouped by node, and one cumsum and searchsorted per occupied node.
+
+    Agents are grouped through comparison masks on concentrated stages and
+    through one stable radix sort otherwise, by the sampler's own rule; a
+    bad occupied row raises the sampler's located error.
+    """
+    seeds = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    rng = np.random.default_rng(seeds)
+    g = scenario.graph
+    t_count = scenario.horizon
+    row_start = g.row_start.tolist()
+
+    locations = np.empty((t_count + 1, n_agents), dtype=np.int64)
+    node_counts = np.empty((t_count + 1, g.node_count), dtype=np.int64)
+    edge_counts = np.empty((t_count, g.edge_count), dtype=np.int64)
+
+    locations[0] = rng.choice(g.node_count, size=n_agents, p=scenario.initial.mass)
+    for t in range(t_count):
+        here = locations[t]
+        node_counts[t] = np.bincount(here, minlength=g.node_count)
+        occupied = np.flatnonzero(node_counts[t])
+        counts = node_counts[t, occupied].tolist()
+        # each occupied node's agents, in ascending index
+        if len(occupied) <= _MASK_NODES and max(counts) >= _MASK_SHARE * n_agents:
+            groups = [here == i for i in occupied]
+        else:
+            # keyed by rank among the occupied nodes: up to 65 536 of them the key has <= 16 bits,
+            # and numpy's stable sort of such keys is a radix sort (wider keys go to timsort)
+            rank = np.zeros(g.node_count, dtype=np.min_scalar_type(len(occupied) - 1))
+            rank[occupied] = np.arange(len(occupied))
+            order = np.argsort(rank[here], kind="stable")
+            stops = np.cumsum(counts).tolist()
+            groups = [order[stop - count : stop] for count, stop in zip(counts, stops)]
+        # one draw per agent, node after node: the same PCG64 numbers as one draw call per node
+        draws = rng.random(n_agents)
+        chosen_edge = np.empty(n_agents, dtype=np.int64)
+        end = 0
+        for i, count, group in zip(occupied.tolist(), counts, groups):
+            lo, hi = row_start[i], row_start[i + 1]
+            row = policy.probs[t, lo:hi]
+            cum = np.cumsum(row)
+            # a NaN or infinite entry makes the total fail; min of a list is cheaper than ndarray.min on a row
+            if not (0.0 < cum[-1] < math.inf and min(row.tolist()) >= 0.0):
+                raise _row_fault(g, row, t, i)
+            begin, end = end, end + count
+            # scale draws by the row total, so that rounding cannot push one past a normal total
+            chosen_edge[group] = lo + np.searchsorted(cum, draws[begin:end] * cum[-1], side="right")
         edge_counts[t] = np.bincount(chosen_edge, minlength=g.edge_count)
         locations[t + 1] = g.edge_dst[chosen_edge]
     node_counts[t_count] = np.bincount(locations[t_count], minlength=g.node_count)

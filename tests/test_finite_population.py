@@ -5,12 +5,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from helpers import (
     edge_slice,
     exact_expected_log_share,
     random_scenario,
     realized_taxes_loop,
+    simulate_population_grouped_loop,
     simulate_population_mask_loop,
 )
 from mftroute import (
@@ -162,6 +165,178 @@ def test_a_non_stochastic_row_at_an_occupied_node_is_located():
     for other in (doubled, unread):
         for name in ("locations", "node_counts", "edge_counts"):
             assert getattr(other, name).tobytes() == getattr(sample, name).tobytes()
+
+
+def _hub_scenario(rng, nodes: int, hub_degree: int, horizon: int, start: str, zeros: float, scale: float):
+    """Node 0 is a hub of the given degree and most nodes lead back to it; the rest have degree 1-6.
+
+    The policy zeroes about ``zeros`` of each row's entries (never all of
+    them) and multiplies the row by ``scale``; the reference has no zeros.
+    """
+    neigh = [tuple(sorted(rng.choice(nodes, size=hub_degree, replace=False).tolist()))]
+    for _ in range(1, nodes):
+        row = set(rng.choice(nodes, size=int(rng.integers(1, min(6, nodes) + 1)), replace=False).tolist())
+        if rng.random() < 0.7:
+            row.add(0)
+        neigh.append(tuple(sorted(row)))
+    graph = TrafficGraph(tuple(neigh))
+    reference = np.empty((horizon, graph.edge_count))
+    probs = np.empty((horizon, graph.edge_count))
+    for t in range(horizon):
+        for i in range(nodes):
+            sl = edge_slice(graph, i)
+            reference[t, sl] = rng.dirichlet(np.ones(sl.stop - sl.start))
+            row = rng.dirichlet(np.ones(sl.stop - sl.start))
+            cut = rng.random(len(row)) < zeros
+            cut[rng.integers(len(row))] = False
+            row[cut] = 0.0
+            probs[t, sl] = scale * row
+    initial = {
+        "hub": Distribution.point_mass(nodes, 0),
+        "uniform": Distribution(np.full(nodes, 1.0 / nodes)),
+        "dirichlet": Distribution(rng.dirichlet(np.ones(nodes))),
+    }[start]
+    costs = StageCosts(horizon, np.zeros((horizon, graph.edge_count)))
+    return Scenario(graph, costs, ReferencePolicy(reference), 1.0, initial), PolicyKernel(probs)
+
+
+def _same_as_grouped_loop(scenario, policy, n_agents, seed) -> set[str]:
+    """Assert the sampler matches the per-node loop bit for bit, error message included; name what the sample used."""
+    try:
+        want = simulate_population_grouped_loop(scenario, policy, n_agents, seed)
+    except ValueError as error:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(error))}$"):
+            simulate_population(scenario, policy, n_agents, seed)
+        return {"bad row"}
+    got = simulate_population(scenario, policy, n_agents, seed)
+    for name in ("locations", "node_counts", "edge_counts"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    g = scenario.graph
+    degrees = np.diff(g.row_start)
+    uses = _grouping_ways(got)
+    for t, counts in enumerate(got.node_counts[:-1]):
+        at = np.flatnonzero(counts)
+        rows = [policy.probs[t, edge_slice(g, i)] for i in at]
+        if len(at) > 256:
+            uses.add("16-bit ranks")
+        if len(set(degrees[at].tolist())) > 1:
+            uses.add("padding")
+        if degrees[at].max() > 255:
+            uses.add("hub above 255")
+        if any((row == 0.0).any() for row in rows):
+            uses.add("zero entries")
+        if any(row.sum() != 1.0 for row in rows):
+            uses.add("totals other than 1")
+    return uses
+
+
+_BAD_VALUES = (math.nan, -0.5, math.inf)
+
+
+def _with_bad_rows(scenario, policy, rng, bad: int):
+    """The policy with ``bad`` random stage-0 rows spoiled: one entry NaN, negative or inf, or the whole row 0."""
+    probs = policy.probs.copy()
+    for i in rng.choice(scenario.graph.node_count, size=min(bad, scenario.graph.node_count), replace=False).tolist():
+        sl = edge_slice(scenario.graph, i)
+        kind = int(rng.integers(len(_BAD_VALUES) + 1))
+        if kind == len(_BAD_VALUES):
+            probs[0, sl] = 0.0
+        else:
+            probs[0, sl.start + int(rng.integers(sl.stop - sl.start))] = _BAD_VALUES[kind]
+    return PolicyKernel(probs)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    nodes=st.integers(2, 320),
+    hub_degree=st.integers(1, 320),
+    horizon=st.integers(1, 4),
+    start=st.sampled_from(["hub", "uniform", "dirichlet"]),
+    zeros=st.sampled_from([0.0, 0.3, 0.6]),
+    scale=st.sampled_from([1.0, 2.0, 0.37]),
+    n_agents=st.integers(1, 3000),
+    bad=st.integers(0, 3),
+)
+@example(seed=1, nodes=300, hub_degree=300, horizon=3, start="uniform", zeros=0.3, scale=2.0, n_agents=3000, bad=0)
+@example(seed=2, nodes=300, hub_degree=290, horizon=2, start="hub", zeros=0.6, scale=1.0, n_agents=2000, bad=0)
+@example(seed=3, nodes=300, hub_degree=5, horizon=1, start="uniform", zeros=0.0, scale=1.0, n_agents=3000, bad=3)
+def test_threshold_sampler_is_bit_identical_to_the_grouped_loop(
+    seed, nodes, hub_degree, horizon, start, zeros, scale, n_agents, bad
+):
+    rng = np.random.default_rng(seed)
+    scenario, policy = _hub_scenario(rng, nodes, min(hub_degree, nodes), horizon, start, zeros, scale)
+    if bad:
+        policy = _with_bad_rows(scenario, policy, rng, bad)
+    _same_as_grouped_loop(scenario, policy, n_agents, int(rng.integers(1000)))
+
+
+def test_the_grouped_loop_cases_cover_every_threshold_table_shape():
+    uses = set()
+    for case, (nodes, hub_degree, start, n_agents) in enumerate(
+        [(300, 300, "uniform", 3000), (300, 290, "hub", 2000), (12, 9, "dirichlet", 500), (40, 3, "hub", 37)]
+    ):
+        rng = np.random.default_rng(60 + case)
+        scenario, policy = _hub_scenario(rng, nodes, hub_degree, 3, start, 0.3, 2.0)
+        uses |= _same_as_grouped_loop(scenario, policy, n_agents, case)
+    assert uses == {
+        "masks", "sort", "16-bit ranks", "padding", "hub above 255", "zero entries", "totals other than 1",
+    }
+
+
+def test_the_lowest_bad_occupied_row_is_named():
+    rng = np.random.default_rng(61)
+    scenario, policy = _hub_scenario(rng, 40, 10, 2, "uniform", 0.0, 1.0)
+    g = scenario.graph
+    assert simulate_population(scenario, policy, 4000, seed=1).node_counts[0].all()
+    probs = policy.probs.copy()
+    spoiled = [(33, math.inf), (7, -0.5), (21, math.nan)]
+    for node, value in spoiled:
+        probs[0, edge_slice(g, node).stop - 1] = value
+    probs[1, edge_slice(g, 2)] = 0.0  # a later stage's fault comes second
+    for node, value in sorted(spoiled) + [(2, None)]:
+        if value is None:
+            message = f"policy row at stage 1, node 2 (edges to {', '.join(map(str, g.out_neighbors[2]))}) sums to 0.0"
+        else:
+            message = f"policy has probability {value!r} at stage 0, node {node}, edge to {g.out_neighbors[node][-1]};"
+        for sampler in (simulate_population, simulate_population_grouped_loop):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+                sampler(scenario, PolicyKernel(probs.copy()), 4000, seed=1)
+        if value is not None:
+            probs[0, edge_slice(g, node)] = policy.probs[0, edge_slice(g, node)]
+
+
+@pytest.mark.parametrize("row", [[1e-320, 0.0], [0.0, 1e-320], [5e-324, 5e-324], [1e-310, 3e-310]])
+def test_a_sub_normal_row_total_keeps_agents_on_their_node(row):
+    scenario = build_gridworld(3, 1, [], 0, 2, 1, 1.0)
+    g = scenario.graph
+    probs = mfe_solve(scenario).policy.probs.copy()
+    probs[0, edge_slice(g, 0)] = row
+    sample = simulate_population(scenario, PolicyKernel(probs), 20_000, seed=1)
+    for t in range(scenario.horizon):
+        np.testing.assert_array_equal(np.add.reduceat(sample.edge_counts[t], g.row_start[:-1]), sample.node_counts[t])
+    assert not sample.edge_counts[probs == 0.0].any()
+
+
+def test_an_occupied_node_without_edges_is_located():
+    dead_end = Scenario(
+        TrafficGraph(((1,), ())),
+        StageCosts(2, np.ones((2, 1))),
+        ReferencePolicy(np.ones((2, 1))),
+        1.0,
+        Distribution.point_mass(2, 0),
+    )
+    message = "policy row at stage 1, node 1 (no edges) sums to 0.0; "
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        simulate_population(dead_end, PolicyKernel(np.ones((2, 1))), 5, seed=1)
+
+
+def test_simulate_replications_rejects_a_bad_rep_count(three_route):
+    policy = mfe_solve(three_route).policy
+    for reps, message in ((-1, "reps must be >= 0"), (2.5, "reps must be an integer, got 2.5")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            simulate_replications(three_route, policy, 10, 0, reps)
+    assert list(simulate_replications(three_route, policy, 10, 0, 0)) == []
+    assert [sample.spawn_key for sample in simulate_replications(three_route, policy, 10, 0, 2.0)] == [(0,), (1,)]
 
 
 # ---------------------------------------------------------------------------
