@@ -56,7 +56,7 @@ def fp_run(game: SingleStageGame, initial_belief, days: int) -> FictitiousPlayRe
     beliefs[0] = initial_belief
     choices = np.empty(days, dtype=np.int64)
     for day in range(1, days + 1):
-        choices[day - 1] = choice = np.argmin(assumed_cost(game, beliefs[day - 1]))
+        choices[day - 1] = choice = assumed_cost(game, beliefs[day - 1]).argmin()
         beliefs[day] = (day * beliefs[day - 1] + pulses[choice]) / (day + 1)
 
     finite_ne = solve_symmetric_ne(game).q

@@ -32,6 +32,9 @@ GENERATOR_NAME = "pcg64"
 _LOG_FLOOR = -746.0
 _WHOLE_SUPPORT = 256
 _CHUNK_FLOATS = 1 << 16  # elements per temporary: rows x window in a sum, probabilities per search block
+# points per window-search grid; blocks of over half this many probabilities bisect only.  Of
+# 256 .. 4096, 1024 and 2048 were fastest for calls of 1-8 probabilities at N = 1000 .. 1e5.
+_GRID_FLOATS = 1 << 10
 
 # simulate_population draws a stage's routes in node order; these constants
 # only choose how it groups the agents by node to write the choices back.
@@ -65,8 +68,8 @@ def _player_count(n_players, name: str = "n_players", least: int = 1) -> int:
 
 
 @lru_cache(maxsize=8)
-def _binomial_tables(n_players: int) -> tuple[np.ndarray, np.ndarray]:
-    """log C(N-1, k) and log((k + 1) / N) for k = 0..N-1, both read-only."""
+def _binomial_tables(n_players: int) -> tuple[np.ndarray, ...]:
+    """log C(N-1, k), log((k + 1) / N), k and N-1-k for k = 0..N-1, all read-only float64 rows."""
     # imported here, not at module level: scipy.special is about half of the
     # package's start-up, and most commands never reach the toll kernel
     from scipy.special import gammaln
@@ -75,14 +78,19 @@ def _binomial_tables(n_players: int) -> tuple[np.ndarray, np.ndarray]:
     k = np.arange(n + 1)
     coeffs = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
     log_share = np.log((k + 1.0) / n_players)
-    for table in (coeffs, log_share):
+    tables = coeffs, log_share, k.astype(np.float64), (n - k).astype(np.float64)
+    for table in tables:
         table.setflags(write=False)
-    return coeffs, log_share
+    return tables
 
 
-def _log_pmf(coeffs: np.ndarray, k: np.ndarray, log_p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
-    """log P(K = k) for K ~ Binomial(len(coeffs) - 1, p); the window search and the sum share it."""
-    return coeffs[k] + k * log_p + (len(coeffs) - 1 - k) * log_q
+def _log_pmf(coeffs, k, rest, log_p, log_q) -> np.ndarray:
+    """log P(K = k) = log C(N-1, k) + k log p + (N-1-k) log q, given ``rest`` = N-1-k.
+
+    The window search and both sums share it: integer k and float rows of
+    the same values give the same bits.
+    """
+    return coeffs + k * log_p + rest * log_q
 
 
 def _windows(coeffs: np.ndarray, probs: np.ndarray, log_p: np.ndarray, log_q: np.ndarray):
@@ -90,23 +98,42 @@ def _windows(coeffs: np.ndarray, probs: np.ndarray, log_p: np.ndarray, log_q: np
 
     It holds the k whose log pmf is at least _LOG_FLOOR, is the least power
     of two that does (at most N) and lies inside the support.  The binomial
-    pmf is log-concave in k, so those k form one interval around the mode;
-    each end is bisected between the mode, where the pmf is at least 1/N,
-    and a virtual k (-1 or N) outside the support.
+    pmf is log-concave in k, so those k form one interval around the mode,
+    where the pmf is at least 1/N.  Each end is searched between the mode
+    and a virtual k (-1 or N) outside the support.  A block of at most
+    _GRID_FLOATS / 2 probabilities first probes one grid of points between
+    them, which narrows every bracket in one pass; bisection then closes
+    the brackets in as many rounds as the widest needs.
     """
     n_players = len(coeffs)
     count = len(probs)
     mode = np.minimum((n_players * probs).astype(np.int64), n_players - 1)
-    # rows [0, count) bisect the first k, rows [count, 2 count) the last: each
-    # row keeps log pmf >= floor at good and < floor at bad, and its midpoint
-    # rounds toward good
+    # rows [0, count) search the first k, rows [count, 2 count) the last, each
+    # outward from the mode; the log pmf is >= floor at good and < floor at bad
+    outward = np.repeat([-1, 1], count)
     good = np.concatenate([mode, mode])
     bad = np.repeat([-1, n_players], count)
-    toward_good = np.repeat([1, 0], count)
     log_p, log_q = np.concatenate([log_p, log_p]), np.concatenate([log_q, log_q])
-    for _ in range(n_players.bit_length()):
+    points = _GRID_FLOATS // (2 * count)
+    if points:
+        # offsets j * span // (points + 1) step outward from good (j = 0) to
+        # bad (j = points + 1) by at most ceil(span / (points + 1)); the
+        # points between are probed, and each bracket closes around its
+        # first probe that fails
+        span = (bad - good) * outward
+        offset = span[:, None] * np.arange(points + 2) // (points + 1)
+        k = good[:, None] + outward[:, None] * offset[:, 1:-1]
+        keep = np.zeros(offset.shape, dtype=bool)
+        keep[:, 0] = True
+        keep[:, 1:-1] = _log_pmf(coeffs[k], k, n_players - 1 - k, log_p[:, None], log_q[:, None]) >= _LOG_FLOOR
+        fail = keep.argmin(axis=1)
+        inner, outer = span * (fail - 1) // (points + 1), span * fail // (points + 1)
+        good, bad = good + outward * inner, good + outward * outer
+    # bisection halves each bracket, its midpoint rounding toward good
+    toward_good = np.repeat([1, 0], count)
+    for _ in range(int(np.abs(bad - good).max() - 1).bit_length()):
         mid = (good + bad + toward_good) >> 1
-        keep = _log_pmf(coeffs, mid, log_p, log_q) >= _LOG_FLOOR
+        keep = _log_pmf(coeffs[mid], mid, n_players - 1 - mid, log_p, log_q) >= _LOG_FLOOR
         good, bad = np.where(keep, mid, good), np.where(keep, bad, mid)
     first, last = good[:count], good[count:]
     # 2 ** e with last - first < 2 ** e
@@ -114,18 +141,26 @@ def _windows(coeffs: np.ndarray, probs: np.ndarray, log_p: np.ndarray, log_q: np
     return np.minimum(first, n_players - width), width
 
 
-def _window_sums(coeffs, log_share, start, width: int, log_p, log_q) -> np.ndarray:
-    """Per row, the sum of log((k + 1) / N) P(K = k) over k = start .. start + width - 1."""
-    offsets = np.arange(width)
+def _window_sums(tables, start, width: int, log_p, log_q) -> np.ndarray:
+    """Per row, the sum of log((k + 1) / N) P(K = k) over k = start .. start + width - 1.
+
+    ``start`` None sums the whole support: the cached rows broadcast
+    against every probability, with no index gather.
+    """
+    coeffs, log_share, ks, rests = tables
+    log_p, log_q = log_p[:, None], log_q[:, None]
     rows = max(1, _CHUNK_FLOATS // width)
-    out = np.empty(len(start))
-    for lo in range(0, len(start), rows):
+    out = np.empty(len(log_p))
+    for lo in range(0, len(log_p), rows):
         hi = lo + rows
-        k = start[lo:hi, None] + offsets
-        log_pmf = _log_pmf(coeffs, k, log_p[lo:hi, None], log_q[lo:hi, None])
+        if start is None:
+            log_pmf = _log_pmf(coeffs, ks, rests, log_p[lo:hi], log_q[lo:hi])
+        else:
+            k = start[lo:hi, None] + np.arange(width)
+            log_pmf = _log_pmf(coeffs[k], k, len(coeffs) - 1 - k, log_p[lo:hi], log_q[lo:hi])
         # the same 0.0 that exp() rounds such terms to, without numpy's slow underflow path
         pmf = np.exp(log_pmf, out=np.zeros_like(log_pmf), where=log_pmf >= _LOG_FLOOR)
-        out[lo:hi] = (log_share[k] * pmf).sum(axis=1)
+        out[lo:hi] = ((log_share if start is None else log_share[k]) * pmf).sum(axis=1)
     return out
 
 
@@ -136,22 +171,23 @@ def _interior_log_shares(n_players: int, probs: np.ndarray) -> np.ndarray:
     above it over the rectangle ``_windows`` picks; rows of one width are
     summed together.
     """
-    coeffs, log_share = _binomial_tables(n_players)
+    tables = _binomial_tables(n_players)
     # math.log, not the ufunc: an ulp of error in log p is multiplied by k below
     log_p = np.fromiter(map(math.log, probs), np.float64, len(probs))
     log_q = np.fromiter(map(math.log1p, -probs), np.float64, len(probs))
     if n_players <= _WHOLE_SUPPORT:
-        return _window_sums(coeffs, log_share, np.zeros(len(probs), dtype=np.int64), n_players, log_p, log_q)
+        return _window_sums(tables, None, n_players, log_p, log_q)
     start = np.empty(len(probs), dtype=np.int64)
     width = np.empty(len(probs), dtype=np.int64)
     # in blocks: the search's temporaries are several times the size of its input
     for lo in range(0, len(probs), _CHUNK_FLOATS):
         block = slice(lo, lo + _CHUNK_FLOATS)
-        start[block], width[block] = _windows(coeffs, probs[block], log_p[block], log_q[block])
+        start[block], width[block] = _windows(tables[0], probs[block], log_p[block], log_q[block])
     out = np.empty(len(probs))
     for w in np.unique(width).tolist():
         at = np.flatnonzero(width == w)
-        out[at] = _window_sums(coeffs, log_share, start[at], w, log_p[at], log_q[at])
+        # a window as wide as the support starts at 0: the same terms, summed without gathers
+        out[at] = _window_sums(tables, None if w == n_players else start[at], w, log_p[at], log_q[at])
     return out
 
 
@@ -169,17 +205,29 @@ def binomial_expected_log_share(n_players: int, prob):
     n_players = _player_count(n_players)
     prob = np.asarray(prob, dtype=np.float64)
     interior = (prob > 0.0) & (prob < 1.0)
-    out = np.zeros(prob.shape)
-    if not interior.all():
+    if interior.all():
+        out = _shares_of_interior(n_players, prob)
+    else:
         # the rest must be 0, or 1 up to PROB_TOL; NaN is neither
         if not np.all((prob >= 0.0) & (prob <= 1.0 + PROB_TOL)):
             raise ValueError("probabilities must lie in [0, 1]")
+        out = np.zeros(prob.shape)
         out[prob == 0.0] = math.log(1.0 / n_players)
-    if interior.any():
-        values = prob[interior]
-        distinct = np.unique(values)
-        out[interior] = _interior_log_shares(n_players, distinct)[np.searchsorted(distinct, values)]
+        if interior.any():
+            out[interior] = _shares_of_interior(n_players, prob[interior])
     return float(out) if out.ndim == 0 else out
+
+
+def _shares_of_interior(n_players: int, values: np.ndarray):
+    """The kernel's sum at each entry of ``values``, all inside (0, 1); each distinct value is summed once."""
+    # distinct values: one sort, then each value that differs from the one before it
+    distinct = values.flatten()
+    distinct.sort()
+    new = np.empty(len(distinct), dtype=bool)
+    new[:1] = True
+    np.not_equal(distinct[1:], distinct[:-1], out=new[1:])
+    distinct = distinct[new]
+    return _interior_log_shares(n_players, distinct)[distinct.searchsorted(values)]
 
 
 def expected_tax_symmetric(n_players: int, node_prob, edge_prob, ref, alpha: float):

@@ -44,8 +44,11 @@ class InvalidScenarioError(ValueError):
 
 
 def _readonly(arr: np.ndarray, dtype=np.float64) -> np.ndarray:
-    """arr as a read-only array; it is copied only to change its dtype, so a broadcast view stays a view."""
-    out = np.asarray(arr, dtype=dtype)
+    """A read-only view of arr; it is copied only to change its dtype, so a broadcast view stays a view.
+
+    The flag is set on a new view, never on the caller's own array, which stays writeable.
+    """
+    out = np.asarray(arr, dtype=dtype).view()
     out.setflags(write=False)
     return out
 

@@ -16,7 +16,7 @@ kernel, batched, and a step stops once the sums of the brackets decide it.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +36,7 @@ class SingleStageGame:
     reference: np.ndarray
     alpha: float
     n_players: int
+    reference_toll: np.ndarray = field(init=False, repr=False)  # alpha * log(reference), the toll's constant part
 
     def __post_init__(self):
         object.__setattr__(self, "travel_cost", _readonly(self.travel_cost))
@@ -53,6 +54,7 @@ class SingleStageGame:
         if not 0 < self.alpha < np.inf:
             raise ValueError(f"alpha must be a positive real, got {self.alpha}")
         object.__setattr__(self, "n_players", _player_count(self.n_players))
+        object.__setattr__(self, "reference_toll", _readonly(self.alpha * np.log(self.reference)))
 
     @property
     def route_count(self) -> int:
@@ -67,7 +69,7 @@ def assumed_cost(game: SingleStageGame, belief: np.ndarray) -> np.ndarray:
     share adds nothing.  Beliefs stacked with routes last give stacked costs.
     """
     share = binomial_expected_log_share(game.n_players, belief)
-    return game.travel_cost + (game.alpha * share - game.alpha * np.log(game.reference))
+    return game.travel_cost + (game.alpha * share - game.reference_toll)
 
 
 @dataclass(frozen=True, eq=False)

@@ -345,6 +345,55 @@ def interior_log_shares_hoeffding(n_players: int, probs: np.ndarray) -> np.ndarr
     return out
 
 
+_LOG_FLOOR = -746.0
+_GATHER_CHUNK = 1 << 16
+
+
+def interior_log_shares_gather(n_players: int, probs: np.ndarray) -> np.ndarray:
+    """The whole-support sum the broadcast table rows replaced, for distinct
+    probabilities strictly inside (0, 1): each block of rows gathers its terms
+    k = 0..N-1 from the tables by index, and terms below the floor are masked
+    out of exp().  Up to 256 players the kernel must match it bit for bit."""
+    n = n_players - 1
+    coeffs = _log_binom_coeffs(n)
+    log_share = np.log((np.arange(n + 1) + 1.0) / n_players)
+    offsets = np.arange(n_players)
+    start = np.zeros(len(probs), dtype=np.int64)
+    log_p = np.fromiter(map(math.log, probs), np.float64, len(probs))[:, None]
+    log_q = np.fromiter(map(math.log1p, -probs), np.float64, len(probs))[:, None]
+    rows = max(1, _GATHER_CHUNK // n_players)
+    out = np.empty(len(probs))
+    for lo in range(0, len(probs), rows):
+        hi = lo + rows
+        k = start[lo:hi, None] + offsets
+        log_pmf = coeffs[k] + k * log_p[lo:hi] + (n - k) * log_q[lo:hi]
+        pmf = np.exp(log_pmf, out=np.zeros_like(log_pmf), where=log_pmf >= _LOG_FLOOR)
+        out[lo:hi] = (log_share[k] * pmf).sum(axis=1)
+    return out
+
+
+def windows_bisection(coeffs: np.ndarray, probs: np.ndarray, log_p: np.ndarray, log_q: np.ndarray):
+    """The window search the grid-narrowed brackets replaced: first k and width per probability.
+
+    Both ends are bisected for bit_length(N) rounds, between the mode and a
+    virtual k (-1 or N) outside the support.
+    """
+    n_players = len(coeffs)
+    count = len(probs)
+    mode = np.minimum((n_players * probs).astype(np.int64), n_players - 1)
+    good = np.concatenate([mode, mode])
+    bad = np.repeat([-1, n_players], count)
+    toward_good = np.repeat([1, 0], count)
+    log_p, log_q = np.concatenate([log_p, log_p]), np.concatenate([log_q, log_q])
+    for _ in range(n_players.bit_length()):
+        mid = (good + bad + toward_good) >> 1
+        keep = coeffs[mid] + mid * log_p + (n_players - 1 - mid) * log_q >= _LOG_FLOOR
+        good, bad = np.where(keep, mid, good), np.where(keep, bad, mid)
+    first, last = good[:count], good[count:]
+    width = np.minimum(np.left_shift(1, np.frexp(last - first)[1]), n_players)
+    return np.minimum(first, n_players - width), width
+
+
 def expected_tax_symmetric_scalar(
     n_players: int, node_prob: float, edge_prob: float, ref: float, alpha: float
 ) -> float:

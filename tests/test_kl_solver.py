@@ -15,6 +15,7 @@ from helpers import (
 from mftroute import (
     Distribution,
     InvalidScenarioError,
+    PolicyKernel,
     ReferencePolicy,
     Scenario,
     StageCosts,
@@ -204,3 +205,13 @@ def test_extract_policy_and_value_reject_a_foreign_horizon_or_stage(three_route)
     for t in (-1, 2):
         with pytest.raises(ValueError, match=rf"^stage {t} outside 0\.\.1$"):
             value(desirability, three_route.initial, t)
+
+
+def test_policy_kernel_freezes_a_view_and_leaves_the_callers_array_writeable(three_route):
+    policy = extract_policy(three_route, backward_pass(three_route))
+    probs = policy.probs.copy()
+    kernel = PolicyKernel(probs)
+    probs[0, 0] = 1.0
+    assert kernel.probs[0, 0] == 1.0 and np.shares_memory(kernel.probs, probs)
+    with pytest.raises(ValueError, match="read-only"):
+        kernel.probs[0, 0] = 0.0

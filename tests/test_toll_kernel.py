@@ -2,7 +2,9 @@
 
 The references (tests/helpers.py) are the full-support, exactly rounded
 scalar kernel the batched one replaced, the batched kernel over Hoeffding
-rectangles that the exact windows replaced, and the per-element caller
+rectangles that the exact windows replaced, the whole-support sum over
+gathered rows that the broadcast table rows replaced, the plain bisection
+that the grid-narrowed window search replaced, and the per-element caller
 loops.  All kernels form every pmf term the same way, so they differ only
 in how the terms are summed and in the terms the window drops.
 """
@@ -11,10 +13,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import (
@@ -23,11 +26,13 @@ from helpers import (
     expected_tax_gap_loop,
     expected_tax_table_loop,
     folded_costs,
+    interior_log_shares_gather,
     interior_log_shares_hoeffding,
     random_game,
     random_scenario,
     shortest_path_loop,
     symmetric_ne_scalar,
+    windows_bisection,
 )
 from mftroute import (
     SingleStageGame,
@@ -43,7 +48,9 @@ from mftroute import (
     solve_symmetric_ne,
 )
 from mftroute.cli import FIG4_ALPHA, FIG4_COSTS, FIG4_REFERENCE
+from mftroute import finite_population
 from mftroute.finite_population import (
+    _CHUNK_FLOATS,
     _LOG_FLOOR,
     _WHOLE_SUPPORT,
     PROB_TOL,
@@ -151,7 +158,7 @@ def test_windowed_kernel_matches_the_hoeffding_rectangle(n_players, probs):
 def test_terms_outside_the_window_are_exact_zeros(n_players):
     # the kernel sums the whole support up to _WHOLE_SUPPORT players and these rectangles above it
     probs = np.array([1e-300, 1e-200, 1e-12, 1e-3, 0.3, 0.5, 1.0 - 1e-9, 1.0 - 1e-16])
-    coeffs, _ = _binomial_tables(n_players)
+    coeffs, *_ = _binomial_tables(n_players)
     log_p, log_q = np.array([math.log(p) for p in probs]), np.array([math.log1p(-p) for p in probs])
     starts, widths = _windows(coeffs, probs, log_p, log_q)
     k = np.arange(n_players)
@@ -164,6 +171,76 @@ def test_terms_outside_the_window_are_exact_zeros(n_players):
         # the least power of two that holds every k with log pmf >= _LOG_FLOOR, or N
         kept = int(np.count_nonzero(log_pmf >= _LOG_FLOOR))
         assert kept <= width and (width == n_players or width < 2 * kept), (p, kept, width)
+
+
+@given(
+    n_players=st.integers(1, _WHOLE_SUPPORT),
+    probs=st.lists(INTERIOR, min_size=1, max_size=300),
+)
+def test_whole_support_sum_is_bit_identical_to_the_gathered_rows(n_players, probs):
+    # up to 300 rows span several row blocks above 218 players
+    probs = np.unique(probs + [1e-300, 1.0 - 1e-16])
+    ours = _interior_log_shares(n_players, probs)
+    assert ours.tobytes() == interior_log_shares_gather(n_players, probs).tobytes()
+
+
+@given(
+    n_players=st.one_of(st.integers(_WHOLE_SUPPORT + 1, 5000), st.sampled_from([10_000, 100_000])),
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 1200),
+)
+@example(n_players=1000, seed=0, count=3)
+@example(n_players=100_000, seed=1, count=1200)
+def test_window_search_ends_where_the_plain_bisection_does(n_players, seed, count):
+    # blocks of up to _GRID_FLOATS / 2 probabilities narrow their brackets on a grid first, larger ones bisect only
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate(
+        [
+            [1e-300, 0.5, 1.0 - 1e-16],
+            10.0 ** rng.uniform(-300.0, -1.0, count),
+            rng.uniform(0.0, 1.0, count),
+            1.0 - 10.0 ** rng.uniform(-16.0, -1.0, count),
+        ]
+    )
+    probs = np.unique(rng.choice(pool, count))
+    probs = probs[(probs > 0.0) & (probs < 1.0)]
+    coeffs = _binomial_tables(n_players)[0]
+    log_p, log_q = np.array([math.log(p) for p in probs]), np.array([math.log1p(-p) for p in probs])
+    for ours, ref in zip(_windows(coeffs, probs, log_p, log_q), windows_bisection(coeffs, probs, log_p, log_q)):
+        np.testing.assert_array_equal(ours, ref)
+
+
+def test_whole_support_sum_stays_in_row_blocks():
+    # one (200 000, 256) table of terms would be 410 MB; the sum holds a few
+    # blocks of _CHUNK_FLOATS terms next to its per-probability vectors
+    probs = np.linspace(1e-6, 1.0 - 1e-6, 200_000)
+    _binomial_tables(_WHOLE_SUPPORT)
+    tracemalloc.start()
+    try:
+        _interior_log_shares(_WHOLE_SUPPORT, probs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (4 * len(probs) + 6 * _CHUNK_FLOATS), peak
+
+
+def test_route_game_is_bit_identical_with_the_gathered_whole_support_sum(monkeypatch):
+    rng = np.random.default_rng(67)
+    games = [random_game(rng, _WHOLE_SUPPORT + 1) for _ in range(12)]
+    beliefs = [rng.dirichlet(np.ones(game.route_count)) for game in games]
+
+    def outputs():
+        rows = []
+        for game, belief in zip(games, beliefs):
+            run = fp_run(game, belief, 80)
+            ne = solve_symmetric_ne(game)
+            arrays = (run.path.beliefs, run.path.choices, run.dist_to_finite_ne, run.dist_to_mfe, ne.q, ne.residuals)
+            rows.append([np.asarray(a).tobytes() for a in arrays] + [ne.lam])
+        return rows
+
+    ours = outputs()
+    monkeypatch.setattr(finite_population, "_interior_log_shares", interior_log_shares_gather)
+    assert outputs() == ours
 
 
 # ---------------------------------------------------------------------------
