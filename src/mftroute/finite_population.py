@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .kl_solver import PolicyKernel, _check_policy_shape
 from .mean_field import propagate
@@ -32,9 +33,6 @@ GENERATOR_NAME = "pcg64"
 _LOG_FLOOR = -746.0
 _WHOLE_SUPPORT = 256
 _CHUNK_FLOATS = 1 << 16  # elements per temporary: rows x window in a sum, probabilities per search block
-# points per window-search grid; blocks of over half this many probabilities bisect only.  Of
-# 256 .. 4096, 1024 and 2048 were fastest for calls of 1-8 probabilities at N = 1000 .. 1e5.
-_GRID_FLOATS = 1 << 10
 
 # simulate_population draws a stage's routes in node order; these constants
 # only choose how it groups the agents by node to write the choices back.
@@ -68,8 +66,8 @@ def _player_count(n_players, name: str = "n_players", least: int = 1) -> int:
 
 
 @lru_cache(maxsize=8)
-def _binomial_tables(n_players: int) -> tuple[np.ndarray, ...]:
-    """log C(N-1, k), log((k + 1) / N), k and N-1-k for k = 0..N-1, all read-only float64 rows."""
+def _binomial_tables(n_players: int) -> np.ndarray:
+    """Read-only (4, N) float64 rows log C(N-1, k), log((k + 1) / N), k and N-1-k for k = 0..N-1."""
     # imported here, not at module level: scipy.special is about half of the
     # package's start-up, and most commands never reach the toll kernel
     from scipy.special import gammaln
@@ -78,17 +76,16 @@ def _binomial_tables(n_players: int) -> tuple[np.ndarray, ...]:
     k = np.arange(n + 1)
     coeffs = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
     log_share = np.log((k + 1.0) / n_players)
-    tables = coeffs, log_share, k.astype(np.float64), (n - k).astype(np.float64)
-    for table in tables:
-        table.setflags(write=False)
+    tables = np.array([coeffs, log_share, k, n - k], dtype=np.float64)
+    tables.setflags(write=False)
     return tables
 
 
 def _log_pmf(coeffs, k, rest, log_p, log_q) -> np.ndarray:
     """log P(K = k) = log C(N-1, k) + k log p + (N-1-k) log q, given ``rest`` = N-1-k.
 
-    The window search and both sums share it: integer k and float rows of
-    the same values give the same bits.
+    The window search and the sum share it: integer k and float rows of the
+    same values give the same bits.
     """
     return coeffs + k * log_p + rest * log_q
 
@@ -99,39 +96,26 @@ def _windows(coeffs: np.ndarray, probs: np.ndarray, log_p: np.ndarray, log_q: np
     It holds the k whose log pmf is at least _LOG_FLOOR, is the least power
     of two that does (at most N) and lies inside the support.  The binomial
     pmf is log-concave in k, so those k form one interval around the mode,
-    where the pmf is at least 1/N.  Each end is searched between the mode
-    and a virtual k (-1 or N) outside the support.  A block of at most
-    _GRID_FLOATS / 2 probabilities first probes one grid of points between
-    them, which narrows every bracket in one pass; bisection then closes
-    the brackets in as many rounds as the widest needs.
+    where the pmf is at least 1/N.  Each end is bisected between the mode
+    and a k outside the interval: the support's end, or Hoeffding's bound if
+    that is nearer.
     """
     n_players = len(coeffs)
     count = len(probs)
     mode = np.minimum((n_players * probs).astype(np.int64), n_players - 1)
-    # rows [0, count) search the first k, rows [count, 2 count) the last, each
-    # outward from the mode; the log pmf is >= floor at good and < floor at bad
-    outward = np.repeat([-1, 1], count)
+    # P(K = k) <= exp(-2 t^2 / (N-1)) when |k - (N-1)p| >= t, and the mode is
+    # within 1 of (N-1)p, so every k at least reach from the mode has t above
+    # sqrt(373 (N-1)) + 1 and a log pmf below -746
+    reach = math.isqrt(int(-_LOG_FLOOR) * (n_players - 1) // 2) + 3
+    # rows [0, count) bisect the first k, rows [count, 2 count) the last: each
+    # row keeps log pmf >= floor at good and < floor at bad, and its midpoint
+    # rounds toward good
     good = np.concatenate([mode, mode])
-    bad = np.repeat([-1, n_players], count)
-    log_p, log_q = np.concatenate([log_p, log_p]), np.concatenate([log_q, log_q])
-    points = _GRID_FLOATS // (2 * count)
-    if points:
-        # offsets j * span // (points + 1) step outward from good (j = 0) to
-        # bad (j = points + 1) by at most ceil(span / (points + 1)); the
-        # points between are probed, and each bracket closes around its
-        # first probe that fails
-        span = (bad - good) * outward
-        offset = span[:, None] * np.arange(points + 2) // (points + 1)
-        k = good[:, None] + outward[:, None] * offset[:, 1:-1]
-        keep = np.zeros(offset.shape, dtype=bool)
-        keep[:, 0] = True
-        keep[:, 1:-1] = _log_pmf(coeffs[k], k, n_players - 1 - k, log_p[:, None], log_q[:, None]) >= _LOG_FLOOR
-        fail = keep.argmin(axis=1)
-        inner, outer = span * (fail - 1) // (points + 1), span * fail // (points + 1)
-        good, bad = good + outward * inner, good + outward * outer
-    # bisection halves each bracket, its midpoint rounding toward good
+    bad = np.concatenate([np.maximum(mode - reach, -1), np.minimum(mode + reach, n_players)])
     toward_good = np.repeat([1, 0], count)
-    for _ in range(int(np.abs(bad - good).max() - 1).bit_length()):
+    log_p, log_q = np.concatenate([log_p, log_p]), np.concatenate([log_q, log_q])
+    # a bracket at most reach wide closes in this many halvings; a closed one stays put
+    for _ in range((reach - 1).bit_length()):
         mid = (good + bad + toward_good) >> 1
         keep = _log_pmf(coeffs[mid], mid, n_players - 1 - mid, log_p, log_q) >= _LOG_FLOOR
         good, bad = np.where(keep, mid, good), np.where(keep, bad, mid)
@@ -141,27 +125,24 @@ def _windows(coeffs: np.ndarray, probs: np.ndarray, log_p: np.ndarray, log_q: np
     return np.minimum(first, n_players - width), width
 
 
-def _window_sums(tables, start, width: int, log_p, log_q) -> np.ndarray:
-    """Per row, the sum of log((k + 1) / N) P(K = k) over k = start .. start + width - 1.
-
-    ``start`` None sums the whole support: the cached rows broadcast
-    against every probability, with no index gather.
-    """
-    coeffs, log_share, ks, rests = tables
-    log_p, log_q = log_p[:, None], log_q[:, None]
+def _row_blocks(count: int, width: int):
+    """Slices over ``count`` rows whose terms, ``width`` per row, fill at most _CHUNK_FLOATS (one row at least)."""
     rows = max(1, _CHUNK_FLOATS // width)
-    out = np.empty(len(log_p))
-    for lo in range(0, len(log_p), rows):
-        hi = lo + rows
-        if start is None:
-            log_pmf = _log_pmf(coeffs, ks, rests, log_p[lo:hi], log_q[lo:hi])
-        else:
-            k = start[lo:hi, None] + np.arange(width)
-            log_pmf = _log_pmf(coeffs[k], k, len(coeffs) - 1 - k, log_p[lo:hi], log_q[lo:hi])
-        # the same 0.0 that exp() rounds such terms to, without numpy's slow underflow path
-        pmf = np.exp(log_pmf, out=np.zeros_like(log_pmf), where=log_pmf >= _LOG_FLOOR)
-        out[lo:hi] = ((log_share if start is None else log_share[k]) * pmf).sum(axis=1)
-    return out
+    return (slice(lo, lo + rows) for lo in range(0, count, rows))
+
+
+def _window_sums(terms: np.ndarray, log_p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
+    """Per probability, the sum of log((k + 1) / N) P(K = k) over its row of terms.
+
+    ``terms`` holds the four rows of ``_binomial_tables`` over the k summed:
+    (4, N) for the whole support, which broadcasts against every
+    probability, or (4, probabilities, width) with one window each.
+    """
+    coeffs, log_share, k, rest = terms
+    log_pmf = _log_pmf(coeffs, k, rest, log_p[:, None], log_q[:, None])
+    # the same 0.0 that exp() rounds such terms to, without numpy's slow underflow path
+    pmf = np.exp(log_pmf, out=np.zeros_like(log_pmf), where=log_pmf >= _LOG_FLOOR)
+    return (log_share * pmf).sum(axis=1)
 
 
 def _interior_log_shares(n_players: int, probs: np.ndarray) -> np.ndarray:
@@ -169,25 +150,35 @@ def _interior_log_shares(n_players: int, probs: np.ndarray) -> np.ndarray:
 
     Up to _WHOLE_SUPPORT players each sum runs over the whole support,
     above it over the rectangle ``_windows`` picks; rows of one width are
-    summed together.
+    summed together, in blocks of bounded size.
     """
     tables = _binomial_tables(n_players)
     # math.log, not the ufunc: an ulp of error in log p is multiplied by k below
     log_p = np.fromiter(map(math.log, probs), np.float64, len(probs))
     log_q = np.fromiter(map(math.log1p, -probs), np.float64, len(probs))
+    out = np.empty(len(probs))
     if n_players <= _WHOLE_SUPPORT:
-        return _window_sums(tables, None, n_players, log_p, log_q)
+        for rows in _row_blocks(len(probs), n_players):
+            out[rows] = _window_sums(tables, log_p[rows], log_q[rows])
+        return out
     start = np.empty(len(probs), dtype=np.int64)
     width = np.empty(len(probs), dtype=np.int64)
     # in blocks: the search's temporaries are several times the size of its input
     for lo in range(0, len(probs), _CHUNK_FLOATS):
         block = slice(lo, lo + _CHUNK_FLOATS)
         start[block], width[block] = _windows(tables[0], probs[block], log_p[block], log_q[block])
-    out = np.empty(len(probs))
     for w in np.unique(width).tolist():
         at = np.flatnonzero(width == w)
-        # a window as wide as the support starts at 0: the same terms, summed without gathers
-        out[at] = _window_sums(tables, None if w == n_players else start[at], w, log_p[at], log_q[at])
+        # windows[:, s] holds the four rows at k = s .. s + w - 1; picking whole
+        # windows copies rows, which is cheaper than gathering each k by index.
+        # It is sliding_window_view(tables, w, axis=1) without that function's
+        # checks, which cost about 10 us a call.
+        windows = as_strided(tables, (4, n_players - w + 1, w), tables.strides + tables.strides[1:], writeable=False)
+        for rows in _row_blocks(len(at), w):
+            block = at[rows]
+            # a window as wide as the support is the table itself, which broadcasts with no copy
+            terms = tables if w == n_players else windows[:, start[block]]
+            out[block] = _window_sums(terms, log_p[block], log_q[block])
     return out
 
 

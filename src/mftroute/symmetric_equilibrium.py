@@ -39,8 +39,10 @@ class SingleStageGame:
     reference_toll: np.ndarray = field(init=False, repr=False)  # alpha * log(reference), the toll's constant part
 
     def __post_init__(self):
-        object.__setattr__(self, "travel_cost", _readonly(self.travel_cost))
-        object.__setattr__(self, "reference", _readonly(self.reference))
+        # own copies (J floats each): the checks below and reference_toll must
+        # stay true of the arrays the game reads
+        object.__setattr__(self, "travel_cost", _readonly(np.array(self.travel_cost, dtype=np.float64)))
+        object.__setattr__(self, "reference", _readonly(np.array(self.reference, dtype=np.float64)))
         if self.travel_cost.ndim != 1 or self.travel_cost.shape != self.reference.shape:
             raise ValueError("travel_cost and reference must be equal-length vectors")
         if self.route_count < 2:

@@ -33,7 +33,7 @@ from mftroute import (
     propagate,
 )
 from mftroute.cli import OBSTACLE_SENTINEL
-from mftroute.finite_population import _MASK_NODES, _MASK_SHARE, _row_fault
+from mftroute.finite_population import _MASK_NODES, _MASK_SHARE, _WHOLE_SUPPORT, _row_fault
 from mftroute.scenario import ROW_SUM_TOL, ScenarioFormatError, _bad_row_sums
 from mftroute.symmetric_equilibrium import _MAX_BISECT, INNER_TOL, OUTER_TOL, EquilibriumResult
 
@@ -350,30 +350,36 @@ _GATHER_CHUNK = 1 << 16
 
 
 def interior_log_shares_gather(n_players: int, probs: np.ndarray) -> np.ndarray:
-    """The whole-support sum the broadcast table rows replaced, for distinct
-    probabilities strictly inside (0, 1): each block of rows gathers its terms
-    k = 0..N-1 from the tables by index, and terms below the floor are masked
-    out of exp().  Up to 256 players the kernel must match it bit for bit."""
+    """The sums as the kernel formed them before its table rows were broadcast
+    or copied as whole windows, for distinct probabilities strictly inside
+    (0, 1): each block of rows gathers its terms k = start .. start + width - 1
+    from the tables by index, and terms below the floor are masked out of
+    exp().  The window is the whole support up to 256 players and the one
+    ``windows_bisection`` finds above.  The kernel must match it bit for bit."""
     n = n_players - 1
     coeffs = _log_binom_coeffs(n)
     log_share = np.log((np.arange(n + 1) + 1.0) / n_players)
-    offsets = np.arange(n_players)
-    start = np.zeros(len(probs), dtype=np.int64)
-    log_p = np.fromiter(map(math.log, probs), np.float64, len(probs))[:, None]
-    log_q = np.fromiter(map(math.log1p, -probs), np.float64, len(probs))[:, None]
-    rows = max(1, _GATHER_CHUNK // n_players)
+    log_p = np.fromiter(map(math.log, probs), np.float64, len(probs))
+    log_q = np.fromiter(map(math.log1p, -probs), np.float64, len(probs))
+    if n_players <= _WHOLE_SUPPORT:
+        start, width = np.zeros(len(probs), dtype=np.int64), np.full(len(probs), n_players)
+    else:
+        start, width = windows_bisection(coeffs, probs, log_p, log_q)
     out = np.empty(len(probs))
-    for lo in range(0, len(probs), rows):
-        hi = lo + rows
-        k = start[lo:hi, None] + offsets
-        log_pmf = coeffs[k] + k * log_p[lo:hi] + (n - k) * log_q[lo:hi]
-        pmf = np.exp(log_pmf, out=np.zeros_like(log_pmf), where=log_pmf >= _LOG_FLOOR)
-        out[lo:hi] = (log_share[k] * pmf).sum(axis=1)
+    for w in np.unique(width).tolist():
+        at = np.flatnonzero(width == w)
+        rows = max(1, _GATHER_CHUNK // w)
+        for lo in range(0, len(at), rows):
+            sel = at[lo : lo + rows]
+            k = start[sel, None] + np.arange(w)
+            log_pmf = coeffs[k] + k * log_p[sel, None] + (n - k) * log_q[sel, None]
+            pmf = np.exp(log_pmf, out=np.zeros_like(log_pmf), where=log_pmf >= _LOG_FLOOR)
+            out[sel] = (log_share[k] * pmf).sum(axis=1)
     return out
 
 
 def windows_bisection(coeffs: np.ndarray, probs: np.ndarray, log_p: np.ndarray, log_q: np.ndarray):
-    """The window search the grid-narrowed brackets replaced: first k and width per probability.
+    """The window search that the Hoeffding brackets narrowed: first k and width per probability.
 
     Both ends are bisected for bit_length(N) rounds, between the mode and a
     virtual k (-1 or N) outside the support.

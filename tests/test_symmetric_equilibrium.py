@@ -259,6 +259,18 @@ def test_equal_costs_return_the_reference():
     np.testing.assert_allclose(solve_single_stage_mfe(game), [0.7, 0.3], rtol=0, atol=1e-15)
 
 
+def test_game_keeps_its_inputs_when_the_callers_arrays_change():
+    costs, ref = np.array([1.0, 1.6, 1.2]), np.array([0.5, 0.3, 0.2])
+    game = SingleStageGame(costs, ref, 0.8, 50)
+    belief = np.array([0.2, 0.5, 0.3])
+    cost, mfe = assumed_cost(game, belief), solve_single_stage_mfe(game)
+    costs[0], ref[0] = 9.0, -1.0
+    fresh = SingleStageGame(np.array([1.0, 1.6, 1.2]), np.array([0.5, 0.3, 0.2]), 0.8, 50)
+    assert assumed_cost(game, belief).tobytes() == cost.tobytes() == assumed_cost(fresh, belief).tobytes()
+    assert solve_single_stage_mfe(game).tobytes() == mfe.tobytes() == solve_single_stage_mfe(fresh).tobytes()
+    assert not game.reference.flags.writeable and not game.travel_cost.flags.writeable
+
+
 def test_single_stage_mfe_agrees_with_the_network_solver(three_route_game):
     scenario = three_route_scenario()
     policy = extract_policy(scenario, backward_pass(scenario))

@@ -2,10 +2,10 @@
 
 The references (tests/helpers.py) are the full-support, exactly rounded
 scalar kernel the batched one replaced, the batched kernel over Hoeffding
-rectangles that the exact windows replaced, the whole-support sum over
-gathered rows that the broadcast table rows replaced, the plain bisection
-that the grid-narrowed window search replaced, and the per-element caller
-loops.  All kernels form every pmf term the same way, so they differ only
+rectangles that the exact windows replaced, the sums over rows gathered k
+by k that the broadcast table and the copied windows replaced, the plain
+bisection that the Hoeffding-bracketed window search replaced, and the
+per-element caller loops.  All kernels form every pmf term the same way, so they differ only
 in how the terms are summed and in the terms the window drops.
 """
 
@@ -174,11 +174,14 @@ def test_terms_outside_the_window_are_exact_zeros(n_players):
 
 
 @given(
-    n_players=st.integers(1, _WHOLE_SUPPORT),
+    n_players=st.one_of(
+        st.integers(1, _WHOLE_SUPPORT), st.integers(_WHOLE_SUPPORT + 1, 5000), st.sampled_from([10_000, 100_000])
+    ),
     probs=st.lists(INTERIOR, min_size=1, max_size=300),
 )
-def test_whole_support_sum_is_bit_identical_to_the_gathered_rows(n_players, probs):
-    # up to 300 rows span several row blocks above 218 players
+def test_kernel_sum_is_bit_identical_to_the_gathered_rows(n_players, probs):
+    # up to 300 rows span several row blocks above 218 players; above 256
+    # players the windows are copied as whole rows, the reference gathers each k
     probs = np.unique(probs + [1e-300, 1.0 - 1e-16])
     ours = _interior_log_shares(n_players, probs)
     assert ours.tobytes() == interior_log_shares_gather(n_players, probs).tobytes()
@@ -192,7 +195,7 @@ def test_whole_support_sum_is_bit_identical_to_the_gathered_rows(n_players, prob
 @example(n_players=1000, seed=0, count=3)
 @example(n_players=100_000, seed=1, count=1200)
 def test_window_search_ends_where_the_plain_bisection_does(n_players, seed, count):
-    # blocks of up to _GRID_FLOATS / 2 probabilities narrow their brackets on a grid first, larger ones bisect only
+    # each end starts from the nearer of Hoeffding's bound and the support's end
     rng = np.random.default_rng(seed)
     pool = np.concatenate(
         [
