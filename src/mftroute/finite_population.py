@@ -34,18 +34,6 @@ _LOG_FLOOR = -746.0
 _WHOLE_SUPPORT = 256
 _CHUNK_FLOATS = 1 << 16  # elements per temporary: rows x window in a sum, probabilities per search block
 
-# simulate_population draws a stage's routes in node order; these constants
-# only choose how it groups the agents by node to write the choices back.
-# Through one comparison mask per node while few nodes are occupied and one
-# of them holds nearly every agent, otherwise through one stable sort.
-# Assigning through a mask that rarely flips is cheap, through one that flips
-# often is not: on a 2-core x86-64 VM, with 2-8 occupied nodes and N = 1.5e4
-# or 1e5 shuffled agents, the masks cost 0.1-0.6x the sort when 1 % of the
-# agents sit off the fullest node, 0.6-1.05x at 10 % and 1.0-1.9x at 25 %
-# (BENCH_13.json).
-_MASK_NODES = 8
-_MASK_SHARE = 0.9
-
 # expected_tax_gap's floor on an edge's mean-field flow probability
 SUPPORT_TOL = 1e-9
 
@@ -296,21 +284,22 @@ def expected_tax_heterogeneous(
 
 @dataclass(frozen=True, eq=False)
 class PopulationSample:
-    """One realized N-player rollout; each agent's next location is the node it chose.
+    """One realized N-player rollout as node and edge counts per stage.
 
-    ``SeedSequence(seed, spawn_key=spawn_key)`` re-derives the stream the
-    rollout drew from, also for a replication spawned from a root seed.
+    The players are exchangeable, so the counts are all a toll needs; no
+    agent's path is kept.  ``SeedSequence(seed, spawn_key=spawn_key)``
+    re-derives the stream the rollout drew from, also for a replication
+    spawned from a root seed.
     """
 
     n_agents: int
-    locations: np.ndarray  # (T+1, N) node ids
     node_counts: np.ndarray  # (T+1, V)
     edge_counts: np.ndarray  # (T, E)
     seed: int | tuple[int, ...]  # the root entropy
     spawn_key: tuple[int, ...] = ()
 
     def __post_init__(self):
-        for name in ("locations", "node_counts", "edge_counts"):
+        for name in ("node_counts", "edge_counts"):
             object.__setattr__(self, name, _readonly(getattr(self, name), np.int64))
 
 
@@ -319,12 +308,13 @@ def simulate_population(
 ) -> PopulationSample:
     """Sample N players: i.i.d. starts from P_0, i.i.d. route draws per stage.
 
-    Each stage groups the agents by node, in ascending node and agent
-    order, and draws one uniform per agent in that order.  A node's draws
-    are scaled by its policy row's total, so a positive row need not sum
-    to 1; an occupied node whose row has an entry that is not finite and
-    >= 0, or sums to 0, raises a ValueError that names it (the lowest such
-    node of the earliest such stage).
+    Each stage draws one uniform per player and consumes the draws node
+    after node, in ascending node order, a block of the node's count for
+    each occupied node.  A node's draws are scaled by its policy row's
+    total, so a positive row need not sum to 1; an occupied node whose row
+    has an entry that is not finite and >= 0, or sums to 0, raises a
+    ValueError that names it (the lowest such node of the earliest such
+    stage).
     """
     n_agents = _player_count(n_agents, "n_agents")
     _check_policy_shape(scenario, policy)
@@ -334,14 +324,12 @@ def simulate_population(
     t_count = scenario.horizon
     degrees = np.diff(g.row_start)
 
-    locations = np.empty((t_count + 1, n_agents), dtype=np.int64)
     node_counts = np.empty((t_count + 1, g.node_count), dtype=np.int64)
     edge_counts = np.empty((t_count, g.edge_count), dtype=np.int64)
 
-    locations[0] = rng.choice(g.node_count, size=n_agents, p=scenario.initial.mass)
+    starts = rng.choice(g.node_count, size=n_agents, p=scenario.initial.mass)
+    node_counts[0] = np.bincount(starts, minlength=g.node_count)
     for t in range(t_count):
-        here = locations[t]
-        node_counts[t] = np.bincount(here, minlength=g.node_count)
         occupied = np.flatnonzero(node_counts[t])
         counts = node_counts[t, occupied]
         lo = g.row_start[occupied]
@@ -353,23 +341,12 @@ def simulate_population(
         step = np.zeros(n_agents, dtype=np.min_scalar_type(len(thresholds)))
         for column in thresholds:
             step += column.repeat(counts) <= scaled
-        chosen_edge = lo.repeat(counts) + step
-        edge_counts[t] = np.bincount(chosen_edge, minlength=g.edge_count)
-        chosen_node = g.edge_dst[chosen_edge]
-        # from node order back to agent order
-        if len(occupied) <= _MASK_NODES and counts.max() >= _MASK_SHARE * n_agents:
-            for i, count, stop in zip(occupied.tolist(), counts.tolist(), counts.cumsum().tolist()):
-                locations[t + 1, here == i] = chosen_node[stop - count : stop]
-        else:
-            # keyed by rank among the occupied nodes: up to 65 536 of them the key has <= 16 bits,
-            # and numpy's stable sort of such keys is a radix sort (wider keys go to timsort)
-            rank = np.zeros(g.node_count, dtype=np.min_scalar_type(len(occupied) - 1))
-            rank[occupied] = np.arange(len(occupied))
-            locations[t + 1, rank[here].argsort(kind="stable")] = chosen_node
-    node_counts[t_count] = np.bincount(locations[t_count], minlength=g.node_count)
+        edge_counts[t] = np.bincount(lo.repeat(counts) + step, minlength=g.edge_count)
+        # float sums of integer counts, exact below 2**53
+        node_counts[t + 1] = np.bincount(g.edge_dst, weights=edge_counts[t], minlength=g.node_count)
 
     entropy = int(seeds.entropy) if np.ndim(seeds.entropy) == 0 else tuple(map(int, seeds.entropy))
-    return PopulationSample(n_agents, locations, node_counts, edge_counts, entropy, seeds.spawn_key)
+    return PopulationSample(n_agents, node_counts, edge_counts, entropy, seeds.spawn_key)
 
 
 def _thresholds(graph: TrafficGraph, probs: np.ndarray, t: int, occupied: np.ndarray, lo, degree):
@@ -431,16 +408,25 @@ def simulate_replications(scenario: Scenario, policy: PolicyKernel, n_agents: in
 def realized_taxes(sample: PopulationSample, scenario: Scenario) -> tuple[np.ndarray, ...]:
     """Tolls on every populated edge as columns (t, node, dest, count, tax), stage by stage.
 
-    Edges no player took have no row.
+    Edges no player took have no row.  A sample whose count tables do not
+    have the scenario's (T, E) and (T+1, V) shapes raises a ValueError.
     """
+    g = scenario.graph
+    for name, expect in (
+        ("edge_counts", (scenario.horizon, g.edge_count)),
+        ("node_counts", (scenario.horizon + 1, g.node_count)),
+    ):
+        shape = getattr(sample, name).shape
+        if shape != expect:
+            raise ValueError(f"sample {name} shape {shape}, expected {expect}")
     t, e = np.nonzero(sample.edge_counts)
-    node = scenario.graph.edge_src[e]
+    node = g.edge_src[e]
     count = sample.edge_counts[t, e]
     share = count / sample.node_counts[t, node]
     # math.log, not the ufunc, which can differ in the last ulp
     log_share = np.fromiter(map(math.log, share.tolist()), np.float64, len(share))
     log_ref = np.fromiter(map(math.log, scenario.reference.probs[t, e].tolist()), np.float64, len(share))
-    return t, node, scenario.graph.edge_dst[e], count, scenario.alpha * (log_share - log_ref)
+    return t, node, g.edge_dst[e], count, scenario.alpha * (log_share - log_ref)
 
 
 # ---------------------------------------------------------------------------

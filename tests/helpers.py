@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from typing import NamedTuple
 from pathlib import Path
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -20,7 +21,6 @@ from scipy.special import gammaln
 from mftroute import (
     Distribution,
     PolicyKernel,
-    PopulationSample,
     ReferencePolicy,
     Scenario,
     SingleStageGame,
@@ -33,7 +33,7 @@ from mftroute import (
     propagate,
 )
 from mftroute.cli import OBSTACLE_SENTINEL
-from mftroute.finite_population import _MASK_NODES, _MASK_SHARE, _WHOLE_SUPPORT, _row_fault
+from mftroute.finite_population import _WHOLE_SUPPORT, _row_fault
 from mftroute.scenario import ROW_SUM_TOL, ScenarioFormatError, _bad_row_sums
 from mftroute.symmetric_equilibrium import _MAX_BISECT, INNER_TOL, OUTER_TOL, EquilibriumResult
 
@@ -848,9 +848,28 @@ def emit_heatmap_loop(mass: np.ndarray, width: int, height: int, obstacles=(), h
     return "\n".join(lines) + "\n"
 
 
+class AgentSample(NamedTuple):
+    """A reference rollout: every agent's path, and the counts and seed record of ``PopulationSample``."""
+
+    n_agents: int
+    locations: np.ndarray  # (T+1, N) node ids
+    node_counts: np.ndarray  # (T+1, V)
+    edge_counts: np.ndarray  # (T, E)
+    seed: int | tuple[int, ...]
+    spawn_key: tuple[int, ...]
+
+
+# simulate_population_grouped_loop groups a stage's agents by node through one
+# comparison mask per node while at most _MASK_NODES nodes are occupied and one
+# of them holds at least _MASK_SHARE of the agents, otherwise through one
+# stable radix sort keyed by the node's rank among the occupied nodes
+_MASK_NODES = 8
+_MASK_SHARE = 0.9
+
+
 def simulate_population_mask_loop(
     scenario: Scenario, policy: PolicyKernel, n_agents: int, seed
-) -> PopulationSample:
+) -> AgentSample:
     """N-player rollout with one draw call and one full-population mask per occupied node and stage."""
     seeds = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rng = np.random.default_rng(seeds)
@@ -877,17 +896,17 @@ def simulate_population_mask_loop(
     node_counts[t_count] = np.bincount(locations[t_count], minlength=g.node_count)
 
     entropy = int(seeds.entropy) if np.ndim(seeds.entropy) == 0 else tuple(map(int, seeds.entropy))
-    return PopulationSample(n_agents, locations, node_counts, edge_counts, entropy, seeds.spawn_key)
+    return AgentSample(n_agents, locations, node_counts, edge_counts, entropy, seeds.spawn_key)
 
 
 def simulate_population_grouped_loop(
     scenario: Scenario, policy: PolicyKernel, n_agents: int, seed
-) -> PopulationSample:
+) -> AgentSample:
     """N-player rollout with one draw call per stage, grouped by node, and one cumsum and searchsorted per occupied node.
 
     Agents are grouped through comparison masks on concentrated stages and
-    through one stable radix sort otherwise, by the sampler's own rule; a
-    bad occupied row raises the sampler's located error.
+    through one stable radix sort otherwise (the _MASK_NODES rule); a bad
+    occupied row raises the sampler's located error.
     """
     seeds = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rng = np.random.default_rng(seeds)
@@ -935,7 +954,7 @@ def simulate_population_grouped_loop(
     node_counts[t_count] = np.bincount(locations[t_count], minlength=g.node_count)
 
     entropy = int(seeds.entropy) if np.ndim(seeds.entropy) == 0 else tuple(map(int, seeds.entropy))
-    return PopulationSample(n_agents, locations, node_counts, edge_counts, entropy, seeds.spawn_key)
+    return AgentSample(n_agents, locations, node_counts, edge_counts, entropy, seeds.spawn_key)
 
 
 def realized_taxes_loop(sample, scenario: Scenario) -> list[tuple]:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from helpers import (
 from mftroute import (
     Distribution,
     PolicyKernel,
+    PopulationSample,
     ReferencePolicy,
     Scenario,
     StageCosts,
@@ -35,7 +37,8 @@ from mftroute import (
     simulate_population,
     simulate_replications,
 )
-from mftroute.finite_population import _MASK_NODES, _MASK_SHARE, binomial_expected_log_share
+from mftroute.cli import fig2_scenario
+from mftroute.finite_population import binomial_expected_log_share
 
 
 # ---------------------------------------------------------------------------
@@ -54,8 +57,9 @@ def test_sampling_is_reproducible_and_seed_sensitive(three_route):
     a = simulate_population(three_route, solution.policy, 500, seed=7)
     b = simulate_population(three_route, solution.policy, 500, seed=7)
     c = simulate_population(three_route, solution.policy, 500, seed=8)
-    np.testing.assert_array_equal(a.locations[1:], b.locations[1:])
-    assert not np.array_equal(a.locations[1:], c.locations[1:])
+    for name in ("node_counts", "edge_counts"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    assert not np.array_equal(a.edge_counts, c.edge_counts)
 
 
 def test_tally_consistency_and_deterministic_motion():
@@ -104,18 +108,8 @@ def _sharp_policy(scenario: Scenario, rng: np.random.Generator) -> PolicyKernel:
     return PolicyKernel(probs)
 
 
-def _grouping_ways(sample) -> set[str]:
-    """Which of the sampler's two ways of grouping agents by node each stage of the sample took."""
-    ways = set()
-    for counts in sample.node_counts[:-1]:
-        few = np.count_nonzero(counts) <= _MASK_NODES and counts.max() >= _MASK_SHARE * sample.n_agents
-        ways.add("masks" if few else "sort")
-    return ways
-
-
 def test_grouped_sampler_is_bit_identical_to_the_mask_loop():
     rng = np.random.default_rng(40)
-    ways = set()
     hub_visits = 0  # samples in which a node of degree above 5 was occupied
     for case in range(12):
         scenario = random_scenario(rng, max_nodes=10, max_horizon=6, point_mass_start=case % 2 == 0, max_degree=8)
@@ -125,12 +119,11 @@ def test_grouped_sampler_is_bit_identical_to_the_mask_loop():
             for seed in (int(rng.integers(1000)), *np.random.SeedSequence(int(rng.integers(1000))).spawn(2)):
                 got = simulate_population(scenario, policy, n_agents, seed)
                 want = simulate_population_mask_loop(scenario, policy, n_agents, seed)
-                for name in ("locations", "node_counts", "edge_counts"):
+                for name in ("node_counts", "edge_counts"):
                     assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
                 assert (got.n_agents, got.seed, got.spawn_key) == (want.n_agents, want.seed, want.spawn_key)
-                ways |= _grouping_ways(got)
                 hub_visits += bool(got.node_counts[:-1, hubs].any())
-    assert hub_visits >= 1 and ways == {"masks", "sort"}
+    assert hub_visits >= 1
 
 
 def test_a_non_stochastic_row_at_an_occupied_node_is_located():
@@ -163,7 +156,7 @@ def test_a_non_stochastic_row_at_an_occupied_node_is_located():
     probs[0, edge_slice(g, 29)] = math.nan
     unread = simulate_population(scenario, PolicyKernel(probs), 50, seed=6)
     for other in (doubled, unread):
-        for name in ("locations", "node_counts", "edge_counts"):
+        for name in ("node_counts", "edge_counts"):
             assert getattr(other, name).tobytes() == getattr(sample, name).tobytes()
 
 
@@ -209,16 +202,14 @@ def _same_as_grouped_loop(scenario, policy, n_agents, seed) -> set[str]:
             simulate_population(scenario, policy, n_agents, seed)
         return {"bad row"}
     got = simulate_population(scenario, policy, n_agents, seed)
-    for name in ("locations", "node_counts", "edge_counts"):
+    for name in ("node_counts", "edge_counts"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     g = scenario.graph
     degrees = np.diff(g.row_start)
-    uses = _grouping_ways(got)
+    uses = set()
     for t, counts in enumerate(got.node_counts[:-1]):
         at = np.flatnonzero(counts)
         rows = [policy.probs[t, edge_slice(g, i)] for i in at]
-        if len(at) > 256:
-            uses.add("16-bit ranks")
         if len(set(degrees[at].tolist())) > 1:
             uses.add("padding")
         if degrees[at].max() > 255:
@@ -278,9 +269,7 @@ def test_the_grouped_loop_cases_cover_every_threshold_table_shape():
         rng = np.random.default_rng(60 + case)
         scenario, policy = _hub_scenario(rng, nodes, hub_degree, 3, start, 0.3, 2.0)
         uses |= _same_as_grouped_loop(scenario, policy, n_agents, case)
-    assert uses == {
-        "masks", "sort", "16-bit ranks", "padding", "hub above 255", "zero entries", "totals other than 1",
-    }
+    assert uses == {"padding", "hub above 255", "zero entries", "totals other than 1"}
 
 
 def test_the_lowest_bad_occupied_row_is_named():
@@ -328,6 +317,20 @@ def test_an_occupied_node_without_edges_is_located():
     message = "policy row at stage 1, node 1 (no edges) sums to 0.0; "
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         simulate_population(dead_end, PolicyKernel(np.ones((2, 1))), 5, seed=1)
+
+
+def test_a_rollout_keeps_counts_not_agent_paths():
+    # fig2 at N = 1e5: one (T+1, N) int64 table of agent paths would be 56.8 MB
+    scenario = fig2_scenario(1.0)
+    policy = mfe_solve(scenario).policy
+    n_agents = 100_000
+    tracemalloc.start()
+    try:
+        simulate_population(scenario, policy, n_agents, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (scenario.horizon + 1) * n_agents * 8 / 4
 
 
 def test_simulate_replications_rejects_a_bad_rep_count(three_route):
@@ -495,9 +498,10 @@ def test_realized_tax_mean_matches_the_exact_expectation(three_route):
     q = float(solution.policy.probs[0, route_edge])
     exact = expected_tax_symmetric(n_agents, 1.0, q, 1 / 3, 1.0)
 
-    reps = 100_000
+    # the reference sampler keeps agent paths; on the same substreams its counts are the sampler's
     taxes = []
-    for sample in simulate_replications(three_route, solution.policy, n_agents, 99, reps):
+    for seeds in np.random.SeedSequence(99).spawn(100_000):
+        sample = simulate_population_mask_loop(three_route, solution.policy, n_agents, seeds)
         if sample.locations[1, 0] == 2:  # tagged player 0 took the middle route
             k_edge = sample.edge_counts[0, route_edge]
             k_node = sample.node_counts[0, 0]
@@ -540,6 +544,21 @@ def test_realized_tax_columns_are_bit_identical_to_the_edge_loop():
         assert np.array([r[4] for r in got]).tobytes() == np.array([r[4] for r in want]).tobytes()
 
 
+def test_realized_taxes_reject_a_sample_of_another_scenario():
+    small = build_gridworld(4, 3, [], 0, 11, 6, 1.0)
+    large = build_gridworld(5, 3, [], 0, 14, 8, 1.0)
+    of_small, of_large = (simulate_population(s, mfe_solve(s).policy, 20, seed=1) for s in (small, large))
+    for sample, scenario in ((of_small, large), (of_large, small)):
+        got, want = sample.edge_counts.shape, (scenario.horizon, scenario.graph.edge_count)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'sample edge_counts shape {got}, expected {want}')}$"):
+            realized_taxes(sample, scenario)
+    # edge counts of the right shape, node counts of another scenario
+    mixed = PopulationSample(20, of_large.node_counts, of_small.edge_counts, of_small.seed)
+    got, want = mixed.node_counts.shape, (small.horizon + 1, small.graph.node_count)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'sample node_counts shape {got}, expected {want}')}$"):
+        realized_taxes(mixed, small)
+
+
 @pytest.mark.parametrize("root", [123, [4, 5, 6]], ids=["int root", "sequence root"])
 def test_a_replication_is_re_derived_from_its_own_record(root):
     rng = np.random.default_rng(38)
@@ -551,7 +570,7 @@ def test_a_replication_is_re_derived_from_its_own_record(root):
         assert sample.spawn_key == child.spawn_key
         seeds = np.random.SeedSequence(sample.seed, spawn_key=sample.spawn_key)
         again = simulate_population(scenario, policy, 50, seeds)
-        for name in ("locations", "node_counts", "edge_counts"):
+        for name in ("node_counts", "edge_counts"):
             assert getattr(again, name).tobytes() == getattr(sample, name).tobytes()
     first, second = (simulate_population(scenario, policy, 50, c) for c in children[:2])
     assert first.spawn_key != second.spawn_key
@@ -634,7 +653,8 @@ def test_integral_player_counts_of_any_type_give_the_int_results(three_route):
     for n, alias in ((3, 3.0), (3, np.int32(3)), (40, np.float64(40.0))):
         got, want = simulate_population(three_route, policy, alias, seed=4), simulate_population(three_route, policy, n, seed=4)
         assert type(got.n_agents) is int and got.n_agents == n
-        assert got.locations.tobytes() == want.locations.tobytes()
+        assert got.node_counts.tobytes() == want.node_counts.tobytes()
+        assert got.edge_counts.tobytes() == want.edge_counts.tobytes()
 
 
 @pytest.mark.parametrize("n_players", [2.5, math.nan, math.inf])
