@@ -26,13 +26,21 @@ GENERATOR_NAME = "pcg64"
 
 # exp() rounds every argument below about -745.13 to exactly 0.0, so a term
 # whose log pmf is below _LOG_FLOOR adds nothing to the binomial sum, and the
-# sum may skip it.  Up to _WHOLE_SUPPORT players no term is skipped: the sums
-# of the route game (N = 2 to 200 in fig4) keep the bits of the full-support
-# kernel.  Which terms are summed depends on N and p only, never on the other
-# probabilities of a call.
+# window search may drop it.  Up to _WHOLE_SUPPORT players no term is dropped:
+# the sums of the route game (N = 2 to 200 in fig4) keep the bits of the
+# full-support kernel.  Which terms are summed depends on N and p only, never
+# on the other probabilities of a call.
 _LOG_FLOOR = -746.0
+# Between _LOG_FLOOR and log(DBL_MIN) ~ -708.40, exp() returns a sub-normal
+# pmf, and numpy's vectorized exp takes a slow path for each one (a (64, 1024)
+# block with 4 % of them: about 750 us against 130 us).  The sum counts such a
+# term as 0.0 and never hands it to exp(): the term is below 2**-1022 times a
+# log share of at most log N, while a row's sum is at least about 1e-16 / N in
+# size, so it lies far below half an ulp of the sum.  Windows, widths and the
+# order of the sum stay those of _LOG_FLOOR.
+_LOG_NORMAL = math.log(np.finfo(np.float64).tiny)
 _WHOLE_SUPPORT = 256
-_CHUNK_FLOATS = 1 << 16  # elements per temporary: rows x window in a sum, probabilities per search block
+_CHUNK_FLOATS = 1 << 16  # elements per block: rows x window in a sum, probabilities per search block
 
 # expected_tax_gap's floor on an edge's mean-field flow probability
 SUPPORT_TOL = 1e-9
@@ -69,13 +77,18 @@ def _binomial_tables(n_players: int) -> np.ndarray:
     return tables
 
 
-def _log_pmf(coeffs, k, rest, log_p, log_q) -> np.ndarray:
+def _log_pmf(coeffs, k, rest, log_p, log_q, out=None, work=None) -> np.ndarray:
     """log P(K = k) = log C(N-1, k) + k log p + (N-1-k) log q, given ``rest`` = N-1-k.
 
-    The window search and the sum share it: integer k and float rows of the
-    same values give the same bits.
+    ``out`` and ``work``, buffers of the result's shape, are overwritten
+    when given; the result is formed in ``out``.  The window search and the
+    sum share it: integer k and float rows of the same values give the same
+    bits, those of (coeffs + k log p) + rest log q, since addition commutes.
     """
-    return coeffs + k * log_p + rest * log_q
+    out = np.multiply(k, log_p, out=out)
+    out += coeffs
+    out += np.multiply(rest, log_q, out=work)
+    return out
 
 
 def _windows(coeffs: np.ndarray, probs: np.ndarray, log_p: np.ndarray, log_q: np.ndarray):
@@ -113,24 +126,29 @@ def _windows(coeffs: np.ndarray, probs: np.ndarray, log_p: np.ndarray, log_q: np
     return np.minimum(first, n_players - width), width
 
 
-def _row_blocks(count: int, width: int):
-    """Slices over ``count`` rows whose terms, ``width`` per row, fill at most _CHUNK_FLOATS (one row at least)."""
-    rows = max(1, _CHUNK_FLOATS // width)
-    return (slice(lo, lo + rows) for lo in range(0, count, rows))
+def _block_rows(count: int, width: int) -> int:
+    """Rows per block of ``count`` rows whose terms, ``width`` per row, fill at most _CHUNK_FLOATS (one row at least)."""
+    return max(1, min(count, _CHUNK_FLOATS // width))
 
 
-def _window_sums(terms: np.ndarray, log_p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
+def _window_sums(terms: np.ndarray, log_p: np.ndarray, log_q: np.ndarray, buffers: np.ndarray) -> np.ndarray:
     """Per probability, the sum of log((k + 1) / N) P(K = k) over its row of terms.
 
     ``terms`` holds the four rows of ``_binomial_tables`` over the k summed:
     (4, N) for the whole support, which broadcasts against every
     probability, or (4, probabilities, width) with one window each.
+    The log pmf, the pmf and the products are formed in ``buffers``, a
+    (2, at least probabilities, width) float64 array it overwrites.  Only
+    terms whose log pmf is at least _LOG_NORMAL reach exp(); the rest count
+    as 0.0.
     """
     coeffs, log_share, k, rest = terms
-    log_pmf = _log_pmf(coeffs, k, rest, log_p[:, None], log_q[:, None])
-    # the same 0.0 that exp() rounds such terms to, without numpy's slow underflow path
-    pmf = np.exp(log_pmf, out=np.zeros_like(log_pmf), where=log_pmf >= _LOG_FLOOR)
-    return (log_share * pmf).sum(axis=1)
+    log_pmf, pmf = buffers[:, : len(log_p)]
+    _log_pmf(coeffs, k, rest, log_p[:, None], log_q[:, None], log_pmf, pmf)
+    pmf.fill(0.0)
+    np.exp(log_pmf, out=pmf, where=log_pmf >= _LOG_NORMAL)
+    pmf *= log_share
+    return pmf.sum(axis=1)
 
 
 def _interior_log_shares(n_players: int, probs: np.ndarray) -> np.ndarray:
@@ -138,7 +156,8 @@ def _interior_log_shares(n_players: int, probs: np.ndarray) -> np.ndarray:
 
     Up to _WHOLE_SUPPORT players each sum runs over the whole support,
     above it over the rectangle ``_windows`` picks; rows of one width are
-    summed together, in blocks of bounded size.
+    summed together, in blocks of bounded size that share one set of
+    buffers per call.
     """
     tables = _binomial_tables(n_players)
     # math.log, not the ufunc: an ulp of error in log p is multiplied by k below
@@ -146,8 +165,11 @@ def _interior_log_shares(n_players: int, probs: np.ndarray) -> np.ndarray:
     log_q = np.fromiter(map(math.log1p, -probs), np.float64, len(probs))
     out = np.empty(len(probs))
     if n_players <= _WHOLE_SUPPORT:
-        for rows in _row_blocks(len(probs), n_players):
-            out[rows] = _window_sums(tables, log_p[rows], log_q[rows])
+        rows = _block_rows(len(probs), n_players)
+        buffers = np.empty((2, rows, n_players))
+        for lo in range(0, len(probs), rows):
+            block = slice(lo, lo + rows)
+            out[block] = _window_sums(tables, log_p[block], log_q[block], buffers)
         return out
     start = np.empty(len(probs), dtype=np.int64)
     width = np.empty(len(probs), dtype=np.int64)
@@ -155,18 +177,23 @@ def _interior_log_shares(n_players: int, probs: np.ndarray) -> np.ndarray:
     for lo in range(0, len(probs), _CHUNK_FLOATS):
         block = slice(lo, lo + _CHUNK_FLOATS)
         start[block], width[block] = _windows(tables[0], probs[block], log_p[block], log_q[block])
-    for w in np.unique(width).tolist():
+    widths, counts = (values.tolist() for values in np.unique(width, return_counts=True))
+    block_rows = [_block_rows(count, w) for w, count in zip(widths, counts)]
+    # room for the largest block of any width, and no more: the allocator's cost grows with the size
+    buffers = np.empty(2 * max((rows * w for w, rows in zip(widths, block_rows)), default=0))
+    for w, rows in zip(widths, block_rows):
         at = np.flatnonzero(width == w)
+        blocks = buffers[: 2 * rows * w].reshape(2, rows, w)
         # windows[:, s] holds the four rows at k = s .. s + w - 1; picking whole
         # windows copies rows, which is cheaper than gathering each k by index.
         # It is sliding_window_view(tables, w, axis=1) without that function's
         # checks, which cost about 10 us a call.
         windows = as_strided(tables, (4, n_players - w + 1, w), tables.strides + tables.strides[1:], writeable=False)
-        for rows in _row_blocks(len(at), w):
-            block = at[rows]
+        for lo in range(0, len(at), rows):
+            block = at[lo : lo + rows]
             # a window as wide as the support is the table itself, which broadcasts with no copy
             terms = tables if w == n_players else windows[:, start[block]]
-            out[block] = _window_sums(terms, log_p[block], log_q[block])
+            out[block] = _window_sums(terms, log_p[block], log_q[block], blocks)
     return out
 
 
@@ -311,7 +338,9 @@ def simulate_population(
     Each stage draws one uniform per player and consumes the draws node
     after node, in ascending node order, a block of the node's count for
     each occupied node.  A node's draws are scaled by its policy row's
-    total, so a positive row need not sum to 1; an occupied node whose row
+    total and counted against the row's cumulative sums, which gives how
+    many of its agents take each edge; no per-agent array of edges or nodes
+    is formed.  A positive row need not sum to 1; an occupied node whose row
     has an entry that is not finite and >= 0, or sums to 0, raises a
     ValueError that names it (the lowest such node of the earliest such
     stage).
@@ -322,7 +351,9 @@ def simulate_population(
     rng = np.random.default_rng(seeds)
     g = scenario.graph
     t_count = scenario.horizon
-    degrees = np.diff(g.row_start)
+    degrees = g.row_start[1:] - g.row_start[:-1]
+    # the least signed type that holds every count: sums of booleans into it are cheaper than into int64
+    count_type = np.min_scalar_type(-n_agents)
 
     node_counts = np.empty((t_count + 1, g.node_count), dtype=np.int64)
     edge_counts = np.empty((t_count, g.edge_count), dtype=np.int64)
@@ -330,29 +361,40 @@ def simulate_population(
     starts = rng.choice(g.node_count, size=n_agents, p=scenario.initial.mass)
     node_counts[0] = np.bincount(starts, minlength=g.node_count)
     for t in range(t_count):
-        occupied = np.flatnonzero(node_counts[t])
+        occupied = node_counts[t].nonzero()[0]
         counts = node_counts[t, occupied]
         lo = g.row_start[occupied]
-        thresholds, totals = _thresholds(g, policy.probs[t], t, occupied, lo, degrees[occupied])
+        thresholds, totals, edges = _thresholds(g, policy.probs[t], t, occupied, lo, degrees[occupied])
         # one draw per agent, node after node: the same PCG64 numbers as one draw call per node;
         # repeat expands per-node values to the node-sorted agents as contiguous fills
         scaled = rng.random(n_agents)
         scaled *= totals.repeat(counts)
-        step = np.zeros(n_agents, dtype=np.min_scalar_type(len(thresholds)))
-        for column in thresholds:
-            step += column.repeat(counts) <= scaled
-        edge_counts[t] = np.bincount(lo.repeat(counts) + step, minlength=g.edge_count)
+        # passed[k, j + 1]: the agents of occupied node k whose scaled draw reaches threshold j,
+        # which rise along j: the agents past the node's edge j.  Column 0 holds all its agents.
+        passed = np.zeros((len(counts), len(thresholds) + 2), dtype=count_type)
+        passed[:, 0] = counts
+        np.add.reduceat(
+            thresholds.repeat(counts, axis=1) <= scaled, counts.cumsum() - counts, axis=1, out=passed[:, 1:-1].T
+        )
+        # edge j takes the agents past edge j - 1 but not past edge j; a column past the node's
+        # degree takes none, so the edge it names gains nothing
+        taken = (passed[:, :-1] - passed[:, 1:]).ravel()
+        edges = edges.ravel()
+        edge_counts[t] = np.bincount(edges, weights=taken, minlength=g.edge_count)
         # float sums of integer counts, exact below 2**53
-        node_counts[t + 1] = np.bincount(g.edge_dst, weights=edge_counts[t], minlength=g.node_count)
+        node_counts[t + 1] = np.bincount(g.edge_dst[edges], weights=taken, minlength=g.node_count)
 
     entropy = int(seeds.entropy) if np.ndim(seeds.entropy) == 0 else tuple(map(int, seeds.entropy))
     return PopulationSample(n_agents, node_counts, edge_counts, entropy, seeds.spawn_key)
 
 
 def _thresholds(graph: TrafficGraph, probs: np.ndarray, t: int, occupied: np.ndarray, lo, degree):
-    """Edge thresholds (max degree - 1 columns) and row totals of the policy rows of the occupied nodes.
+    """Edge thresholds (max degree - 1 columns), row totals and edge table of the occupied nodes' policy rows.
 
     ``lo`` and ``degree`` hold the occupied nodes' first edges and degrees.
+    Row k of the (occupied, max degree) edge table holds lo[k] + column,
+    clipped to the last edge: node k's edges in order, then padding past
+    its degree.
     An agent at occupied node k whose draw, scaled by the row total, is x
     takes the node's edge number sum_j (thresholds[j][k] <= x).  Row k's
     thresholds are its cumulative sums below the total; a sum that reaches
@@ -363,7 +405,8 @@ def _thresholds(graph: TrafficGraph, probs: np.ndarray, t: int, occupied: np.nda
     """
     # at least one column: an occupied node without edges has a zero total
     columns = np.arange(max(int(degree.max()), 1))
-    rows = probs.take(lo[:, None] + columns, mode="clip")
+    edges = np.minimum(lo[:, None] + columns, graph.edge_count - 1)
+    rows = probs.take(edges, mode="clip")
     rows[columns >= degree[:, None]] = 0.0
     # cumsum adds in sequence along a row, as it does on one node's row
     cum = rows.cumsum(axis=1)
@@ -375,7 +418,7 @@ def _thresholds(graph: TrafficGraph, probs: np.ndarray, t: int, occupied: np.nda
         raise _row_fault(graph, probs[lo[k] : lo[k] + degree[k]], t, int(occupied[k]))
     cum[cum >= totals[:, None]] = math.inf
     # the last column always reaches the total
-    return cum[:, :-1].T, totals
+    return cum[:, :-1].T, totals, edges
 
 
 def _row_fault(graph: TrafficGraph, row: np.ndarray, t: int, node: int) -> ValueError:

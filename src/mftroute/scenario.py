@@ -509,19 +509,35 @@ def serialize(scenario: Scenario) -> str:
     return "\n".join(lines)
 
 
-def _line_blocks(text: str, start: int, stop: int, lineno: int, keepends: bool = False):
+def _pieces(text: str, start: int, stop: int):
+    """(start, end) of text[start:stop] in pieces of about _CHUNK_CHARS, each cut just after a newline."""
+    while start < stop:
+        end = text.find("\n", min(start + _CHUNK_CHARS, stop), stop) + 1 or stop
+        yield start, end
+        start = end
+
+
+def _line_blocks(text: str, start: int, stop: int, lineno: int):
     """(offset, first line number, piece, lines) of text[start:stop] in pieces of about _CHUNK_CHARS.
 
     Pieces are cut just after a newline, so each holds whole lines and
     ``str.splitlines`` numbers them as it would the whole text.
     """
-    while start < stop:
-        end = text.find("\n", min(start + _CHUNK_CHARS, stop), stop) + 1 or stop
+    for start, end in _pieces(text, start, stop):
         piece = text[start:end]
-        lines = piece.splitlines(keepends)
+        lines = piece.splitlines()
         yield start, lineno, piece, lines
         lineno += len(lines)
-        start = end
+
+
+# the line boundaries of str.splitlines other than "\n", the ASCII ones first
+_OTHER_BREAKS = ("\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+def _newlines_only(piece: str) -> bool:
+    """Whether "\n" is the only line boundary in the piece; isascii() is a flag read, not a scan."""
+    breaks = _OTHER_BREAKS[:6] if piece.isascii() else _OTHER_BREAKS
+    return not any(map(piece.__contains__, breaks))
 
 
 def _uncommented(piece: str, lines: list[str]) -> list[str]:
@@ -536,7 +552,14 @@ def _section_spans(text: str) -> dict[str, list[tuple[int, int, int]]]:
     """
     spans: dict[str, list[tuple[int, int, int]]] = {name: [] for name in _SECTIONS}
     current = None  # (name, start, first line number) of the open section
-    for offset, lineno, piece, lines in _line_blocks(text, 0, len(text), 1, keepends=True):
+    lineno = 1
+    for offset, end in _pieces(text, 0, len(text)):
+        piece = text[offset:end]
+        if current is not None and "[" not in piece and _newlines_only(piece):
+            # no header and nothing to check: count the lines without splitting them
+            lineno += piece.count("\n") + (not piece.endswith("\n"))
+            continue
+        lines = piece.splitlines(keepends=True)
         heads = []
         if "[" in piece:
             for k in [k for k, line in enumerate(lines) if "[" in line]:
@@ -556,6 +579,7 @@ def _section_spans(text: str) -> dict[str, list[tuple[int, int, int]]]:
             if current is not None:
                 spans[current[0]].append((current[1], starts[k], current[2]))
             current = (name, starts[k + 1], lineno + k + 1)
+        lineno += len(lines)
     if current is not None:
         spans[current[0]].append((current[1], len(text), current[2]))
     return spans

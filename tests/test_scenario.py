@@ -236,6 +236,22 @@ def test_parse_errors_carry_line_numbers(three_route):
         deserialize("\n".join(lines))
 
 
+@pytest.mark.parametrize("extra", ["\r", "\v", "\f", "\x1c", "\x85", "\u2028"])
+def test_line_numbers_count_every_line_boundary_of_a_long_file(extra):
+    # a per-stage file of several chunks: one blank line of [costs] ends in a boundary other
+    # than "\n", in a chunk with no header, and the bad entry sits in the next section
+    grid = build_gridworld(10, 10, (), 0, 99, 40, 1.0)
+    costs = StageCosts(40, grid.costs.stage + np.arange(40.0)[:, None], grid.costs.terminal)
+    text = serialize(Scenario(grid.graph, costs, grid.reference, grid.alpha, grid.initial))
+    gap = text.index("\n", text.index("[costs]") + 70_000) + 1
+    bad = text.index("\n", text.index("[reference]") + 1000) + 1
+    assert "[" not in text[gap - 70_000 : gap + 70_000]
+    text = text[:gap] + extra + text[gap:bad] + "x" + text[bad:]
+    line = next(n for n, row in enumerate(text.splitlines(), start=1) if row.startswith("x"))
+    with pytest.raises(ScenarioFormatError, match=f"^line {line}: "):
+        deserialize(text)
+
+
 def test_unknown_params_key_rejected_with_its_line(three_route):
     lines = serialize(three_route).splitlines()
     lines.insert(1, "horizn = 9")

@@ -132,6 +132,12 @@ def test_kernel_boundaries_nan_and_bad_population():
         binomial_expected_log_share(0, 0.5)
 
 
+@pytest.mark.parametrize("n_players", [7, _WHOLE_SUPPORT + 1])
+def test_an_empty_call_gives_an_empty_result(n_players):
+    assert binomial_expected_log_share(n_players, np.array([])).shape == (0,)
+    assert _interior_log_shares(n_players, np.array([])).shape == (0,)
+
+
 @pytest.mark.parametrize("bad", [1.5, -0.2, math.nan])
 def test_kernel_and_route_costs_reject_a_probability_outside_the_unit_interval(bad):
     message = r"^probabilities must lie in \[0, 1\]$"
@@ -179,12 +185,39 @@ def test_terms_outside_the_window_are_exact_zeros(n_players):
     ),
     probs=st.lists(INTERIOR, min_size=1, max_size=300),
 )
+# windows that hold many terms with log pmf in [_LOG_FLOOR, log DBL_MIN): the kernel skips them, the reference keeps them
+@example(n_players=256, probs=[1e-3])
+@example(n_players=1000, probs=[0.3])
+@example(n_players=100_000, probs=[0.5])
 def test_kernel_sum_is_bit_identical_to_the_gathered_rows(n_players, probs):
     # up to 300 rows span several row blocks above 218 players; above 256
     # players the windows are copied as whole rows, the reference gathers each k
     probs = np.unique(probs + [1e-300, 1.0 - 1e-16])
     ours = _interior_log_shares(n_players, probs)
     assert ours.tobytes() == interior_log_shares_gather(n_players, probs).tobytes()
+
+
+def test_exp_is_never_handed_a_term_with_a_sub_normal_pmf(monkeypatch):
+    log_tiny = math.log(np.finfo(np.float64).tiny)
+    cases = [(256, 1e-3), (1000, 0.3), (100_000, 0.5)]
+    # each case sums terms between _LOG_FLOOR and log DBL_MIN, whose pmf exp() would round to a
+    # sub-normal: every window holds all the k whose log pmf is at least _LOG_FLOOR
+    for n_players, p in cases:
+        coeffs = _binomial_tables(n_players)[0]
+        k = np.arange(n_players)
+        log_pmf = coeffs + k * math.log(p) + (n_players - 1 - k) * math.log1p(-p)
+        assert np.count_nonzero((log_pmf >= _LOG_FLOOR) & (log_pmf < log_tiny)) >= 5, (n_players, p)
+    lowest = []
+    exp = np.exp
+
+    def spy(x, out=None, where=True, **kwargs):
+        lowest.append(np.min(x, where=where, initial=np.inf))
+        return exp(x, out=out, where=where, **kwargs)
+
+    monkeypatch.setattr(np, "exp", spy)
+    for n_players, p in cases:
+        _interior_log_shares(n_players, np.array([p, 1e-300, 0.5]))
+    assert lowest and min(lowest) >= log_tiny
 
 
 @given(
