@@ -34,13 +34,18 @@ _LOG_FLOOR = -746.0
 # Between _LOG_FLOOR and log(DBL_MIN) ~ -708.40, exp() returns a sub-normal
 # pmf, and numpy's vectorized exp takes a slow path for each one (a (64, 1024)
 # block with 4 % of them: about 750 us against 130 us).  The sum counts such a
-# term as 0.0 and never hands it to exp(): the term is below 2**-1022 times a
-# log share of at most log N, while a row's sum is at least about 1e-16 / N in
-# size, so it lies far below half an ulp of the sum.  Windows, widths and the
-# order of the sum stay those of _LOG_FLOOR.
+# term as 0.0 and never hands it to exp().  Windows, widths and the order of
+# the sum stay those of _LOG_FLOOR.  Dropping the terms can change the partial
+# sums of numpy's pairwise summation over a window's tail, which are near
+# DBL_MIN too, but by amounts far below the ulp of the later, much larger
+# additions (a row's sum is at least about 1e-16 / N in size); no bound here
+# proves the final bits equal, and the guarantee is the bit-for-bit test
+# against the reference that keeps every term down to _LOG_FLOOR
+# (tests/test_toll_kernel.py).
 _LOG_NORMAL = math.log(np.finfo(np.float64).tiny)
 _WHOLE_SUPPORT = 256
-_CHUNK_FLOATS = 1 << 16  # elements per block: rows x window in a sum, probabilities per search block
+# elements per block: rows x window in a sum, probabilities per search block, repeated thresholds per sampler block
+_CHUNK_FLOATS = 1 << 16
 
 # expected_tax_gap's floor on an edge's mean-field flow probability
 SUPPORT_TOL = 1e-9
@@ -340,10 +345,12 @@ def simulate_population(
     each occupied node.  A node's draws are scaled by its policy row's
     total and counted against the row's cumulative sums, which gives how
     many of its agents take each edge; no per-agent array of edges or nodes
-    is formed.  A positive row need not sum to 1; an occupied node whose row
-    has an entry that is not finite and >= 0, or sums to 0, raises a
-    ValueError that names it (the lowest such node of the earliest such
-    stage).
+    is formed, and the thresholds are repeated over the agents a block at a
+    time, at most _CHUNK_FLOATS values or one threshold, so a hub's degree
+    does not multiply a stage's memory.  A positive row need not sum to 1;
+    an occupied node whose row has an entry that is not finite and >= 0, or
+    sums to 0, raises a ValueError that names it (the lowest such node of
+    the earliest such stage).
     """
     n_agents = _player_count(n_agents, "n_agents")
     _check_policy_shape(scenario, policy)
@@ -352,8 +359,11 @@ def simulate_population(
     g = scenario.graph
     t_count = scenario.horizon
     degrees = g.row_start[1:] - g.row_start[:-1]
-    # the least signed type that holds every count: sums of booleans into it are cheaper than into int64
-    count_type = np.min_scalar_type(-n_agents)
+    # the least unsigned type that holds every count, N included: sums of booleans into it are
+    # cheaper than into int64, and a row of passed never rises, so its differences stay >= 0
+    count_type = np.min_scalar_type(n_agents)
+    # thresholds compared per block: at most _CHUNK_FLOATS repeated values, one threshold at least
+    block_columns = max(1, _CHUNK_FLOATS // n_agents)
 
     node_counts = np.empty((t_count + 1, g.node_count), dtype=np.int64)
     edge_counts = np.empty((t_count, g.edge_count), dtype=np.int64)
@@ -373,9 +383,11 @@ def simulate_population(
         # which rise along j: the agents past the node's edge j.  Column 0 holds all its agents.
         passed = np.zeros((len(counts), len(thresholds) + 2), dtype=count_type)
         passed[:, 0] = counts
-        np.add.reduceat(
-            thresholds.repeat(counts, axis=1) <= scaled, counts.cumsum() - counts, axis=1, out=passed[:, 1:-1].T
-        )
+        firsts = counts.cumsum() - counts
+        for j in range(0, len(thresholds), block_columns):
+            block = thresholds[j : j + block_columns]
+            out = passed[:, j + 1 : j + 1 + len(block)].T
+            np.add.reduceat(block.repeat(counts, axis=1) <= scaled, firsts, axis=1, out=out)
         # edge j takes the agents past edge j - 1 but not past edge j; a column past the node's
         # degree takes none, so the edge it names gains nothing
         taken = (passed[:, :-1] - passed[:, 1:]).ravel()

@@ -530,14 +530,8 @@ def _line_blocks(text: str, start: int, stop: int, lineno: int):
         lineno += len(lines)
 
 
-# the line boundaries of str.splitlines other than "\n", the ASCII ones first
+# the line boundaries of str.splitlines other than "\n" (tests/test_scenario.py derives them from it)
 _OTHER_BREAKS = ("\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
-
-
-def _newlines_only(piece: str) -> bool:
-    """Whether "\n" is the only line boundary in the piece; isascii() is a flag read, not a scan."""
-    breaks = _OTHER_BREAKS[:6] if piece.isascii() else _OTHER_BREAKS
-    return not any(map(piece.__contains__, breaks))
 
 
 def _uncommented(piece: str, lines: list[str]) -> list[str]:
@@ -555,7 +549,7 @@ def _section_spans(text: str) -> dict[str, list[tuple[int, int, int]]]:
     lineno = 1
     for offset, end in _pieces(text, 0, len(text)):
         piece = text[offset:end]
-        if current is not None and "[" not in piece and _newlines_only(piece):
+        if current is not None and "[" not in piece and not any(map(piece.__contains__, _OTHER_BREAKS)):
             # no header and nothing to check: count the lines without splitting them
             lineno += piece.count("\n") + (not piece.endswith("\n"))
             continue

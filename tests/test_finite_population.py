@@ -84,6 +84,17 @@ def test_deterministic_policy_comoves_everybody(three_route):
     assert set(np.unique(sample.edge_counts[0])) <= {0, 64}
 
 
+@pytest.mark.parametrize("n_agents", [127, 128, 255, 256, 32767, 32768, 65535, 65536])
+def test_a_whole_population_on_one_edge_is_counted_at_the_count_type_limits(three_route, n_agents):
+    # one node holds all N agents and every one takes the same edge: N itself must fit the count type
+    probs = np.zeros((1, three_route.graph.edge_count))
+    probs[0, 1] = 1.0
+    probs[0, 3:] = 1.0
+    sample = simulate_population(three_route, PolicyKernel(probs), n_agents, seed=3)
+    assert sample.edge_counts.tolist() == [[0, n_agents, 0, 0, 0, 0]]
+    assert sample.node_counts[:, 2].tolist() == [0, n_agents]
+
+
 def test_route_frequencies_match_policy_within_three_standard_errors(three_route):
     solution = mfe_solve(three_route)
     n_agents = 1_000_000
@@ -251,6 +262,9 @@ def _with_bad_rows(scenario, policy, rng, bad: int):
 @example(seed=1, nodes=300, hub_degree=300, horizon=3, start="uniform", zeros=0.3, scale=2.0, n_agents=3000, bad=0)
 @example(seed=2, nodes=300, hub_degree=290, horizon=2, start="hub", zeros=0.6, scale=1.0, n_agents=2000, bad=0)
 @example(seed=3, nodes=300, hub_degree=5, horizon=1, start="uniform", zeros=0.0, scale=1.0, n_agents=3000, bad=3)
+# every agent starts at a hub of one edge and takes it: N = 128 and 32768 overflow a signed count type of the least width
+@example(seed=4, nodes=40, hub_degree=1, horizon=2, start="hub", zeros=0.3, scale=1.0, n_agents=128, bad=0)
+@example(seed=5, nodes=40, hub_degree=1, horizon=2, start="hub", zeros=0.0, scale=2.0, n_agents=32768, bad=0)
 def test_threshold_sampler_is_bit_identical_to_the_grouped_loop(
     seed, nodes, hub_degree, horizon, start, zeros, scale, n_agents, bad
 ):
@@ -331,6 +345,20 @@ def test_a_rollout_keeps_counts_not_agent_paths():
     finally:
         tracemalloc.stop()
     assert peak < (scenario.horizon + 1) * n_agents * 8 / 4
+
+
+def test_a_hub_stage_repeats_its_thresholds_a_block_at_a_time():
+    # every agent at a hub of degree 300: all 299 thresholds repeated at once would be 47.8 MB
+    rng = np.random.default_rng(70)
+    scenario, policy = _hub_scenario(rng, 300, 300, 1, "hub", 0.0, 1.0)
+    n_agents = 20_000
+    tracemalloc.start()
+    try:
+        simulate_population(scenario, policy, n_agents, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000, peak
 
 
 def test_simulate_replications_rejects_a_bad_rep_count(three_route):

@@ -23,6 +23,7 @@ from mftroute import (
     truncate_scenario,
     validate,
 )
+from mftroute.scenario import _OTHER_BREAKS
 
 
 def test_validate_accepts_three_route(three_route):
@@ -236,7 +237,15 @@ def test_parse_errors_carry_line_numbers(three_route):
         deserialize("\n".join(lines))
 
 
-@pytest.mark.parametrize("extra", ["\r", "\v", "\f", "\x1c", "\x85", "\u2028"])
+def test_the_reader_knows_every_line_boundary_of_str_splitlines():
+    # every code point once, then "\n": each line splitlines gives ends in one of its boundaries
+    text = "".join(map(chr, range(0x110000))) + "\n"
+    boundaries = {line[-1] for line in text.splitlines(keepends=True)}
+    assert boundaries == {"\n", *_OTHER_BREAKS}
+    assert len(_OTHER_BREAKS) == len(set(_OTHER_BREAKS))
+
+
+@pytest.mark.parametrize("extra", [*_OTHER_BREAKS, "\r\n"])
 def test_line_numbers_count_every_line_boundary_of_a_long_file(extra):
     # a per-stage file of several chunks: one blank line of [costs] ends in a boundary other
     # than "\n", in a chunk with no header, and the bad entry sits in the next section
