@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 import time
@@ -242,25 +243,36 @@ def read_policy_csv(path, scenario: Scenario) -> PolicyKernel:
     except OSError as exc:
         raise ScenarioFormatError(f"cannot read policy file {path}: {exc}") from exc
 
+    def policy_row(lineno: int, line: str) -> tuple[int, int, int, float]:
+        """The (t, i, j, value) of one policy row, or its fault."""
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise ScenarioFormatError(f"line {lineno}: policy rows are 't,i,j,value'")
+        try:
+            t, i, j, p = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
+        except ValueError:
+            raise ScenarioFormatError(f"line {lineno}: cannot parse policy row") from None
+        if not math.isfinite(p):
+            raise ScenarioFormatError(f"line {lineno}: policy value '{parts[3]}' is not finite")
+        if p < 0:
+            raise ScenarioFormatError(f"line {lineno}: policy value '{parts[3]}' is negative")
+        return t, i, j, p
+
     def columns():
         for _, first, piece, lines in _line_blocks(text, 0, len(text), 1):
             lines = list(map(str.strip, _uncommented(piece, lines)))
             if "t,i,j,value" in piece:  # the header is blanked, so the rows keep their line numbers
                 lines = ["" if line == "t,i,j,value" else line for line in lines]
-            rows = _read_rows(first, piece, lines, (int, int, int, float), ",")
+            rows = _read_rows(first, piece, lines, (int, int, int, float), ",", policy_row)
             t, i, j, p = rows.columns
             values = np.asarray(p, dtype=np.float64)
             bad = np.flatnonzero(~np.isfinite(values) | (values < 0))
             n = int(bad[0]) if len(bad) else len(values)
             yield rows.lineno, t[:n], i[:n], j[:n], values[:n]
-            if n < rows.count:
-                parts, where = rows.tokens(n), f"line {rows.lineno(n)}:"
-                if len(parts) != 4:
-                    raise ScenarioFormatError(f"{where} policy rows are 't,i,j,value'")
-                if n == rows.stop:
-                    raise ScenarioFormatError(f"{where} cannot parse policy row")
-                fault = "is not finite" if not np.isfinite(values[n]) else "is negative"
-                raise ScenarioFormatError(f"{where} policy value '{parts[3]}' {fault}")
+            if n < len(values):
+                policy_row(rows.lineno(n), rows.line(n))
+            if rows.fault is not None:
+                raise rows.fault
 
     g = scenario.graph
     probs = _fill_table(g, scenario.horizon, columns(), "policy row", "not in scenario graph", "policy file missing")

@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate, compress, repeat
+from functools import cached_property, partial
+from itertools import accumulate, compress
 
 import numpy as np
 
@@ -586,56 +586,19 @@ def _section_lines(text: str, spans):
             yield first, _uncommented(piece, lines), piece
 
 
-def _tokens(lines: list[str], sep: str | None) -> tuple[list[int], list[str]]:
-    """Token counts of the lines that are not blank, and all their tokens in order, split at sep or whitespace."""
-    if sep is None:
-        return list(filter(None, map(len, map(str.split, lines)))), " ".join(lines).split()
-    rows = list(compress(lines, map(str.strip, lines)))
-    return [n + 1 for n in map(str.count, rows, repeat(sep))], sep.join(rows).split(sep)
-
-
-def _parses(row, kinds) -> bool:
-    try:
-        for kind, token in zip(kinds, row):
-            kind(token)
-    except ValueError:
-        return False
-    return True
-
-
-def _parse_rows(counts: list[int], tokens: list[str], kinds) -> tuple[list[list], int | None]:
-    """Parse rows stored back to back in tokens, counts[k] of them for row k, column c by kinds[c].
-
-    Parsing stops at the first row that does not hold one token per kind
-    or holds a token its kind rejects.  Returns the parsed columns of the
-    rows ahead of that row and its index, or None when every row parses.
-    """
-    width = len(kinds)
-    stop = next(k for k, n in enumerate(counts) if n != width) if set(counts) - {width} else None
-    columns = [tokens[c : width * (len(counts) if stop is None else stop) : width] for c in range(width)]
-    try:
-        return [list(map(kind, column)) for kind, column in zip(kinds, columns)], stop
-    except ValueError:
-        stop = next(k for k, row in enumerate(zip(*columns)) if not _parses(row, kinds))
-        return [list(map(kind, column[:stop])) for kind, column in zip(kinds, columns)], stop
-
-
 @dataclass(eq=False)
 class _Rows:
-    """A chunk's table rows, one per line that is not blank, parsed a column at a time.
+    """A chunk's table rows, one per line that is not blank, as parsed columns.
 
-    ``columns`` holds the parsed columns of the rows ahead of ``stop``, the
-    first row that does not hold one token per kind or holds a token its
-    kind rejects (None when every row parses); ``count`` rows in all.  A
-    row's line number and tokens are looked up only when a fault is reported.
+    ``columns`` holds the rows ahead of the first line whose grammar fails,
+    and ``fault`` that line's error (None when every row reads).  A row's
+    line number and text are looked up only when a fault is reported.
     """
 
     first: int
     lines: list[str]
-    sep: str | None
     columns: list
-    stop: int | None
-    count: int
+    fault: ScenarioFormatError | None = None
 
     @cached_property
     def linenos(self) -> list[int]:
@@ -644,23 +607,36 @@ class _Rows:
     def lineno(self, k: int) -> int:
         return self.linenos[k]
 
-    def tokens(self, k: int) -> list[str]:
-        return self.lines[self.linenos[k] - self.first].split(self.sep)
+    def line(self, k: int) -> str:
+        return self.lines[self.linenos[k] - self.first]
 
 
-def _read_rows(first: int, piece: str, lines: list[str], kinds, sep: str | None = None) -> _Rows:
+def _walk_lines(first: int, lines: list[str], kinds, row) -> _Rows:
+    """The rows of a chunk read one line at a time by its grammar ``row``, up to the first line it rejects."""
+    values, fault = [], None
+    try:
+        for lineno, line in enumerate(lines, first):
+            if line.strip():
+                values.append(row(lineno, line))
+    except ScenarioFormatError as exc:
+        fault = exc
+    return _Rows(first, lines, list(zip(*values)) or [()] * len(kinds), fault)
+
+
+def _read_rows(first: int, piece: str, lines: list[str], kinds, sep: str | None, row) -> _Rows:
     """The rows of a chunk of uncommented lines, column c parsed by kinds[c], split at sep or whitespace.
 
     numpy's C text reader parses a chunk in one call and gives the bits
-    int() and float() give.  A chunk it rejects is walked a token at a time
-    by int() and float() themselves, which read every spelling they accept
-    (1_0, non-ASCII digits, integers beyond int64) and find the first row
-    that does not parse.  The C reader never sees a chunk that is blank,
-    holds non-ASCII text (it reads some letters as digits) or, split at
-    sep, a '\\x1f' (it strips one around a field; int() and float() do not).
+    int() and float() give.  A chunk it rejects is read one line at a time
+    by the line's grammar ``row(lineno, line)``, which returns the line's
+    values or raises its ScenarioFormatError; it reads every spelling int()
+    and float() accept (1_0, non-ASCII digits, integers beyond int64).  The
+    C reader never sees a chunk that is blank, holds non-ASCII text (it
+    reads some letters as digits) or, split at sep, a '\\x1f' (it strips one
+    around a field; int() and float() do not).
     """
     if not any(map(str.strip, lines)):
-        return _Rows(first, lines, sep, [[] for _ in kinds], None, 0)
+        return _Rows(first, lines, [()] * len(kinds))
     if (piece.isascii() or "".join(lines).isascii()) and (sep is None or "\x1f" not in piece):
         dtype = [(f"c{c}", np.int64 if kind is int else np.float64) for c, kind in enumerate(kinds)]
         try:
@@ -668,10 +644,8 @@ def _read_rows(first: int, piece: str, lines: list[str], kinds, sep: str | None 
         except (ValueError, OverflowError):
             pass
         else:
-            return _Rows(first, lines, sep, [table[name] for name in table.dtype.names], None, len(table))
-    counts, tokens = _tokens(lines, sep)
-    columns, stop = _parse_rows(counts, tokens, kinds)
-    return _Rows(first, lines, sep, columns, stop, len(counts))
+            return _Rows(first, lines, [table[name] for name in table.dtype.names])
+    return _walk_lines(first, lines, kinds, row)
 
 
 def _parse(kind, token: str, lineno: int, what: str):
@@ -781,8 +755,9 @@ def deserialize(text: str) -> Scenario:
         seen.add(node)
         mass[node] = _parse(float, mass_tok.strip(), lineno, "initial mass")
 
-    def graph_line(lineno: int, tokens: list[str]) -> None:
-        """Raise the fault of one graph line."""
+    def graph_row(lineno: int, line: str) -> tuple[int, int]:
+        """The (i, j) of one graph line, or its fault."""
+        tokens = line.split()
         if len(tokens) != 2:
             raise ScenarioFormatError(f"line {lineno}: graph lines are 'i j'")
         i = _parse(int, tokens[0], lineno, "source node")
@@ -790,20 +765,21 @@ def deserialize(text: str) -> Scenario:
         for name, n in (("source", i), ("destination", j)):
             if not 0 <= n < node_count:
                 raise ScenarioFormatError(f"line {lineno}: {name} node {n} outside 0..{node_count - 1}")
+        return i, j
 
     neighbors: list[list[int]] = [[] for _ in range(node_count)]
     edge_lines = 0
     for first, lines, piece in _section_lines(text, spans["graph"]):
-        rows = _read_rows(first, piece, lines, (int, int))
-        src, dst = rows.columns
-        ends = np.concatenate([_int64(src), _int64(dst)]).reshape(2, -1)
+        rows = _read_rows(first, piece, lines, (int, int), None, graph_row)
+        ends = np.concatenate([_int64(src) for src in rows.columns]).reshape(2, -1)
         outside = np.flatnonzero(((ends < 0) | (ends >= node_count)).any(axis=0))
-        stop = int(outside[0]) if len(outside) else rows.stop
-        for i, j in zip(ends[0, :stop].tolist(), ends[1, :stop].tolist()):
+        if len(outside):
+            graph_row(rows.lineno(outside[0]), rows.line(outside[0]))
+        if rows.fault is not None:
+            raise rows.fault
+        for i, j in zip(*ends.tolist()):
             neighbors[i].append(j)
-        edge_lines += rows.count
-        if stop is not None:
-            graph_line(rows.lineno(stop), rows.tokens(stop))
+        edge_lines += ends.shape[1]
     if not edge_lines:
         raise ScenarioFormatError("missing or empty [graph] section")
     graph = TrafficGraph(tuple(tuple(row) for row in neighbors))
@@ -826,13 +802,14 @@ def deserialize(text: str) -> Scenario:
 
     fields = ([] if stationary else [(int, "stage")]) + [(int, "source node"), (int, "destination node")]
 
-    def table_line(lineno: int, tokens: list[str], label: str) -> None:
-        """Raise the fault of one table line that does not parse."""
+    def table_row(lineno: int, line: str, label: str) -> tuple:
+        """The values of one table line, or its fault."""
+        tokens = line.split()
         if len(tokens) != len(fields) + 1:
             form = "stationary {} lines are 'i j value'" if stationary else "{} lines are 't i j value'"
             raise ScenarioFormatError(f"line {lineno}: " + form.format(label))
-        for (kind, what), token in zip(fields + [(float, label)], tokens):
-            _parse(kind, token, lineno, what)
+        typed = zip(fields + [(float, label)], tokens)
+        return tuple(_parse(kind, token, lineno, what) for (kind, what), token in typed)
 
     def columns(section: str, label: str):
         """(line numbers, t, i, j, values) of a table section's rows, a chunk at a time.
@@ -857,17 +834,16 @@ def deserialize(text: str) -> Scenario:
                             terminal_line(first + k, tokens, section)
                         except ScenarioFormatError as exc:
                             fault = (first + k, exc)
-            rows = _read_rows(first, piece, lines, kinds)
-            if rows.stop is not None and (fault is None or rows.lineno(rows.stop) < fault[0]):
-                fault = (rows.lineno(rows.stop), None)
-            n = rows.count if fault is None else bisect_left(rows.linenos, fault[0])
+            rows = _read_rows(first, piece, lines, kinds, None, partial(table_row, label=label))
             cols = rows.columns
+            parsed = len(cols[-1])
+            if rows.fault is not None and (fault is None or rows.lineno(parsed) < fault[0]):
+                fault = (rows.lineno(parsed), rows.fault)
+            n = parsed if fault is None else bisect_left(rows.linenos, fault[0])
             t = [0] * n if stationary else cols[0][:n]
             yield rows.lineno, t, cols[-3][:n], cols[-2][:n], np.asarray(cols[-1][:n], dtype=np.float64)
             if fault is not None:
-                if fault[1] is not None:
-                    raise fault[1]
-                table_line(rows.lineno(n), rows.tokens(n), label)
+                raise fault[1]
 
     def table(section: str, label: str) -> np.ndarray:
         # a stationary file fills one row, broadcast to every stage

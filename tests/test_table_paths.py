@@ -435,7 +435,7 @@ def test_each_spelling_in_each_column_reads_as_the_line_reference(tmp_path, spel
 
 @pytest.mark.parametrize("stationary", [False, True])
 def test_writer_output_is_read_without_the_token_walk(tmp_path, stationary):
-    """Clean files go through numpy's C reader alone: the Python token walk is never called."""
+    """Clean files go through numpy's C reader alone: the Python line walk is never called."""
     rng = np.random.default_rng(15)
     base = random_scenario(rng, max_nodes=40, max_horizon=6, max_degree=6)
     stage, probs = base.costs.stage, base.reference.probs
@@ -448,8 +448,8 @@ def test_writer_output_is_read_without_the_token_walk(tmp_path, stationary):
     assert ("stationary = true" in text) == stationary
     policy = PolicyKernel(scenario.reference.probs)
     write_policy_csv(tmp_path / "policy.csv", scenario, policy, RunManifest("mfe", {"scenario": "x.scn"}))
-    walk = AssertionError("the token walk was called on a clean chunk")
-    with patch("mftroute.scenario._tokens", side_effect=walk), patch("mftroute.scenario._parse_rows", side_effect=walk):
+    walk = AssertionError("the line walk was called on a clean chunk")
+    with patch("mftroute.scenario._walk_lines", side_effect=walk):
         for chunk in (64, 1 << 16):
             with patch("mftroute.scenario._CHUNK_CHARS", chunk):
                 again = deserialize(text)
