@@ -47,6 +47,7 @@ from .scenario import (
     _fill_table,
     _line_blocks,
     _read_rows,
+    _read_text,
     _stage_table_text,
     _uncommented,
     build_gridworld,
@@ -238,10 +239,7 @@ def read_policy_csv(path, scenario: Scenario) -> PolicyKernel:
     faulty line, with its first failing check: field count, parse, finite
     value, sign, then the stage, edge and repeat checks of the fill.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ScenarioFormatError(f"cannot read policy file {path}: {exc}") from exc
+    text = _read_text(path, "policy")
 
     def policy_row(lineno: int, line: str) -> tuple[int, int, int, float]:
         """The (t, i, j, value) of one policy row, or its fault."""

@@ -801,15 +801,19 @@ def deserialize(text: str) -> Scenario:
         terminal[j] = _parse(float, tokens[2], lineno, "terminal cost")
 
     fields = ([] if stationary else [(int, "stage")]) + [(int, "source node"), (int, "destination node")]
+    kinds = [kind for kind, _ in fields] + [float]
 
-    def table_row(lineno: int, line: str, label: str) -> tuple:
+    def table_row(lineno: int, line: str, label: str) -> list:
         """The values of one table line, or its fault."""
         tokens = line.split()
-        if len(tokens) != len(fields) + 1:
+        if len(tokens) != len(kinds):
             form = "stationary {} lines are 'i j value'" if stationary else "{} lines are 't i j value'"
             raise ScenarioFormatError(f"line {lineno}: " + form.format(label))
-        typed = zip(fields + [(float, label)], tokens)
-        return tuple(_parse(kind, token, lineno, what) for (kind, what), token in typed)
+        try:
+            return [kind(token) for kind, token in zip(kinds, tokens)]
+        except ValueError:
+            for (kind, what), token in zip(fields + [(float, label)], tokens):
+                _parse(kind, token, lineno, what)
 
     def columns(section: str, label: str):
         """(line numbers, t, i, j, values) of a table section's rows, a chunk at a time.
@@ -820,7 +824,6 @@ def deserialize(text: str) -> Scenario:
         are read first and then blanked, so the table rows keep their line
         numbers.
         """
-        kinds = [kind for kind, _ in fields] + [float]
         for first, lines, piece in _section_lines(text, spans[section]):
             fault = None  # (line number, error) of the first faulty line
             if "terminal" in piece.lower():
@@ -868,10 +871,20 @@ def write_scenario(scenario: Scenario, path) -> None:
         fh.write(serialize(scenario))
 
 
-def read_scenario(path) -> Scenario:
+def _read_text(path, what: str) -> str:
+    """A UTF-8 file's text with universal newlines; its error names the path, and the line of a bad byte."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole file in one call, so exc.object holds every byte ahead of the bad one
+        ahead = exc.object[: exc.start].decode("utf-8")
+        line = len((ahead + "x").splitlines())  # the line that a character in the bad byte's place would be on
+        fault = f"line {line}: byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        raise ScenarioFormatError(f"cannot read {what} file {path}: {fault}") from None
     except OSError as exc:
-        raise ScenarioFormatError(f"cannot read scenario file {path}: {exc}") from exc
-    return deserialize(text)
+        raise ScenarioFormatError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def read_scenario(path) -> Scenario:
+    return deserialize(_read_text(path, "scenario"))

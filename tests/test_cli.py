@@ -388,6 +388,34 @@ def test_unreadable_inputs_and_an_empty_agent_list_are_data_errors(tmp_path, thr
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "bad, fault",
+    [(b"\xff", "byte 0xff is not UTF-8 (invalid start byte)"),
+     (b"\xc3(", "byte 0xc3 is not UTF-8 (invalid continuation byte)")],
+)
+def test_a_file_that_is_not_utf8_is_an_error_at_its_line(tmp_path, three_route_file, capsys, bad, fault):
+    """Both readers name the path and the bad byte's line, counted past read()'s first block and across
+    the line breaks other than '\\n' as the readers count them."""
+    head = b"# a comment\r\n" * 10000 + b"# one\xe2\x80\xa8# two\r# three\n"  # lines 1-10003
+    policy_csv = tmp_path / "policy.csv"
+    main(["mfe", "--scenario", str(three_route_file), "--out-policy", str(policy_csv)])
+    out = tmp_path / "sim.csv"
+    for source, what in ((three_route_file, "scenario"), (policy_csv, "policy")):
+        lines = source.read_bytes().split(b"\n")
+        k = next(k for k, line in enumerate(lines) if line in (b"[costs]", b"t,i,j,value")) + 1
+        lines[k] += bad
+        path = tmp_path / f"bad_{what}"
+        path.write_bytes(head + b"\n".join(lines))
+        if what == "scenario":
+            assert main(["validate", "--scenario", str(path)]) == 1
+        else:
+            args = ["simulate", "--scenario", str(three_route_file), "--policy", str(path), "--agents", "10"]
+            assert main(args + ["--out", str(out)]) == 1
+        expected = f"error: cannot read {what} file {path}: line {10003 + k + 1}: {fault}\n"
+        assert capsys.readouterr().err == expected
+    assert not out.exists()
+
+
 class _SerialPool:
     """Stands in for ThreadPoolExecutor: records the requested pool size and maps in the caller."""
 

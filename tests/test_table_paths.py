@@ -494,3 +494,41 @@ def test_the_first_faulty_line_wins_across_chunks_and_terminal_lines(text, error
     with pytest.raises(ScenarioFormatError) as reference_fault:
         deserialize_loop(text)
     assert str(reference_fault.value) == error
+
+
+_POLICY_LINES = ["t,i,j,value"] + [",".join(map(str, r)) for r in _ROWS]  # the rows on lines 2-7
+POLICY_CHUNK_FAULTS = {
+    "negative value, then a line that does not parse": (
+        {4: "0,1,1,-1", 6: "1,0,x,0.5"},
+        "line 4: policy value '-1' is negative",
+    ),
+    "line that does not parse, then a negative value": (
+        {4: "0,1,x,1", 6: "1,0,1,-0.5"},
+        "line 4: cannot parse policy row",
+    ),
+    # at _CHUNK_CHARS = 16 the second chunk starts on line 3
+    "non-finite value on the first line of a chunk": (
+        {3: "0,0,1,inf"},
+        "line 3: policy value 'inf' is not finite",
+    ),
+    "wrong field count after a value fault": (
+        {4: "0,1,1,nan", 5: "1,0,0"},
+        "line 4: policy value 'nan' is not finite",
+    ),
+}
+
+
+@pytest.mark.parametrize("chunk", [16, 64, 1 << 16])
+@pytest.mark.parametrize("changes, error", POLICY_CHUNK_FAULTS.values(), ids=POLICY_CHUNK_FAULTS.keys())
+def test_the_first_faulty_policy_line_wins_across_chunks(tmp_path, changes, error, chunk):
+    lines = [changes.get(lineno, line) for lineno, line in enumerate(_POLICY_LINES, start=1)]
+    path = tmp_path / "policy.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    scenario = deserialize(_scenario_text(_ROWS))
+    with patch("mftroute.scenario._CHUNK_CHARS", chunk):
+        with pytest.raises(ScenarioFormatError) as fault:
+            read_policy_csv(path, scenario)
+    assert str(fault.value) == error
+    with pytest.raises(ScenarioFormatError) as reference_fault:
+        read_policy_csv_loop(path, scenario)
+    assert str(reference_fault.value) == error
