@@ -55,6 +55,8 @@ SUPPORT_TOL = 1e-9
 # policy read from a file may sum to 1 + ROW_SUM_TOL at every stage; such a
 # probability counts as 1.  This covers that slack over 1000 stages.
 PROB_TOL = 1e-9
+# the least positive float64: the kernel entry's zero slice is the values below it
+_LEAST_POSITIVE = math.ulp(0.0)
 
 
 def _player_count(n_players, name: str = "n_players", least: int = 1) -> int:
@@ -212,33 +214,37 @@ def binomial_expected_log_share(n_players: int, prob):
     underflow, or the whole support up to _WHOLE_SUPPORT players.  A
     probability below 0, above 1 + PROB_TOL or NaN raises a ValueError; one
     within PROB_TOL above 1 counts as 1.
+
+    Probability 0 gives math.log(1 / N).  A probability below 2**-60 / N
+    gives the closed form log(1 / N) with no sum: its value is the table's
+    ``np.log(1 / N)``, ``_binomial_tables(N)[1, 0]``, which the sum returns
+    bit for bit there, since P(K = 0) = exp((N - 1) log1p(-p)) rounds to 1
+    and the other terms add at most (N - 1) p log N, below half an ulp of
+    log N.  The two logs of 1 / N can differ in the last ulp, so p = 0
+    keeps its own.
     """
     n_players = _player_count(n_players)
     prob = np.asarray(prob, dtype=np.float64)
-    interior = (prob > 0.0) & (prob < 1.0)
-    if interior.all():
-        out = _shares_of_interior(n_players, prob)
-    else:
-        # the rest must be 0, or 1 up to PROB_TOL; NaN is neither
-        if not np.all((prob >= 0.0) & (prob <= 1.0 + PROB_TOL)):
-            raise ValueError("probabilities must lie in [0, 1]")
-        out = np.zeros(prob.shape)
-        out[prob == 0.0] = math.log(1.0 / n_players)
-        if interior.any():
-            out[interior] = _shares_of_interior(n_players, prob[interior])
-    return float(out) if out.ndim == 0 else out
-
-
-def _shares_of_interior(n_players: int, values: np.ndarray):
-    """The kernel's sum at each entry of ``values``, all inside (0, 1); each distinct value is summed once."""
-    # distinct values: one sort, then each value that differs from the one before it
-    distinct = values.flatten()
+    # one sort of a flat copy, then each value that differs from the one before it; NaN sorts last
+    distinct = prob.flatten()
     distinct.sort()
     new = np.empty(len(distinct), dtype=bool)
     new[:1] = True
     np.not_equal(distinct[1:], distinct[:-1], out=new[1:])
     distinct = distinct[new]
-    return _interior_log_shares(n_players, distinct)[distinct.searchsorted(values)]
+    if len(distinct) and not (distinct[0] >= 0.0 and distinct[-1] <= 1.0 + PROB_TOL):
+        raise ValueError("probabilities must lie in [0, 1]")
+    # the sorted set in slices: 0 (and -0.0), negligible, interior, and 1 up to PROB_TOL, which takes 0.0
+    zero, tiny, one = distinct.searchsorted((_LEAST_POSITIVE, 2.0**-60 / n_players, 1.0)).tolist()
+    shares = np.zeros(len(distinct))
+    if zero:
+        shares[:zero] = math.log(1.0 / n_players)
+    if tiny > zero:
+        shares[zero:tiny] = _binomial_tables(n_players)[1, 0]
+    if one > tiny:
+        shares[tiny:one] = _interior_log_shares(n_players, distinct[tiny:one])
+    out = shares[distinct.searchsorted(prob)]
+    return float(out) if out.ndim == 0 else out
 
 
 def expected_tax_symmetric(n_players: int, node_prob, edge_prob, ref, alpha: float):

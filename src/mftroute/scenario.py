@@ -872,9 +872,12 @@ def write_scenario(scenario: Scenario, path) -> None:
 
 
 def _read_text(path, what: str) -> str:
-    """A UTF-8 file's text with universal newlines; its error names the path, and the line of a bad byte."""
+    """A UTF-8 file's text with universal newlines, a leading byte-order mark dropped.
+
+    Its error names the path, and the line of a bad byte.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         # read() decodes the whole file in one call, so exc.object holds every byte ahead of the bad one

@@ -105,6 +105,7 @@ def _brackets(game: SingleStageGame, memo: dict, lam: float, settled=None) -> tu
     hi = [float(lam > cost) for cost in memo[0.0]]
     lo = [load if lam >= cost else 0.0 for load, cost in zip(hi, memo[1.0])]
     depth, walking = [0] * len(lo), range(len(lo))
+    probed = memo.get
     while True:
         for j in walking:
             a, b, steps = lo[j], hi[j], depth[j]
@@ -113,9 +114,10 @@ def _brackets(game: SingleStageGame, memo: dict, lam: float, settled=None) -> tu
                 if steps == _MAX_BISECT:  # still open: take the next midpoint
                     a = b = mid
                     break
-                if mid not in memo:
+                row = probed(mid)  # every route's cost at mid, or None if mid is not probed yet
+                if row is None:
                     break
-                val = memo[mid][j]
+                val = row[j]
                 steps += 1
                 if mid == a or mid == b or abs(val - lam) <= INNER_TOL:
                     a = b = mid
@@ -126,8 +128,38 @@ def _brackets(game: SingleStageGame, memo: dict, lam: float, settled=None) -> tu
         if not walking or (settled is not None and settled(lo, hi)):
             return lo, hi
         qs = list(dict.fromkeys(0.5 * (lo[j] + hi[j]) for j in walking))
-        costs = assumed_cost(game, np.repeat(np.array(qs)[:, None], len(lo), axis=1))
+        # a share depends on q alone: one probe per q, a column that broadcasts over the routes
+        costs = assumed_cost(game, np.array(qs)[:, None])
         memo.update(zip(qs, map(tuple, costs.tolist())))
+
+
+def _pairwise_sum(values: list) -> float:
+    """``np.sum`` of a list of floats as a float64 vector, bit for bit, with no array.
+
+    numpy 2 sums a contiguous float64 vector pairwise: in order below 8
+    entries, with 8 accumulators up to 128, and above that by halves, the
+    first rounded down to a multiple of 8.  The loops add one float at a
+    time, as numpy does; Python's ``sum`` compensates float sums from 3.12 on.
+    """
+    count = len(values)
+    if count < 8:
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+    if count > 128:
+        half = count // 2 - count // 2 % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    acc = values[:8]
+    end = count - count % 8
+    for i in range(8, end, 8):
+        for j in range(8):
+            acc[j] += values[i + j]
+    # numpy adds the pairwise sum to the reduction's start, 0.0, which turns -0.0 into 0.0
+    total = 0.0 + (((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])))
+    for value in values[end:]:
+        total += value
+    return total
 
 
 def _threshold(game: SingleStageGame, memo: dict, lo: float, hi: float, reaches) -> float:
@@ -139,14 +171,14 @@ def _threshold(game: SingleStageGame, memo: dict, lo: float, hi: float, reaches)
     """
 
     def settled(low, high) -> bool:
-        return reaches(np.sum(low), 1.0) or not reaches(np.sum(high), 1.0)
+        return reaches(_pairwise_sum(low), 1.0) or not reaches(_pairwise_sum(high), 1.0)
 
     for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi or not hi - lo > OUTER_TOL:
             break
         low, _ = _brackets(game, memo, mid, settled)
-        lo, hi = (lo, mid) if reaches(np.sum(low), 1.0) else (mid, hi)
+        lo, hi = (lo, mid) if reaches(_pairwise_sum(low), 1.0) else (mid, hi)
     return 0.5 * (lo + hi)
 
 

@@ -416,6 +416,45 @@ def test_a_file_that_is_not_utf8_is_an_error_at_its_line(tmp_path, three_route_f
     assert not out.exists()
 
 
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark some editors write at the start of a file
+
+
+def test_a_leading_byte_order_mark_is_ignored(tmp_path, three_route_file):
+    """A scenario file, and a policy CSV with and without its manifest lines, read as they do without a BOM."""
+    policy_csv = tmp_path / "policy.csv"
+    main(["mfe", "--scenario", str(three_route_file), "--out-policy", str(policy_csv)])
+    bare_csv = tmp_path / "bare.csv"
+    bare_csv.write_bytes(b"".join(line for line in policy_csv.read_bytes().splitlines(True) if line[:1] != b"#"))
+    scenario = read_scenario(three_route_file)
+    with_bom = tmp_path / "bom.scn"
+    with_bom.write_bytes(BOM + three_route_file.read_bytes())
+    # serialize writes every float so that it reads back exactly: equal texts are equal bits
+    assert serialize(read_scenario(with_bom)) == serialize(scenario)
+    for source in (policy_csv, bare_csv):
+        path = tmp_path / f"bom_{source.name}"
+        path.write_bytes(BOM + source.read_bytes())
+        assert read_policy_csv(path, scenario).probs.tobytes() == read_policy_csv(source, scenario).probs.tobytes()
+
+
+def test_a_bad_byte_after_a_byte_order_mark_is_an_error_at_its_line(tmp_path, three_route_file, capsys):
+    policy_csv = tmp_path / "policy.csv"
+    main(["mfe", "--scenario", str(three_route_file), "--out-policy", str(policy_csv)])
+    out = tmp_path / "sim.csv"
+    for source, what in ((three_route_file, "scenario"), (policy_csv, "policy")):
+        lines = source.read_bytes().split(b"\n")
+        lines[3] += b"\xff"
+        path = tmp_path / f"bad_{what}"
+        path.write_bytes(BOM + b"\n".join(lines))
+        if what == "scenario":
+            assert main(["validate", "--scenario", str(path)]) == 1
+        else:
+            args = ["simulate", "--scenario", str(three_route_file), "--policy", str(path), "--agents", "10"]
+            assert main(args + ["--out", str(out)]) == 1
+        fault = "byte 0xff is not UTF-8 (invalid start byte)"
+        assert capsys.readouterr().err == f"error: cannot read {what} file {path}: line 4: {fault}\n"
+    assert not out.exists()
+
+
 class _SerialPool:
     """Stands in for ThreadPoolExecutor: records the requested pool size and maps in the caller."""
 

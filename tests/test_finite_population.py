@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from helpers import (
     edge_slice,
     exact_expected_log_share,
+    interior_log_shares_gather,
     random_scenario,
     realized_taxes_loop,
     simulate_population_grouped_loop,
@@ -37,6 +38,7 @@ from mftroute import (
     simulate_population,
     simulate_replications,
 )
+from mftroute import finite_population
 from mftroute.cli import fig2_scenario
 from mftroute.finite_population import binomial_expected_log_share
 
@@ -394,6 +396,30 @@ def test_expected_log_share_matches_exact_rational_oracle():
             ours = binomial_expected_log_share(n_players, float(prob))
             oracle = exact_expected_log_share(n_players, float(prob))
             assert ours == pytest.approx(oracle, abs=1e-12)
+
+
+# at N = 15 105 the table's np.log(1 / N) and math.log(1.0 / N) differ in the last ulp
+@pytest.mark.parametrize("n_players", [2, 3, 10, 255, 256, 257, 1000, 5000, 15_105, 100_000])
+def test_a_negligible_probability_takes_the_closed_form_bit_for_bit(monkeypatch, n_players):
+    """Below 2**-60 / N the kernel returns the table's log(1 / N) without a sum, and the sum gives the same bits."""
+    cut = 2.0**-60 / n_players
+    probs = np.array([5e-324, cut / 3, math.nextafter(cut, 0.0), cut, math.nextafter(cut, 1.0)])
+    summed = []
+    kernel = finite_population._interior_log_shares
+
+    def spy(n, values):
+        summed.extend(values.tolist())
+        return kernel(n, values)
+
+    monkeypatch.setattr(finite_population, "_interior_log_shares", spy)
+    want = interior_log_shares_gather(n_players, probs)
+    assert binomial_expected_log_share(n_players, probs).tobytes() == want.tobytes()
+    for p, value in zip(probs.tolist(), want.tolist()):
+        assert binomial_expected_log_share(n_players, p).hex() == value.hex()
+    # only the probabilities at or above the cut were summed
+    assert summed and min(summed) == cut
+    assert binomial_expected_log_share(n_players, 0.0).hex() == math.log(1.0 / n_players).hex()
+    assert binomial_expected_log_share(n_players, np.array([0.0, cut / 3]))[0] == math.log(1.0 / n_players)
 
 
 @pytest.mark.parametrize(
