@@ -134,7 +134,8 @@ class RunManifest:
         for key in sorted(self.params):
             lines.append(f"# manifest: {key}={self.params[key]}")
         if self.seed is not None:
-            lines.append(f"# manifest: seed={self.seed} generator={GENERATOR_NAME}")
+            # NEP 19 lets numpy's samplers change their streams between releases
+            lines.append(f"# manifest: seed={self.seed} generator={GENERATOR_NAME} numpy={np.__version__}")
         for name, digest in sorted((self.input_digests or {}).items()):
             lines.append(f"# manifest: sha256[{name}]={digest}")
         if self.duration_s is not None:

@@ -44,7 +44,7 @@ _LOG_FLOOR = -746.0
 # (tests/test_toll_kernel.py).
 _LOG_NORMAL = math.log(np.finfo(np.float64).tiny)
 _WHOLE_SUPPORT = 256
-# elements per block: rows x window in a sum, probabilities per search block, repeated thresholds per sampler block
+# elements per block of the toll kernel: rows x window in a sum, probabilities per search block
 _CHUNK_FLOATS = 1 << 16
 
 # expected_tax_gap's floor on an edge's mean-field flow probability
@@ -57,6 +57,8 @@ SUPPORT_TOL = 1e-9
 PROB_TOL = 1e-9
 # the least positive float64: the kernel entry's zero slice is the values below it
 _LEAST_POSITIVE = math.ulp(0.0)
+# How far from 1 the sampler lets P_0 sum: numpy's Generator.choice tolerance, sqrt(eps)
+_MASS_TOL = math.sqrt(np.finfo(np.float64).eps)
 
 
 def _player_count(n_players, name: str = "n_players", least: int = 1) -> int:
@@ -346,57 +348,34 @@ def simulate_population(
 ) -> PopulationSample:
     """Sample N players: i.i.d. starts from P_0, i.i.d. route draws per stage.
 
-    Each stage draws one uniform per player and consumes the draws node
-    after node, in ascending node order, a block of the node's count for
-    each occupied node.  A node's draws are scaled by its policy row's
-    total and counted against the row's cumulative sums, which gives how
-    many of its agents take each edge; no per-agent array of edges or nodes
-    is formed, and the thresholds are repeated over the agents a block at a
-    time, at most _CHUNK_FLOATS values or one threshold, so a hub's degree
-    does not multiply a stage's memory.  A positive row need not sum to 1;
-    an occupied node whose row has an entry that is not finite and >= 0, or
-    sums to 0, raises a ValueError that names it (the lowest such node of
-    the earliest such stage).
+    The players are exchangeable, so only counts are drawn: the starts are
+    one multinomial draw over P_0, and at each stage the agents of each
+    occupied node, in ascending node order, are one multinomial draw over
+    the node's policy row divided by its total, all in one call per stage.
+    A positive row need not sum to 1; an occupied node whose row has an
+    entry that is not finite and >= 0, or sums to 0, raises a ValueError
+    that names it (the lowest such node of the earliest such stage).  P_0
+    must have no negative or NaN entry and sum to 1 within _MASS_TOL, else
+    a ValueError is raised before any draw.
     """
     n_agents = _player_count(n_agents, "n_agents")
     _check_policy_shape(scenario, policy)
+    start = _start_probs(scenario.initial.mass)
     seeds = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rng = np.random.default_rng(seeds)
     g = scenario.graph
     t_count = scenario.horizon
     degrees = g.row_start[1:] - g.row_start[:-1]
-    # the least unsigned type that holds every count, N included: sums of booleans into it are
-    # cheaper than into int64, and a row of passed never rises, so its differences stay >= 0
-    count_type = np.min_scalar_type(n_agents)
-    # thresholds compared per block: at most _CHUNK_FLOATS repeated values, one threshold at least
-    block_columns = max(1, _CHUNK_FLOATS // n_agents)
 
-    node_counts = np.empty((t_count + 1, g.node_count), dtype=np.int64)
+    node_counts = np.zeros((t_count + 1, g.node_count), dtype=np.int64)
     edge_counts = np.empty((t_count, g.edge_count), dtype=np.int64)
 
-    starts = rng.choice(g.node_count, size=n_agents, p=scenario.initial.mass)
-    node_counts[0] = np.bincount(starts, minlength=g.node_count)
+    node_counts[0, : len(start)] = rng.multinomial(n_agents, start)
     for t in range(t_count):
         occupied = node_counts[t].nonzero()[0]
-        counts = node_counts[t, occupied]
-        lo = g.row_start[occupied]
-        thresholds, totals, edges = _thresholds(g, policy.probs[t], t, occupied, lo, degrees[occupied])
-        # one draw per agent, node after node: the same PCG64 numbers as one draw call per node;
-        # repeat expands per-node values to the node-sorted agents as contiguous fills
-        scaled = rng.random(n_agents)
-        scaled *= totals.repeat(counts)
-        # passed[k, j + 1]: the agents of occupied node k whose scaled draw reaches threshold j,
-        # which rise along j: the agents past the node's edge j.  Column 0 holds all its agents.
-        passed = np.zeros((len(counts), len(thresholds) + 2), dtype=count_type)
-        passed[:, 0] = counts
-        firsts = counts.cumsum() - counts
-        for j in range(0, len(thresholds), block_columns):
-            block = thresholds[j : j + block_columns]
-            out = passed[:, j + 1 : j + 1 + len(block)].T
-            np.add.reduceat(block.repeat(counts, axis=1) <= scaled, firsts, axis=1, out=out)
-        # edge j takes the agents past edge j - 1 but not past edge j; a column past the node's
-        # degree takes none, so the edge it names gains nothing
-        taken = (passed[:, :-1] - passed[:, 1:]).ravel()
+        rows, edges = _policy_rows(g, policy.probs[t], t, occupied, degrees[occupied])
+        # row k of taken: how many of occupied node k's agents take each edge of edges[k]
+        taken = rng.multinomial(node_counts[t, occupied], rows).ravel()
         edges = edges.ravel()
         edge_counts[t] = np.bincount(edges, weights=taken, minlength=g.edge_count)
         # float sums of integer counts, exact below 2**53
@@ -406,37 +385,55 @@ def simulate_population(
     return PopulationSample(n_agents, node_counts, edge_counts, entropy, seeds.spawn_key)
 
 
-def _thresholds(graph: TrafficGraph, probs: np.ndarray, t: int, occupied: np.ndarray, lo, degree):
-    """Edge thresholds (max degree - 1 columns), row totals and edge table of the occupied nodes' policy rows.
+def _start_probs(mass: np.ndarray) -> np.ndarray:
+    """P_0 divided by its sum and cut after its last positive entry (see _policy_rows).
 
-    ``lo`` and ``degree`` hold the occupied nodes' first edges and degrees.
-    Row k of the (occupied, max degree) edge table holds lo[k] + column,
-    clipped to the last edge: node k's edges in order, then padding past
-    its degree.
-    An agent at occupied node k whose draw, scaled by the row total, is x
-    takes the node's edge number sum_j (thresholds[j][k] <= x).  Row k's
-    thresholds are its cumulative sums below the total; a sum that reaches
-    the total is +inf, and so is the zero padding past the node's degree.
-    A scaled draw stays below a normal total, and there this is
-    ``searchsorted(cum, x, side="right")``.  A draw that rounds up to a
-    sub-normal total takes the last positive edge, not the next node's.
+    A negative or NaN entry, or a sum farther than _MASS_TOL from 1, raises
+    a ValueError.
     """
+    bad = np.flatnonzero(~(mass >= 0.0))
+    if len(bad):
+        i = int(bad[0])
+        raise ValueError(f"initial mass {float(mass[i])!r} at node {i}; initial masses must be >= 0")
+    total = float(mass.sum())
+    # an infinite entry makes the total fail
+    if not abs(total - 1.0) <= _MASS_TOL:
+        raise ValueError(f"initial mass sums to {total!r}; it must sum to 1 within {_MASS_TOL!r}")
+    probs = mass / total
+    return probs[: np.flatnonzero(probs)[-1] + 1]
+
+
+def _policy_rows(graph: TrafficGraph, probs: np.ndarray, t: int, occupied: np.ndarray, degree: np.ndarray):
+    """The occupied nodes' policy rows, each divided by its total, and the edges of their columns.
+
+    ``degree`` holds the occupied nodes' degrees.  Row k lists occupied
+    node k's edges in order, rolled so that its last positive entry ends
+    the row; the zeros after that entry, and the padding past the node's
+    degree, come first.  numpy's multinomial gives the last column whatever
+    the earlier columns leave over, which rounding makes positive now and
+    then, so a zero there could take agents; a zero ahead of the first
+    positive entry takes none and draws nothing.  A column rolled to the
+    front names an earlier edge, or edge 0, and takes no agents.  The
+    totals are summed in sequence along each row, so padding does not
+    change them.
+    """
+    lo = graph.row_start[occupied]
     # at least one column: an occupied node without edges has a zero total
     columns = np.arange(max(int(degree.max()), 1))
-    edges = np.minimum(lo[:, None] + columns, graph.edge_count - 1)
-    rows = probs.take(edges, mode="clip")
+    rows = probs.take(lo[:, None] + columns, mode="clip")
     rows[columns >= degree[:, None]] = 0.0
-    # cumsum adds in sequence along a row, as it does on one node's row
-    cum = rows.cumsum(axis=1)
-    totals = cum[:, -1].copy()
+    totals = rows.cumsum(axis=1)[:, -1]
     # NaN fails every comparison, and an infinite entry makes its total fail
     if not (rows.min() >= 0.0 and totals.min() > 0.0 and totals.max() < math.inf):
         good = (rows.min(axis=1) >= 0.0) & (totals > 0.0) & (totals < math.inf)
         k = int(np.argmin(good))
         raise _row_fault(graph, probs[lo[k] : lo[k] + degree[k]], t, int(occupied[k]))
-    cum[cum >= totals[:, None]] = math.inf
-    # the last column always reaches the total
-    return cum[:, :-1].T, totals, edges
+    rows /= totals[:, None]
+    # the zeros after each row's last positive entry, which a positive total guarantees; the
+    # negative columns of order index them from the row's end
+    trailing = np.argmax(rows[:, ::-1] > 0.0, axis=1)
+    order = columns - trailing[:, None]
+    return rows[np.arange(len(rows))[:, None], order], np.maximum(lo[:, None] + order, 0)
 
 
 def _row_fault(graph: TrafficGraph, row: np.ndarray, t: int, node: int) -> ValueError:

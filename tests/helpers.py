@@ -9,7 +9,9 @@ search.  Oracles must stay independent of the code paths they check.
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
+from functools import reduce
 from typing import NamedTuple
 from pathlib import Path
 from decimal import Decimal, getcontext
@@ -21,6 +23,7 @@ from scipy.special import gammaln
 from mftroute import (
     Distribution,
     PolicyKernel,
+    PopulationSample,
     ReferencePolicy,
     Scenario,
     SingleStageGame,
@@ -859,14 +862,6 @@ class AgentSample(NamedTuple):
     spawn_key: tuple[int, ...]
 
 
-# simulate_population_grouped_loop groups a stage's agents by node through one
-# comparison mask per node while at most _MASK_NODES nodes are occupied and one
-# of them holds at least _MASK_SHARE of the agents, otherwise through one
-# stable radix sort keyed by the node's rank among the occupied nodes
-_MASK_NODES = 8
-_MASK_SHARE = 0.9
-
-
 def simulate_population_mask_loop(
     scenario: Scenario, policy: PolicyKernel, n_agents: int, seed
 ) -> AgentSample:
@@ -899,62 +894,37 @@ def simulate_population_mask_loop(
     return AgentSample(n_agents, locations, node_counts, edge_counts, entropy, seeds.spawn_key)
 
 
-def simulate_population_grouped_loop(
+def simulate_population_multinomial_loop(
     scenario: Scenario, policy: PolicyKernel, n_agents: int, seed
-) -> AgentSample:
-    """N-player rollout with one draw call per stage, grouped by node, and one cumsum and searchsorted per occupied node.
+) -> PopulationSample:
+    """N-player rollout as one multinomial draw of P_0, then one per occupied node and stage in ascending order.
 
-    Agents are grouped through comparison masks on concentrated stages and
-    through one stable radix sort otherwise (the _MASK_NODES rule); a bad
-    occupied row raises the sampler's located error.
+    A policy row is divided by its total, summed in sequence; each draw's
+    probabilities stop at their last positive entry.  A bad occupied row
+    raises the sampler's located error.
     """
     seeds = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rng = np.random.default_rng(seeds)
     g = scenario.graph
-    t_count = scenario.horizon
-    row_start = g.row_start.tolist()
+    node_counts = np.zeros((scenario.horizon + 1, g.node_count), dtype=np.int64)
+    edge_counts = np.zeros((scenario.horizon, g.edge_count), dtype=np.int64)
 
-    locations = np.empty((t_count + 1, n_agents), dtype=np.int64)
-    node_counts = np.empty((t_count + 1, g.node_count), dtype=np.int64)
-    edge_counts = np.empty((t_count, g.edge_count), dtype=np.int64)
+    def draw(out: np.ndarray, count: int, probs: np.ndarray) -> None:
+        stop = int(np.flatnonzero(probs)[-1]) + 1
+        out[:stop] = rng.multinomial(count, probs[:stop])
 
-    locations[0] = rng.choice(g.node_count, size=n_agents, p=scenario.initial.mass)
-    for t in range(t_count):
-        here = locations[t]
-        node_counts[t] = np.bincount(here, minlength=g.node_count)
-        occupied = np.flatnonzero(node_counts[t])
-        counts = node_counts[t, occupied].tolist()
-        # each occupied node's agents, in ascending index
-        if len(occupied) <= _MASK_NODES and max(counts) >= _MASK_SHARE * n_agents:
-            groups = [here == i for i in occupied]
-        else:
-            # keyed by rank among the occupied nodes: up to 65 536 of them the key has <= 16 bits,
-            # and numpy's stable sort of such keys is a radix sort (wider keys go to timsort)
-            rank = np.zeros(g.node_count, dtype=np.min_scalar_type(len(occupied) - 1))
-            rank[occupied] = np.arange(len(occupied))
-            order = np.argsort(rank[here], kind="stable")
-            stops = np.cumsum(counts).tolist()
-            groups = [order[stop - count : stop] for count, stop in zip(counts, stops)]
-        # one draw per agent, node after node: the same PCG64 numbers as one draw call per node
-        draws = rng.random(n_agents)
-        chosen_edge = np.empty(n_agents, dtype=np.int64)
-        end = 0
-        for i, count, group in zip(occupied.tolist(), counts, groups):
-            lo, hi = row_start[i], row_start[i + 1]
-            row = policy.probs[t, lo:hi]
-            cum = np.cumsum(row)
-            # a NaN or infinite entry makes the total fail; min of a list is cheaper than ndarray.min on a row
-            if not (0.0 < cum[-1] < math.inf and min(row.tolist()) >= 0.0):
+    draw(node_counts[0], n_agents, scenario.initial.mass / scenario.initial.mass.sum())
+    for t in range(scenario.horizon):
+        for i in np.flatnonzero(node_counts[t]).tolist():
+            row = policy.probs[t, edge_slice(g, i)]
+            total = reduce(operator.add, row.tolist(), 0.0)
+            if not (0.0 < total < math.inf and (row >= 0.0).all()):
                 raise _row_fault(g, row, t, i)
-            begin, end = end, end + count
-            # scale draws by the row total, so that rounding cannot push one past a normal total
-            chosen_edge[group] = lo + np.searchsorted(cum, draws[begin:end] * cum[-1], side="right")
-        edge_counts[t] = np.bincount(chosen_edge, minlength=g.edge_count)
-        locations[t + 1] = g.edge_dst[chosen_edge]
-    node_counts[t_count] = np.bincount(locations[t_count], minlength=g.node_count)
+            draw(edge_counts[t, edge_slice(g, i)], int(node_counts[t, i]), row / total)
+        node_counts[t + 1] = np.bincount(g.edge_dst, weights=edge_counts[t], minlength=g.node_count)
 
     entropy = int(seeds.entropy) if np.ndim(seeds.entropy) == 0 else tuple(map(int, seeds.entropy))
-    return AgentSample(n_agents, locations, node_counts, edge_counts, entropy, seeds.spawn_key)
+    return PopulationSample(n_agents, node_counts, edge_counts, entropy, seeds.spawn_key)
 
 
 def realized_taxes_loop(sample, scenario: Scenario) -> list[tuple]:

@@ -255,10 +255,10 @@ def test_manifest_lines_of_every_handler(tmp_path, three_route_file):
     game_params = ["agents=20", "alpha=1.0", "costs=2,1,3"]
     expected = {
         "solve": ["scenario=<tmp>/threeroute.scn", digest],
-        "mfe": ["certify_equalizer=2", "scenario=<tmp>/threeroute.scn", "seed=5 generator=pcg64", digest],
+        "mfe": ["certify_equalizer=2", "scenario=<tmp>/threeroute.scn", f"seed=5 generator=pcg64 numpy={np.__version__}", digest],
         "simulate": [
             "agents=20", "policy=<tmp>/policy.csv", "reps=2", "scenario=<tmp>/threeroute.scn", "threads=0",
-            "seed=7 generator=pcg64",
+            f"seed=7 generator=pcg64 numpy={np.__version__}",
             "sha256[policy]=d4f1ff4fd65d9d6178d8aa28982adec406ac035021a7263d664fb5408a2ea965", digest,
         ],
         "nash-gap": ["agents=10,100", "scenario=<tmp>/threeroute.scn", digest],

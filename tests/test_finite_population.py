@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -15,8 +17,8 @@ from helpers import (
     interior_log_shares_gather,
     random_scenario,
     realized_taxes_loop,
-    simulate_population_grouped_loop,
     simulate_population_mask_loop,
+    simulate_population_multinomial_loop,
 )
 from mftroute import (
     Distribution,
@@ -88,7 +90,7 @@ def test_deterministic_policy_comoves_everybody(three_route):
 
 @pytest.mark.parametrize("n_agents", [127, 128, 255, 256, 32767, 32768, 65535, 65536])
 def test_a_whole_population_on_one_edge_is_counted_at_the_count_type_limits(three_route, n_agents):
-    # one node holds all N agents and every one takes the same edge: N itself must fit the count type
+    # one node holds all N agents and every one takes the same edge, N on each side of 8- and 16-bit limits
     probs = np.zeros((1, three_route.graph.edge_count))
     probs[0, 1] = 1.0
     probs[0, 3:] = 1.0
@@ -121,7 +123,7 @@ def _sharp_policy(scenario: Scenario, rng: np.random.Generator) -> PolicyKernel:
     return PolicyKernel(probs)
 
 
-def test_grouped_sampler_is_bit_identical_to_the_mask_loop():
+def test_sampler_is_bit_identical_to_the_multinomial_loop():
     rng = np.random.default_rng(40)
     hub_visits = 0  # samples in which a node of degree above 5 was occupied
     for case in range(12):
@@ -131,7 +133,7 @@ def test_grouped_sampler_is_bit_identical_to_the_mask_loop():
         for n_agents in (1, 2, 37, 400, 5000):
             for seed in (int(rng.integers(1000)), *np.random.SeedSequence(int(rng.integers(1000))).spawn(2)):
                 got = simulate_population(scenario, policy, n_agents, seed)
-                want = simulate_population_mask_loop(scenario, policy, n_agents, seed)
+                want = simulate_population_multinomial_loop(scenario, policy, n_agents, seed)
                 for name in ("node_counts", "edge_counts"):
                     assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
                 assert (got.n_agents, got.seed, got.spawn_key) == (want.n_agents, want.seed, want.spawn_key)
@@ -206,10 +208,10 @@ def _hub_scenario(rng, nodes: int, hub_degree: int, horizon: int, start: str, ze
     return Scenario(graph, costs, ReferencePolicy(reference), 1.0, initial), PolicyKernel(probs)
 
 
-def _same_as_grouped_loop(scenario, policy, n_agents, seed) -> set[str]:
+def _same_as_multinomial_loop(scenario, policy, n_agents, seed) -> set[str]:
     """Assert the sampler matches the per-node loop bit for bit, error message included; name what the sample used."""
     try:
-        want = simulate_population_grouped_loop(scenario, policy, n_agents, seed)
+        want = simulate_population_multinomial_loop(scenario, policy, n_agents, seed)
     except ValueError as error:
         with pytest.raises(ValueError, match=f"^{re.escape(str(error))}$"):
             simulate_population(scenario, policy, n_agents, seed)
@@ -225,10 +227,13 @@ def _same_as_grouped_loop(scenario, policy, n_agents, seed) -> set[str]:
         rows = [policy.probs[t, edge_slice(g, i)] for i in at]
         if len(set(degrees[at].tolist())) > 1:
             uses.add("padding")
-        if degrees[at].max() > 255:
-            uses.add("hub above 255")
-        if any((row == 0.0).any() for row in rows):
-            uses.add("zero entries")
+        # the totals are summed in sequence: from 8 entries np.sum would add pairwise, and padding would change it
+        if degrees[at].max() >= 8:
+            uses.add("rows of 8 entries or more")
+        if any((row[: np.flatnonzero(row)[-1]] == 0.0).any() for row in rows):
+            uses.add("zeros before the last positive entry")
+        if any(row[-1] == 0.0 for row in rows):
+            uses.add("zeros after the last positive entry")
         if any(row.sum() != 1.0 for row in rows):
             uses.add("totals other than 1")
     return uses
@@ -264,28 +269,34 @@ def _with_bad_rows(scenario, policy, rng, bad: int):
 @example(seed=1, nodes=300, hub_degree=300, horizon=3, start="uniform", zeros=0.3, scale=2.0, n_agents=3000, bad=0)
 @example(seed=2, nodes=300, hub_degree=290, horizon=2, start="hub", zeros=0.6, scale=1.0, n_agents=2000, bad=0)
 @example(seed=3, nodes=300, hub_degree=5, horizon=1, start="uniform", zeros=0.0, scale=1.0, n_agents=3000, bad=3)
-# every agent starts at a hub of one edge and takes it: N = 128 and 32768 overflow a signed count type of the least width
+# every agent starts at a hub of one edge and takes it, at N = 2**7 and 2**15
 @example(seed=4, nodes=40, hub_degree=1, horizon=2, start="hub", zeros=0.3, scale=1.0, n_agents=128, bad=0)
 @example(seed=5, nodes=40, hub_degree=1, horizon=2, start="hub", zeros=0.0, scale=2.0, n_agents=32768, bad=0)
-def test_threshold_sampler_is_bit_identical_to_the_grouped_loop(
+def test_hub_stages_are_bit_identical_to_the_multinomial_loop(
     seed, nodes, hub_degree, horizon, start, zeros, scale, n_agents, bad
 ):
     rng = np.random.default_rng(seed)
     scenario, policy = _hub_scenario(rng, nodes, min(hub_degree, nodes), horizon, start, zeros, scale)
     if bad:
         policy = _with_bad_rows(scenario, policy, rng, bad)
-    _same_as_grouped_loop(scenario, policy, n_agents, int(rng.integers(1000)))
+    _same_as_multinomial_loop(scenario, policy, n_agents, int(rng.integers(1000)))
 
 
-def test_the_grouped_loop_cases_cover_every_threshold_table_shape():
+def test_the_hub_cases_cover_every_row_layout():
     uses = set()
     for case, (nodes, hub_degree, start, n_agents) in enumerate(
         [(300, 300, "uniform", 3000), (300, 290, "hub", 2000), (12, 9, "dirichlet", 500), (40, 3, "hub", 37)]
     ):
         rng = np.random.default_rng(60 + case)
         scenario, policy = _hub_scenario(rng, nodes, hub_degree, 3, start, 0.3, 2.0)
-        uses |= _same_as_grouped_loop(scenario, policy, n_agents, case)
-    assert uses == {"padding", "hub above 255", "zero entries", "totals other than 1"}
+        uses |= _same_as_multinomial_loop(scenario, policy, n_agents, case)
+    assert uses == {
+        "padding",
+        "rows of 8 entries or more",
+        "zeros before the last positive entry",
+        "zeros after the last positive entry",
+        "totals other than 1",
+    }
 
 
 def test_the_lowest_bad_occupied_row_is_named():
@@ -303,7 +314,7 @@ def test_the_lowest_bad_occupied_row_is_named():
             message = f"policy row at stage 1, node 2 (edges to {', '.join(map(str, g.out_neighbors[2]))}) sums to 0.0"
         else:
             message = f"policy has probability {value!r} at stage 0, node {node}, edge to {g.out_neighbors[node][-1]};"
-        for sampler in (simulate_population, simulate_population_grouped_loop):
+        for sampler in (simulate_population, simulate_population_multinomial_loop):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
                 sampler(scenario, PolicyKernel(probs.copy()), 4000, seed=1)
         if value is not None:
@@ -320,6 +331,71 @@ def test_a_sub_normal_row_total_keeps_agents_on_their_node(row):
     for t in range(scenario.horizon):
         np.testing.assert_array_equal(np.add.reduceat(sample.edge_counts[t], g.row_start[:-1]), sample.node_counts[t])
     assert not sample.edge_counts[probs == 0.0].any()
+
+
+class _RecordingGenerator:
+    """A Generator that keeps every probability table handed to its multinomial."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.pvals = []
+
+    def multinomial(self, n, pvals):
+        self.pvals.append(np.array(pvals))
+        return self.rng.multinomial(n, pvals)
+
+
+def test_every_multinomial_row_ends_at_a_positive_probability(monkeypatch):
+    # numpy's multinomial gives its last column whatever the earlier ones leave over: for this row
+    # 0.5774932122512072 / (1 - 0.42250678774879274) rounds below 1, so a zero last would take agents
+    graph = TrafficGraph(((0, 1, 2, 3, 4, 5), *((0, i, (i + 1) % 6) for i in range(1, 6))))
+    probs = np.zeros((2, graph.edge_count))
+    for t in range(2):
+        probs[t, :6] = [0.1, 0.2, 0.3, 0.4, 0.0, 0.0]
+        for i in range(1, 6):
+            probs[t, edge_slice(graph, i)] = [0.42250678774879274, 0.5774932122512072, 0.0]
+    scenario = Scenario(
+        graph,
+        StageCosts(2, np.zeros((2, graph.edge_count))),
+        ReferencePolicy(np.full((2, graph.edge_count), 1.0 / 3.0)),
+        1.0,
+        Distribution(np.array([0.0, 0.2, 0.2, 0.2, 0.2, 0.2])),
+    )
+    rng = _RecordingGenerator(np.random.default_rng(3))
+    monkeypatch.setattr(np.random, "default_rng", lambda seeds: rng)
+    sample = simulate_population(scenario, PolicyKernel(probs), 5000, seed=3)
+    # P_0, then stage 0 (nodes 1-5) and stage 1 (the hub too: the other rows are padded to its degree)
+    assert [pvals.shape for pvals in rng.pvals] == [(6,), (5, 3), (6, 6)]
+    assert all((pvals[..., -1] > 0.0).all() for pvals in rng.pvals)
+    assert not sample.edge_counts[probs == 0.0].any()
+    assert not sample.node_counts[0, 0]
+
+
+@pytest.mark.parametrize(
+    "mass, message",
+    [
+        ([0.5, -0.25, 0.75, 0.0], "initial mass -0.25 at node 1; initial masses must be >= 0"),
+        ([0.5, math.nan, 0.5, 0.0], "initial mass nan at node 1; initial masses must be >= 0"),
+        ([0.5, 0.5, 2e-8, 0.0], "initial mass sums to 1.00000002; it must sum to 1 within 1.4901161193847656e-08"),
+        ([0.5, math.inf, 0.0, 0.0], "initial mass sums to inf; it must sum to 1 within 1.4901161193847656e-08"),
+        ([0.0, 0.0, 0.0, 0.0], "initial mass sums to 0.0; it must sum to 1 within 1.4901161193847656e-08"),
+        ([0.5, 0.5, 1e-8, -0.0], None),
+        ([0.25, 0.25, 0.25, 0.25 - 1e-8], None),
+    ],
+)
+def test_the_initial_mass_is_checked_as_generator_choice_checks_it(monkeypatch, three_route, mass, message):
+    scenario = dataclasses.replace(three_route, initial=Distribution(np.array(mass)))
+    policy = mfe_solve(three_route).policy
+    with pytest.raises(ValueError) if message else contextlib.nullcontext():
+        np.random.default_rng(0).choice(4, p=scenario.initial.mass)
+    if message is None:
+        sample = simulate_population(scenario, policy, 1000, seed=2)
+        assert not sample.node_counts[0, scenario.initial.mass == 0.0].any()
+        return
+    # rejected before a generator is made
+    monkeypatch.setattr(np.random, "default_rng", None)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        simulate_population(scenario, policy, 1000, seed=2)
 
 
 def test_an_occupied_node_without_edges_is_located():
@@ -349,8 +425,8 @@ def test_a_rollout_keeps_counts_not_agent_paths():
     assert peak < (scenario.horizon + 1) * n_agents * 8 / 4
 
 
-def test_a_hub_stage_repeats_its_thresholds_a_block_at_a_time():
-    # every agent at a hub of degree 300: all 299 thresholds repeated at once would be 47.8 MB
+def test_a_hub_stage_holds_no_table_of_agents_by_edge():
+    # every agent at a hub of degree 300: a table of 20 000 agents by 300 edges would be 48 MB
     rng = np.random.default_rng(70)
     scenario, policy = _hub_scenario(rng, 300, 300, 1, "hub", 0.0, 1.0)
     n_agents = 20_000
@@ -552,7 +628,8 @@ def test_realized_tax_mean_matches_the_exact_expectation(three_route):
     q = float(solution.policy.probs[0, route_edge])
     exact = expected_tax_symmetric(n_agents, 1.0, q, 1 / 3, 1.0)
 
-    # the reference sampler keeps agent paths; on the same substreams its counts are the sampler's
+    # the agent-level reference keeps agent paths, so it can tag a player; it draws from the same law
+    # as the sampler, not the same numbers
     taxes = []
     for seeds in np.random.SeedSequence(99).spawn(100_000):
         sample = simulate_population_mask_loop(three_route, solution.policy, n_agents, seeds)
