@@ -24,13 +24,7 @@ import numpy as np
 
 from . import __version__
 from .fictitious_play import FictitiousPlayResult, fp_run
-from .finite_population import (
-    GENERATOR_NAME,
-    best_response_finite_n,
-    expected_tax_gap,
-    realized_taxes,
-    simulate_population,
-)
+from .finite_population import GENERATOR_NAME, _nash_gap_rows, realized_taxes, simulate_population
 from .kl_solver import PolicyKernel, backward_pass, extract_policy, value
 from .mean_field import FlowTrajectory, equalizer_gap, mfe_solve, random_policy
 from .scenario import (
@@ -374,18 +368,31 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_nash_gap(args) -> int:
+    n_list = _agent_counts(args.agents)
     start = time.perf_counter()
     scenario, digests = _load_scenario(args)
-    n_list = [int(tok) for tok in args.agents.split(",") if tok.strip()]
-    if not n_list:
-        raise ValueError("--agents needs at least one player count")
     solution = mfe_solve(scenario)
-    gaps = expected_tax_gap(scenario, solution.policy, n_list)
-    epsilon = [best_response_finite_n(scenario, solution.policy, n).epsilon for n in n_list]
-    columns = [n_list, [gaps[n] for n in n_list], epsilon]
+    rows = _nash_gap_rows(scenario, solution.policy, solution.flow, n_list)
+    columns = [n_list, *zip(*rows)]
     write_csv(args.out, "n_agents,expected_tax_gap,epsilon_nash", columns, _manifest(args, start, digests))
     print(f"computed tax-convergence and best-response gaps for N in {n_list}")
     return 0
+
+
+def _agent_counts(text: str) -> list[int]:
+    """The player counts of a comma-separated --agents list; a count that is not an integer >= 1 raises."""
+    counts = []
+    for tok in filter(str.strip, text.split(",")):
+        try:
+            count = int(tok)
+        except ValueError:
+            raise ValueError(f"--agents must be an integer, got {tok.strip()}") from None
+        if count < 1:
+            raise ValueError("--agents must be >= 1")
+        counts.append(count)
+    if not counts:
+        raise ValueError("--agents needs at least one player count")
+    return counts
 
 
 def _parse_game(args) -> SingleStageGame:

@@ -44,8 +44,14 @@ _LOG_FLOOR = -746.0
 # (tests/test_toll_kernel.py).
 _LOG_NORMAL = math.log(np.finfo(np.float64).tiny)
 _WHOLE_SUPPORT = 256
-# elements per block of the toll kernel: rows x window in a sum, probabilities per search block
-_CHUNK_FLOATS = 1 << 16
+# Elements per block of the toll kernel: rows x window in a sum, probabilities
+# per window-search block and per block of logs.  A sum block holds its four
+# copied window rows and two buffers, 6 x 8 bytes per element, which must stay
+# well inside a core's L2: at 2**16 that is 3 MB and spills a 2 MB L2.  Of 2**12
+# to 2**16, 2**13 measured fastest on the finite-n benchmark (x86-64, 2 MB L2).
+# On the fig2 ladder 2**14 read up to 10 % faster, and 2**12, which pays for
+# twice the blocks, 9-26 % slower than 2**14 at N = 1e5.
+_CHUNK_FLOATS = 1 << 13
 
 # expected_tax_gap's floor on an edge's mean-field flow probability
 SUPPORT_TOL = 1e-9
@@ -160,8 +166,30 @@ def _window_sums(terms: np.ndarray, log_p: np.ndarray, log_q: np.ndarray, buffer
     return pmf.sum(axis=1)
 
 
+def _logs(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log p and log(1 - p) for probabilities strictly inside (0, 1).
+
+    math.log and math.log1p, not the ufuncs: an ulp of error in log p is
+    multiplied by k in the sum.  They map over the Python floats of
+    ``.tolist()``, which they take faster than numpy scalars, a block of
+    _CHUNK_FLOATS at a time, so no more than a block of those floats is held.
+    """
+    if len(probs) > _CHUNK_FLOATS:
+        blocks = np.split(probs, range(_CHUNK_FLOATS, len(probs), _CHUNK_FLOATS))
+        return tuple(map(np.concatenate, zip(*map(_logs, blocks))))
+    return (
+        np.fromiter(map(math.log, probs.tolist()), np.float64, len(probs)),
+        np.fromiter(map(math.log1p, (-probs).tolist()), np.float64, len(probs)),
+    )
+
+
 def _interior_log_shares(n_players: int, probs: np.ndarray) -> np.ndarray:
-    """Binomial sums for distinct probabilities strictly inside (0, 1).
+    """Binomial sums for distinct probabilities strictly inside (0, 1); see ``_interior_sums``."""
+    return _interior_sums(n_players, probs, *_logs(probs))
+
+
+def _interior_sums(n_players: int, probs: np.ndarray, log_p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
+    """Binomial sums for distinct probabilities strictly inside (0, 1), given their ``_logs``.
 
     Up to _WHOLE_SUPPORT players each sum runs over the whole support,
     above it over the rectangle ``_windows`` picks; rows of one width are
@@ -169,17 +197,18 @@ def _interior_log_shares(n_players: int, probs: np.ndarray) -> np.ndarray:
     buffers per call.
     """
     tables = _binomial_tables(n_players)
-    # math.log, not the ufunc: an ulp of error in log p is multiplied by k below
-    log_p = np.fromiter(map(math.log, probs), np.float64, len(probs))
-    log_q = np.fromiter(map(math.log1p, -probs), np.float64, len(probs))
-    out = np.empty(len(probs))
     if n_players <= _WHOLE_SUPPORT:
         rows = _block_rows(len(probs), n_players)
         buffers = np.empty((2, rows, n_players))
+        if rows == len(probs):
+            # one block, as in every call of the route game: its sums are the result
+            return _window_sums(tables, log_p, log_q, buffers)
+        out = np.empty(len(probs))
         for lo in range(0, len(probs), rows):
             block = slice(lo, lo + rows)
             out[block] = _window_sums(tables, log_p[block], log_q[block], buffers)
         return out
+    out = np.empty(len(probs))
     start = np.empty(len(probs), dtype=np.int64)
     width = np.empty(len(probs), dtype=np.int64)
     # in blocks: the search's temporaries are several times the size of its input
@@ -206,6 +235,44 @@ def _interior_log_shares(n_players: int, probs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _runs(values: np.ndarray) -> np.ndarray:
+    """Mask of the sorted ``values`` that differ from the one before them: the first of each run of equal ones."""
+    new = np.empty(len(values), dtype=bool)
+    new[:1] = True
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    return new
+
+
+def _check_range(distinct: np.ndarray) -> None:
+    """Raise unless a sorted set of probabilities lies in [0, 1 + PROB_TOL]; NaN, which sorts last, fails."""
+    if len(distinct) and not (distinct[0] >= 0.0 and distinct[-1] <= 1.0 + PROB_TOL):
+        raise ValueError("probabilities must lie in [0, 1]")
+
+
+def _distinct_shares(n_players: int, distinct: np.ndarray, logs=None) -> np.ndarray:
+    """Expected log shares of a sorted distinct set of probabilities in [0, 1 + PROB_TOL].
+
+    The set is cut into slices: 0 (and -0.0) takes math.log(1 / N), below
+    2**-60 / N the closed form ``_binomial_tables(N)[1, 0]``, the interior
+    is summed, and [1, 1 + PROB_TOL] takes 0.0.  ``logs``, arrays aligned
+    with the set that hold its ``_logs`` at least over the interior, spare
+    taking them again.
+    """
+    zero, tiny, one = distinct.searchsorted((_LEAST_POSITIVE, 2.0**-60 / n_players, 1.0)).tolist()
+    shares = np.zeros(len(distinct))
+    if zero:
+        shares[:zero] = math.log(1.0 / n_players)
+    if tiny > zero:
+        shares[zero:tiny] = _binomial_tables(n_players)[1, 0]
+    if one > tiny:
+        interior = distinct[tiny:one]
+        if logs is None:
+            shares[tiny:one] = _interior_log_shares(n_players, interior)
+        else:
+            shares[tiny:one] = _interior_sums(n_players, interior, *(row[tiny:one] for row in logs))
+    return shares
+
+
 def binomial_expected_log_share(n_players: int, prob):
     """E[log((K + 1) / N)] with K ~ Binomial(N - 1, prob).
 
@@ -227,26 +294,81 @@ def binomial_expected_log_share(n_players: int, prob):
     """
     n_players = _player_count(n_players)
     prob = np.asarray(prob, dtype=np.float64)
-    # one sort of a flat copy, then each value that differs from the one before it; NaN sorts last
+    # one sort of a flat copy, and a search back: the route game's calls hold a few
+    # probabilities, where a search is cheaper than the inverse index of a _Ladder
     distinct = prob.flatten()
     distinct.sort()
-    new = np.empty(len(distinct), dtype=bool)
-    new[:1] = True
-    np.not_equal(distinct[1:], distinct[:-1], out=new[1:])
-    distinct = distinct[new]
-    if len(distinct) and not (distinct[0] >= 0.0 and distinct[-1] <= 1.0 + PROB_TOL):
-        raise ValueError("probabilities must lie in [0, 1]")
-    # the sorted set in slices: 0 (and -0.0), negligible, interior, and 1 up to PROB_TOL, which takes 0.0
-    zero, tiny, one = distinct.searchsorted((_LEAST_POSITIVE, 2.0**-60 / n_players, 1.0)).tolist()
-    shares = np.zeros(len(distinct))
-    if zero:
-        shares[:zero] = math.log(1.0 / n_players)
-    if tiny > zero:
-        shares[zero:tiny] = _binomial_tables(n_players)[1, 0]
-    if one > tiny:
-        shares[tiny:one] = _interior_log_shares(n_players, distinct[tiny:one])
-    out = shares[distinct.searchsorted(prob)]
+    distinct = distinct[_runs(distinct)]
+    _check_range(distinct)
+    out = _distinct_shares(n_players, distinct)[distinct.searchsorted(prob)]
     return float(out) if out.ndim == 0 else out
+
+
+class _Ladder:
+    """The distinct probabilities of some tables, sorted once and read back per N.
+
+    ``shares(N)`` gives each table's expected log shares, as
+    ``binomial_expected_log_share`` would, bit for bit, for any N up to
+    ``most_players``.  The set is sorted and checked once, each table maps
+    into it through the inverse index of the sort rather than a search, and
+    the logs are taken once, over the slice summed at ``most_players``,
+    which holds that of every smaller N; per N only the slices of
+    ``_distinct_shares`` move.
+    """
+
+    def __init__(self, tables, most_players: int):
+        tables = [np.asarray(table, dtype=np.float64) for table in tables]
+        values = np.concatenate([table.ravel() for table in tables])
+        size = len(values)
+        # np.unique(values, return_inverse=True) without its copies of the input, which at
+        # 100x100/T200 raised the peak over the solution from about 400 to 680 MB; the exact
+        # zeros, half of a flow's entries there, skip the sort and take rank 0
+        order = np.flatnonzero(values)
+        order = order[values[order].argsort()]
+        values = values[order]
+        new = _runs(values)
+        distinct = values[new]
+        _check_range(distinct)
+        del values
+        zeros = len(order) < size
+        self.distinct = np.concatenate([np.zeros(int(zeros)), distinct])
+        rank = np.cumsum(new, dtype=np.intp)
+        index = np.zeros(size, dtype=np.intp)
+        index[order] = rank if zeros else rank - 1
+        del order, rank
+        bounds = np.cumsum([table.size for table in tables[:-1]], dtype=np.intp)
+        self.index = [part.reshape(table.shape) for part, table in zip(np.split(index, bounds), tables)]
+        tiny, one = self.distinct.searchsorted((2.0**-60 / most_players, 1.0)).tolist()
+        self.logs = np.empty((2, len(self.distinct)))
+        self.logs[:, tiny:one] = _logs(self.distinct[tiny:one])
+
+    def shares(self, n_players: int) -> list[np.ndarray]:
+        shares = _distinct_shares(n_players, self.distinct, self.logs)
+        return [shares[index] for index in self.index]
+
+
+def _check_tolled(edge_prob, ref) -> None:
+    """Raise unless the edge probabilities lie in [0, 1 + PROB_TOL] and the references are positive and finite."""
+    if not np.all((edge_prob >= 0) & (edge_prob <= 1 + PROB_TOL)):
+        raise ValueError("probabilities must lie in [0, 1]")
+    _check_reference(ref)
+
+
+def _taxes(ladder: _Ladder, n_players: int, ref, alpha: float, edge_src=None) -> np.ndarray:
+    """alpha (E log share on the edge - E log share at its node) - alpha log ref, from a ladder of (joint, node) tables.
+
+    ``edge_src`` gathers a (T, V) table of node shares onto the edges.
+    """
+    share_edge, share_node = ladder.shares(n_players)
+    if edge_src is not None:
+        share_node = np.take(share_node, edge_src, axis=1)
+    # alpha * (share_edge - share_node) - alpha * log(ref), bit for bit, with fewer (T, E) temporaries
+    share_edge -= share_node
+    del share_node
+    share_edge *= alpha
+    toll = np.log(ref)
+    toll *= alpha
+    return share_edge - toll
 
 
 def expected_tax_symmetric(n_players: int, node_prob, edge_prob, ref, alpha: float):
@@ -261,15 +383,9 @@ def expected_tax_symmetric(n_players: int, node_prob, edge_prob, ref, alpha: flo
     """
     node_prob = np.asarray(node_prob, dtype=np.float64)
     edge_prob = np.asarray(edge_prob, dtype=np.float64)
-    # the kernel checks node_prob and the joint probability; only edge_prob is not passed to it
-    if not np.all((edge_prob >= 0) & (edge_prob <= 1 + PROB_TOL)):
-        raise ValueError("probabilities must lie in [0, 1]")
-    _check_reference(ref)
-    joint = np.multiply(node_prob, edge_prob)
-    pair = np.empty((2,) + joint.shape)
-    pair[0], pair[1] = joint, node_prob
-    share_edge, share_node = binomial_expected_log_share(n_players, pair)
-    tax = alpha * (share_edge - share_node) - alpha * np.log(ref)
+    _check_tolled(edge_prob, ref)
+    n_players = _player_count(n_players)
+    tax = _taxes(_Ladder((np.multiply(node_prob, edge_prob), node_prob), n_players), n_players, ref, alpha)
     return float(tax) if np.ndim(tax) == 0 else tax
 
 
@@ -496,8 +612,10 @@ def expected_tax_gap(scenario: Scenario, population_policy: PolicyKernel, n_list
 
     The limit on a supported edge is alpha * log(policy / reference); the
     maximum runs over edges whose mean-field flow probability exceeds
-    ``SUPPORT_TOL``.
+    ``SUPPORT_TOL``.  One ladder of the supported probabilities serves
+    every N.
     """
+    n_list = [_player_count(n) for n in n_list]
     flow = propagate(scenario, population_policy)
     # np.take keeps the gather C-ordered like the policy tables; flow[:, edge_src] is Fortran-ordered
     node_probs = np.take(flow.distributions[:-1], scenario.graph.edge_src, axis=1)
@@ -506,12 +624,32 @@ def expected_tax_gap(scenario: Scenario, population_policy: PolicyKernel, n_list
     edge_probs = population_policy.probs[support]
     ref = scenario.reference.probs[support]
     limits = scenario.alpha * (population_policy.toll_log()[support] - np.log(ref))
+    _check_tolled(edge_probs, ref)
+    ladder = _Ladder((node_probs * edge_probs, node_probs), max(n_list, default=1))
+    return {n: _worst_gap(_taxes(ladder, n, ref, scenario.alpha), limits) for n in n_list}
 
-    table: dict[int, float] = {}
-    for n in map(_player_count, n_list):
-        tax = expected_tax_symmetric(n, node_probs, edge_probs, ref, scenario.alpha)
-        table[n] = float(np.max(np.abs(tax - limits), initial=0.0))
-    return table
+
+def _worst_gap(tax: np.ndarray, limits: np.ndarray) -> float:
+    """The largest |tax - limit| over the supported edges, 0.0 when there are none."""
+    return float(np.max(np.abs(tax - limits), initial=0.0))
+
+
+def _nash_gap_rows(scenario: Scenario, population_policy: PolicyKernel, flow, n_list) -> list[tuple[float, float]]:
+    """Per N, ``expected_tax_gap``'s gap and ``best_response_finite_n``'s epsilon, bit for bit.
+
+    ``flow`` is the policy's propagated flow.  One ladder serves every N,
+    and each distinct N forms one (T, E) tax table, which the gap reads on
+    the supported edges and the best response then turns into its costs.
+    """
+    joint, ladder = _flow_ladder(scenario, population_policy, flow, max(n_list))
+    support = joint > SUPPORT_TOL
+    ref = scenario.reference.probs
+    limits = scenario.alpha * (population_policy.toll_log()[support] - np.log(ref[support]))
+    rows = {}
+    for n in dict.fromkeys(n_list):
+        tax = _taxes(ladder, n, ref, scenario.alpha, scenario.graph.edge_src)
+        rows[n] = _worst_gap(tax[support], limits), _respond(scenario, joint, tax).epsilon
+    return [rows[n] for n in n_list]
 
 
 @dataclass(frozen=True, eq=False)
@@ -537,16 +675,29 @@ def best_response_finite_n(
     rounding.
     """
     _check_policy_shape(scenario, population_policy)
-    flow = propagate(scenario, population_policy)
-    node_probs = np.take(flow.distributions[:-1], scenario.graph.edge_src, axis=1)
-    total_cost = expected_tax_symmetric(
-        n_players, node_probs, population_policy.probs, scenario.reference.probs, scenario.alpha
-    )
+    n_players = _player_count(n_players)
+    joint, ladder = _flow_ladder(scenario, population_policy, propagate(scenario, population_policy), n_players)
+    tax = _taxes(ladder, n_players, scenario.reference.probs, scenario.alpha, scenario.graph.edge_src)
+    return _respond(scenario, joint, tax)
+
+
+def _flow_ladder(scenario: Scenario, population_policy: PolicyKernel, flow, most_players: int):
+    """The population's (T, E) edge flow, and one ``_Ladder`` of it and of the (T, V) node flow."""
+    node_table = flow.distributions[:-1]
+    joint = np.take(node_table, scenario.graph.edge_src, axis=1)
+    joint *= population_policy.probs
+    _check_tolled(population_policy.probs, scenario.reference.probs)
+    return joint, _Ladder((joint, node_table), most_players)
+
+
+def _respond(scenario: Scenario, edge_flow: np.ndarray, total_cost: np.ndarray) -> FiniteBestResponse:
+    """The best response to the (T, E) expected taxes ``total_cost``, which it overwrites with the total costs.
+
+    ``edge_flow`` is the population's (T, E) flow, which weighs its symmetric cost.
+    """
     for t in range(scenario.horizon):
         np.add(scenario.stage_costs(t), total_cost[t], out=total_cost[t])
     probs, values = _shortest_path(scenario.graph, total_cost)
-
-    edge_flow = node_probs * population_policy.probs
     symmetric_cost = 0.0
     for t in range(scenario.horizon):
         symmetric_cost += float(edge_flow[t] @ total_cost[t])

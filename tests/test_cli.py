@@ -8,7 +8,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import emit_heatmap_loop, random_scenario
-from mftroute import ScenarioFormatError, build_gridworld, cli, mfe_solve, read_scenario, serialize, write_scenario
+from mftroute import (
+    ReferencePolicy,
+    Scenario,
+    ScenarioFormatError,
+    StageCosts,
+    best_response_finite_n,
+    build_gridworld,
+    cli,
+    expected_tax_gap,
+    mfe_solve,
+    read_scenario,
+    serialize,
+    write_scenario,
+)
 from mftroute.cli import (
     FIG2_OBSTACLES,
     FIG2_WIDTH,
@@ -321,6 +334,57 @@ def test_nash_gap_table(tmp_path, three_route_file):
     table = {int(line.split(",")[0]): [float(x) for x in line.split(",")[1:]] for line in lines[1:]}
     assert table[10][0] > table[100][0]
     assert table[10][1] > table[100][1] >= 0
+
+
+@pytest.mark.parametrize(
+    "agents, error",
+    [
+        ("10,0", "--agents must be >= 1"),
+        ("10,-3", "--agents must be >= 1"),
+        ("1.5", "--agents must be an integer, got 1.5"),
+        ("10, x", "--agents must be an integer, got x"),
+        (" , ", "--agents needs at least one player count"),
+    ],
+)
+def test_nash_gap_checks_its_agent_counts_before_reading_the_scenario(tmp_path, capsys, agents, error):
+    # the scenario file does not exist: the count is checked before any read or solve
+    out = tmp_path / "gaps.csv"
+    args = ["nash-gap", "--scenario", str(tmp_path / "missing.scn"), "--agents", agents, "--out", str(out)]
+    assert main(args) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert not out.exists()
+
+
+def _random_tolled_scenario(seed: int, stationary: bool):
+    """A random scenario: a grid with jittered stationary tables, or a random graph with per-stage tables."""
+    rng = np.random.default_rng(seed)
+    if not stationary:
+        return random_scenario(rng, max_nodes=8, max_horizon=6, alpha_range=(0.05, 3.0))
+    width, height = (int(n) for n in rng.integers(2, 6, size=2))
+    base = build_gridworld(width, height, (), 0, width * height - 1, int(rng.integers(2, 10)), 0.3)
+    g = base.graph
+    shape = (base.horizon, g.edge_count)
+    stage = np.broadcast_to(base.costs.stage[0] + rng.uniform(0.0, 0.5, g.edge_count), shape)
+    ref_row = np.concatenate([rng.dirichlet(np.ones(degree)) for degree in np.diff(g.row_start).tolist()])
+    reference = ReferencePolicy(np.broadcast_to(ref_row, shape))
+    return Scenario(g, StageCosts(base.horizon, stage), reference, 0.3, base.initial)
+
+
+@pytest.mark.parametrize("stationary", [True, False], ids=["stationary", "per-stage"])
+@pytest.mark.parametrize("seed", range(3))
+def test_nash_gap_rows_equal_the_public_per_call_path(tmp_path, seed, stationary):
+    path = tmp_path / "net.scn"
+    write_scenario(_random_tolled_scenario(seed, stationary), path)
+    scenario = read_scenario(path)
+    policy = mfe_solve(scenario).policy
+    # unsorted and repeated lists, on both sides of the whole-support sum's 256 players
+    for agents in ("2,255,256,257,1000", "1000,10,1000", "100000,10,300,10"):
+        out = tmp_path / "gaps.csv"
+        assert main(["nash-gap", "--scenario", str(path), "--agents", agents, "--out", str(out)]) == 0
+        n_list = [int(tok) for tok in agents.split(",")]
+        gaps = expected_tax_gap(scenario, policy, n_list)
+        want = [f"{n},{gaps[n]!r},{best_response_finite_n(scenario, policy, n).epsilon!r}" for n in n_list]
+        assert _payload(out) == ["n_agents,expected_tax_gap,epsilon_nash", *want]
 
 
 def test_fp_subcommand_emits_diagnostics(tmp_path, capsys):

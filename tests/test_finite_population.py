@@ -42,7 +42,7 @@ from mftroute import (
 )
 from mftroute import finite_population
 from mftroute.cli import fig2_scenario
-from mftroute.finite_population import binomial_expected_log_share
+from mftroute.finite_population import _CHUNK_FLOATS, PROB_TOL, binomial_expected_log_share
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +496,67 @@ def test_a_negligible_probability_takes_the_closed_form_bit_for_bit(monkeypatch,
     assert summed and min(summed) == cut
     assert binomial_expected_log_share(n_players, 0.0).hex() == math.log(1.0 / n_players).hex()
     assert binomial_expected_log_share(n_players, np.array([0.0, cut / 3]))[0] == math.log(1.0 / n_players)
+
+
+_SHARE_PROBS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.0 + PROB_TOL, 5e-324, 1.0 - 1e-16]),
+    st.floats(-300.0, -1.0).map(lambda e: 10.0**e),
+    st.floats(0.0, 1.0),
+)
+
+
+@given(
+    n_players=st.one_of(st.integers(2, 2000), st.integers(2, 100_000)),
+    probs=st.lists(_SHARE_PROBS, min_size=1, max_size=40),
+)
+# above 256 players, windows as wide as the support (log pmf >= -746 at k = 0 and k = N - 1)
+# and windows far narrower than it
+@example(n_players=300, probs=[0.5, 0.4])
+@example(n_players=1000, probs=[0.5, 1e-3, 0.999])
+@example(n_players=100_000, probs=[0.5, 1e-4])
+# more distinct interior probabilities than the smaller blocks hold: several blocks of logs,
+# of window searches and of sums, over the whole support and over windows
+@example(n_players=100, probs=[k / 61 for k in range(1, 61)])
+@example(n_players=300, probs=[k / 97 for k in range(1, 97)])
+@example(n_players=5000, probs=[10.0**-e for e in range(1, 40)] + [k / 41 for k in range(1, 41)])
+def test_kernel_bits_do_not_depend_on_the_block_size(n_players, probs):
+    """Blocks of 2**4 up to 2**16 floats give every share the same bits, through the entry and a ladder."""
+    probs = np.array(probs)
+    node = probs[::-1].copy()
+    results = []
+    for exponent in (4, 10, _CHUNK_FLOATS.bit_length() - 1, 16):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(finite_population, "_CHUNK_FLOATS", 1 << exponent)
+            shares = binomial_expected_log_share(n_players, probs)
+            ladder = finite_population._Ladder((probs, node), n_players)
+            results.append([shares.tobytes(), *(share.tobytes() for share in ladder.shares(n_players))])
+    assert results[0][1] == results[0][0]
+    assert results[0][2] == binomial_expected_log_share(n_players, node).tobytes()
+    assert all(result == results[0] for result in results[1:])
+
+
+@pytest.mark.parametrize("n_players", [1, 2, 10, 255, 256, 257, 1000, 100_000])
+def test_a_ladder_reads_back_the_entry_bits_over_many_blocks(n_players):
+    """One sorted set of a (T, E) and a (T, V) table, with repeats and every slice, maps back to each entry."""
+    rng = np.random.default_rng(n_players)
+    pool = np.concatenate(
+        [
+            [0.0, -0.0, 1.0, 1.0 + PROB_TOL, 5e-324, 2.0**-60 / n_players],
+            10.0 ** rng.uniform(-300.0, -1.0, 300),
+            rng.uniform(0.0, 1.0, 300),
+        ]
+    )
+    joint, node = rng.choice(pool, (7, 120)), rng.choice(pool, (7, 30))
+    with pytest.MonkeyPatch.context() as patch:
+        # several blocks of logs, of window searches and of sums
+        patch.setattr(finite_population, "_CHUNK_FLOATS", 1 << 6)
+        share_joint, share_node = finite_population._Ladder((joint, node), n_players).shares(n_players)
+    assert share_joint.shape == joint.shape and share_node.shape == node.shape
+    assert share_joint.tobytes() == binomial_expected_log_share(n_players, joint).tobytes()
+    assert share_node.tobytes() == binomial_expected_log_share(n_players, node).tobytes()
+    for bad in (np.nan, -1e-300, 1.0 + 2 * PROB_TOL):
+        with pytest.raises(ValueError, match=r"^probabilities must lie in \[0, 1\]$"):
+            finite_population._Ladder((joint, np.append(node, bad)), n_players)
 
 
 @pytest.mark.parametrize(
