@@ -11,12 +11,16 @@ one and where it exceeds one.  Each of their steps brackets every
 f_j^{-1}(lambda) by bisection over dyadic midpoints of [0, 1].  A per-solve
 memo holds every f_j at each q probed so far, so only unseen q go to the
 kernel, batched, and a step stops once the sums of the brackets decide it.
+A kernel call probes each open bracket's midpoint and the two midpoints
+below it.  Each route's walk resumes from the deepest bracket that every
+lambda left in the bisection's interval passes through.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -92,19 +96,34 @@ class EquilibriumResult:
         object.__setattr__(self, "residuals", _readonly(self.residuals))
 
 
-def _brackets(game: SingleStageGame, memo: dict, lam: float, settled=None) -> tuple[list, list]:
+def _start(lam: float, at_zero: float, at_one: float) -> tuple:
+    """A route's first bracket (lo, hi, steps) at level ``lam``: [0, 1], or closed where lam clamps it."""
+    hi = float(lam > at_zero)
+    return (hi if lam >= at_one else 0.0), hi, 0
+
+
+def _step(a: float, b: float, mid: float, val: float, lam: float) -> tuple:
+    """The bracket after [a, b] at level ``lam``, given the route's cost ``val`` at its midpoint."""
+    if mid == a or mid == b or abs(val - lam) <= INNER_TOL:
+        return mid, mid
+    return (mid, b) if val < lam else (a, mid)
+
+
+def _brackets(game: SingleStageGame, memo: dict, lam: float, settled=None, shared=None) -> tuple[list, list]:
     """Bracket every route's load at level ``lam`` by bisecting the inverse of its cost.
 
     ``memo`` maps each probed q, 0 and 1 among them, to every route's cost
-    there.  Each bracket starts at [0, 1], or closed where lam clamps it,
-    and walks through the probes in the memo.  Returns ``(lo, hi)`` once
-    every bracket is closed (lo == hi) or ``settled(lo, hi)`` holds; until
-    then the unseen midpoints of the open brackets go to the kernel in one
-    call, and the walks go on.
+    there.  Each bracket starts from the route's node in ``shared``, a
+    (lo, hi, steps) that the walk at ``lam`` passes through, or else at
+    [0, 1], closed where lam clamps it, and walks through the probes in the
+    memo.  Returns ``(lo, hi)`` once every bracket is closed (lo == hi) or
+    ``settled(lo, hi)`` holds; until then the unseen midpoints of the open
+    brackets and of their two halves go to the kernel in one call, and the
+    walks go on.
     """
-    hi = [float(lam > cost) for cost in memo[0.0]]
-    lo = [load if lam >= cost else 0.0 for load, cost in zip(hi, memo[1.0])]
-    depth, walking = [0] * len(lo), range(len(lo))
+    nodes = zip(shared or [None] * len(memo[0.0]), memo[0.0], memo[1.0])
+    lo, hi, depth = map(list, zip(*(node or _start(lam, *ends) for node, *ends in nodes)))
+    walking = range(len(lo))
     probed = memo.get
     while True:
         for j in walking:
@@ -117,20 +136,52 @@ def _brackets(game: SingleStageGame, memo: dict, lam: float, settled=None) -> tu
                 row = probed(mid)  # every route's cost at mid, or None if mid is not probed yet
                 if row is None:
                     break
-                val = row[j]
                 steps += 1
-                if mid == a or mid == b or abs(val - lam) <= INNER_TOL:
-                    a = b = mid
-                else:
-                    a, b = (mid, b) if val < lam else (a, mid)
+                a, b = _step(a, b, mid, row[j], lam)
             lo[j], hi[j], depth[j] = a, b, steps
         walking = [j for j in walking if lo[j] != hi[j]]
         if not walking or (settled is not None and settled(lo, hi)):
             return lo, hi
-        qs = list(dict.fromkeys(0.5 * (lo[j] + hi[j]) for j in walking))
+        mids = [0.5 * (lo[j] + hi[j]) for j in walking]
+        halves = (0.5 * (end + mid) for j, mid in zip(walking, mids) for end in (lo[j], hi[j]))
+        # the memo is a function of q alone: probing a half the walk never reaches changes no walk
+        qs = [q for q in dict.fromkeys(chain(mids, halves)) if q not in memo]
         # a share depends on q alone: one probe per q, a column that broadcasts over the routes
         costs = assumed_cost(game, np.array(qs)[:, None])
         memo.update(zip(qs, map(tuple, costs.tolist())))
+
+
+def _shared(memo: dict, nodes: list, lo: float, hi: float) -> list:
+    """Per route, the deepest (a, b, steps) that the walk at every level in [lo, hi] passes through.
+
+    Each route descends from its node in ``nodes`` (None: the start) through
+    the memo while both ends of the interval take the same branch; the walk
+    is monotone in the level, so then every level between them does too.
+    A route whose start differs at the two ends gets None.
+    """
+    out = []
+    for j, node in enumerate(nodes):
+        if node is None:
+            node = _start(lo, memo[0.0][j], memo[1.0][j])
+            if node != _start(hi, memo[0.0][j], memo[1.0][j]):
+                out.append(None)
+                continue
+        a, b, steps = node
+        while a != b:
+            mid = 0.5 * (a + b)
+            if steps == _MAX_BISECT:
+                a = b = mid
+                break
+            row = memo.get(mid)
+            if row is None:
+                break
+            low = _step(a, b, mid, row[j], lo)
+            if low != _step(a, b, mid, row[j], hi):
+                break
+            a, b = low
+            steps += 1
+        out.append((a, b, steps))
+    return out
 
 
 def _pairwise_sum(values: list) -> float:
@@ -167,18 +218,21 @@ def _threshold(game: SingleStageGame, memo: dict, lo: float, hi: float, reaches)
 
     Each load lies in its bracket and a float sum in a fixed order is
     monotone, so the bracket sums bound the mass: a step stops as soon as
-    they settle the comparison.
+    they settle the comparison.  Each step's walks resume from the nodes
+    that every level left in [lo, hi] passes through.
     """
 
     def settled(low, high) -> bool:
         return reaches(_pairwise_sum(low), 1.0) or not reaches(_pairwise_sum(high), 1.0)
 
+    nodes = [None] * game.route_count
     for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi or not hi - lo > OUTER_TOL:
             break
-        low, _ = _brackets(game, memo, mid, settled)
+        low, _ = _brackets(game, memo, mid, settled, nodes)
         lo, hi = (lo, mid) if reaches(_pairwise_sum(low), 1.0) else (mid, hi)
+        nodes = _shared(memo, nodes, lo, hi)
     return 0.5 * (lo + hi)
 
 

@@ -34,8 +34,11 @@ from mftroute import (
     assumed_cost,
     expected_tax_symmetric,
     propagate,
+    solve_single_stage_mfe,
+    solve_symmetric_ne,
 )
 from mftroute.cli import OBSTACLE_SENTINEL
+from mftroute.fictitious_play import BeliefPath, FictitiousPlayResult
 from mftroute.finite_population import _WHOLE_SUPPORT, _row_fault
 from mftroute.scenario import ROW_SUM_TOL, ScenarioFormatError, _bad_row_sums
 from mftroute.symmetric_equilibrium import _MAX_BISECT, INNER_TOL, OUTER_TOL, EquilibriumResult
@@ -459,6 +462,22 @@ def assumed_cost_loop(game: SingleStageGame, belief) -> np.ndarray:
             for j in range(game.route_count)
         ]
     )
+
+
+def fp_run_day_by_day(game: SingleStageGame, initial_belief, days: int) -> FictitiousPlayResult:
+    """Fictitious play with one kernel call per day, the loop the lookahead blocks replaced."""
+    pulses = np.eye(game.route_count)
+    beliefs = np.empty((days + 1, game.route_count))
+    beliefs[0] = initial_belief
+    choices = np.empty(days, dtype=np.int64)
+    for day in range(1, days + 1):
+        choices[day - 1] = choice = assumed_cost(game, beliefs[day - 1]).argmin()
+        beliefs[day] = (day * beliefs[day - 1] + pulses[choice]) / (day + 1)
+    finite_ne = solve_symmetric_ne(game).q
+    mfe = solve_single_stage_mfe(game)
+    dist_ne = np.max(np.abs(beliefs - finite_ne), axis=1)
+    dist_mfe = np.max(np.abs(beliefs - mfe), axis=1)
+    return FictitiousPlayResult(BeliefPath(beliefs, choices), finite_ne, mfe, dist_ne, dist_mfe)
 
 
 def symmetric_ne_scalar(game: SingleStageGame, tol: float = 1e-12, max_bisect: int = 200) -> np.ndarray:

@@ -4,15 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import exact_expected_log_share
+import helpers
+from helpers import exact_expected_log_share, fp_run_day_by_day, random_game
 from mftroute import (
     SingleStageGame,
     assumed_cost,
     expected_tax_symmetric,
+    fictitious_play,
     fp_run,
     solve_symmetric_ne,
 )
+from mftroute.fictitious_play import _LOOKAHEAD
 
 
 def test_game_construction_rejects_bad_inputs():
@@ -185,3 +190,74 @@ def test_run_rejects_bad_arguments(three_route_game):
         fp_run(three_route_game(10), np.full(3, np.nan), days=10)
     with pytest.raises(ValueError, match="2 entries for 3 routes"):
         fp_run(three_route_game(10), np.array([0.5, 0.5]), days=10)
+
+
+def test_days_is_a_whole_number_of_at_least_one(three_route_game):
+    game, initial = three_route_game(10), np.full(3, 1 / 3)
+    three = fp_run(game, initial, 3).path.beliefs.tobytes()
+    for days in (3.0, np.float64(3.0), np.int64(3)):
+        assert fp_run(game, initial, days).path.beliefs.tobytes() == three
+    for days in (2.5, np.float64(0.5), np.nan, np.inf):
+        with pytest.raises(ValueError, match="^days must be an integer, got"):
+            fp_run(game, initial, days)
+    for days in (0, 0.0, -4):
+        with pytest.raises(ValueError, match="^days must be >= 1$"):
+            fp_run(game, initial, days)
+
+
+def _same_bits(got, want) -> bool:
+    return got.tobytes() == want.tobytes() and got.dtype == want.dtype
+
+
+@st.composite
+def fp_cases(draw):
+    """A random game at a drawn N, a uniform, vertex or sparse start with 0.0 and -0.0 entries, and a day count.
+
+    Half the games round the travel costs to integers and take a uniform
+    reference, so that routes holding equal beliefs tie.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = random_game(rng)
+    n_players = draw(st.sampled_from([1, 2, 20, 200, 257, 1000]))
+    costs, reference = base.travel_cost, base.reference
+    if draw(st.booleans()):
+        costs, reference = np.round(costs), np.full(len(costs), 1.0 / len(costs))
+    game = SingleStageGame(costs, reference, base.alpha, n_players)
+    routes = game.route_count
+    kind = draw(st.sampled_from(["uniform", "vertex", "sparse"]))
+    if kind == "uniform":
+        initial = np.full(routes, 1.0 / routes)
+    else:
+        # zeros of either sign off the support, which the first update turns into 0.0
+        initial = np.where(rng.random(routes) < 0.5, -0.0, 0.0)
+        support = rng.permutation(routes)[: 1 if kind == "vertex" else int(rng.integers(1, routes))]
+        initial[support] = rng.dirichlet(np.ones(len(support)))
+    days = draw(st.sampled_from([1, _LOOKAHEAD - 1, _LOOKAHEAD, _LOOKAHEAD + 1, 3 * _LOOKAHEAD + 2, 300]))
+    return game, initial, days
+
+
+@settings(max_examples=60)
+@given(fp_cases())
+def test_lookahead_matches_the_day_by_day_run_bit_for_bit(case):
+    game, initial, days = case
+    got, want = fp_run(game, initial, days), fp_run_day_by_day(game, initial, days)
+    assert _same_bits(got.path.beliefs, want.path.beliefs)
+    assert _same_bits(got.path.choices, want.path.choices)
+    assert _same_bits(got.dist_to_finite_ne, want.dist_to_finite_ne)
+    assert _same_bits(got.dist_to_mfe, want.dist_to_mfe)
+
+
+def test_a_nan_cost_is_chosen_first_as_argmin_chooses_it(monkeypatch):
+    """alpha near the float maximum and a tiny reference: the second route's toll is -inf - (-inf), a NaN, and argmin picks it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        game = SingleStageGame(np.zeros(3), np.array([0.5, 1e-300, 0.5 - 1e-300]), 1e308, 20)
+        assert np.isnan(assumed_cost(game, np.array([1.0, 0.0, 0.0]))[1])
+        # the solver finds no used route in this game; the days alone are compared
+        uniform = type("Equilibrium", (), {"q": np.full(3, 1 / 3)})()
+        for module in (fictitious_play, helpers):
+            monkeypatch.setattr(module, "solve_symmetric_ne", lambda _: uniform)
+        for initial in ([1.0, 0.0, 0.0], [0.9, 0.0, 0.1]):
+            got, want = fp_run(game, initial, 9).path, fp_run_day_by_day(game, np.array(initial), 9).path
+            assert got.choices.tolist() == want.choices.tolist()
+            assert got.choices[0] == 1
+            assert _same_bits(got.beliefs, want.beliefs)

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import helpers
 from helpers import exact_expected_log_share, random_game, route_loads_bisection, solve_symmetric_ne_bisection
 from mftroute import (
     SingleStageGame,
@@ -16,6 +18,7 @@ from mftroute import (
     finite_population,
     solve_single_stage_mfe,
     solve_symmetric_ne,
+    symmetric_equilibrium,
 )
 from mftroute.cli import FIG4_ALPHA, FIG4_COSTS, FIG4_REFERENCE, three_route_scenario
 from mftroute.symmetric_equilibrium import _brackets
@@ -188,6 +191,46 @@ def test_fig4_solve_makes_few_kernel_calls(monkeypatch, players):
     game = SingleStageGame(np.array(FIG4_COSTS), np.array(FIG4_REFERENCE), FIG4_ALPHA, players)
     solve_symmetric_ne(game)
     assert 0 < len(calls) <= 200
+
+
+def test_fig4_solve_resumes_its_walks_and_probes_two_levels(monkeypatch):
+    """At N = 200, walks from [0, 1] on every step and one level per call made 55 kernel calls and about 6 200 memo lookups."""
+    calls, lookups = [], []
+    entry = symmetric_equilibrium.binomial_expected_log_share
+
+    def counted(n_players, probs):
+        calls.append(np.size(probs))
+        return entry(n_players, probs)
+
+    def profile(frame, event, arg):
+        # every memo.get of the solver's walks and of the descents to their start nodes
+        if event == "c_call" and frame.f_code.co_filename == symmetric_equilibrium.__file__:
+            if getattr(arg, "__name__", None) == "get" and isinstance(getattr(arg, "__self__", None), dict):
+                lookups.append(frame.f_code.co_name)
+
+    monkeypatch.setattr(symmetric_equilibrium, "binomial_expected_log_share", counted)
+    game = SingleStageGame(np.array(FIG4_COSTS), np.array(FIG4_REFERENCE), FIG4_ALPHA, 200)
+    sys.setprofile(profile)
+    try:
+        result = solve_symmetric_ne(game)
+    finally:
+        sys.setprofile(None)
+    assert 0 < len(calls) <= 35
+    assert 0 < len(lookups) <= 2500 and set(lookups) == {"_brackets", "_shared"}
+    assert result.q.tobytes() == solve_symmetric_ne_bisection(game).q.tobytes()
+
+
+@pytest.mark.parametrize("max_bisect", [6, 9, 20, 30])
+def test_resumed_walks_keep_the_bisection_step_limit(monkeypatch, max_bisect):
+    """A walk that resumes from a shared bracket counts the steps above it: a low limit closes it where nested bisection does."""
+    monkeypatch.setattr(symmetric_equilibrium, "_MAX_BISECT", max_bisect)
+    monkeypatch.setattr(helpers, "_MAX_BISECT", max_bisect)
+    rng = np.random.default_rng(46)
+    for _ in range(20):
+        game = random_game(rng)
+        got, want = solve_symmetric_ne(game), solve_symmetric_ne_bisection(game)
+        assert np.array_equal(_bits(got.q), _bits(want.q))
+        assert np.array_equal(_bits(got.lam), _bits(want.lam))
 
 
 def test_symmetric_game_has_the_uniform_equilibrium():
