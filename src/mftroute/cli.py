@@ -15,7 +15,6 @@ import os
 import sys
 import time
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .fictitious_play import FictitiousPlayResult, fp_run
-from .finite_population import GENERATOR_NAME, _nash_gap_rows, realized_taxes, simulate_population
+from .finite_population import GENERATOR_NAME, _nash_gap_rows, realized_taxes, simulate_replications
 from .kl_solver import PolicyKernel, backward_pass, extract_policy, value
 from .mean_field import FlowTrajectory, equalizer_gap, mfe_solve, random_policy
 from .scenario import (
@@ -351,15 +350,11 @@ def _cmd_simulate(args) -> int:
     policy = read_policy_csv(args.policy, scenario)
     digests["policy"] = _digest(args.policy)
 
-    def replication(seeds) -> tuple[np.ndarray, ...]:
-        return realized_taxes(simulate_population(scenario, policy, args.agents, seeds), scenario)
-
     cpus = os.cpu_count() or 1
-    children = np.random.SeedSequence(args.seed).spawn(args.reps)
-    # at most one worker per CPU and per replication; at least one, so --reps 0 writes a header
-    with ThreadPoolExecutor(max_workers=max(1, min(args.threads or cpus, cpus, args.reps))) as pool:
-        # substreams make replications order-independent; map keeps output order
-        tables = list(pool.map(replication, children))
+    # at most one thread per CPU and per replication, and at least one, also for --reps 0
+    threads = max(1, min(args.threads or cpus, cpus, args.reps))
+    samples = simulate_replications(scenario, policy, args.agents, args.seed, args.reps, threads)
+    tables = [realized_taxes(sample, scenario) for sample in samples]
     reps = np.repeat(np.arange(args.reps), [len(table[0]) for table in tables])
     columns = [reps, *(np.concatenate(column) for column in zip(*tables))]
     write_csv(args.out, "rep,t,i,j,count,realized_tax", columns, _manifest(args, start, digests))

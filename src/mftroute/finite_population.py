@@ -12,8 +12,12 @@ Monte Carlo is a cross-check, not the primary path.
 from __future__ import annotations
 
 import math
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -468,41 +472,90 @@ def simulate_population(
     one multinomial draw over P_0, and at each stage the agents of each
     occupied node, in ascending node order, are one multinomial draw over
     the node's policy row divided by its total, all in one call per stage.
-    A positive row need not sum to 1; an occupied node whose row has an
-    entry that is not finite and >= 0, or sums to 0, raises a ValueError
-    that names it (the lowest such node of the earliest such stage).  P_0
-    must have no negative or NaN entry and sum to 1 within _MASS_TOL, else
-    a ValueError is raised before any draw.
+    The rows are read from one sampling table, built first (see
+    _sampling_table).  A positive row need not sum to 1; an occupied node
+    whose row has an entry that is not finite and >= 0, or sums to 0,
+    raises a ValueError that names it (the lowest such node of the earliest
+    such stage).  P_0 must have no negative or NaN entry and sum to 1
+    within _MASS_TOL, else a ValueError is raised before any draw.
     """
+    draw = _sampler(scenario, policy, n_agents)
+    return draw(seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed))
+
+
+def simulate_replications(
+    scenario: Scenario, policy: PolicyKernel, n_agents: int, seed: int, reps: int, threads: int = 1
+):
+    """Independent replications on substreams spawned from one root seed, yielded in order.
+
+    One sampling table serves every replication.  With ``threads`` = 1 each
+    replication is drawn as it is iterated; with more, a pool of that many
+    threads draws at most ``threads`` replications ahead of the one
+    yielded.  Each replication draws from its own substream, so the thread
+    count never changes a sample, and a fault of replication k is raised
+    after replications 0..k-1 are yielded.  A ``reps`` that is negative or
+    not an integer, a ``threads`` below 1, and every check that
+    simulate_population makes before its first draw raise a ValueError at
+    the call.
+    """
+    children = np.random.SeedSequence(seed).spawn(_player_count(reps, "reps", least=0))
+    threads = _player_count(threads, "threads")
+    draw = _sampler(scenario, policy, n_agents)
+    return map(draw, children) if threads == 1 else _pooled(draw, children, threads)
+
+
+def _pooled(draw, children: list, threads: int):
+    """draw over the children in a pool of ``threads`` threads, at most ``threads`` ahead of the consumer."""
+    ahead = iter(children)
+    with ThreadPoolExecutor(threads) as pool:
+        running = deque(pool.submit(draw, child) for child in islice(ahead, threads))
+        while running:
+            sample = running.popleft().result()
+            running.extend(pool.submit(draw, child) for child in islice(ahead, 1))
+            yield sample
+
+
+def _sampler(scenario: Scenario, policy: PolicyKernel, n_agents: int):
+    """The rollout of n_agents under the policy, as a function of its seed sequence; the checks are made here."""
     n_agents = _player_count(n_agents, "n_agents")
     _check_policy_shape(scenario, policy)
     start = _start_probs(scenario.initial.mass)
-    seeds = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rng = np.random.default_rng(seeds)
-    g = scenario.graph
-    t_count = scenario.horizon
-    degrees = g.row_start[1:] - g.row_start[:-1]
+    return partial(_rollout, scenario.graph, _sampling_table(scenario.graph, policy.probs), start, n_agents)
 
-    node_counts = np.zeros((t_count + 1, g.node_count), dtype=np.int64)
-    edge_counts = np.empty((t_count, g.edge_count), dtype=np.int64)
+
+def _rollout(
+    graph: TrafficGraph, table: _SamplingTable, start: np.ndarray, n_agents: int, seeds: np.random.SeedSequence
+) -> PopulationSample:
+    """One rollout drawn from the table on the stream of ``seeds``; see simulate_population."""
+    rng = np.random.default_rng(seeds)
+    t_count, v_count = table.drawable.shape
+    degrees = graph.row_start[1:] - graph.row_start[:-1]
+    node_counts = np.zeros((t_count + 1, v_count), dtype=np.int64)
+    edge_counts = np.empty((t_count, graph.edge_count), dtype=np.int64)
 
     node_counts[0, : len(start)] = rng.multinomial(n_agents, start)
     for t in range(t_count):
         occupied = node_counts[t].nonzero()[0]
-        rows, edges = _policy_rows(g, policy.probs[t], t, occupied, degrees[occupied])
+        drawable = table.drawable[t, occupied]
+        if not drawable.all():
+            node = int(occupied[np.argmin(drawable)])
+            lo, hi = graph.row_start[node : node + 2]
+            raise _row_fault(graph, table.probs[t, lo:hi], t, node)
+        # as many last columns as the widest occupied row fills; the zeros ahead of a row draw nothing
+        first = -max(int(degrees[occupied].max()), 1)
         # row k of taken: how many of occupied node k's agents take each edge of edges[k]
-        taken = rng.multinomial(node_counts[t, occupied], rows).ravel()
-        edges = edges.ravel()
-        edge_counts[t] = np.bincount(edges, weights=taken, minlength=g.edge_count)
+        taken = rng.multinomial(node_counts[t, occupied], table.rows[t, occupied, first:]).ravel()
+        edges = table.edges[t, occupied, first:].ravel()
+        edge_counts[t] = np.bincount(edges, weights=taken, minlength=graph.edge_count)
         # float sums of integer counts, exact below 2**53
-        node_counts[t + 1] = np.bincount(g.edge_dst[edges], weights=taken, minlength=g.node_count)
+        node_counts[t + 1] = np.bincount(graph.edge_dst[edges], weights=taken, minlength=v_count)
 
     entropy = int(seeds.entropy) if np.ndim(seeds.entropy) == 0 else tuple(map(int, seeds.entropy))
     return PopulationSample(n_agents, node_counts, edge_counts, entropy, seeds.spawn_key)
 
 
 def _start_probs(mass: np.ndarray) -> np.ndarray:
-    """P_0 divided by its sum and cut after its last positive entry (see _policy_rows).
+    """P_0 divided by its sum and cut after its last positive entry (see _sampling_table).
 
     A negative or NaN entry, or a sum farther than _MASS_TOL from 1, raises
     a ValueError.
@@ -519,37 +572,70 @@ def _start_probs(mass: np.ndarray) -> np.ndarray:
     return probs[: np.flatnonzero(probs)[-1] + 1]
 
 
-def _policy_rows(graph: TrafficGraph, probs: np.ndarray, t: int, occupied: np.ndarray, degree: np.ndarray):
-    """The occupied nodes' policy rows, each divided by its total, and the edges of their columns.
+class _SamplingTable(NamedTuple):
+    """One policy's rows as the stage draws take them; built by _sampling_table and only read after."""
 
-    ``degree`` holds the occupied nodes' degrees.  Row k lists occupied
-    node k's edges in order, rolled so that its last positive entry ends
-    the row; the zeros after that entry, and the padding past the node's
-    degree, come first.  numpy's multinomial gives the last column whatever
-    the earlier columns leave over, which rounding makes positive now and
-    then, so a zero there could take agents; a zero ahead of the first
-    positive entry takes none and draws nothing.  A column rolled to the
-    front names an earlier edge, or edge 0, and takes no agents.  The
-    totals are summed in sequence along each row, so padding does not
-    change them.
+    probs: np.ndarray  # (T, E) the policy, read only to name a bad row
+    rows: np.ndarray  # (T, V, D) each row over its total, its last positive entry in the last column
+    edges: np.ndarray  # (T, V, D) the edge of each column
+    drawable: np.ndarray  # (T, V) the row may be drawn from
+
+
+def _sampling_table(graph: TrafficGraph, probs: np.ndarray) -> _SamplingTable:
+    """Every node's policy row at every stage, divided by its total and right-aligned, with its edges.
+
+    D is the graph's largest out-degree (at least 1).  The table holds
+    T·V·D floats and as many edge indices; on a grid, where nearly every
+    node has D edges, each of the two is about one (T, E) table.  Building
+    it holds little more than the two.
+
+    Row (t, i) lists node i's edges in order, shifted right so that its
+    last positive entry ends the row, and the columns ahead of its first
+    entry are 0.0.  numpy's multinomial gives the last column whatever the
+    earlier columns leave over, which rounding makes positive now and then,
+    so a zero there could take agents; a zero ahead of the first positive
+    entry takes none and draws nothing.  A column ahead of the row names an
+    earlier edge, or edge 0, and takes no agents.  The totals are summed in
+    sequence along each row, as cumsum sums, so padding does not change
+    them.  ``drawable[t, i]`` is False where the row has an entry that is
+    not finite and >= 0, or a total that is not positive and finite; such a
+    row is never drawn from, and its table entries mean nothing.  Nobody
+    may stand at such a node, so the builder neither raises nor warns.
     """
-    lo = graph.row_start[occupied]
-    # at least one column: an occupied node without edges has a zero total
-    columns = np.arange(max(int(degree.max()), 1))
-    rows = probs.take(lo[:, None] + columns, mode="clip")
-    rows[columns >= degree[:, None]] = 0.0
-    totals = rows.cumsum(axis=1)[:, -1]
-    # NaN fails every comparison, and an infinite entry makes its total fail
-    if not (rows.min() >= 0.0 and totals.min() > 0.0 and totals.max() < math.inf):
-        good = (rows.min(axis=1) >= 0.0) & (totals > 0.0) & (totals < math.inf)
-        k = int(np.argmin(good))
-        raise _row_fault(graph, probs[lo[k] : lo[k] + degree[k]], t, int(occupied[k]))
-    rows /= totals[:, None]
-    # the zeros after each row's last positive entry, which a positive total guarantees; the
-    # negative columns of order index them from the row's end
-    trailing = np.argmax(rows[:, ::-1] > 0.0, axis=1)
-    order = columns - trailing[:, None]
-    return rows[np.arange(len(rows))[:, None], order], np.maximum(lo[:, None] + order, 0)
+    t_count = len(probs)
+    lo = graph.row_start[:-1]
+    degrees = graph.row_start[1:] - lo
+    width = max(int(degrees.max(initial=0)), 1)
+    columns = np.arange(width)
+    # an edge-less graph reads one zero column: each of its rows sums to 0
+    source = probs if probs.shape[1] else np.zeros((t_count, 1))
+    with np.errstate(invalid="ignore", over="ignore"):
+        # the rows as they stand, padded with zeros past each node's degree
+        index = lo[:, None] + columns
+        rows = source.take(np.minimum(index, source.shape[1] - 1, out=index), axis=1)
+        del index
+        np.copyto(rows, 0.0, where=columns >= degrees[:, None])
+        # column by column: a reduction along a short last axis is several times slower
+        totals, least = rows[..., 0].copy(), rows[..., 0].copy()
+        for column in range(1, width):
+            totals += rows[..., column]
+            np.minimum(least, rows[..., column], out=least)
+        drawable = (least >= 0.0) & (totals > 0.0) & (totals < math.inf)
+        # how many zeros follow each row's last positive entry
+        shift = np.argmax(rows[..., ::-1] > 0.0, axis=2)
+        edges = columns - shift[..., None]
+        edges += lo[:, None]
+        # a row that cannot be drawn from may run past the last edge
+        np.clip(edges, 0, source.shape[1] - 1, out=edges)
+        # shift the rows right in place, all rows of one shift at a time
+        flat, shifts = rows.reshape(-1, width), shift.ravel()
+        for by in np.unique(shifts[shifts > 0]).tolist():
+            moved = np.flatnonzero(shifts == by)
+            flat[moved, by:] = flat[moved, :-by]
+            flat[moved, :by] = 0.0
+        np.copyto(totals, 1.0, where=~drawable)
+        rows /= totals[..., None]
+    return _SamplingTable(probs, _readonly(rows), _readonly(edges, np.intp), _readonly(drawable, np.bool_))
 
 
 def _row_fault(graph: TrafficGraph, row: np.ndarray, t: int, node: int) -> ValueError:
@@ -568,15 +654,6 @@ def _row_fault(graph: TrafficGraph, row: np.ndarray, t: int, node: int) -> Value
         f"sums to {float(np.sum(row))!r}; "
         "an occupied node's routing probabilities must have a positive finite sum"
     )
-
-
-def simulate_replications(scenario: Scenario, policy: PolicyKernel, n_agents: int, seed: int, reps: int):
-    """Independent replications on substreams spawned from one root seed, drawn as they are iterated.
-
-    A ``reps`` that is negative or not an integer raises a ValueError at the call.
-    """
-    children = np.random.SeedSequence(seed).spawn(_player_count(reps, "reps", least=0))
-    return (simulate_population(scenario, policy, n_agents, child) for child in children)
 
 
 def realized_taxes(sample: PopulationSample, scenario: Scenario) -> tuple[np.ndarray, ...]:

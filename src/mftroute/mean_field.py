@@ -67,8 +67,9 @@ def _deviation_costs(
     rows into one (K, E) flow, adds each trial's masked dot, and advances
     all K distributions with one bincount: bin k*V + dest sums trial k's
     edges in edge order, as a bincount over trial k alone would.  A trial
-    stops at its first fault, a negative or NaN entry (ValueError) or mass
-    on a zero-support edge (ZeroSupportError); the lowest failed trial's
+    stops at its first fault, an entry that is not finite and >= 0
+    (ValueError) or mass on a zero-support edge (ZeroSupportError); the
+    check reads the trial's rows, reached or not; the lowest failed trial's
     fault is raised, as evaluating the trials one after another would.
     """
     for trial in trials:
@@ -85,15 +86,21 @@ def _deviation_costs(
     for t in range(scenario.horizon):
         for row, trial in zip(edge_flow, trials):
             row[:] = trial.probs[t]
-        bad = ~(edge_flow >= 0)
+        # a NaN entry fails both comparisons, a negative one the first and an infinite one the
+        # second; the rows are searched only when the whole block fails
+        failed = np.zeros(k_count, dtype=bool)
+        if not (edge_flow.min(initial=0.0) >= 0 and edge_flow.max(initial=0.0) < np.inf):
+            failed = ~((edge_flow >= 0) & (edge_flow < np.inf)).all(axis=1)
         # np.take keeps the gather C-ordered; dists[:, edge_src] is Fortran-ordered and
-        # made this product several times slower
-        edge_flow *= np.take(dists, g.edge_src, axis=1)
+        # made this product several times slower.  An infinite entry where no mass stands
+        # makes a NaN here, in a failed row.
+        with np.errstate(invalid="ignore"):
+            edge_flow *= np.take(dists, g.edge_src, axis=1)
         used = edge_flow > 0
         dead = used & np.isneginf(toll_log[t])
-        for k in np.flatnonzero((bad | dead).any(axis=1)).tolist():
+        for k in np.flatnonzero(failed | dead.any(axis=1)).tolist():
             if k not in faults:
-                faults[k] = _fault(scenario, trials[k], k, t, bad[k], dead[k])
+                faults[k] = _fault(scenario, trials[k], k, t, dead[k])
         if 0 in faults:  # trial 0's fault is the one raised, whatever later stages find
             break
         log_ref = np.log(scenario.reference.probs[t])
@@ -107,17 +114,16 @@ def _deviation_costs(
     return totals
 
 
-def _fault(
-    scenario: Scenario, trial: PolicyKernel, k: int, t: int, bad: np.ndarray, dead: np.ndarray
-) -> ValueError:
-    """Trial k's fault at stage t: its first entry that is not >= 0, else its first zero-support edge."""
+def _fault(scenario: Scenario, trial: PolicyKernel, k: int, t: int, dead: np.ndarray) -> ValueError:
+    """Trial k's fault at stage t: its first entry that is not finite and >= 0, else its first zero-support edge."""
     g = scenario.graph
+    bad = ~(np.isfinite(trial.probs[t]) & (trial.probs[t] >= 0))
     e = int(np.flatnonzero(bad if bad.any() else dead)[0])
     node, dest = int(g.edge_src[e]), int(g.edge_dst[e])
     if bad.any():
         return ValueError(
             f"trial policy {k} has probability {float(trial.probs[t, e])!r} at stage {t}, node {node}, "
-            f"edge to {dest}; routing probabilities must be >= 0"
+            f"edge to {dest}; routing probabilities must be finite and >= 0"
         )
     return ZeroSupportError(t, node, dest)
 
@@ -132,7 +138,7 @@ def evaluate_policy_cost(
     The flow goes forward a stage row at a time, so no (T+1, V) flow table
     is made.  Raises ZeroSupportError when the deviation is weighted onto an
     edge with zero population probability, and ValueError when ``policy``
-    has a negative or NaN entry.
+    has an entry that is not finite and >= 0.
     """
     return _deviation_costs(scenario, [policy], population_policy)[0]
 
@@ -150,15 +156,15 @@ def equalizer_gap(
     the cost of every admissible deviation.  ``trial_policies`` is read
     into a list and all trials are evaluated in one forward pass, so every
     trial's table is held at once; the first failed trial's error is raised.
+    A NaN cost makes the gap NaN.
     """
     trials = list(trial_policies)
     if desirability is None:
         desirability = backward_pass(scenario)
     v0 = value(desirability, scenario.initial, 0)
-    gap = 0.0
-    for cost in _deviation_costs(scenario, trials, population_policy):
-        gap = max(gap, abs(cost - v0))
-    return gap
+    costs = np.array(_deviation_costs(scenario, trials, population_policy))
+    # np.max keeps a NaN, where max(gap, nan) would keep gap
+    return float(np.max(np.abs(costs - v0), initial=0.0))
 
 
 def mfe_solve(scenario: Scenario) -> MeanFieldSolution:

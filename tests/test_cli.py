@@ -17,9 +17,11 @@ from mftroute import (
     build_gridworld,
     cli,
     expected_tax_gap,
+    finite_population,
     mfe_solve,
     read_scenario,
     serialize,
+    simulate_replications,
     write_scenario,
 )
 from mftroute.cli import (
@@ -519,24 +521,6 @@ def test_a_bad_byte_after_a_byte_order_mark_is_an_error_at_its_line(tmp_path, th
     assert not out.exists()
 
 
-class _SerialPool:
-    """Stands in for ThreadPoolExecutor: records the requested pool size and maps in the caller."""
-
-    sizes: list[int] = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-
 @pytest.mark.parametrize(
     "threads, reps, cpus, size",
     [("5000", "5000", 2, 2), ("0", "5000", 3, 3), ("0", "2", None, 1), ("4", "0", 8, 1), ("3", "2", 8, 2)],
@@ -544,15 +528,35 @@ class _SerialPool:
 def test_simulate_pool_is_capped_by_cpus_and_reps(tmp_path, three_route_file, monkeypatch, threads, reps, cpus, size):
     policy_csv = tmp_path / "policy.csv"
     main(["mfe", "--scenario", str(three_route_file), "--out-policy", str(policy_csv)])
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", _SerialPool)
+    sizes = []
+
+    def serial(scenario, policy, n_agents, seed, reps, threads):
+        sizes.append(threads)
+        return simulate_replications(scenario, policy, n_agents, seed, reps)
+
+    monkeypatch.setattr(cli, "simulate_replications", serial)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(_SerialPool, "sizes", [])
     out = tmp_path / "sim.csv"
     args = ["simulate", "--scenario", str(three_route_file), "--policy", str(policy_csv), "--agents", "2",
             "--threads", threads, "--reps", reps, "--out", str(out)]
     assert main(args) == 0
-    assert _SerialPool.sizes == [size]
+    assert sizes == [size]
     assert len({line.split(",")[0] for line in _payload(out)[1:]}) == int(reps)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_simulate_builds_one_sampling_table_per_run(tmp_path, three_route_file, monkeypatch, threads):
+    policy_csv = tmp_path / "policy.csv"
+    main(["mfe", "--scenario", str(three_route_file), "--out-policy", str(policy_csv)])
+    builds = []
+    build = finite_population._sampling_table
+    monkeypatch.setattr(finite_population, "_sampling_table", lambda *args: builds.append(args) or build(*args))
+    out = tmp_path / "sim.csv"
+    args = ["simulate", "--scenario", str(three_route_file), "--policy", str(policy_csv), "--agents", "20",
+            "--threads", threads, "--reps", "3", "--out", str(out)]
+    assert main(args) == 0
+    assert len(builds) == 1
+    assert len({line.split(",")[0] for line in _payload(out)[1:]}) == 3
 
 
 def test_gridworld_subcommand_writes_loadable_scenario(tmp_path):

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -409,6 +410,14 @@ def test_an_occupied_node_without_edges_is_located():
     message = "policy row at stage 1, node 1 (no edges) sums to 0.0; "
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         simulate_population(dead_end, PolicyKernel(np.ones((2, 1))), 5, seed=1)
+    # a graph without edges at all
+    nowhere = Scenario(
+        TrafficGraph(((),)), StageCosts(1, np.ones((1, 0))), ReferencePolicy(np.ones((1, 0))), 1.0,
+        Distribution.point_mass(1, 0),
+    )
+    message = "policy row at stage 0, node 0 (no edges) sums to 0.0; "
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        simulate_population(nowhere, PolicyKernel(np.ones((1, 0))), 5, seed=1)
 
 
 def test_a_rollout_keeps_counts_not_agent_paths():
@@ -446,6 +455,110 @@ def test_simulate_replications_rejects_a_bad_rep_count(three_route):
             simulate_replications(three_route, policy, 10, 0, reps)
     assert list(simulate_replications(three_route, policy, 10, 0, 0)) == []
     assert [sample.spawn_key for sample in simulate_replications(three_route, policy, 10, 0, 2.0)] == [(0,), (1,)]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    nodes=st.integers(2, 320),
+    hub_degree=st.integers(1, 320),
+    horizon=st.integers(1, 4),
+    start=st.sampled_from(["hub", "uniform", "dirichlet"]),
+    zeros=st.sampled_from([0.0, 0.3, 0.6]),
+    scale=st.sampled_from([1.0, 2.0, 0.37]),
+    n_agents=st.integers(1, 3000),
+    bad=st.integers(0, 3),
+    reps=st.integers(3, 5),
+    threads=st.sampled_from([1, 2]),
+)
+@example(seed=1, nodes=300, hub_degree=300, horizon=3, start="uniform", zeros=0.3, scale=2.0, n_agents=3000, bad=0,
+         reps=4, threads=2)
+@example(seed=3, nodes=300, hub_degree=5, horizon=1, start="uniform", zeros=0.0, scale=1.0, n_agents=3000, bad=3,
+         reps=3, threads=1)
+def test_replications_are_bit_identical_to_the_multinomial_loop(
+    seed, nodes, hub_degree, horizon, start, zeros, scale, n_agents, bad, reps, threads
+):
+    """Every replication, drawn from the one shared table, is the loop's rollout on its substream; a fault ends them."""
+    rng = np.random.default_rng(seed)
+    scenario, policy = _hub_scenario(rng, nodes, min(hub_degree, nodes), horizon, start, zeros, scale)
+    if bad:
+        policy = _with_bad_rows(scenario, policy, rng, bad)
+    root = int(rng.integers(1000))
+    samples = simulate_replications(scenario, policy, n_agents, root, reps, threads)
+    for child in np.random.SeedSequence(root).spawn(reps):
+        try:
+            want = simulate_population_multinomial_loop(scenario, policy, n_agents, child)
+        except ValueError as error:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(error))}$"):
+                next(samples)
+            return
+        got = next(samples)
+        for name in ("node_counts", "edge_counts"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert (got.n_agents, got.seed, got.spawn_key) == (want.n_agents, want.seed, want.spawn_key)
+    assert next(samples, None) is None
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_one_sampling_table_serves_every_replication(monkeypatch, threads):
+    scenario = build_gridworld(6, 5, [8, 14, 21], 0, 29, 12, 0.3)
+    policy = mfe_solve(scenario).policy
+    tables = []
+    build = finite_population._sampling_table
+    monkeypatch.setattr(finite_population, "_sampling_table", lambda *args: tables.append(build(*args)) or tables[-1])
+    samples = simulate_replications(scenario, policy, 200, 9, 4, threads)
+    assert len(tables) == 1  # built at the call, before any draw
+    assert len(list(samples)) == 4
+    assert len(tables) == 1
+    assert not tables[0].rows.flags.writeable and not tables[0].edges.flags.writeable
+
+
+def test_more_threads_than_cores_draw_what_one_thread_draws():
+    # the threads share one read-only table; switching between them every microsecond must not change a draw
+    scenario = fig2_scenario(1.0)
+    policy = mfe_solve(scenario).policy
+    want = [sample.edge_counts.tobytes() for sample in simulate_replications(scenario, policy, 2000, 3, 8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = [sample.edge_counts.tobytes() for sample in simulate_replications(scenario, policy, 2000, 3, 8, 4)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_replication_fault_comes_after_the_replications_before_it(threads):
+    # one agent, so each replication stands on one node per stage; spoil the row of a node that
+    # replication k is the first to reach at stage 3
+    scenario = build_gridworld(6, 5, [8, 14, 21], 0, 29, 12, 0.3)
+    policy = mfe_solve(scenario).policy
+    root, reps, t = 21, 8, 3
+    clean = [simulate_population(scenario, policy, 1, child) for child in np.random.SeedSequence(root).spawn(reps)]
+    at = [int(np.flatnonzero(sample.node_counts[t])[0]) for sample in clean]
+    k = next(k for k in range(2, reps) if at[k] not in at[:k])
+    probs = policy.probs.copy()
+    probs[t, edge_slice(scenario.graph, at[k]).start] = math.nan
+    samples = simulate_replications(scenario, PolicyKernel(probs), 1, root, reps, threads)
+    for want in clean[:k]:
+        assert next(samples).edge_counts.tobytes() == want.edge_counts.tobytes()
+    with pytest.raises(ValueError, match=f"^policy has probability nan at stage {t}, node {at[k]}, "):
+        next(samples)
+
+
+def test_simulate_replications_checks_its_inputs_at_the_call(three_route):
+    policy = mfe_solve(three_route).policy
+    spoiled = dataclasses.replace(three_route, initial=Distribution(np.array([0.5, -0.25, 0.75, 0.0])))
+    cases = [
+        ((three_route, policy, 0), {}, "n_agents must be >= 1"),
+        ((three_route, policy, 2.5), {}, "n_agents must be an integer, got 2.5"),
+        ((three_route, PolicyKernel(np.ones((2, 3))), 10), {}, f"policy shape (2, 3), expected {policy.probs.shape}"),
+        ((spoiled, policy, 10), {}, "initial mass -0.25 at node 1; initial masses must be >= 0"),
+        ((three_route, policy, 10), {"threads": 0}, "threads must be >= 1"),
+    ]
+    for reps in (0, 3):
+        for (scenario, kernel, n_agents), options, message in cases:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                simulate_replications(scenario, kernel, n_agents, 0, reps, **options)
 
 
 # ---------------------------------------------------------------------------

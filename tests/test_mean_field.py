@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -29,6 +32,7 @@ from mftroute import (
     simulate_population,
     value,
 )
+from mftroute import mean_field
 from mftroute.cli import (
     FIG2_DESTINATION,
     FIG2_HEIGHT,
@@ -247,6 +251,30 @@ def test_a_trial_entry_that_is_not_nonnegative_is_rejected_with_its_place(spoil)
     with pytest.raises(ValueError, match=f"trial policy 2 has probability .* {place}") as excinfo:
         equalizer_gap(scenario, population, trials)
     assert type(excinfo.value) is ValueError
+
+
+@pytest.mark.parametrize("node", [FIG2_ORIGIN, FIG2_DESTINATION], ids=["reached", "unreached"])
+def test_an_infinite_trial_entry_is_rejected_with_its_place(node):
+    # fig2 starts as a point mass at its origin: at stage 0 no mass stands at the destination
+    scenario = fig2_scenario(1.0)
+    solution = mfe_solve(scenario)
+    g = scenario.graph
+    e = edge_slice(g, node).start
+    bad = _spoiled_trial(scenario, 0, lambda probs: probs.__setitem__((0, e), np.inf))
+    place = f"at stage 0, node {node}, edge to {int(g.edge_dst[e])}; routing probabilities must be finite and >= 0"
+    with pytest.raises(ValueError, match=f"^trial policy 0 has probability inf {re.escape(place)}$"):
+        evaluate_policy_cost(scenario, bad, solution.policy)
+    trials = [random_policy(scenario, np.random.default_rng(1)), bad]
+    with pytest.raises(ValueError, match=f"^trial policy 1 has probability inf {re.escape(place)}$"):
+        equalizer_gap(scenario, solution.policy, trials, solution.desirability)
+
+
+def test_a_nan_cost_makes_the_equalizer_gap_nan(monkeypatch, three_route):
+    solution = mfe_solve(three_route)
+    monkeypatch.setattr(mean_field, "_deviation_costs", lambda *args: [1.0, math.nan, 2.0])
+    assert math.isnan(equalizer_gap(three_route, solution.policy, [], solution.desirability))
+    monkeypatch.setattr(mean_field, "_deviation_costs", lambda *args: [])
+    assert equalizer_gap(three_route, solution.policy, [], solution.desirability) == 0.0
 
 
 def test_equalizer_gap_raises_the_first_failed_trials_zero_support_error():
