@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
-import os
 import sys
 import time
 from collections.abc import Iterator
@@ -350,10 +349,7 @@ def _cmd_simulate(args) -> int:
     policy = read_policy_csv(args.policy, scenario)
     digests["policy"] = _digest(args.policy)
 
-    cpus = os.cpu_count() or 1
-    # at most one thread per CPU and per replication, and at least one, also for --reps 0
-    threads = max(1, min(args.threads or cpus, cpus, args.reps))
-    samples = simulate_replications(scenario, policy, args.agents, args.seed, args.reps, threads)
+    samples = simulate_replications(scenario, policy, args.agents, args.seed, args.reps)
     tables = [realized_taxes(sample, scenario) for sample in samples]
     reps = np.repeat(np.arange(args.reps), [len(table[0]) for table in tables])
     columns = [reps, *(np.concatenate(column) for column in zip(*tables))]
@@ -523,7 +519,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = scenario_parser("simulate", "finite-population Monte Carlo with realized tolls")
     p.add_argument("--seed", type=int, default=0, help="root RNG seed of the replication substreams")
-    p.add_argument("--threads", type=int, default=0, help="worker threads, 0 = auto")
+    p.add_argument("--threads", type=int, default=0, help="accepted for old command lines; has no effect")
     p.add_argument("--policy", required=True, help="policy CSV to simulate under")
     p.add_argument("--agents", type=int, required=True, help="number of players")
     p.add_argument("--reps", type=int, default=1, help="independent replications")

@@ -12,12 +12,8 @@ Monte Carlo is a cross-check, not the primary path.
 from __future__ import annotations
 
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import islice
-from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -472,47 +468,29 @@ def simulate_population(
     one multinomial draw over P_0, and at each stage the agents of each
     occupied node, in ascending node order, are one multinomial draw over
     the node's policy row divided by its total, all in one call per stage.
-    The rows are read from one sampling table, built first (see
-    _sampling_table).  A positive row need not sum to 1; an occupied node
-    whose row has an entry that is not finite and >= 0, or sums to 0,
-    raises a ValueError that names it (the lowest such node of the earliest
-    such stage).  P_0 must have no negative or NaN entry and sum to 1
-    within _MASS_TOL, else a ValueError is raised before any draw.
+    The rows are read from a sampling table (see _SamplingTable).  A
+    positive row need not sum to 1; an occupied node whose row has an entry
+    that is not finite and >= 0, or sums to 0, raises a ValueError that
+    names it (the lowest such node of the earliest such stage).  P_0 must
+    have no negative or NaN entry and sum to 1 within _MASS_TOL, else a
+    ValueError is raised before any draw.
     """
     draw = _sampler(scenario, policy, n_agents)
     return draw(seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed))
 
 
-def simulate_replications(
-    scenario: Scenario, policy: PolicyKernel, n_agents: int, seed: int, reps: int, threads: int = 1
-):
-    """Independent replications on substreams spawned from one root seed, yielded in order.
+def simulate_replications(scenario: Scenario, policy: PolicyKernel, n_agents: int, seed: int, reps: int):
+    """Independent replications on substreams spawned from one root seed, drawn in order as they are iterated.
 
-    One sampling table serves every replication.  With ``threads`` = 1 each
-    replication is drawn as it is iterated; with more, a pool of that many
-    threads draws at most ``threads`` replications ahead of the one
-    yielded.  Each replication draws from its own substream, so the thread
-    count never changes a sample, and a fault of replication k is raised
-    after replications 0..k-1 are yielded.  A ``reps`` that is negative or
-    not an integer, a ``threads`` below 1, and every check that
-    simulate_population makes before its first draw raise a ValueError at
-    the call.
+    One sampling table serves every replication: a row built for one
+    replication is read by the later ones.  A fault of replication k is
+    raised when it is drawn, after replications 0..k-1 are yielded.  A
+    ``reps`` that is negative or not an integer, and every check that
+    simulate_population makes before its first draw, raise a ValueError at
+    the call, also when ``reps`` is 0.
     """
     children = np.random.SeedSequence(seed).spawn(_player_count(reps, "reps", least=0))
-    threads = _player_count(threads, "threads")
-    draw = _sampler(scenario, policy, n_agents)
-    return map(draw, children) if threads == 1 else _pooled(draw, children, threads)
-
-
-def _pooled(draw, children: list, threads: int):
-    """draw over the children in a pool of ``threads`` threads, at most ``threads`` ahead of the consumer."""
-    ahead = iter(children)
-    with ThreadPoolExecutor(threads) as pool:
-        running = deque(pool.submit(draw, child) for child in islice(ahead, threads))
-        while running:
-            sample = running.popleft().result()
-            running.extend(pool.submit(draw, child) for child in islice(ahead, 1))
-            yield sample
+    return map(_sampler(scenario, policy, n_agents), children)
 
 
 def _sampler(scenario: Scenario, policy: PolicyKernel, n_agents: int):
@@ -520,32 +498,26 @@ def _sampler(scenario: Scenario, policy: PolicyKernel, n_agents: int):
     n_agents = _player_count(n_agents, "n_agents")
     _check_policy_shape(scenario, policy)
     start = _start_probs(scenario.initial.mass)
-    return partial(_rollout, scenario.graph, _sampling_table(scenario.graph, policy.probs), start, n_agents)
+    return partial(_rollout, _SamplingTable(scenario.graph, policy.probs), start, n_agents)
 
 
 def _rollout(
-    graph: TrafficGraph, table: _SamplingTable, start: np.ndarray, n_agents: int, seeds: np.random.SeedSequence
+    table: _SamplingTable, start: np.ndarray, n_agents: int, seeds: np.random.SeedSequence
 ) -> PopulationSample:
     """One rollout drawn from the table on the stream of ``seeds``; see simulate_population."""
     rng = np.random.default_rng(seeds)
-    t_count, v_count = table.drawable.shape
-    degrees = graph.row_start[1:] - graph.row_start[:-1]
+    graph = table.graph
+    t_count, v_count = table.slots.shape
     node_counts = np.zeros((t_count + 1, v_count), dtype=np.int64)
     edge_counts = np.empty((t_count, graph.edge_count), dtype=np.int64)
 
     node_counts[0, : len(start)] = rng.multinomial(n_agents, start)
     for t in range(t_count):
         occupied = node_counts[t].nonzero()[0]
-        drawable = table.drawable[t, occupied]
-        if not drawable.all():
-            node = int(occupied[np.argmin(drawable)])
-            lo, hi = graph.row_start[node : node + 2]
-            raise _row_fault(graph, table.probs[t, lo:hi], t, node)
-        # as many last columns as the widest occupied row fills; the zeros ahead of a row draw nothing
-        first = -max(int(degrees[occupied].max()), 1)
+        rows, edges = table.stage(t, occupied)
         # row k of taken: how many of occupied node k's agents take each edge of edges[k]
-        taken = rng.multinomial(node_counts[t, occupied], table.rows[t, occupied, first:]).ravel()
-        edges = table.edges[t, occupied, first:].ravel()
+        taken = rng.multinomial(node_counts[t, occupied], rows).ravel()
+        edges = edges.ravel()
         edge_counts[t] = np.bincount(edges, weights=taken, minlength=graph.edge_count)
         # float sums of integer counts, exact below 2**53
         node_counts[t + 1] = np.bincount(graph.edge_dst[edges], weights=taken, minlength=v_count)
@@ -555,7 +527,7 @@ def _rollout(
 
 
 def _start_probs(mass: np.ndarray) -> np.ndarray:
-    """P_0 divided by its sum and cut after its last positive entry (see _sampling_table).
+    """P_0 divided by its sum and cut after its last positive entry (see _SamplingTable).
 
     A negative or NaN entry, or a sum farther than _MASS_TOL from 1, raises
     a ValueError.
@@ -572,70 +544,116 @@ def _start_probs(mass: np.ndarray) -> np.ndarray:
     return probs[: np.flatnonzero(probs)[-1] + 1]
 
 
-class _SamplingTable(NamedTuple):
-    """One policy's rows as the stage draws take them; built by _sampling_table and only read after."""
+# A graph whose stage holds at most this many row entries (V·D) builds every
+# stage's rows in one pass before the first draw (see _SamplingTable): there
+# the pass costs less than the fixed numpy overhead of building stage by stage.
+# One rollout of 10 or 1000 agents over 30 stages of a square grid took less
+# time that way up to V·D ~ 700-1000.
+_WHOLE_STAGE_ENTRIES = 1024
 
-    probs: np.ndarray  # (T, E) the policy, read only to name a bad row
-    rows: np.ndarray  # (T, V, D) each row over its total, its last positive entry in the last column
-    edges: np.ndarray  # (T, V, D) the edge of each column
-    drawable: np.ndarray  # (T, V) the row may be drawn from
 
+class _SamplingTable:
+    """One policy's rows as the stage draws take them, each (stage, node) row built once, when first needed.
 
-def _sampling_table(graph: TrafficGraph, probs: np.ndarray) -> _SamplingTable:
-    """Every node's policy row at every stage, divided by its total and right-aligned, with its edges.
+    Row (t, i) lists node i's edges in order, padded with zeros to D, the
+    graph's largest out-degree (at least 1), divided by its total and
+    rolled so that its last positive entry ends the row: the zeros after
+    that entry, and the padding, come first.  numpy's multinomial gives the
+    last column whatever the earlier columns leave over, which rounding
+    makes positive now and then, so a zero there could take agents; a zero
+    ahead of the first positive entry takes none and draws nothing.  A
+    column rolled to the front names an earlier edge, or edge 0, and takes
+    no agents.  The totals are summed in sequence along each row, so
+    padding does not change them.
 
-    D is the graph's largest out-degree (at least 1).  The table holds
-    T·V·D floats and as many edge indices; on a grid, where nearly every
-    node has D edges, each of the two is about one (T, E) table.  Building
-    it holds little more than the two.
-
-    Row (t, i) lists node i's edges in order, shifted right so that its
-    last positive entry ends the row, and the columns ahead of its first
-    entry are 0.0.  numpy's multinomial gives the last column whatever the
-    earlier columns leave over, which rounding makes positive now and then,
-    so a zero there could take agents; a zero ahead of the first positive
-    entry takes none and draws nothing.  A column ahead of the row names an
-    earlier edge, or edge 0, and takes no agents.  The totals are summed in
-    sequence along each row, as cumsum sums, so padding does not change
-    them.  ``drawable[t, i]`` is False where the row has an entry that is
-    not finite and >= 0, or a total that is not positive and finite; such a
-    row is never drawn from, and its table entries mean nothing.  Nobody
-    may stand at such a node, so the builder neither raises nor warns.
+    ``rows[t]`` and ``edges[t]`` hold stage t's rows built so far and the
+    edge of each column, and ``slots[t, i]`` is the index of row (t, i) in
+    them; it is -1 while the row is not built, and -2 if the row has an
+    entry that is not finite and >= 0, or a total that is not positive and
+    finite.  Such a row raises only when an occupied node would draw from
+    it, so nobody need stand at a node to have its row built.  When there
+    are several stages and a stage's V·D entries are at most
+    _WHOLE_STAGE_ENTRIES, every row of every stage is built at once, in the
+    constructor, which costs less than building the stages one by one.
+    Otherwise a stage builds the rows of the occupied nodes it has not
+    built yet; its first build is in the occupied nodes' order, so the
+    rollout that makes it reads the rows as built.  So the table holds at most
+    T·V·D floats and as many edge indices, plus the (T, V) int32 slot map;
+    on a grid, where nearly every node has D edges, each of the two is
+    about one (T, E) table, and rollouts that reach few nodes hold few rows.
     """
-    t_count = len(probs)
-    lo = graph.row_start[:-1]
-    degrees = graph.row_start[1:] - lo
-    width = max(int(degrees.max(initial=0)), 1)
-    columns = np.arange(width)
-    # an edge-less graph reads one zero column: each of its rows sums to 0
-    source = probs if probs.shape[1] else np.zeros((t_count, 1))
-    with np.errstate(invalid="ignore", over="ignore"):
-        # the rows as they stand, padded with zeros past each node's degree
-        index = lo[:, None] + columns
-        rows = source.take(np.minimum(index, source.shape[1] - 1, out=index), axis=1)
-        del index
-        np.copyto(rows, 0.0, where=columns >= degrees[:, None])
-        # column by column: a reduction along a short last axis is several times slower
-        totals, least = rows[..., 0].copy(), rows[..., 0].copy()
-        for column in range(1, width):
-            totals += rows[..., column]
-            np.minimum(least, rows[..., column], out=least)
-        drawable = (least >= 0.0) & (totals > 0.0) & (totals < math.inf)
-        # how many zeros follow each row's last positive entry
-        shift = np.argmax(rows[..., ::-1] > 0.0, axis=2)
-        edges = columns - shift[..., None]
-        edges += lo[:, None]
-        # a row that cannot be drawn from may run past the last edge
-        np.clip(edges, 0, source.shape[1] - 1, out=edges)
-        # shift the rows right in place, all rows of one shift at a time
-        flat, shifts = rows.reshape(-1, width), shift.ravel()
-        for by in np.unique(shifts[shifts > 0]).tolist():
-            moved = np.flatnonzero(shifts == by)
-            flat[moved, by:] = flat[moved, :-by]
-            flat[moved, :by] = 0.0
-        np.copyto(totals, 1.0, where=~drawable)
-        rows /= totals[..., None]
-    return _SamplingTable(probs, _readonly(rows), _readonly(edges, np.intp), _readonly(drawable, np.bool_))
+
+    def __init__(self, graph: TrafficGraph, probs: np.ndarray):
+        self.graph, self.probs = graph, probs
+        self.degrees = graph.row_start[1:] - graph.row_start[:-1]
+        self.columns = np.arange(max(int(self.degrees.max(initial=0)), 1))
+        t_count, v_count = len(probs), graph.node_count
+        self.slots = np.full((t_count, v_count), -1, dtype=np.int32)
+        self.rows, self.edges = [None] * t_count, [None] * t_count
+        if t_count > 1 and v_count * len(self.columns) <= _WHOLE_STAGE_ENTRIES:
+            # rows t·V to t·V + V - 1 are stage t's, in node order
+            lo = np.tile(graph.row_start[:-1], t_count)
+            starts = lo + np.repeat(np.arange(t_count) * probs.shape[1], v_count)
+            rows, edges, good = self._rows(probs.reshape(-1), starts, np.tile(self.degrees, t_count), lo)
+            self.rows, self.edges = list(rows.reshape(t_count, v_count, -1)), list(edges.reshape(t_count, v_count, -1))
+            self.slots[:] = np.where(good, np.tile(np.arange(v_count), t_count), -2).reshape(t_count, v_count)
+
+    def stage(self, t: int, occupied: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The occupied nodes' (ascending) rows at stage t, cut to their last max(degree) columns, and their edges."""
+        if self.rows[t] is None:
+            # the stage's first rows are the occupied nodes', in their order
+            slots, bad = slice(None), self._extend(t, occupied) is not True
+        else:
+            slots = self.slots[t, occupied]
+            if slots.min() == -1:
+                self._extend(t, occupied[slots == -1])
+                slots = self.slots[t, occupied]
+            bad = slots.min() < 0
+        if bad:
+            node = int(occupied[np.argmin(self.slots[t, occupied])])
+            lo, hi = self.graph.row_start[node : node + 2]
+            raise _row_fault(self.graph, self.probs[t, lo:hi], t, node)
+        # as many last columns as the widest occupied row fills; the zeros ahead of a row draw nothing
+        first = -max(int(self.degrees[occupied].max()), 1)
+        return self.rows[t][slots, first:], self.edges[t][slots, first:]
+
+    def _extend(self, t: int, nodes: np.ndarray):
+        """Build the rows of the given nodes at stage t and add them to the stage's rows; return _rows's ``good``."""
+        lo = self.graph.row_start[nodes]
+        rows, edges, good = self._rows(self.probs[t], lo, self.degrees[nodes], lo)
+        kept = 0 if self.rows[t] is None else len(self.rows[t])
+        if kept:
+            rows, edges = np.concatenate((self.rows[t], rows)), np.concatenate((self.edges[t], edges))
+        self.rows[t], self.edges[t] = rows, edges
+        self.slots[t, nodes] = np.where(good, np.arange(kept, kept + len(nodes)), -2)
+        return good
+
+    def _rows(self, source: np.ndarray, starts: np.ndarray, degree: np.ndarray, lo: np.ndarray):
+        """The rows of ``degree`` entries at ``starts`` in ``source``, their edges and which of them are good.
+
+        Row k's first edge is lo[k].  A row that is not good is kept, divided
+        by 1; nothing reads it.  ``good`` is True when every row is.
+        """
+        columns = self.columns
+        # an edge-less graph reads one zero column: each of its rows sums to 0
+        source = source if len(source) else np.zeros(1)
+        # past a row's last entry the index reads the next row, or is clipped at the end; padding overwrites it
+        rows = source.take(starts[:, None] + columns, mode="clip")
+        rows[columns >= degree[:, None]] = 0.0
+        # rows nobody draws from may hold anything: their sums must not warn
+        with np.errstate(invalid="ignore", over="ignore"):
+            totals = rows.cumsum(axis=1)[:, -1]
+        # NaN fails every comparison, and an infinite entry makes its total fail
+        good = bool(rows.min() >= 0.0 and totals.min() > 0.0 and totals.max() < math.inf)
+        if not good:
+            good = (rows.min(axis=1) >= 0.0) & (totals > 0.0) & (totals < math.inf)
+            totals[~good] = 1.0
+        rows /= totals[:, None]
+        # the zeros after each row's last positive entry, which a positive total guarantees; the
+        # negative columns of order index them from the row's end
+        trailing = np.argmax(rows[:, ::-1] > 0.0, axis=1)
+        order = columns - trailing[:, None]
+        return rows[np.arange(len(rows))[:, None], order], np.maximum(lo[:, None] + order, 0), good
 
 
 def _row_fault(graph: TrafficGraph, row: np.ndarray, t: int, node: int) -> ValueError:

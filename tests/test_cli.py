@@ -21,7 +21,6 @@ from mftroute import (
     mfe_solve,
     read_scenario,
     serialize,
-    simulate_replications,
     write_scenario,
 )
 from mftroute.cli import (
@@ -521,39 +520,15 @@ def test_a_bad_byte_after_a_byte_order_mark_is_an_error_at_its_line(tmp_path, th
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "threads, reps, cpus, size",
-    [("5000", "5000", 2, 2), ("0", "5000", 3, 3), ("0", "2", None, 1), ("4", "0", 8, 1), ("3", "2", 8, 2)],
-)
-def test_simulate_pool_is_capped_by_cpus_and_reps(tmp_path, three_route_file, monkeypatch, threads, reps, cpus, size):
-    policy_csv = tmp_path / "policy.csv"
-    main(["mfe", "--scenario", str(three_route_file), "--out-policy", str(policy_csv)])
-    sizes = []
-
-    def serial(scenario, policy, n_agents, seed, reps, threads):
-        sizes.append(threads)
-        return simulate_replications(scenario, policy, n_agents, seed, reps)
-
-    monkeypatch.setattr(cli, "simulate_replications", serial)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    out = tmp_path / "sim.csv"
-    args = ["simulate", "--scenario", str(three_route_file), "--policy", str(policy_csv), "--agents", "2",
-            "--threads", threads, "--reps", reps, "--out", str(out)]
-    assert main(args) == 0
-    assert sizes == [size]
-    assert len({line.split(",")[0] for line in _payload(out)[1:]}) == int(reps)
-
-
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_simulate_builds_one_sampling_table_per_run(tmp_path, three_route_file, monkeypatch, threads):
+def test_simulate_builds_one_sampling_table_per_run(tmp_path, three_route_file, monkeypatch):
     policy_csv = tmp_path / "policy.csv"
     main(["mfe", "--scenario", str(three_route_file), "--out-policy", str(policy_csv)])
     builds = []
-    build = finite_population._sampling_table
-    monkeypatch.setattr(finite_population, "_sampling_table", lambda *args: builds.append(args) or build(*args))
+    table = finite_population._SamplingTable
+    monkeypatch.setattr(finite_population, "_SamplingTable", lambda *args: builds.append(args) or table(*args))
     out = tmp_path / "sim.csv"
     args = ["simulate", "--scenario", str(three_route_file), "--policy", str(policy_csv), "--agents", "20",
-            "--threads", threads, "--reps", "3", "--out", str(out)]
+            "--threads", "2", "--reps", "3", "--out", str(out)]
     assert main(args) == 0
     assert len(builds) == 1
     assert len({line.split(",")[0] for line in _payload(out)[1:]}) == 3

@@ -4,7 +4,6 @@ import contextlib
 import dataclasses
 import math
 import re
-import sys
 import tracemalloc
 
 import numpy as np
@@ -468,14 +467,16 @@ def test_simulate_replications_rejects_a_bad_rep_count(three_route):
     n_agents=st.integers(1, 3000),
     bad=st.integers(0, 3),
     reps=st.integers(3, 5),
-    threads=st.sampled_from([1, 2]),
 )
 @example(seed=1, nodes=300, hub_degree=300, horizon=3, start="uniform", zeros=0.3, scale=2.0, n_agents=3000, bad=0,
-         reps=4, threads=2)
+         reps=4)
 @example(seed=3, nodes=300, hub_degree=5, horizon=1, start="uniform", zeros=0.0, scale=1.0, n_agents=3000, bad=3,
-         reps=3, threads=1)
+         reps=3)
+# a small graph, whose table is built whole before the first draw
+@example(seed=6, nodes=12, hub_degree=9, horizon=4, start="dirichlet", zeros=0.3, scale=0.37, n_agents=500, bad=1,
+         reps=3)
 def test_replications_are_bit_identical_to_the_multinomial_loop(
-    seed, nodes, hub_degree, horizon, start, zeros, scale, n_agents, bad, reps, threads
+    seed, nodes, hub_degree, horizon, start, zeros, scale, n_agents, bad, reps
 ):
     """Every replication, drawn from the one shared table, is the loop's rollout on its substream; a fault ends them."""
     rng = np.random.default_rng(seed)
@@ -483,7 +484,7 @@ def test_replications_are_bit_identical_to_the_multinomial_loop(
     if bad:
         policy = _with_bad_rows(scenario, policy, rng, bad)
     root = int(rng.integers(1000))
-    samples = simulate_replications(scenario, policy, n_agents, root, reps, threads)
+    samples = simulate_replications(scenario, policy, n_agents, root, reps)
     for child in np.random.SeedSequence(root).spawn(reps):
         try:
             want = simulate_population_multinomial_loop(scenario, policy, n_agents, child)
@@ -498,36 +499,100 @@ def test_replications_are_bit_identical_to_the_multinomial_loop(
     assert next(samples, None) is None
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_one_sampling_table_serves_every_replication(monkeypatch, threads):
+class _CountedTable(finite_population._SamplingTable):
+    """A sampling table that records itself, how many rows each build makes, and the slots built stage by stage."""
+
+    made: list = []
+
+    def __init__(self, graph, probs):
+        self.made.append(self)
+        self.builds, self.slots_built = [], []
+        super().__init__(graph, probs)
+
+    def _extend(self, t, nodes):
+        self.slots_built.extend((t, i) for i in nodes.tolist())
+        return super()._extend(t, nodes)
+
+    def _rows(self, source, starts, degree, lo):
+        self.builds.append(len(starts))
+        return super()._rows(source, starts, degree, lo)
+
+
+def _reached(samples) -> set[tuple[int, int]]:
+    """The (stage, node) slots where some sample had somebody standing before the last stage."""
+    return {(int(t), int(i)) for sample in samples for t, i in zip(*sample.node_counts[:-1].nonzero())}
+
+
+def test_one_sampling_table_serves_every_replication(monkeypatch):
+    # a small graph: every row is built in one pass before the first draw, and no replication builds one more
     scenario = build_gridworld(6, 5, [8, 14, 21], 0, 29, 12, 0.3)
     policy = mfe_solve(scenario).policy
-    tables = []
-    build = finite_population._sampling_table
-    monkeypatch.setattr(finite_population, "_sampling_table", lambda *args: tables.append(build(*args)) or tables[-1])
-    samples = simulate_replications(scenario, policy, 200, 9, 4, threads)
-    assert len(tables) == 1  # built at the call, before any draw
+    monkeypatch.setattr(_CountedTable, "made", [])
+    monkeypatch.setattr(finite_population, "_SamplingTable", _CountedTable)
+    samples = simulate_replications(scenario, policy, 200, 9, 4)
+    [table] = _CountedTable.made  # made at the call, before any draw
+    assert table.builds == [scenario.horizon * scenario.graph.node_count]
     assert len(list(samples)) == 4
-    assert len(tables) == 1
-    assert not tables[0].rows.flags.writeable and not tables[0].edges.flags.writeable
+    assert len(_CountedTable.made) == 1
+    assert table.builds == [scenario.horizon * scenario.graph.node_count] and table.slots_built == []
 
 
-def test_more_threads_than_cores_draw_what_one_thread_draws():
-    # the threads share one read-only table; switching between them every microsecond must not change a draw
-    scenario = fig2_scenario(1.0)
+def test_a_large_graph_builds_only_the_rows_its_rollouts_reach(monkeypatch):
+    # 40x40 grid: a stage holds more entries than are built at once, so each row is built when first reached
+    scenario = build_gridworld(40, 40, [], 0, 1599, 30, 1.0)
+    assert scenario.graph.node_count * np.diff(scenario.graph.row_start).max() > finite_population._WHOLE_STAGE_ENTRIES
     policy = mfe_solve(scenario).policy
-    want = [sample.edge_counts.tobytes() for sample in simulate_replications(scenario, policy, 2000, 3, 8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = [sample.edge_counts.tobytes() for sample in simulate_replications(scenario, policy, 2000, 3, 8, 4)]
-    finally:
-        sys.setswitchinterval(interval)
-    assert got == want
+    monkeypatch.setattr(_CountedTable, "made", [])
+    monkeypatch.setattr(finite_population, "_SamplingTable", _CountedTable)
+    samples = list(simulate_replications(scenario, policy, 40, 5, 3))
+    [table] = _CountedTable.made
+    assert len(set(table.slots_built)) == len(table.slots_built) == sum(table.builds)  # no row built twice
+    assert set(table.slots_built) == _reached(samples)
+    assert len(table.slots_built) < scenario.horizon * scenario.graph.node_count / 10
+    for sample, child in zip(samples, np.random.SeedSequence(5).spawn(3)):
+        want = simulate_population_multinomial_loop(scenario, policy, 40, child)
+        assert sample.edge_counts.tobytes() == want.edge_counts.tobytes()
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_a_replication_fault_comes_after_the_replications_before_it(threads):
+@pytest.mark.parametrize("scale", [2.0, 4.0])
+@pytest.mark.parametrize("whole", [True, False], ids=["built-whole", "built-by-stage"])
+def test_a_sub_normal_entry_that_divides_to_zero_is_rolled_ahead_of_the_row(monkeypatch, scale, whole):
+    # the rows of test_every_multinomial_row_ends_at_a_positive_probability, scaled, with 5e-324 last: over a
+    # total of 2 or more that entry divides to 0.0, which must go ahead of the row, not stay last
+    monkeypatch.setattr(finite_population, "_WHOLE_STAGE_ENTRIES", 1024 if whole else 0)
+    graph = TrafficGraph(((0, 1, 2, 3, 4, 5), *((0, i, (i + 1) % 6) for i in range(1, 6))))
+    probs = np.zeros((2, graph.edge_count))
+    for t in range(2):
+        probs[t, :6] = [0.1, 0.2, 0.3, 0.4, 0.0, 5e-324]
+        for i in range(1, 6):
+            probs[t, edge_slice(graph, i)] = [scale * 0.42250678774879274, scale * 0.5774932122512072, 5e-324]
+    scenario = Scenario(
+        graph,
+        StageCosts(2, np.zeros((2, graph.edge_count))),
+        ReferencePolicy(np.full((2, graph.edge_count), 1.0 / 3.0)),
+        1.0,
+        Distribution(np.array([0.0, 0.2, 0.2, 0.2, 0.2, 0.2])),
+    )
+    made = []
+    default_rng = np.random.default_rng
+
+    def recording(seeds):
+        made.append(_RecordingGenerator(default_rng(seeds)))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    samples = list(simulate_replications(scenario, PolicyKernel(probs), 5000, 3, 3))
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    for sample, child in zip(samples, np.random.SeedSequence(3).spawn(3)):
+        want = simulate_population_multinomial_loop(scenario, PolicyKernel(probs), 5000, child)
+        for name in ("node_counts", "edge_counts"):
+            assert getattr(sample, name).tobytes() == getattr(want, name).tobytes(), name
+        assert not sample.edge_counts[probs == 5e-324].any()
+    assert len(made) == 3
+    assert all((pvals[..., -1] > 0.0).all() for rng in made for pvals in rng.pvals)
+
+
+def test_a_replication_fault_comes_after_the_replications_before_it():
     # one agent, so each replication stands on one node per stage; spoil the row of a node that
     # replication k is the first to reach at stage 3
     scenario = build_gridworld(6, 5, [8, 14, 21], 0, 29, 12, 0.3)
@@ -538,7 +603,7 @@ def test_a_replication_fault_comes_after_the_replications_before_it(threads):
     k = next(k for k in range(2, reps) if at[k] not in at[:k])
     probs = policy.probs.copy()
     probs[t, edge_slice(scenario.graph, at[k]).start] = math.nan
-    samples = simulate_replications(scenario, PolicyKernel(probs), 1, root, reps, threads)
+    samples = simulate_replications(scenario, PolicyKernel(probs), 1, root, reps)
     for want in clean[:k]:
         assert next(samples).edge_counts.tobytes() == want.edge_counts.tobytes()
     with pytest.raises(ValueError, match=f"^policy has probability nan at stage {t}, node {at[k]}, "):
@@ -549,16 +614,15 @@ def test_simulate_replications_checks_its_inputs_at_the_call(three_route):
     policy = mfe_solve(three_route).policy
     spoiled = dataclasses.replace(three_route, initial=Distribution(np.array([0.5, -0.25, 0.75, 0.0])))
     cases = [
-        ((three_route, policy, 0), {}, "n_agents must be >= 1"),
-        ((three_route, policy, 2.5), {}, "n_agents must be an integer, got 2.5"),
-        ((three_route, PolicyKernel(np.ones((2, 3))), 10), {}, f"policy shape (2, 3), expected {policy.probs.shape}"),
-        ((spoiled, policy, 10), {}, "initial mass -0.25 at node 1; initial masses must be >= 0"),
-        ((three_route, policy, 10), {"threads": 0}, "threads must be >= 1"),
+        ((three_route, policy, 0), "n_agents must be >= 1"),
+        ((three_route, policy, 2.5), "n_agents must be an integer, got 2.5"),
+        ((three_route, PolicyKernel(np.ones((2, 3))), 10), f"policy shape (2, 3), expected {policy.probs.shape}"),
+        ((spoiled, policy, 10), "initial mass -0.25 at node 1; initial masses must be >= 0"),
     ]
     for reps in (0, 3):
-        for (scenario, kernel, n_agents), options, message in cases:
+        for (scenario, kernel, n_agents), message in cases:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                simulate_replications(scenario, kernel, n_agents, 0, reps, **options)
+                simulate_replications(scenario, kernel, n_agents, 0, reps)
 
 
 # ---------------------------------------------------------------------------
