@@ -318,8 +318,6 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_mfe(args) -> int:
-    if args.certify_equalizer < 0:
-        raise ValueError("--certify-equalizer must be >= 0")
     start = time.perf_counter()
     scenario, digests = _load_scenario(args)
     solution = mfe_solve(scenario)
@@ -338,12 +336,6 @@ def _cmd_mfe(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.reps < 0:
-        raise ValueError("--reps must be >= 0")
-    if args.threads < 0:
-        raise ValueError("--threads must be >= 0")
-    if args.agents < 1:
-        raise ValueError("--agents must be >= 1")
     start = time.perf_counter()
     scenario, digests = _load_scenario(args)
     policy = read_policy_csv(args.policy, scenario)
@@ -359,7 +351,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_nash_gap(args) -> int:
-    n_list = _agent_counts(args.agents)
+    n_list = _comma_list(args.agents, "--agents", int, least=1)
+    if not n_list:
+        raise ValueError("--agents needs at least one player count")
     start = time.perf_counter()
     scenario, digests = _load_scenario(args)
     solution = mfe_solve(scenario)
@@ -370,25 +364,23 @@ def _cmd_nash_gap(args) -> int:
     return 0
 
 
-def _agent_counts(text: str) -> list[int]:
-    """The player counts of a comma-separated --agents list; a count that is not an integer >= 1 raises."""
-    counts = []
+def _comma_list(text: str, flag: str, kind=float, least=None) -> list:
+    """The entries of a comma-separated option, empty tokens skipped; a bad token or an entry below least raises."""
+    what = "an integer" if kind is int else "a number"
+    values = []
     for tok in filter(str.strip, text.split(",")):
         try:
-            count = int(tok)
+            values.append(kind(tok))
         except ValueError:
-            raise ValueError(f"--agents must be an integer, got {tok.strip()}") from None
-        if count < 1:
-            raise ValueError("--agents must be >= 1")
-        counts.append(count)
-    if not counts:
-        raise ValueError("--agents needs at least one player count")
-    return counts
+            raise ValueError(f"{flag} must be {what}, got {tok.strip()}") from None
+        if least is not None and values[-1] < least:
+            raise ValueError(f"{flag} must be >= {least}")
+    return values
 
 
 def _parse_game(args) -> SingleStageGame:
-    costs = np.array([float(tok) for tok in args.costs.split(",")])
-    reference = np.array([float(tok) for tok in args.ref.split(",")])
+    costs = np.array(_comma_list(args.costs, "--costs"))
+    reference = np.array(_comma_list(args.ref, "--ref"))
     if args.routes != len(costs):
         raise ValueError(f"--routes {args.routes} but {len(costs)} costs given")
     return SingleStageGame(costs, reference, args.alpha, args.agents)
@@ -400,7 +392,7 @@ def _cmd_fp(args) -> int:
     if args.init == "uniform":
         initial = np.full(game.route_count, 1.0 / game.route_count)
     else:
-        initial = np.array([float(tok) for tok in args.init.split(",")])
+        initial = np.array(_comma_list(args.init, "--init"))
     result = fp_run(game, initial, args.days)
     _write_fp_csv(args.out, result, _manifest(args, start))
     print(
@@ -425,7 +417,7 @@ def _cmd_symmetric_ne(args) -> int:
 
 
 def _cmd_gridworld(args) -> int:
-    obstacles = [int(tok) for tok in args.obstacles.split(",") if tok.strip()] if args.obstacles else []
+    obstacles = _comma_list(args.obstacles, "--obstacles", int)
     scenario = build_gridworld(
         args.width, args.height, obstacles, args.origin, args.dest, args.horizon, args.alpha
     )
@@ -478,12 +470,19 @@ def _cmd_reproduce(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser, and each subcommand's count options with the least value main accepts of each."""
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="Mean-field traffic routing under a log-population toll.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    floors = {}
+
+    def count(p, flag, least, **kwargs):
+        """An integer option; main rejects a value below least as a data error, before the handler runs."""
+        action = p.add_argument(flag, type=int, **kwargs)
+        floors.setdefault(p.prog.split()[-1], []).append((action, least))  # prog is "mft-route <subcommand>"
 
     def scenario_parser(name, summary):
         p = sub.add_parser(name, help=summary)
@@ -496,7 +495,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--costs", required=True, help="comma-separated route travel costs")
         p.add_argument("--ref", required=True, help="comma-separated reference probabilities")
         p.add_argument("--alpha", type=float, required=True, help="toll aggressiveness")
-        p.add_argument("--agents", type=int, required=True, help="number of players")
+        count(p, "--agents", 1, required=True, help="number of players")
         return p
 
     scenario_parser("validate", "check a scenario file against all invariants")
@@ -508,21 +507,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = scenario_parser("mfe", "mean-field equilibrium policy and population flow")
     p.add_argument("--out-policy", help="write the equilibrium policy CSV (t,i,j,value)")
     p.add_argument("--out-flow", help="write the population flow CSV (t,i,mass)")
-    p.add_argument(
-        "--certify-equalizer",
-        type=int,
-        default=0,
-        metavar="N",
-        help="also check the equalizer property over N random policies",
-    )
-    p.add_argument("--seed", type=int, default=0, help="RNG seed of the random policies")
+    count(p, "--certify-equalizer", 0, default=0, metavar="N",
+          help="also check the equalizer property over N random policies")
+    count(p, "--seed", 0, default=0, help="RNG seed of the random policies")
 
     p = scenario_parser("simulate", "finite-population Monte Carlo with realized tolls")
-    p.add_argument("--seed", type=int, default=0, help="root RNG seed of the replication substreams")
-    p.add_argument("--threads", type=int, default=0, help="accepted for old command lines; has no effect")
+    count(p, "--seed", 0, default=0, help="root RNG seed of the replication substreams")
     p.add_argument("--policy", required=True, help="policy CSV to simulate under")
-    p.add_argument("--agents", type=int, required=True, help="number of players")
-    p.add_argument("--reps", type=int, default=1, help="independent replications")
+    count(p, "--agents", 1, required=True, help="number of players")
+    count(p, "--reps", 0, default=1, help="independent replications")
     p.add_argument("--out", required=True, help="output CSV (rep,t,i,j,count,realized_tax)")
 
     p = scenario_parser("nash-gap", "expected-tax convergence and best-response gaps per N")
@@ -530,7 +523,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV (n_agents,expected_tax_gap,epsilon_nash)")
 
     p = game_parser("fp", "symmetric fictitious play on a parallel-route game")
-    p.add_argument("--days", type=int, required=True, help="days to play")
+    count(p, "--days", 1, required=True, help="days to play")
     p.add_argument("--init", default="uniform", help="'uniform' or comma-separated belief")
     p.add_argument("--out", required=True, help="output CSV (day,q...,r,dist_to_ne,dist_to_mfe)")
 
@@ -550,10 +543,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="rerun a packaged experiment preset")
     p.add_argument("preset", choices=("fig2", "fig4"))
     p.add_argument("--alpha", type=float, default=0.1, help="toll aggressiveness (fig2)")
-    p.add_argument("--days", type=int, default=FIG4_DAYS, help="days to play (fig4)")
+    count(p, "--days", 1, default=FIG4_DAYS, help="days to play (fig4)")
     p.add_argument("--out-dir", required=True, help="directory for output files")
 
-    return parser
+    return parser, floors
 
 
 _HANDLERS = {
@@ -570,8 +563,12 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, floors = _build_parser()
+    args = parser.parse_args(argv)
     try:
+        for action, least in floors.get(args.subcommand, ()):
+            if getattr(args, action.dest) < least:
+                raise ValueError(f"{action.option_strings[0]} must be >= {least}")
         return _HANDLERS[args.subcommand](args)
     except (ScenarioFormatError, InvalidScenarioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

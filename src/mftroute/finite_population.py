@@ -473,7 +473,8 @@ def simulate_population(
     that is not finite and >= 0, or sums to 0, raises a ValueError that
     names it (the lowest such node of the earliest such stage).  P_0 must
     have no negative or NaN entry and sum to 1 within _MASS_TOL, else a
-    ValueError is raised before any draw.
+    ValueError is raised before any draw, as it is for an n_agents that is
+    not an integer in 1..2**53.
     """
     draw = _sampler(scenario, policy, n_agents)
     return draw(seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed))
@@ -496,6 +497,8 @@ def simulate_replications(scenario: Scenario, policy: PolicyKernel, n_agents: in
 def _sampler(scenario: Scenario, policy: PolicyKernel, n_agents: int):
     """The rollout of n_agents under the policy, as a function of its seed sequence; the checks are made here."""
     n_agents = _player_count(n_agents, "n_agents")
+    if n_agents > 2**53:  # the rollout sums counts in float64, exact up to 2**53
+        raise ValueError(f"n_agents must be <= 2**53, got {n_agents}")
     _check_policy_shape(scenario, policy)
     start = _start_probs(scenario.initial.mass)
     return partial(_rollout, _SamplingTable(scenario.graph, policy.probs), start, n_agents)

@@ -101,11 +101,18 @@ def extract_policy(scenario: Scenario, desirability: LogDesirability) -> PolicyK
     Rows are renormalized to machine-exact stochasticity after
     exponentiation; the pre-normalization row sums already equal one up to
     float rounding because each row's log normalizer is its own log_phi
-    entry.  The two (T, E) outputs are filled a stage row at a time.
+    entry.  The two (T, E) outputs are filled a stage row at a time.  A
+    table of another shape (T+1, V) or alpha than the scenario's raises a
+    ValueError.
     """
     g = scenario.graph
     if desirability.horizon != scenario.horizon:
         raise ValueError(f"desirability horizon {desirability.horizon}, scenario horizon {scenario.horizon}")
+    shape = (scenario.horizon + 1, g.node_count)
+    if desirability.log_phi.shape != shape:
+        raise ValueError(f"desirability table of shape {desirability.log_phi.shape}, scenario needs {shape}")
+    if desirability.alpha != scenario.alpha:
+        raise ValueError(f"desirability alpha {desirability.alpha!r}, scenario alpha {scenario.alpha!r}")
     probs, log_probs = np.empty((2, scenario.horizon, g.edge_count))
     for t, (row, log_row) in enumerate(zip(probs, log_probs)):
         log_row[:] = _log_weights(scenario, desirability.log_phi[t + 1], t)

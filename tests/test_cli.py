@@ -72,10 +72,12 @@ def test_missing_scenario_flag_is_a_usage_error():
 def test_unknown_flag_is_a_usage_error(tmp_path, three_route_file):
     scenario = str(three_route_file)
     out_dir = str(tmp_path / "unused")
+    simulate = ["simulate", "--scenario", scenario, "--policy", scenario, "--agents", "10", "--out", out_dir]
     for argv in (
         ["mfe", "--scenario", scenario, "--frobnicate"],
-        # --seed and --threads exist only where a handler reads them
+        # --seed exists only where a handler reads it, and --threads nowhere
         ["mfe", "--scenario", scenario, "--threads", "2"],
+        simulate + ["--threads", "2"],
         ["solve", "--scenario", scenario, "--seed", "1"],
         ["reproduce", "fig4", "--out-dir", out_dir, "--seed", "1"],
     ):
@@ -198,31 +200,52 @@ def test_simulate_rejects_negative_reps_and_writes_a_header_for_zero(tmp_path, t
     assert _payload(out) == ["rep,t,i,j,count,realized_tax"]
 
 
+_THIRDS = f"{1/3!r},{1/3!r},{1/3!r}"
+_GAME_OPTIONS = {"--routes": "3", "--costs": "2,1,3", "--ref": _THIRDS, "--alpha": "1", "--agents": "20"}
+_GATED_RUNS = {
+    "mfe": {"--scenario": "{missing}", "--out-policy": "{out}"},
+    "simulate": {"--scenario": "{missing}", "--policy": "{missing}", "--agents": "10", "--out": "{out}"},
+    "fp": {**_GAME_OPTIONS, "--days": "5", "--out": "{out}"},
+    "symmetric-ne": {**_GAME_OPTIONS, "--out": "{out}"},
+    "gridworld": {"--width": "3", "--height": "2", "--origin": "0", "--dest": "5", "--horizon": "4",
+                  "--alpha": "0.5", "--out": "{out}"},
+    "reproduce fig4": {"--out-dir": "{out}"},
+}
+
+
 @pytest.mark.parametrize(
     "args, error",
     [
-        (["simulate", "--policy", "{policy}", "--agents", "10", "--threads", "-3", "--out", "{out}"],
-         "--threads must be >= 0"),
         (["mfe", "--certify-equalizer", "-1"], "--certify-equalizer must be >= 0"),
+        (["mfe", "--certify-equalizer", "2", "--seed", "-1"], "--seed must be >= 0"),
+        (["simulate", "--seed", "-1"], "--seed must be >= 0"),
+        (["simulate", "--reps", "-1"], "--reps must be >= 0"),
         # checked before any replication runs, so --reps 0 cannot hide it
-        (["simulate", "--policy", "{policy}", "--agents", "-5", "--reps", "0", "--out", "{out}"],
-         "--agents must be >= 1"),
-        (["simulate", "--policy", "{policy}", "--agents", "0", "--reps", "1", "--out", "{out}"],
-         "--agents must be >= 1"),
+        (["simulate", "--agents", "-5", "--reps", "0"], "--agents must be >= 1"),
+        (["simulate", "--agents", "0"], "--agents must be >= 1"),
+        (["fp", "--days", "0"], "--days must be >= 1"),
+        (["fp", "--agents", "0"], "--agents must be >= 1"),
+        (["fp", "--costs", "2,x,3"], "--costs must be a number, got x"),
+        (["fp", "--ref", "0.5,,y"], "--ref must be a number, got y"),
+        (["fp", "--init", "1,x,0"], "--init must be a number, got x"),
+        (["symmetric-ne", "--agents", "-2"], "--agents must be >= 1"),
+        (["symmetric-ne", "--costs", "2,1,3z"], "--costs must be a number, got 3z"),
+        (["gridworld", "--obstacles", "1,a"], "--obstacles must be an integer, got a"),
+        (["reproduce fig4", "--days", "0"], "--days must be >= 1"),
     ],
-    ids=["threads", "certify-equalizer", "agents-negative-no-reps", "agents-zero"],
+    ids=["certify-equalizer", "mfe-seed", "simulate-seed", "reps", "agents-negative-no-reps", "agents-zero",
+         "fp-days", "fp-agents", "fp-costs", "fp-ref", "fp-init", "symmetric-ne-agents", "symmetric-ne-costs",
+         "gridworld-obstacles", "reproduce-days"],
 )
-def test_negative_counts_are_data_errors(tmp_path, three_route_file, capsys, args, error):
-    policy_csv = tmp_path / "policy.csv"
-    main(["mfe", "--scenario", str(three_route_file), "--out-policy", str(policy_csv)])
-    capsys.readouterr()
-    args = [a.format(policy=policy_csv, out=tmp_path / "sim.csv") for a in args]
-    assert main(args[:1] + ["--scenario", str(three_route_file)] + args[1:]) == 1
+def test_negative_counts_are_data_errors(tmp_path, capsys, args, error):
+    # a count below its least value, or a comma-list token that does not parse (nash-gap's --agents
+    # has its own test); no input file exists, so an error raised after these checks would name it
+    options = {**_GATED_RUNS[args[0]], **dict(zip(args[1::2], args[2::2]))}
+    files = {"missing": tmp_path / "missing", "out": tmp_path / "out"}
+    argv = args[0].split() + [tok.format(**files) for item in options.items() for tok in item]
+    assert main(argv) == 1
     assert capsys.readouterr() == ("", f"error: {error}\n")
-    assert not (tmp_path / "sim.csv").exists()
-
-
-_THIRDS = f"{1/3!r},{1/3!r},{1/3!r}"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -241,13 +264,33 @@ _THIRDS = f"{1/3!r},{1/3!r},{1/3!r}"
     ],
 )
 def test_route_game_rejects_non_finite_and_misshapen_inputs(tmp_path, capsys, args, error):
-    options = {"--routes": "3", "--costs": "2,1,3", "--ref": _THIRDS, "--alpha": "1", "--agents": "20"}
+    options = dict(_GAME_OPTIONS)
     if args[0] == "fp":
         options["--days"] = "5"
     options.update(zip(args[1::2], args[2::2]))
     out = tmp_path / "out.csv"
     assert main(args[:1] + [tok for item in options.items() for tok in item] + ["--out", str(out)]) == 1
     assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert not out.exists()
+
+
+def test_comma_lists_skip_empty_tokens(tmp_path):
+    outs = []
+    for costs in ("2,1,3", " 2, 1,,3,"):
+        outs.append(tmp_path / f"ne_{len(outs)}.csv")
+        args = {**_GAME_OPTIONS, "--costs": costs, "--out": str(outs[-1])}
+        assert main(["symmetric-ne", *[tok for item in args.items() for tok in item]]) == 0
+    assert _payload(outs[0]) == _payload(outs[1])
+
+
+def test_simulate_rejects_a_population_above_2_53(tmp_path, three_route_file, capsys):
+    policy_csv = tmp_path / "policy.csv"
+    main(["mfe", "--scenario", str(three_route_file), "--out-policy", str(policy_csv)])
+    capsys.readouterr()
+    out = tmp_path / "sim.csv"
+    args = ["simulate", "--scenario", str(three_route_file), "--policy", str(policy_csv), "--out", str(out)]
+    assert main(args + ["--agents", "10000000000000000000"]) == 1
+    assert capsys.readouterr() == ("", "error: n_agents must be <= 2**53, got 10000000000000000000\n")
     assert not out.exists()
 
 
@@ -271,7 +314,7 @@ def test_manifest_lines_of_every_handler(tmp_path, three_route_file):
         "solve": ["scenario=<tmp>/threeroute.scn", digest],
         "mfe": ["certify_equalizer=2", "scenario=<tmp>/threeroute.scn", f"seed=5 generator=pcg64 numpy={np.__version__}", digest],
         "simulate": [
-            "agents=20", "policy=<tmp>/policy.csv", "reps=2", "scenario=<tmp>/threeroute.scn", "threads=0",
+            "agents=20", "policy=<tmp>/policy.csv", "reps=2", "scenario=<tmp>/threeroute.scn",
             f"seed=7 generator=pcg64 numpy={np.__version__}",
             "sha256[policy]=d4f1ff4fd65d9d6178d8aa28982adec406ac035021a7263d664fb5408a2ea965", digest,
         ],
@@ -320,7 +363,7 @@ def test_simulate_round_trips_policy_and_is_deterministic(tmp_path, three_route_
     base = ["simulate", "--scenario", str(three_route_file), "--policy", str(policy_csv),
             "--agents", "200", "--reps", "3", "--seed", "42"]
     assert main(base + ["--out", str(out_a)]) == 0
-    assert main(base + ["--out", str(out_b), "--threads", "2"]) == 0
+    assert main(base + ["--out", str(out_b)]) == 0
     assert _payload(out_a) == _payload(out_b)
     header = _payload(out_a)[0]
     assert header == "rep,t,i,j,count,realized_tax"
@@ -528,7 +571,7 @@ def test_simulate_builds_one_sampling_table_per_run(tmp_path, three_route_file, 
     monkeypatch.setattr(finite_population, "_SamplingTable", lambda *args: builds.append(args) or table(*args))
     out = tmp_path / "sim.csv"
     args = ["simulate", "--scenario", str(three_route_file), "--policy", str(policy_csv), "--agents", "20",
-            "--threads", "2", "--reps", "3", "--out", str(out)]
+            "--reps", "3", "--out", str(out)]
     assert main(args) == 0
     assert len(builds) == 1
     assert len({line.split(",")[0] for line in _payload(out)[1:]}) == 3

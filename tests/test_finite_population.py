@@ -88,9 +88,10 @@ def test_deterministic_policy_comoves_everybody(three_route):
     assert set(np.unique(sample.edge_counts[0])) <= {0, 64}
 
 
-@pytest.mark.parametrize("n_agents", [127, 128, 255, 256, 32767, 32768, 65535, 65536])
+@pytest.mark.parametrize("n_agents", [127, 128, 255, 256, 32767, 32768, 65535, 65536, 2**53])
 def test_a_whole_population_on_one_edge_is_counted_at_the_count_type_limits(three_route, n_agents):
-    # one node holds all N agents and every one takes the same edge, N on each side of 8- and 16-bit limits
+    # one node holds all N agents and every one takes the same edge, N on each side of 8- and 16-bit
+    # limits and at 2**53, the largest population whose float64 count sums are exact
     probs = np.zeros((1, three_route.graph.edge_count))
     probs[0, 1] = 1.0
     probs[0, 3:] = 1.0
@@ -623,6 +624,17 @@ def test_simulate_replications_checks_its_inputs_at_the_call(three_route):
         for (scenario, kernel, n_agents), message in cases:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 simulate_replications(scenario, kernel, n_agents, 0, reps)
+
+
+@pytest.mark.parametrize("n_agents", [2**53 + 1, 2**63 - 1, 10**19])
+def test_a_population_above_2_53_is_rejected_at_the_call(three_route, n_agents):
+    # above 2**53 the float64 count sums of a stage round, and above 2**63 - 1 numpy's draw overflows
+    policy = mfe_solve(three_route).policy
+    message = "^" + re.escape(f"n_agents must be <= 2**53, got {n_agents}") + "$"
+    with pytest.raises(ValueError, match=message):
+        simulate_population(three_route, policy, n_agents, 0)
+    with pytest.raises(ValueError, match=message):
+        simulate_replications(three_route, policy, n_agents, 0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,17 @@ def test_extract_policy_and_value_reject_a_foreign_horizon_or_stage(three_route)
     for t in (-1, 2):
         with pytest.raises(ValueError, match=rf"^stage {t} outside 0\.\.1$"):
             value(desirability, three_route.initial, t)
+
+
+def test_extract_policy_rejects_the_table_of_another_grid_or_alpha():
+    grid = build_gridworld(4, 3, (), 0, 11, 6, 1.0)
+    # same horizon: a larger grid's table would give a stochastic but wrong policy, a smaller one an IndexError
+    for other in (build_gridworld(5, 4, (), 0, 19, 6, 1.0), build_gridworld(3, 2, (), 0, 5, 6, 1.0)):
+        message = f"desirability table of shape (7, {other.graph.node_count}), scenario needs (7, 12)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            extract_policy(grid, backward_pass(other))
+    with pytest.raises(ValueError, match=r"^desirability alpha 0\.5, scenario alpha 1\.0$"):
+        extract_policy(grid, backward_pass(build_gridworld(4, 3, (), 0, 11, 6, 0.5)))
 
 
 def test_policy_kernel_freezes_a_view_and_leaves_the_callers_array_writeable(three_route):
