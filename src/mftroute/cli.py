@@ -24,7 +24,7 @@ from . import __version__
 from .fictitious_play import FictitiousPlayResult, fp_run
 from .finite_population import GENERATOR_NAME, _nash_gap_rows, realized_taxes, simulate_replications
 from .kl_solver import PolicyKernel, backward_pass, extract_policy, value
-from .mean_field import FlowTrajectory, equalizer_gap, mfe_solve, random_policy
+from .mean_field import FlowTrajectory, equalizer_gap, mfe_solve, propagate, random_policy
 from .scenario import (
     Distribution,
     InvalidScenarioError,
@@ -278,8 +278,9 @@ def read_policy_csv(path, scenario: Scenario) -> PolicyKernel:
 # ---------------------------------------------------------------------------
 
 def _manifest(args, start: float, input_digests: dict | None = None) -> RunManifest:
-    """The handler's manifest: its parsed options except the subcommand, the seed and the out* paths."""
-    params = {k: v for k, v in vars(args).items() if k not in ("subcommand", "seed") and not k.startswith("out")}
+    """The handler's manifest: its parsed options except the subcommand, the handler, the seed and the out* paths."""
+    skipped = ("subcommand", "handler", "seed")
+    params = {k: v for k, v in vars(args).items() if k not in skipped and not k.startswith("out")}
     return RunManifest(
         args.subcommand, params, getattr(args, "seed", None), input_digests, time.perf_counter() - start
     )
@@ -303,34 +304,28 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_solve(args) -> int:
+def _cmd_mfe(args) -> int:
+    """Backward pass and policy extraction; the flow is propagated only for --out-flow."""
     start = time.perf_counter()
     scenario, digests = _load_scenario(args)
     desirability = backward_pass(scenario)
     policy = extract_policy(scenario, desirability)
+    flow = propagate(scenario, policy) if args.out_flow else None
     manifest = _manifest(args, start, digests)
+    if not args.certify_equalizer:
+        manifest.seed = None  # nothing is drawn
     if args.out_policy:
         write_policy_csv(args.out_policy, scenario, policy, manifest)
     if args.out_logphi:
         _write_node_table(args.out_logphi, "t,i,value", desirability.log_phi, manifest)
-    print(f"optimal expected cost from the initial distribution: {value(desirability, scenario.initial, 0)!r}")
-    return 0
-
-
-def _cmd_mfe(args) -> int:
-    start = time.perf_counter()
-    scenario, digests = _load_scenario(args)
-    solution = mfe_solve(scenario)
-    manifest = _manifest(args, start, digests)
-    if args.out_policy:
-        write_policy_csv(args.out_policy, scenario, solution.policy, manifest)
-    if args.out_flow:
-        _write_node_table(args.out_flow, "t,i,mass", solution.flow.distributions, manifest)
+    if flow is not None:
+        _write_node_table(args.out_flow, "t,i,mass", flow.distributions, manifest)
     if args.certify_equalizer:
         rng = np.random.default_rng(args.seed)
         trials = [random_policy(scenario, rng) for _ in range(args.certify_equalizer)]
-        gap = equalizer_gap(scenario, solution.policy, trials, solution.desirability)
+        gap = equalizer_gap(scenario, policy, trials, desirability)
         print(f"equalizer gap over {args.certify_equalizer} random policies: {gap!r}")
+    print(f"optimal expected cost from the initial distribution: {value(desirability, scenario.initial, 0)!r}")
     print(f"mean-field equilibrium computed over {scenario.horizon} stages")
     return 0
 
@@ -381,8 +376,6 @@ def _comma_list(text: str, flag: str, kind=float, least=None) -> list:
 def _parse_game(args) -> SingleStageGame:
     costs = np.array(_comma_list(args.costs, "--costs"))
     reference = np.array(_comma_list(args.ref, "--ref"))
-    if args.routes != len(costs):
-        raise ValueError(f"--routes {args.routes} but {len(costs)} costs given")
     return SingleStageGame(costs, reference, args.alpha, args.agents)
 
 
@@ -426,30 +419,32 @@ def _cmd_gridworld(args) -> int:
     return 0
 
 
-def _cmd_reproduce(args) -> int:
+def _cmd_reproduce_fig2(args) -> int:
+    start = time.perf_counter()
+    solution = mfe_solve(fig2_scenario(args.alpha))  # a bad alpha fails here, before the directory is made
+    duration = time.perf_counter() - start
+    manifest = RunManifest("reproduce fig2", {"alpha": args.alpha}, duration_s=duration)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.preset == "fig2":
-        start = time.perf_counter()
-        scenario = fig2_scenario(args.alpha)
-        solution = mfe_solve(scenario)
-        duration = time.perf_counter() - start
-        manifest = RunManifest("reproduce fig2", {"alpha": args.alpha}, duration_s=duration)
-        for t in FIG2_FRAMES:
-            text = emit_heatmap(
-                solution.flow,
-                t,
-                FIG2_WIDTH,
-                FIG2_HEIGHT,
-                FIG2_OBSTACLES,
-                manifest.header_lines(),
-            )
-            (out_dir / f"heatmap_t{t}.pgm").write_text(text, encoding="utf-8")
-        _write_node_table(out_dir / "flow.csv", "t,i,mass", solution.flow.distributions, manifest)
-        print(f"wrote {len(FIG2_FRAMES)} heatmap frames and flow.csv to {out_dir}")
-        return 0
+    for t in FIG2_FRAMES:
+        text = emit_heatmap(
+            solution.flow,
+            t,
+            FIG2_WIDTH,
+            FIG2_HEIGHT,
+            FIG2_OBSTACLES,
+            manifest.header_lines(),
+        )
+        (out_dir / f"heatmap_t{t}.pgm").write_text(text, encoding="utf-8")
+    _write_node_table(out_dir / "flow.csv", "t,i,mass", solution.flow.distributions, manifest)
+    print(f"wrote {len(FIG2_FRAMES)} heatmap frames and flow.csv to {out_dir}")
+    return 0
 
-    # fig4: fictitious play at both population sizes
+
+def _cmd_reproduce_fig4(args) -> int:
+    """Fictitious play at both population sizes."""
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for n_players in FIG4_PLAYERS:
         game = SingleStageGame(
             np.array(FIG4_COSTS), np.array(FIG4_REFERENCE), FIG4_ALPHA, n_players
@@ -471,7 +466,7 @@ def _cmd_reproduce(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser, and each subcommand's count options with the least value main accepts of each."""
+    """The parser, and each handler's count options with the least value main accepts of each."""
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="Mean-field traffic routing under a log-population toll.",
@@ -479,58 +474,60 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     floors = {}
 
-    def count(p, flag, least, **kwargs):
-        """An integer option; main rejects a value below least as a data error, before the handler runs."""
-        action = p.add_argument(flag, type=int, **kwargs)
-        floors.setdefault(p.prog.split()[-1], []).append((action, least))  # prog is "mft-route <subcommand>"
+    def command(parent, name, handler, summary):
+        """A subcommand parser whose parsed args name its handler."""
+        p = parent.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
+        return p
 
-    def scenario_parser(name, summary):
-        p = sub.add_parser(name, help=summary)
+    def count(p, flag, least, **kwargs):
+        """An integer option of p; main rejects a value below least as a data error, before p's handler runs."""
+        action = p.add_argument(flag, type=int, **kwargs)
+        floors.setdefault(p.get_default("handler"), []).append((action, least))
+
+    def scenario_parser(name, handler, summary):
+        p = command(sub, name, handler, summary)
         p.add_argument("--scenario", required=True, help="scenario file path")
         return p
 
-    def game_parser(name, summary):
-        p = sub.add_parser(name, help=summary)
-        p.add_argument("--routes", type=int, required=True, help="number of parallel routes")
-        p.add_argument("--costs", required=True, help="comma-separated route travel costs")
+    def game_parser(name, handler, summary):
+        p = command(sub, name, handler, summary)
+        p.add_argument("--costs", required=True, help="comma-separated route travel costs, one per route")
         p.add_argument("--ref", required=True, help="comma-separated reference probabilities")
         p.add_argument("--alpha", type=float, required=True, help="toll aggressiveness")
         count(p, "--agents", 1, required=True, help="number of players")
         return p
 
-    scenario_parser("validate", "check a scenario file against all invariants")
+    scenario_parser("validate", _cmd_validate, "check a scenario file against all invariants")
 
-    p = scenario_parser("solve", "backward pass and optimal policy extraction")
-    p.add_argument("--out-policy", help="write the optimal policy CSV (t,i,j,value)")
-    p.add_argument("--out-logphi", help="write the log-desirability CSV (t,i,value)")
-
-    p = scenario_parser("mfe", "mean-field equilibrium policy and population flow")
+    p = scenario_parser("mfe", _cmd_mfe, "mean-field equilibrium: optimal policy, log-desirability and flow")
     p.add_argument("--out-policy", help="write the equilibrium policy CSV (t,i,j,value)")
+    p.add_argument("--out-logphi", help="write the log-desirability CSV (t,i,value)")
     p.add_argument("--out-flow", help="write the population flow CSV (t,i,mass)")
     count(p, "--certify-equalizer", 0, default=0, metavar="N",
           help="also check the equalizer property over N random policies")
     count(p, "--seed", 0, default=0, help="RNG seed of the random policies")
 
-    p = scenario_parser("simulate", "finite-population Monte Carlo with realized tolls")
+    p = scenario_parser("simulate", _cmd_simulate, "finite-population Monte Carlo with realized tolls")
     count(p, "--seed", 0, default=0, help="root RNG seed of the replication substreams")
     p.add_argument("--policy", required=True, help="policy CSV to simulate under")
     count(p, "--agents", 1, required=True, help="number of players")
     count(p, "--reps", 0, default=1, help="independent replications")
     p.add_argument("--out", required=True, help="output CSV (rep,t,i,j,count,realized_tax)")
 
-    p = scenario_parser("nash-gap", "expected-tax convergence and best-response gaps per N")
+    p = scenario_parser("nash-gap", _cmd_nash_gap, "expected-tax convergence and best-response gaps per N")
     p.add_argument("--agents", required=True, help="comma-separated player counts")
     p.add_argument("--out", required=True, help="output CSV (n_agents,expected_tax_gap,epsilon_nash)")
 
-    p = game_parser("fp", "symmetric fictitious play on a parallel-route game")
+    p = game_parser("fp", _cmd_fp, "symmetric fictitious play on a parallel-route game")
     count(p, "--days", 1, required=True, help="days to play")
     p.add_argument("--init", default="uniform", help="'uniform' or comma-separated belief")
     p.add_argument("--out", required=True, help="output CSV (day,q...,r,dist_to_ne,dist_to_mfe)")
 
-    p = game_parser("symmetric-ne", "exact symmetric equilibrium of the route game")
+    p = game_parser("symmetric-ne", _cmd_symmetric_ne, "exact symmetric equilibrium of the route game")
     p.add_argument("--out", required=True, help="output CSV (record,route,value)")
 
-    p = sub.add_parser("gridworld", help="generate a grid-world scenario file")
+    p = command(sub, "gridworld", _cmd_gridworld, "generate a grid-world scenario file")
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--obstacles", default="", help="comma-separated obstacle node ids")
@@ -540,36 +537,26 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--out", required=True, help="scenario file to write")
 
-    p = sub.add_parser("reproduce", help="rerun a packaged experiment preset")
-    p.add_argument("preset", choices=("fig2", "fig4"))
-    p.add_argument("--alpha", type=float, default=0.1, help="toll aggressiveness (fig2)")
-    count(p, "--days", 1, default=FIG4_DAYS, help="days to play (fig4)")
+    reproduce = sub.add_parser("reproduce", help="rerun a packaged experiment preset")
+    presets = reproduce.add_subparsers(dest="preset", required=True)
+    p = command(presets, "fig2", _cmd_reproduce_fig2, "grid-world heatmaps at t = 20, 35, 50 and flow.csv")
+    p.add_argument("--alpha", type=float, default=0.1, help="toll aggressiveness")
+    p.add_argument("--out-dir", required=True, help="directory for output files")
+    p = command(presets, "fig4", _cmd_reproduce_fig4, "fictitious play for N = 20 and N = 200")
+    count(p, "--days", 1, default=FIG4_DAYS, help="days to play")
     p.add_argument("--out-dir", required=True, help="directory for output files")
 
     return parser, floors
-
-
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "solve": _cmd_solve,
-    "mfe": _cmd_mfe,
-    "simulate": _cmd_simulate,
-    "nash-gap": _cmd_nash_gap,
-    "fp": _cmd_fp,
-    "symmetric-ne": _cmd_symmetric_ne,
-    "gridworld": _cmd_gridworld,
-    "reproduce": _cmd_reproduce,
-}
 
 
 def main(argv=None) -> int:
     parser, floors = _build_parser()
     args = parser.parse_args(argv)
     try:
-        for action, least in floors.get(args.subcommand, ()):
+        for action, least in floors.get(args.handler, ()):
             if getattr(args, action.dest) < least:
                 raise ValueError(f"{action.option_strings[0]} must be >= {least}")
-        return _HANDLERS[args.subcommand](args)
+        return args.handler(args)
     except (ScenarioFormatError, InvalidScenarioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -389,6 +389,8 @@ def build_gridworld(
             raise ValueError(f"obstacle {o} is off-grid (0..{node_count - 1})")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be a positive real, got {float(alpha)}")
 
     neighbors = []
     for y in range(height):

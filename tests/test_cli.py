@@ -15,9 +15,11 @@ from mftroute import (
     StageCosts,
     best_response_finite_n,
     build_gridworld,
+    backward_pass,
     cli,
     expected_tax_gap,
     finite_population,
+    mean_field,
     mfe_solve,
     read_scenario,
     serialize,
@@ -65,7 +67,7 @@ def test_mfe_subcommand_writes_the_equilibrium_policy(tmp_path, three_route_file
 
 def test_missing_scenario_flag_is_a_usage_error():
     with pytest.raises(SystemExit) as excinfo:
-        main(["solve"])
+        main(["mfe"])
     assert excinfo.value.code == 2
 
 
@@ -78,8 +80,12 @@ def test_unknown_flag_is_a_usage_error(tmp_path, three_route_file):
         # --seed exists only where a handler reads it, and --threads nowhere
         ["mfe", "--scenario", scenario, "--threads", "2"],
         simulate + ["--threads", "2"],
-        ["solve", "--scenario", scenario, "--seed", "1"],
         ["reproduce", "fig4", "--out-dir", out_dir, "--seed", "1"],
+        # solve folded into mfe, the route count is len(--costs), and each preset takes its own flags
+        ["solve", "--scenario", scenario],
+        ["fp", "--routes", "3", *_GAME_ARGS, "--days", "5", "--out", out_dir],
+        ["reproduce", "fig4", "--alpha", "1", "--out-dir", out_dir],
+        ["reproduce", "fig2", "--days", "3", "--out-dir", out_dir],
     ):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
@@ -108,7 +114,7 @@ def test_validation_failure_exits_one(tmp_path, capsys):
 def test_parse_failure_exits_one(tmp_path, capsys):
     bad = tmp_path / "garbage.scn"
     bad.write_text("[params]\nnodes = 2\n")
-    code = main(["solve", "--scenario", str(bad)])
+    code = main(["mfe", "--scenario", str(bad)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
 
@@ -201,7 +207,8 @@ def test_simulate_rejects_negative_reps_and_writes_a_header_for_zero(tmp_path, t
 
 
 _THIRDS = f"{1/3!r},{1/3!r},{1/3!r}"
-_GAME_OPTIONS = {"--routes": "3", "--costs": "2,1,3", "--ref": _THIRDS, "--alpha": "1", "--agents": "20"}
+_GAME_OPTIONS = {"--costs": "2,1,3", "--ref": _THIRDS, "--alpha": "1", "--agents": "20"}
+_GAME_ARGS = [tok for item in _GAME_OPTIONS.items() for tok in item]
 _GATED_RUNS = {
     "mfe": {"--scenario": "{missing}", "--out-policy": "{out}"},
     "simulate": {"--scenario": "{missing}", "--policy": "{missing}", "--agents": "10", "--out": "{out}"},
@@ -259,8 +266,8 @@ def test_negative_counts_are_data_errors(tmp_path, capsys, args, error):
         (["fp", "--ref", "nan,0.5,0.5"], "reference probabilities must be strictly positive"),
         (["fp", "--init", "nan,nan,nan"], "initial belief must lie in the probability simplex"),
         (["fp", "--init", "0.5,0.5"], "initial belief has 2 entries for 3 routes"),
-        (["fp", "--routes", "4"], "--routes 4 but 3 costs given"),
-        (["symmetric-ne", "--routes", "2"], "--routes 2 but 3 costs given"),
+        (["fp", "--ref", "0.5,0.5"], "travel_cost and reference must be equal-length vectors"),
+        (["symmetric-ne", "--ref", "0.5,0.25,0.125,0.125"], "travel_cost and reference must be equal-length vectors"),
     ],
 )
 def test_route_game_rejects_non_finite_and_misshapen_inputs(tmp_path, capsys, args, error):
@@ -298,10 +305,11 @@ def test_manifest_lines_of_every_handler(tmp_path, three_route_file):
     policy_csv = tmp_path / "policy.csv"
     policy_csv.write_text("t,i,j,value\n0,0,1,0.25\n0,0,2,0.5\n0,0,3,0.25\n0,1,1,1.0\n0,2,2,1.0\n0,3,3,1.0\n")
     scenario = ["--scenario", str(three_route_file)]
-    game = ["--routes", "3", "--costs", "2,1,3", "--ref", _THIRDS, "--alpha", "1", "--agents", "20"]
+    game = ["--costs", "2,1,3", "--ref", _THIRDS, "--alpha", "1", "--agents", "20"]
     runs = {
-        "solve": ["solve", *scenario, "--out-policy"],
-        "mfe": ["mfe", *scenario, "--certify-equalizer", "2", "--seed", "5", "--out-flow"],
+        # the seed is recorded only where random policies are drawn
+        "mfe": ["mfe", *scenario, "--out-policy"],
+        "mfe-certified": ["mfe", *scenario, "--certify-equalizer", "2", "--seed", "5", "--out-flow"],
         "simulate": ["simulate", *scenario, "--policy", str(policy_csv), "--agents", "20", "--reps", "2",
                      "--seed", "7", "--out"],
         "nash-gap": ["nash-gap", *scenario, "--agents", "10,100", "--out"],
@@ -311,23 +319,23 @@ def test_manifest_lines_of_every_handler(tmp_path, three_route_file):
     digest = "sha256[scenario]=a9125cd67f722ab0e10b424224711516651d3f78dd5cc75fc9b82b6b9db0bf82"
     game_params = ["agents=20", "alpha=1.0", "costs=2,1,3"]
     expected = {
-        "solve": ["scenario=<tmp>/threeroute.scn", digest],
-        "mfe": ["certify_equalizer=2", "scenario=<tmp>/threeroute.scn", f"seed=5 generator=pcg64 numpy={np.__version__}", digest],
+        "mfe": ["certify_equalizer=0", "scenario=<tmp>/threeroute.scn", digest],
+        "mfe-certified": ["certify_equalizer=2", "scenario=<tmp>/threeroute.scn", f"seed=5 generator=pcg64 numpy={np.__version__}", digest],
         "simulate": [
             "agents=20", "policy=<tmp>/policy.csv", "reps=2", "scenario=<tmp>/threeroute.scn",
             f"seed=7 generator=pcg64 numpy={np.__version__}",
             "sha256[policy]=d4f1ff4fd65d9d6178d8aa28982adec406ac035021a7263d664fb5408a2ea965", digest,
         ],
         "nash-gap": ["agents=10,100", "scenario=<tmp>/threeroute.scn", digest],
-        "fp": [*game_params, "days=5", "init=uniform", f"ref={_THIRDS}", "routes=3"],
-        "symmetric-ne": [*game_params, f"ref={_THIRDS}", "routes=3"],
+        "fp": [*game_params, "days=5", "init=uniform", f"ref={_THIRDS}"],
+        "symmetric-ne": [*game_params, f"ref={_THIRDS}"],
     }
     for name, args in runs.items():
         out = tmp_path / f"{name}.csv"
         assert main(args + [str(out)]) == 0
         lines = [line.replace(str(tmp_path), "<tmp>") for line in out.read_text().splitlines() if line.startswith("#")]
         assert lines[-1].startswith("# manifest: duration_s=")
-        want = ["tool=mft-route version=0.1.0", f"subcommand={name}", *expected[name]]
+        want = ["tool=mft-route version=0.1.0", f"subcommand={args[0]}", *expected[name]]
         assert lines[:-1] == [f"# manifest: {line}" for line in want]
 
 
@@ -341,13 +349,45 @@ def test_validate_reports_a_nan_cost_with_its_location(tmp_path, capsys):
     assert err == "nonfinite_cost[t=0, i=0, j=1]: cost must be finite\n1 violation(s) found\n"
 
 
-def test_solve_outputs_log_desirability(tmp_path, three_route_file):
+def test_mfe_outputs_log_desirability(tmp_path, three_route_file):
     out = tmp_path / "logphi.csv"
-    code = main(["solve", "--scenario", str(three_route_file), "--out-logphi", str(out)])
+    code = main(["mfe", "--scenario", str(three_route_file), "--out-logphi", str(out)])
     assert code == 0
     rows = {tuple(line.split(",")[:2]): float(line.split(",")[2]) for line in _payload(out)[1:]}
     assert rows[("1", "0")] == 0.0  # terminal stage
     assert rows[("0", "0")] == pytest.approx(np.log((np.exp(-2) + np.exp(-1) + np.exp(-3)) / 3))
+
+
+def test_mfe_log_desirability_rows_are_the_backward_pass_table(tmp_path, capsys):
+    path, out = tmp_path / "grid.scn", tmp_path / "logphi.csv"
+    write_scenario(build_gridworld(4, 3, [5], 0, 11, 6, 0.3), path)
+    assert main(["mfe", "--scenario", str(path), "--out-logphi", str(out)]) == 0
+    log_phi = backward_pass(read_scenario(path)).log_phi
+    want = [f"{t},{i},{value!r}" for t, row in enumerate(log_phi.tolist()) for i, value in enumerate(row)]
+    assert _payload(out) == ["t,i,value", *want]
+    assert capsys.readouterr().out.startswith("optimal expected cost from the initial distribution: ")
+
+
+@pytest.mark.parametrize(
+    "options, calls",
+    [([], 0), (["--certify-equalizer", "3"], 0), (["--out-flow", "{flow}"], 1)],
+    ids=["policy", "certified", "flow"],
+)
+def test_mfe_propagates_only_for_the_flow(tmp_path, three_route_file, monkeypatch, options, calls):
+    counted = []
+    propagate = mean_field.propagate
+
+    def counter(*args):
+        counted.append(args)
+        return propagate(*args)
+
+    # both names: the CLI's own import and the one mfe_solve reads
+    monkeypatch.setattr(mean_field, "propagate", counter)
+    monkeypatch.setattr(cli, "propagate", counter)
+    flow = str(tmp_path / "flow.csv")
+    argv = ["mfe", "--scenario", str(three_route_file), "--out-policy", str(tmp_path / "policy.csv")]
+    assert main(argv + [tok.format(flow=flow) for tok in options]) == 0
+    assert len(counted) == calls
 
 
 def test_simulate_round_trips_policy_and_is_deterministic(tmp_path, three_route_file):
@@ -434,7 +474,7 @@ def test_nash_gap_rows_equal_the_public_per_call_path(tmp_path, seed, stationary
 def test_fp_subcommand_emits_diagnostics(tmp_path, capsys):
     out = tmp_path / "fp.csv"
     code = main(
-        ["fp", "--routes", "3", "--costs", "2,1,3", "--ref",
+        ["fp", "--costs", "2,1,3", "--ref",
          f"{1/3!r},{1/3!r},{1/3!r}", "--alpha", "1", "--agents", "50",
          "--days", "40", "--init", "uniform", "--out", str(out)]
     )
@@ -451,7 +491,7 @@ def test_fp_subcommand_emits_diagnostics(tmp_path, capsys):
 def test_fp_payload_matches_reproduce_fig4(tmp_path):
     out = tmp_path / "fp.csv"
     code = main(
-        ["fp", "--routes", "3", "--costs", "2.0,1.0,3.0", "--ref",
+        ["fp", "--costs", "2.0,1.0,3.0", "--ref",
          f"{1/3!r},{1/3!r},{1/3!r}", "--alpha", "1", "--agents", "20", "--days", "50", "--out", str(out)]
     )
     assert code == 0
@@ -462,7 +502,7 @@ def test_fp_payload_matches_reproduce_fig4(tmp_path):
 def test_symmetric_ne_subcommand(tmp_path):
     out = tmp_path / "ne.csv"
     code = main(
-        ["symmetric-ne", "--routes", "3", "--costs", "2,1,3", "--ref",
+        ["symmetric-ne", "--costs", "2,1,3", "--ref",
          f"{1/3!r},{1/3!r},{1/3!r}", "--alpha", "1", "--agents", "200", "--out", str(out)]
     )
     assert code == 0
@@ -483,10 +523,20 @@ def test_gridworld_subcommand_rejects_an_empty_grid(tmp_path, capsys, width, hei
     assert not out.exists()
 
 
+@pytest.mark.parametrize("alpha, shown", [("-1", "-1.0"), ("0", "0.0"), ("nan", "nan"), ("inf", "inf")])
+def test_gridworld_subcommand_rejects_an_alpha_validate_would_reject(tmp_path, capsys, alpha, shown):
+    out = tmp_path / "grid.scn"
+    args = ["gridworld", "--width", "3", "--height", "3", "--origin", "0", "--dest", "8",
+            "--horizon", "2", "--alpha", alpha, "--out", str(out)]
+    assert main(args) == 1
+    assert capsys.readouterr() == ("", f"error: alpha must be a positive real, got {shown}\n")
+    assert not out.exists()
+
+
 def test_unreadable_inputs_and_an_empty_agent_list_are_data_errors(tmp_path, three_route_file, capsys):
     missing = tmp_path / "missing"
     out = tmp_path / "out.csv"
-    assert main(["solve", "--scenario", str(missing)]) == 1
+    assert main(["mfe", "--scenario", str(missing)]) == 1
     assert capsys.readouterr().err.startswith(f"error: cannot read scenario file {missing}: ")
     args = ["simulate", "--scenario", str(three_route_file), "--policy", str(missing), "--agents", "10"]
     assert main(args + ["--out", str(out)]) == 1
@@ -665,6 +715,13 @@ def test_reproduce_fig2_outputs(tmp_path):
         assert np.all(pixels[list(FIG2_OBSTACLES)] == 256)
         data = np.delete(pixels, list(FIG2_OBSTACLES))
         assert data.max() == 255 and data.min() >= 0
+
+
+@pytest.mark.parametrize("alpha", ["0", "-1", "nan"])
+def test_reproduce_fig2_rejects_a_bad_alpha_before_making_its_directory(tmp_path, capsys, alpha):
+    assert main(["reproduce", "fig2", "--alpha", alpha, "--out-dir", str(tmp_path / "fig2")]) == 1
+    assert capsys.readouterr().err == f"error: alpha must be a positive real, got {float(alpha)}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_reproduce_fig4_outputs(tmp_path):

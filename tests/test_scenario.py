@@ -186,6 +186,12 @@ def test_gridworld_rejects_bad_endpoints_and_horizon():
         build_gridworld(3, 3, (9,), 0, 8, 4, 1.0)
 
 
+@pytest.mark.parametrize("alpha, shown", [(-1, "-1.0"), (0.0, "0.0"), (float("nan"), "nan"), (float("inf"), "inf")])
+def test_gridworld_rejects_an_alpha_validate_would_reject(alpha, shown):
+    with pytest.raises(ValueError, match=f"^alpha must be a positive real, got {shown}$"):
+        build_gridworld(3, 3, (), 0, 8, 2, alpha)
+
+
 @pytest.mark.parametrize("width, height", [(-2, -3), (3, 0), (0, 3)])
 def test_gridworld_rejects_an_empty_grid_naming_both_sizes(width, height):
     with pytest.raises(ValueError, match=f"^grid width {width} and height {height} must both be >= 1$"):

@@ -275,21 +275,21 @@ def counted_checks(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("subcommand", ["validate", "solve", "mfe", "simulate", "nash-gap"])
-def test_each_cli_run_checks_its_scenario_once(tmp_path, counted_checks, subcommand):
+@pytest.mark.parametrize("run", ["validate", "mfe-policy", "mfe", "simulate", "nash-gap"])
+def test_each_cli_run_checks_its_scenario_once(tmp_path, counted_checks, run):
     path = tmp_path / "grid.scn"
     write_scenario(build_gridworld(4, 3, [5], 0, 11, 6, 0.3), path)
     policy = tmp_path / "policy.csv"
     assert main(["mfe", "--scenario", str(path), "--out-policy", str(policy)]) == 0
     counted_checks.clear()
-    extra = {
-        "validate": [],
-        "solve": ["--out-policy", str(tmp_path / "solved.csv")],
-        "mfe": ["--certify-equalizer", "3", "--out-flow", str(tmp_path / "flow.csv")],
-        "simulate": ["--policy", str(policy), "--agents", "20", "--reps", "2", "--out", str(tmp_path / "sim.csv")],
-        "nash-gap": ["--agents", "10,100", "--out", str(tmp_path / "gaps.csv")],
-    }[subcommand]
-    assert main([subcommand, "--scenario", str(path), *extra]) == 0
+    argv = {
+        "validate": ["validate"],
+        "mfe-policy": ["mfe", "--out-policy", str(tmp_path / "solved.csv"), "--out-logphi", str(tmp_path / "phi.csv")],
+        "mfe": ["mfe", "--certify-equalizer", "3", "--out-flow", str(tmp_path / "flow.csv")],
+        "simulate": ["simulate", "--policy", str(policy), "--agents", "20", "--reps", "2", "--out", str(tmp_path / "sim.csv")],
+        "nash-gap": ["nash-gap", "--agents", "10,100", "--out", str(tmp_path / "gaps.csv")],
+    }[run]
+    assert main([*argv, "--scenario", str(path)]) == 0
     assert len(counted_checks) == 1
 
 
