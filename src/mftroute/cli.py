@@ -78,15 +78,7 @@ OBSTACLE_SENTINEL = 256  # outside the 0..255 data range by construction
 
 
 def fig2_scenario(alpha: float) -> Scenario:
-    return build_gridworld(
-        FIG2_WIDTH,
-        FIG2_HEIGHT,
-        FIG2_OBSTACLES,
-        FIG2_ORIGIN,
-        FIG2_DESTINATION,
-        FIG2_HORIZON,
-        alpha,
-    )
+    return build_gridworld(FIG2_WIDTH, FIG2_HEIGHT, FIG2_OBSTACLES, FIG2_ORIGIN, FIG2_DESTINATION, FIG2_HORIZON, alpha)
 
 
 def three_route_scenario(costs=FIG4_COSTS, reference=FIG4_REFERENCE, alpha=FIG4_ALPHA) -> Scenario:
@@ -124,7 +116,8 @@ class RunManifest:
             f"# manifest: subcommand={self.subcommand}",
         ]
         for key in sorted(self.params):
-            lines.append(f"# manifest: {key}={self.params[key]}")
+            text = str(self.params[key])  # a value the readers' str.splitlines would split is written as its repr
+            lines.append(f"# manifest: {key}={text if len(f'{text}.'.splitlines()) == 1 else repr(text)}")
         if self.seed is not None:
             # NEP 19 lets numpy's samplers change their streams between releases
             lines.append(f"# manifest: seed={self.seed} generator={GENERATOR_NAME} numpy={np.__version__}")
@@ -305,11 +298,12 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_mfe(args) -> int:
-    """Backward pass and policy extraction; the flow is propagated only for --out-flow."""
+    """Backward pass; the policy is extracted only for an output that reads it, the flow only for --out-flow."""
     start = time.perf_counter()
     scenario, digests = _load_scenario(args)
     desirability = backward_pass(scenario)
-    policy = extract_policy(scenario, desirability)
+    reads_policy = args.out_policy or args.out_flow or args.certify_equalizer
+    policy = extract_policy(scenario, desirability) if reads_policy else None
     flow = propagate(scenario, policy) if args.out_flow else None
     manifest = _manifest(args, start, digests)
     if not args.certify_equalizer:
@@ -373,10 +367,17 @@ def _comma_list(text: str, flag: str, kind=float, least=None) -> list:
     return values
 
 
+def _route_list(text: str, flag: str, routes: int) -> np.ndarray:
+    """A comma list of one entry per route; another length raises, naming the flag and --costs."""
+    values = np.array(_comma_list(text, flag))
+    if len(values) != routes:
+        raise ValueError(f"{flag} has {len(values)} entries, --costs has {routes}")
+    return values
+
+
 def _parse_game(args) -> SingleStageGame:
     costs = np.array(_comma_list(args.costs, "--costs"))
-    reference = np.array(_comma_list(args.ref, "--ref"))
-    return SingleStageGame(costs, reference, args.alpha, args.agents)
+    return SingleStageGame(costs, _route_list(args.ref, "--ref", len(costs)), args.alpha, args.agents)
 
 
 def _cmd_fp(args) -> int:
@@ -385,7 +386,7 @@ def _cmd_fp(args) -> int:
     if args.init == "uniform":
         initial = np.full(game.route_count, 1.0 / game.route_count)
     else:
-        initial = np.array(_comma_list(args.init, "--init"))
+        initial = _route_list(args.init, "--init", game.route_count)
     result = fp_run(game, initial, args.days)
     _write_fp_csv(args.out, result, _manifest(args, start))
     print(
@@ -427,14 +428,7 @@ def _cmd_reproduce_fig2(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for t in FIG2_FRAMES:
-        text = emit_heatmap(
-            solution.flow,
-            t,
-            FIG2_WIDTH,
-            FIG2_HEIGHT,
-            FIG2_OBSTACLES,
-            manifest.header_lines(),
-        )
+        text = emit_heatmap(solution.flow, t, FIG2_WIDTH, FIG2_HEIGHT, FIG2_OBSTACLES, manifest.header_lines())
         (out_dir / f"heatmap_t{t}.pgm").write_text(text, encoding="utf-8")
     _write_node_table(out_dir / "flow.csv", "t,i,mass", solution.flow.distributions, manifest)
     print(f"wrote {len(FIG2_FRAMES)} heatmap frames and flow.csv to {out_dir}")

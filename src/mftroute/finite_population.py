@@ -18,7 +18,7 @@ from functools import lru_cache, partial
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .kl_solver import PolicyKernel, _check_policy_shape
+from .kl_solver import PolicyKernel, _check_policy_shape, _dot
 from .mean_field import propagate
 from .scenario import Scenario, TrafficGraph, _readonly
 
@@ -793,13 +793,13 @@ def _respond(scenario: Scenario, edge_flow: np.ndarray, total_cost: np.ndarray) 
 
     ``edge_flow`` is the population's (T, E) flow, which weighs its symmetric cost.
     """
-    for t in range(scenario.horizon):
-        np.add(scenario.stage_costs(t), total_cost[t], out=total_cost[t])
+    total_cost[:-1] += scenario.costs.stage[:-1]
+    total_cost[-1] += scenario.stage_costs(scenario.horizon - 1)
     probs, values = _shortest_path(scenario.graph, total_cost)
     symmetric_cost = 0.0
     for t in range(scenario.horizon):
-        symmetric_cost += float(edge_flow[t] @ total_cost[t])
-    best_cost = float(scenario.initial.mass @ values[0])
+        symmetric_cost += float(_dot(edge_flow[t], total_cost[t]))
+    best_cost = float(_dot(scenario.initial.mass, values[0]))
     return FiniteBestResponse(PolicyKernel(probs), symmetric_cost - best_cost, values, symmetric_cost)
 
 

@@ -62,6 +62,11 @@ class PolicyKernel:
             return np.log(self.probs)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of a * b over the last axis: numpy's pairwise sum, whose bits no BLAS thread count enters."""
+    return np.add.reduce(a * b, axis=-1)
+
+
 def _check_policy_shape(scenario: Scenario, policy: PolicyKernel) -> None:
     expect = (scenario.horizon, scenario.graph.edge_count)
     if policy.probs.shape != expect:
@@ -128,4 +133,4 @@ def value(desirability: LogDesirability, dist: Distribution, t: int) -> float:
     """Expected optimal cost-to-go from stage t under location distribution dist."""
     if not 0 <= t <= desirability.horizon:
         raise ValueError(f"stage {t} outside 0..{desirability.horizon}")
-    return float(-desirability.alpha * dist.mass @ desirability.log_phi[t])
+    return float(_dot(-desirability.alpha * dist.mass, desirability.log_phi[t]))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kl_solver import LogDesirability, PolicyKernel, backward_pass, extract_policy, value
-from .kl_solver import _check_policy_shape
+from .kl_solver import _check_policy_shape, _dot
 from .scenario import Scenario, _readonly
 
 
@@ -64,13 +64,13 @@ def _deviation_costs(
     """Cost of each trial deviating alone against ``population_policy``, in one pass over the stages.
 
     Each stage builds the population's toll row once, stacks the K trials'
-    rows into one (K, E) flow, adds each trial's masked dot, and advances
-    all K distributions with one bincount: bin k*V + dest sums trial k's
-    edges in edge order, as a bincount over trial k alone would.  A trial
-    stops at its first fault, an entry that is not finite and >= 0
-    (ValueError) or mass on a zero-support edge (ZeroSupportError); the
-    check reads the trial's rows, reached or not; the lowest failed trial's
-    fault is raised, as evaluating the trials one after another would.
+    rows into one (K, E) flow, adds each row's masked product-sum, and
+    advances all K distributions with one bincount: bin k*V + dest sums
+    trial k's edges in edge order, as a bincount over trial k alone would.
+    A trial's fault is its first entry that is not finite and >= 0
+    (ValueError) or mass on a zero-support edge (ZeroSupportError), its
+    rows checked whether reached or not; the lowest failed trial's fault is
+    raised, as evaluating the trials one after another would.
     """
     for trial in trials:
         _check_policy_shape(scenario, trial)
@@ -81,7 +81,7 @@ def _deviation_costs(
     bins = (np.arange(k_count)[:, None] * v + g.edge_dst).ravel()
     dists = np.tile(scenario.initial.mass, (k_count, 1))
     edge_flow = np.empty((k_count, g.edge_count))
-    totals = [0.0] * k_count
+    totals = np.zeros(k_count)
     faults: dict[int, ValueError] = {}
     for t in range(scenario.horizon):
         for row, trial in zip(edge_flow, trials):
@@ -105,13 +105,14 @@ def _deviation_costs(
             break
         log_ref = np.log(scenario.reference.probs[t])
         stage_cost = scenario.stage_costs(t) + scenario.alpha * (toll_log[t] - log_ref)
-        for k in range(k_count):
-            if k not in faults:
-                totals[k] += float(edge_flow[k][used[k]] @ stage_cost[used[k]])
+        if not np.isfinite(stage_cost).all():  # an unused edge adds 0 * cost, which is 0 for a finite cost only
+            stage_cost = np.where(used, stage_cost, 0.0)
+        with np.errstate(invalid="ignore"):  # only a failed row, raised after the pass, makes a NaN here
+            totals += _dot(edge_flow, stage_cost)
         dists = np.bincount(bins, weights=edge_flow.ravel(), minlength=k_count * v).reshape(k_count, v)
     if faults:
         raise faults[min(faults)]
-    return totals
+    return totals.tolist()
 
 
 def _fault(scenario: Scenario, trial: PolicyKernel, k: int, t: int, dead: np.ndarray) -> ValueError:

@@ -159,7 +159,7 @@ def evaluate_policy_cost_table_log(
         edge_flow = dists[t][g.edge_src] * policy.probs[t]
         used = edge_flow > 0
         stage_cost = costs[t] + scenario.alpha * (toll_log[t] - log_ref[t])
-        total += float(edge_flow[used] @ stage_cost[used])
+        total += float(np.add.reduce(edge_flow * np.where(used, stage_cost, 0.0)))
     return total
 
 
@@ -185,7 +185,7 @@ def evaluate_policy_cost_per_trial(
             raise ZeroSupportError(t, int(g.edge_src[e]), int(g.edge_dst[e]))
         log_ref = np.log(scenario.reference.probs[t])
         stage_cost = scenario.stage_costs(t) + scenario.alpha * (toll_log[t] - log_ref)
-        total += float(edge_flow[used] @ stage_cost[used])
+        total += float(np.add.reduce(edge_flow * np.where(used, stage_cost, 0.0)))
     return total
 
 

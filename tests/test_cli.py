@@ -23,16 +23,19 @@ from mftroute import (
     mfe_solve,
     read_scenario,
     serialize,
+    value,
     write_scenario,
 )
 from mftroute.cli import (
     FIG2_OBSTACLES,
     FIG2_WIDTH,
+    RunManifest,
     emit_heatmap,
     main,
     read_policy_csv,
     three_route_scenario,
 )
+from mftroute.scenario import _OTHER_BREAKS
 
 
 def _payload(path):
@@ -265,9 +268,10 @@ def test_negative_counts_are_data_errors(tmp_path, capsys, args, error):
         (["symmetric-ne", "--alpha", "nan"], "alpha must be a positive real, got nan"),
         (["fp", "--ref", "nan,0.5,0.5"], "reference probabilities must be strictly positive"),
         (["fp", "--init", "nan,nan,nan"], "initial belief must lie in the probability simplex"),
-        (["fp", "--init", "0.5,0.5"], "initial belief has 2 entries for 3 routes"),
-        (["fp", "--ref", "0.5,0.5"], "travel_cost and reference must be equal-length vectors"),
-        (["symmetric-ne", "--ref", "0.5,0.25,0.125,0.125"], "travel_cost and reference must be equal-length vectors"),
+        (["fp", "--init", "0.5,0.5"], "--init has 2 entries, --costs has 3"),
+        (["fp", "--init", "0.25,0.25,0.25,0.25"], "--init has 4 entries, --costs has 3"),
+        (["fp", "--ref", "0.5,0.5"], "--ref has 2 entries, --costs has 3"),
+        (["symmetric-ne", "--ref", "0.5,0.25,0.125,0.125"], "--ref has 4 entries, --costs has 3"),
     ],
 )
 def test_route_game_rejects_non_finite_and_misshapen_inputs(tmp_path, capsys, args, error):
@@ -339,6 +343,24 @@ def test_manifest_lines_of_every_handler(tmp_path, three_route_file):
         assert lines[:-1] == [f"# manifest: {line}" for line in want]
 
 
+@pytest.mark.parametrize("brk", ["\n", *_OTHER_BREAKS, "\r\n"])
+def test_a_manifest_value_with_a_line_break_is_written_as_its_repr(brk):
+    lines = RunManifest("mfe", {"plain": "a b", "scenario": f"g{brk}x.scn"}).header_lines()
+    assert "\n".join(lines).splitlines() == lines
+    assert lines[2:] == ["# manifest: plain=a b", f"# manifest: scenario={f'g{brk}x.scn'!r}"]
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r", "\x1c", "\u2028"], ids=["LF", "CR", "FS", "LS"])
+def test_a_policy_written_for_a_scenario_path_with_a_line_break_reads_back(tmp_path, brk):
+    scenario, policy, out = tmp_path / f"g{brk}x.scn", tmp_path / "policy.csv", tmp_path / "sim.csv"
+    write_scenario(three_route_scenario(), scenario)
+    assert main(["mfe", "--scenario", str(scenario), "--out-policy", str(policy)]) == 0
+    argv = ["simulate", "--scenario", str(scenario), "--policy", str(policy), "--agents", "10", "--out", str(out)]
+    assert main(argv) == 0
+    for path in (policy, out):
+        assert f"# manifest: scenario={str(scenario)!r}" in path.read_text(encoding="utf-8").splitlines()
+
+
 def test_validate_reports_a_nan_cost_with_its_location(tmp_path, capsys):
     lines = serialize(three_route_scenario()).splitlines()
     lines[lines.index("[costs]") + 1] = "0 1 nan"
@@ -369,25 +391,40 @@ def test_mfe_log_desirability_rows_are_the_backward_pass_table(tmp_path, capsys)
 
 
 @pytest.mark.parametrize(
-    "options, calls",
-    [([], 0), (["--certify-equalizer", "3"], 0), (["--out-flow", "{flow}"], 1)],
-    ids=["policy", "certified", "flow"],
+    "options, propagations, extractions",
+    [
+        ([], 0, 0),
+        (["--out-logphi", "{out}/logphi.csv"], 0, 0),
+        (["--out-policy", "{out}/policy.csv"], 0, 1),
+        (["--certify-equalizer", "3"], 0, 1),
+        (["--out-flow", "{out}/flow.csv"], 1, 1),
+    ],
+    ids=["bare", "logphi", "policy", "certified", "flow"],
 )
-def test_mfe_propagates_only_for_the_flow(tmp_path, three_route_file, monkeypatch, options, calls):
-    counted = []
-    propagate = mean_field.propagate
+def test_mfe_propagates_only_for_the_flow(
+    tmp_path, three_route_file, monkeypatch, capsys, options, propagations, extractions
+):
+    counted = {"propagate": [], "extract_policy": []}
 
-    def counter(*args):
-        counted.append(args)
-        return propagate(*args)
+    def counter(name):
+        function = getattr(mean_field, name)
+        return lambda *args: counted[name].append(args) or function(*args)
 
-    # both names: the CLI's own import and the one mfe_solve reads
-    monkeypatch.setattr(mean_field, "propagate", counter)
-    monkeypatch.setattr(cli, "propagate", counter)
-    flow = str(tmp_path / "flow.csv")
-    argv = ["mfe", "--scenario", str(three_route_file), "--out-policy", str(tmp_path / "policy.csv")]
-    assert main(argv + [tok.format(flow=flow) for tok in options]) == 0
-    assert len(counted) == calls
+    for name in counted:
+        # both names: the CLI's own import and the one mfe_solve reads
+        wrapped = counter(name)
+        monkeypatch.setattr(mean_field, name, wrapped)
+        monkeypatch.setattr(cli, name, wrapped)
+    argv = ["mfe", "--scenario", str(three_route_file)]
+    assert main(argv + [tok.format(out=tmp_path) for tok in options]) == 0
+    assert len(counted["propagate"]) == propagations
+    assert len(counted["extract_policy"]) == extractions
+    scenario = read_scenario(three_route_file)
+    cost = value(backward_pass(scenario), scenario.initial, 0)
+    assert capsys.readouterr().out.endswith(
+        f"optimal expected cost from the initial distribution: {cost!r}\n"
+        "mean-field equilibrium computed over 1 stages\n"
+    )
 
 
 def test_simulate_round_trips_policy_and_is_deterministic(tmp_path, three_route_file):

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from helpers import (
     grid_search_value,
     random_scenario,
 )
+import mftroute
 from mftroute import (
     Distribution,
     InvalidScenarioError,
@@ -228,3 +233,37 @@ def test_policy_kernel_freezes_a_view_and_leaves_the_callers_array_writeable(thr
     assert kernel.probs[0, 0] == 1.0 and np.shares_memory(kernel.probs, probs)
     with pytest.raises(ValueError, match="read-only"):
         kernel.probs[0, 0] = 0.0
+
+
+# OpenBLAS 0.3.31 splits a dot of more than 10 000 entries across its threads; 12 300 is
+# the edge count of the 50x50 grid.  The payload's sums must not see the thread count.
+_THREAD_SCRIPT = """
+import numpy as np
+from mftroute import Distribution, Scenario, build_gridworld, equalizer_gap, random_policy
+from mftroute.kl_solver import _dot, backward_pass, extract_policy
+
+a, b = np.random.default_rng(0).standard_normal((2, 200, 12300))
+dots = np.array([_dot(x, y) for x, y in zip(a, b)])
+assert dots.tobytes() == np.add.reduce(a * b, axis=-1).tobytes()
+print(dots.tobytes().hex())
+base = build_gridworld(50, 50, [], 0, 2499, 20, 1.0)
+uniform = Distribution(np.full(base.graph.node_count, 1.0 / base.graph.node_count))
+scenario = Scenario(base.graph, base.costs, base.reference, base.alpha, uniform)
+desirability = backward_pass(scenario)
+draws = np.random.default_rng(0)
+trials = [random_policy(scenario, draws) for _ in range(3)]
+print(repr(equalizer_gap(scenario, extract_policy(scenario, desirability), trials, desirability)))
+"""
+
+
+def test_product_sums_do_not_depend_on_the_blas_thread_count():
+    package_root = str(Path(mftroute.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        command = [sys.executable, "-c", _THREAD_SCRIPT]
+        run = subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]

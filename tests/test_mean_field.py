@@ -212,6 +212,14 @@ def test_one_pass_kernels_match_the_per_trial_references(seed, stationary, trial
             assert _bits(got) == _bits(evaluate_policy_cost_per_trial(scenario, trial, population))
         got = equalizer_gap(scenario, population, trials, solution.desirability)
         assert _bits(got) == _bits(equalizer_gap_per_trial(scenario, population, trials, v0))
+    # a population with zeros tolls -inf on edges that a trial of its own support never uses
+    g = scenario.graph
+    probs = random_policy(scenario, draws).probs
+    kept = np.where(2 * probs >= np.maximum.reduceat(probs, g.row_start[:-1], axis=1)[:, g.edge_src], probs, 0.0)
+    sparse = PolicyKernel(kept / np.add.reduceat(kept, g.row_start[:-1], axis=1)[:, g.edge_src])
+    assert np.isneginf(sparse.toll_log()).any()
+    got = equalizer_gap(scenario, sparse, [sparse, sparse], solution.desirability)
+    assert _bits(got) == _bits(equalizer_gap_per_trial(scenario, sparse, [sparse], v0))
 
 
 def _fault_grid() -> tuple[Scenario, PolicyKernel]:
