@@ -12,6 +12,7 @@ Monte Carlo is a cross-check, not the primary path.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -69,23 +70,71 @@ _MASS_TOL = math.sqrt(np.finfo(np.float64).eps)
 
 def _player_count(n_players, name: str = "n_players", least: int = 1) -> int:
     """n_players as an int; an integral float or numpy integer of at least ``least`` passes, any other value raises."""
-    if not (math.isfinite(n_players) and n_players == int(n_players)):
+    try:
+        integral = math.isfinite(n_players) and n_players == int(n_players)
+    except OverflowError:  # an int beyond the float range, which math.isfinite cannot convert
+        raise ValueError(f"{name} must be <= {sys.float_info.max!r}") from None
+    if not integral:
         raise ValueError(f"{name} must be an integer, got {n_players}")
     if n_players < least:
         raise ValueError(f"{name} must be >= {least}")
     return int(n_players)
 
 
+# Cephes lgam from x = 13 on: log(sqrt(2 pi)) and the coefficients, highest power
+# first, of its Stirling series in 1/x**2, one for x < 1000 and one from 1000 on
+_LOG_SQRT_2PI = 0.91893853320467274178
+_STIRLING_BELOW_1000 = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+_STIRLING_FROM_1000 = (7.9365079365079365079365e-4, -2.7777777777777777777778e-3, 0.0833333333333333333333)
+# log k! for k = 0..11: below x = 13 lgam takes the log of the exact factorial
+_SMALL_LOG_FACTORIALS = np.array([math.log(math.factorial(k)) for k in range(12)])
+
+
+def _horner(p: np.ndarray, coeffs) -> np.ndarray:
+    """The polynomial with ``coeffs`` (highest power first) at p, rounded after each step as Cephes polevl does."""
+    out = coeffs[0]
+    for coeff in coeffs[1:]:
+        out = out * p + coeff
+    return out
+
+
+def _log_factorials(k: np.ndarray) -> np.ndarray:
+    """log k! for an integer array of k >= 0, as float64 with the bits of SciPy's ``gammaln(k + 1)``.
+
+    At a positive integer x = k + 1, ``gammaln`` is Cephes ``lgam``: the log
+    of the exact factorial below 13, Stirling's series from 13 on (no series
+    term above 1e8).  This evaluates the same float64 operations in the same
+    order.  The logs come from math.log, not np.log, whose vectorized loop
+    may differ from libm in the last ulp.
+    """
+    x = np.asarray(k, dtype=np.float64) + 1.0
+    q = (x - 0.5) * np.fromiter(map(math.log, x.tolist()), np.float64, len(x)) - x + _LOG_SQRT_2PI
+    p = 1.0 / (x * x)
+    series = np.where(x >= 1000, _horner(p, _STIRLING_FROM_1000), _horner(p, _STIRLING_BELOW_1000))
+    q = np.where(x > 1e8, q, q + series / x)
+    return np.where(x < 13, _SMALL_LOG_FACTORIALS[np.minimum(k, 11)], q)
+
+
 @lru_cache(maxsize=8)
 def _binomial_tables(n_players: int) -> np.ndarray:
-    """Read-only (4, N) float64 rows log C(N-1, k), log((k + 1) / N), k and N-1-k for k = 0..N-1."""
-    # imported here, not at module level: scipy.special is about half of the
-    # package's start-up, and most commands never reach the toll kernel
-    from scipy.special import gammaln
+    """Read-only (4, N) float64 rows log C(N-1, k), log((k + 1) / N), k and N-1-k for k = 0..N-1.
 
+    log C(N-1, k) has the bits of SciPy's ``gammaln(N) - gammaln(k + 1) -
+    gammaln(N - k)``: ``_log_factorials`` matches ``gammaln`` bit for bit, and
+    the subtractions keep its order.  tests/test_toll_kernel.py holds both:
+    ``test_log_factorials_are_gammaln_bit_for_bit`` and
+    ``test_binomial_coefficients_are_the_gammaln_expression_bit_for_bit``.
+    """
     n = n_players - 1
     k = np.arange(n + 1)
-    coeffs = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    log_fact = _log_factorials(k)
+    coeffs = log_fact[n] - log_fact - log_fact[n - k]
     log_share = np.log((k + 1.0) / n_players)
     tables = np.array([coeffs, log_share, k, n - k], dtype=np.float64)
     tables.setflags(write=False)

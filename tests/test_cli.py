@@ -305,6 +305,17 @@ def test_simulate_rejects_a_population_above_2_53(tmp_path, three_route_file, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, name", [(["fp", "--days"], "days"), (["symmetric-ne", "--agents"], "n_players")])
+def test_a_count_beyond_the_float_range_is_a_data_error(tmp_path, capsys, args, name):
+    # math.isfinite cannot convert such an int to a float; the count is still rejected by name
+    options = {**_GAME_OPTIONS, "--days": "5"} if args[0] == "fp" else dict(_GAME_OPTIONS)
+    options[args[1]] = "1" + "0" * 400
+    out = tmp_path / "out.csv"
+    assert main(args[:1] + [tok for item in options.items() for tok in item] + ["--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {name} must be <= 1.7976931348623157e+308\n")
+    assert not out.exists()
+
+
 def test_manifest_lines_of_every_handler(tmp_path, three_route_file):
     policy_csv = tmp_path / "policy.csv"
     policy_csv.write_text("t,i,j,value\n0,0,1,0.25\n0,0,2,0.5\n0,0,3,0.25\n0,1,1,1.0\n0,2,2,1.0\n0,3,3,1.0\n")

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from helpers import (
     assumed_cost_loop,
@@ -56,6 +57,7 @@ from mftroute.finite_population import (
     PROB_TOL,
     _binomial_tables,
     _interior_log_shares,
+    _log_factorials,
     _shortest_path,
     _windows,
     binomial_expected_log_share,
@@ -136,6 +138,31 @@ def test_kernel_boundaries_nan_and_bad_population():
 def test_an_empty_call_gives_an_empty_result(n_players):
     assert binomial_expected_log_share(n_players, np.array([])).shape == (0,)
     assert _interior_log_shares(n_players, np.array([])).shape == (0,)
+
+
+def _assert_same_bits(ours: np.ndarray, ref: np.ndarray) -> None:
+    assert ours.dtype == ref.dtype == np.float64
+    bad = ours.view(np.int64) != ref.view(np.int64)
+    assert not bad.any(), (np.flatnonzero(bad)[:5], ours[bad][:5], ref[bad][:5])
+
+
+def test_log_factorials_are_gammaln_bit_for_bit():
+    # every x = k + 1 from 1 to 2**21, each edge of lgam's branches at x = 13, 1000 and 1e8,
+    # and seeded random k up to 2**40, where no series term is added
+    every = np.arange(2**21)
+    edges = np.array([x - 1 + d for x in (13, 1000, 10**8) for d in (-1, 0, 1)])
+    spread = np.random.default_rng(30).integers(0, 2**40, 200_000)
+    for k in (every, edges, spread):
+        _assert_same_bits(_log_factorials(k), gammaln(k + 1))
+
+
+@pytest.mark.parametrize(
+    "n_players", [1, 2, 3, 12, 13, 14, 50, _WHOLE_SUPPORT, _WHOLE_SUPPORT + 1, 999, 1000, 1001, 1002, 20_000, 100_000]
+)
+def test_binomial_coefficients_are_the_gammaln_expression_bit_for_bit(n_players):
+    n = n_players - 1
+    k = np.arange(n + 1)
+    _assert_same_bits(_binomial_tables(n_players)[0], gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
 
 
 @pytest.mark.parametrize("bad", [1.5, -0.2, math.nan])
