@@ -5,8 +5,6 @@ backward recursion, and validates it against finite-population
 simulation, fictitious play, and an exact symmetric-equilibrium solver.
 """
 
-__version__ = "0.1.0"
-
 from .fictitious_play import BeliefPath, fp_run
 from .finite_population import (
     FiniteBestResponse,
@@ -41,13 +39,9 @@ from .scenario import (
     TrafficGraph,
     Violation,
     build_gridworld,
-    deserialize,
     grid_node,
-    read_scenario,
-    serialize,
     truncate_scenario,
     validate,
-    write_scenario,
 )
 from .symmetric_equilibrium import (
     EquilibriumResult,
@@ -56,6 +50,7 @@ from .symmetric_equilibrium import (
     solve_single_stage_mfe,
     solve_symmetric_ne,
 )
+from .textio import __version__, deserialize, read_scenario, serialize, write_scenario
 
 __all__ = [
     "BeliefPath",

@@ -1,29 +1,23 @@
 """Command-line entry point: solve, simulate, learn, and reproduce.
 
 Every output file carries its run manifest as leading comment lines, so a
-run can be reproduced exactly; with a fixed seed the numeric payload
-(every non-comment line) is byte-identical across runs on one platform.
-Numeric formatting is locale-independent (dot decimal separator).
+run can be reproduced exactly; the tables are read and written by
+mftroute.textio.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import math
 import sys
 import time
-from collections.abc import Iterator
-from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .fictitious_play import FictitiousPlayResult, fp_run
-from .finite_population import GENERATOR_NAME, _nash_gap_rows, realized_taxes, simulate_replications
-from .kl_solver import PolicyKernel, backward_pass, extract_policy, value
+from .fictitious_play import fp_run
+from .finite_population import _nash_gap_rows, realized_taxes, simulate_replications
+from .kl_solver import backward_pass, extract_policy, value
 from .mean_field import FlowTrajectory, equalizer_gap, mfe_solve, propagate, random_policy
 from .scenario import (
     Distribution,
@@ -33,25 +27,23 @@ from .scenario import (
     ScenarioFormatError,
     StageCosts,
     TrafficGraph,
-    _CHUNK_ROWS,
-    _bad_row_sums,
-    _edge_prefixes,
-    _fill_table,
-    _line_blocks,
-    _read_rows,
-    _read_text,
-    _stage_table_text,
-    _uncommented,
     build_gridworld,
     grid_node,
-    read_scenario,
     require_valid,
     validate,
-    write_scenario,
 )
 from .symmetric_equilibrium import SingleStageGame, solve_single_stage_mfe, solve_symmetric_ne
-
-PROG = "mft-route"
+from .textio import (
+    PROG,
+    RunManifest,
+    read_policy_csv,
+    read_scenario,
+    write_csv,
+    write_fp_csv,
+    write_node_table,
+    write_policy_csv,
+    write_scenario,
+)
 
 # Reproduction preset for the grid-world experiment: 10 x 10 cells, two
 # staggered walls forcing an S-shaped detour from the north-west origin to
@@ -84,9 +76,7 @@ def fig2_scenario(alpha: float) -> Scenario:
 def three_route_scenario(costs=FIG4_COSTS, reference=FIG4_REFERENCE, alpha=FIG4_ALPHA) -> Scenario:
     """Origin plus one sink per route; sinks self-loop at zero cost."""
     routes = len(costs)
-    graph = TrafficGraph(
-        (tuple(range(1, routes + 1)),) + tuple((j,) for j in range(1, routes + 1))
-    )
+    graph = TrafficGraph((tuple(range(1, routes + 1)),) + tuple((j,) for j in range(1, routes + 1)))
     cost_row = np.concatenate([np.asarray(costs, dtype=np.float64), np.zeros(routes)])
     ref_row = np.concatenate([np.asarray(reference, dtype=np.float64), np.ones(routes)])
     return Scenario(
@@ -98,97 +88,7 @@ def three_route_scenario(costs=FIG4_COSTS, reference=FIG4_REFERENCE, alpha=FIG4_
     )
 
 
-# ---------------------------------------------------------------------------
-# Manifests and output plumbing
-# ---------------------------------------------------------------------------
-
-@dataclass
-class RunManifest:
-    subcommand: str
-    params: dict
-    seed: int | None = None
-    input_digests: dict | None = None
-    duration_s: float | None = None
-
-    def header_lines(self) -> list[str]:
-        lines = [
-            f"# manifest: tool={PROG} version={__version__}",
-            f"# manifest: subcommand={self.subcommand}",
-        ]
-        for key in sorted(self.params):
-            text = str(self.params[key])  # a value the readers' str.splitlines would split is written as its repr
-            lines.append(f"# manifest: {key}={text if len(f'{text}.'.splitlines()) == 1 else repr(text)}")
-        if self.seed is not None:
-            # NEP 19 lets numpy's samplers change their streams between releases
-            lines.append(f"# manifest: seed={self.seed} generator={GENERATOR_NAME} numpy={np.__version__}")
-        for name, digest in sorted((self.input_digests or {}).items()):
-            lines.append(f"# manifest: sha256[{name}]={digest}")
-        if self.duration_s is not None:
-            lines.append(f"# manifest: duration_s={self.duration_s:.3f}")
-        return lines
-
-
-def _digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _write_text(path, header: str, manifest: RunManifest, blocks) -> None:
-    """Write the manifest lines, the header and each block of newline-joined rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join([*manifest.header_lines(), header]) + "\n")
-        for block in blocks:
-            fh.write(block + "\n")
-
-
-def _column_text(values) -> list[str]:
-    """One column's cells: str for integers, repr for floats, strings as they are."""
-    array = np.asarray(values)
-    if array.dtype.kind in "iu":
-        return list(map(str, array.tolist()))
-    if array.dtype.kind == "f":
-        return list(map(repr, array.tolist()))
-    return list(values)
-
-
-def write_csv(path, header: str, columns, manifest: RunManifest) -> None:
-    """Write one row per index of the equal-length columns, _CHUNK_ROWS rows at a time.
-
-    Each column is formatted once per chunk by _column_text.  An iterator
-    of rows is read a chunk of rows at a time and transposed to columns.
-    """
-    if isinstance(columns, Iterator):
-        chunks = (list(zip(*rows)) for rows in iter(lambda: list(islice(columns, _CHUNK_ROWS)), []))
-    else:
-        count = len(columns[0]) if columns else 0
-        chunks = ([c[lo : lo + _CHUNK_ROWS] for c in columns] for lo in range(0, count, _CHUNK_ROWS))
-    blocks = ("\n".join(map(",".join, zip(*map(_column_text, chunk)))) for chunk in chunks)
-    _write_text(path, header, manifest, blocks)
-
-
-def _write_node_table(path, header: str, table: np.ndarray, manifest: RunManifest) -> None:
-    """Write a (T+1, V) per-stage node table as (t, i, value) rows."""
-    prefixes = [f"{i}," for i in range(table.shape[1])]
-    _write_text(path, header, manifest, _stage_table_text(prefixes, table, ",", repr))
-
-
-def _write_fp_csv(path, result: FictitiousPlayResult, manifest: RunManifest) -> None:
-    """One row per day; the final day-after belief has no choice and is written with r = -1."""
-    beliefs = result.path.beliefs
-    days = np.arange(1, len(beliefs) + 1)
-    choices = np.append(result.path.choices, -1)
-    columns = [days, *beliefs.T, choices, result.dist_to_finite_ne, result.dist_to_mfe]
-    belief_cols = ",".join(f"q{j + 1}" for j in range(len(result.mfe)))
-    write_csv(path, f"day,{belief_cols},r,dist_to_ne,dist_to_mfe", columns, manifest)
-
-
-def emit_heatmap(
-    flow: FlowTrajectory,
-    t: int,
-    width: int,
-    height: int,
-    obstacles=(),
-    header_lines=(),
-) -> str:
+def emit_heatmap(flow: FlowTrajectory, t: int, width: int, height: int, obstacles=(), header_lines=()) -> str:
     """Plain-text graymap of the stage-t distribution, one pixel per cell.
 
     Intensities are round(255 * mass / max mass); obstacle cells are drawn
@@ -196,74 +96,20 @@ def emit_heatmap(
     """
     mass = flow.distributions[t]
     if mass.shape[0] != width * height:
-        raise ValueError(
-            f"scenario has {mass.shape[0]} nodes, not a {width} x {height} grid"
-        )
+        raise ValueError(f"scenario has {mass.shape[0]} nodes, not a {width} x {height} grid")
     peak = float(mass.max())
     # round() and np.rint both round half to even
     levels = np.rint(255.0 * mass / peak).astype(np.int64) if peak != 0.0 else np.zeros(mass.shape, np.int64)
     obstacle_ids = np.array(sorted({int(o) for o in obstacles}), dtype=np.int64)
     levels[obstacle_ids[(obstacle_ids >= 0) & (obstacle_ids < len(levels))]] = OBSTACLE_SENTINEL
-    lines = ["P2"]
-    lines.append(f"# obstacle cells use sentinel value {OBSTACLE_SENTINEL}; data range is 0..255")
-    lines.extend(header_lines)
-    lines.append(f"{width} {height}")
-    lines.append(str(OBSTACLE_SENTINEL))
+    lines = ["P2", f"# obstacle cells use sentinel value {OBSTACLE_SENTINEL}; data range is 0..255", *header_lines]
+    lines += [f"{width} {height}", str(OBSTACLE_SENTINEL)]
     lines.extend(" ".join(map(str, row)) for row in levels.reshape(height, width).tolist())
     return "\n".join(lines) + "\n"
 
 
-def write_policy_csv(path, scenario: Scenario, policy: PolicyKernel, manifest: RunManifest) -> None:
-    blocks = _stage_table_text(_edge_prefixes(scenario.graph, ","), policy.probs, ",", repr)
-    _write_text(path, "t,i,j,value", manifest, blocks)
-
-
-def read_policy_csv(path, scenario: Scenario) -> PolicyKernel:
-    """Parse a (t, i, j, value) policy CSV against the scenario's edge set; rows must be stochastic.
-
-    Lines are parsed a chunk at a time; the fault reported is the first
-    faulty line, with its first failing check: field count, parse, finite
-    value, sign, then the stage, edge and repeat checks of the fill.
-    """
-    text = _read_text(path, "policy")
-
-    def policy_row(lineno: int, line: str) -> tuple[int, int, int, float]:
-        """The (t, i, j, value) of one policy row, or its fault."""
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ScenarioFormatError(f"line {lineno}: policy rows are 't,i,j,value'")
-        try:
-            t, i, j, p = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
-        except ValueError:
-            raise ScenarioFormatError(f"line {lineno}: cannot parse policy row") from None
-        if not math.isfinite(p):
-            raise ScenarioFormatError(f"line {lineno}: policy value '{parts[3]}' is not finite")
-        if p < 0:
-            raise ScenarioFormatError(f"line {lineno}: policy value '{parts[3]}' is negative")
-        return t, i, j, p
-
-    def columns():
-        for _, first, piece, lines in _line_blocks(text, 0, len(text), 1):
-            lines = list(map(str.strip, _uncommented(piece, lines)))
-            if "t,i,j,value" in piece:  # the header is blanked, so the rows keep their line numbers
-                lines = ["" if line == "t,i,j,value" else line for line in lines]
-            rows = _read_rows(first, piece, lines, (int, int, int, float), ",", policy_row)
-            t, i, j, p = rows.columns
-            values = np.asarray(p, dtype=np.float64)
-            bad = np.flatnonzero(~np.isfinite(values) | (values < 0))
-            n = int(bad[0]) if len(bad) else len(values)
-            yield rows.lineno, t[:n], i[:n], j[:n], values[:n]
-            if n < len(values):
-                policy_row(rows.lineno(n), rows.line(n))
-            if rows.fault is not None:
-                raise rows.fault
-
-    g = scenario.graph
-    probs = _fill_table(g, scenario.horizon, columns(), "policy row", "not in scenario graph", "policy file missing")
-    bad_rows = _bad_row_sums(g, probs)
-    if bad_rows:
-        raise ScenarioFormatError("policy rows of stage {} node {} sum to {:.17g}, expected 1".format(*bad_rows[0]))
-    return PolicyKernel(probs)
+def _digest(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +157,9 @@ def _cmd_mfe(args) -> int:
     if args.out_policy:
         write_policy_csv(args.out_policy, scenario, policy, manifest)
     if args.out_logphi:
-        _write_node_table(args.out_logphi, "t,i,value", desirability.log_phi, manifest)
+        write_node_table(args.out_logphi, "t,i,value", desirability.log_phi, manifest)
     if flow is not None:
-        _write_node_table(args.out_flow, "t,i,mass", flow.distributions, manifest)
+        write_node_table(args.out_flow, "t,i,mass", flow.distributions, manifest)
     if args.certify_equalizer:
         rng = np.random.default_rng(args.seed)
         trials = [random_policy(scenario, rng) for _ in range(args.certify_equalizer)]
@@ -388,7 +234,7 @@ def _cmd_fp(args) -> int:
     else:
         initial = _route_list(args.init, "--init", game.route_count)
     result = fp_run(game, initial, args.days)
-    _write_fp_csv(args.out, result, _manifest(args, start))
+    write_fp_csv(args.out, result, _manifest(args, start))
     print(
         f"fictitious play finished after {args.days} days; final distance to the "
         f"finite-N equilibrium: {float(result.dist_to_finite_ne[-1])!r}"
@@ -430,7 +276,7 @@ def _cmd_reproduce_fig2(args) -> int:
     for t in FIG2_FRAMES:
         text = emit_heatmap(solution.flow, t, FIG2_WIDTH, FIG2_HEIGHT, FIG2_OBSTACLES, manifest.header_lines())
         (out_dir / f"heatmap_t{t}.pgm").write_text(text, encoding="utf-8")
-    _write_node_table(out_dir / "flow.csv", "t,i,mass", solution.flow.distributions, manifest)
+    write_node_table(out_dir / "flow.csv", "t,i,mass", solution.flow.distributions, manifest)
     print(f"wrote {len(FIG2_FRAMES)} heatmap frames and flow.csv to {out_dir}")
     return 0
 
@@ -450,7 +296,7 @@ def _cmd_reproduce_fig4(args) -> int:
         manifest = RunManifest(
             "reproduce fig4", {"agents": n_players, "days": args.days}, duration_s=duration
         )
-        _write_fp_csv(out_dir / f"fp_n{n_players}.csv", result, manifest)
+        write_fp_csv(out_dir / f"fp_n{n_players}.csv", result, manifest)
     print(f"wrote fictitious play paths for N in {FIG4_PLAYERS} to {out_dir}")
     return 0
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .finite_population import _player_count
-from .scenario import _readonly
+from .scenario import readonly
 from .symmetric_equilibrium import SingleStageGame, assumed_cost, solve_single_stage_mfe, solve_symmetric_ne
 
 
@@ -98,5 +98,5 @@ def fp_run(game: SingleStageGame, initial_belief, days: int) -> FictitiousPlayRe
     mfe = solve_single_stage_mfe(game)
     dist_ne = np.max(np.abs(beliefs - finite_ne), axis=1)
     dist_mfe = np.max(np.abs(beliefs - mfe), axis=1)
-    path = BeliefPath(_readonly(beliefs), _readonly(choices, np.int64))
+    path = BeliefPath(readonly(beliefs), readonly(choices, np.int64))
     return FictitiousPlayResult(path, finite_ne, mfe, dist_ne, dist_mfe)

@@ -21,7 +21,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .kl_solver import PolicyKernel, _check_policy_shape, _dot
 from .mean_field import propagate
-from .scenario import Scenario, TrafficGraph, _readonly
+from .scenario import Scenario, TrafficGraph, readonly
 
 GENERATOR_NAME = "pcg64"
 
@@ -505,7 +505,7 @@ class PopulationSample:
 
     def __post_init__(self):
         for name in ("node_counts", "edge_counts"):
-            object.__setattr__(self, name, _readonly(getattr(self, name), np.int64))
+            object.__setattr__(self, name, readonly(getattr(self, name), np.int64))
 
 
 def simulate_population(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import Distribution, Scenario, _readonly, require_valid
+from .scenario import Distribution, Scenario, readonly, require_valid
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,7 +29,7 @@ class LogDesirability:
     alpha: float
 
     def __post_init__(self):
-        object.__setattr__(self, "log_phi", _readonly(self.log_phi))
+        object.__setattr__(self, "log_phi", readonly(self.log_phi))
 
     @property
     def horizon(self) -> int:
@@ -50,9 +50,9 @@ class PolicyKernel:
     log_probs: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", _readonly(np.atleast_2d(self.probs)))
+        object.__setattr__(self, "probs", readonly(np.atleast_2d(self.probs)))
         if self.log_probs is not None:
-            object.__setattr__(self, "log_probs", _readonly(np.atleast_2d(self.log_probs)))
+            object.__setattr__(self, "log_probs", readonly(np.atleast_2d(self.log_probs)))
 
     def toll_log(self) -> np.ndarray:
         """Log probabilities for toll evaluation; -inf marks true zeros."""

@@ -15,7 +15,7 @@ import numpy as np
 
 from .kl_solver import LogDesirability, PolicyKernel, backward_pass, extract_policy, value
 from .kl_solver import _check_policy_shape, _dot
-from .scenario import Scenario, _readonly
+from .scenario import Scenario, readonly
 
 
 class ZeroSupportError(ValueError):
@@ -36,7 +36,7 @@ class FlowTrajectory:
     distributions: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "distributions", _readonly(self.distributions))
+        object.__setattr__(self, "distributions", readonly(self.distributions))
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,7 +25,7 @@ from itertools import chain
 import numpy as np
 
 from .finite_population import _player_count, binomial_expected_log_share
-from .scenario import ROW_SUM_TOL, _readonly
+from .scenario import ROW_SUM_TOL, readonly
 
 INNER_TOL = 1e-12  # |f(q) - lambda| target for the per-route inversion
 OUTER_TOL = 1e-12  # width target for the lambda bracket
@@ -45,8 +45,8 @@ class SingleStageGame:
     def __post_init__(self):
         # own copies (J floats each): the checks below and reference_toll must
         # stay true of the arrays the game reads
-        object.__setattr__(self, "travel_cost", _readonly(np.array(self.travel_cost, dtype=np.float64)))
-        object.__setattr__(self, "reference", _readonly(np.array(self.reference, dtype=np.float64)))
+        object.__setattr__(self, "travel_cost", readonly(np.array(self.travel_cost, dtype=np.float64)))
+        object.__setattr__(self, "reference", readonly(np.array(self.reference, dtype=np.float64)))
         if self.travel_cost.ndim != 1 or self.travel_cost.shape != self.reference.shape:
             raise ValueError("travel_cost and reference must be equal-length vectors")
         if self.route_count < 2:
@@ -60,7 +60,7 @@ class SingleStageGame:
         if not 0 < self.alpha < np.inf:
             raise ValueError(f"alpha must be a positive real, got {self.alpha}")
         object.__setattr__(self, "n_players", _player_count(self.n_players))
-        object.__setattr__(self, "reference_toll", _readonly(self.alpha * np.log(self.reference)))
+        object.__setattr__(self, "reference_toll", readonly(self.alpha * np.log(self.reference)))
 
     @property
     def route_count(self) -> int:
@@ -92,8 +92,8 @@ class EquilibriumResult:
     residuals: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "q", _readonly(self.q))
-        object.__setattr__(self, "residuals", _readonly(self.residuals))
+        object.__setattr__(self, "q", readonly(self.q))
+        object.__setattr__(self, "residuals", readonly(self.residuals))
 
 
 def _start(lam: float, at_zero: float, at_one: float) -> tuple:

@@ -40,7 +40,7 @@ from mftroute import (
 from mftroute.cli import OBSTACLE_SENTINEL
 from mftroute.fictitious_play import BeliefPath, FictitiousPlayResult
 from mftroute.finite_population import _WHOLE_SUPPORT, _row_fault
-from mftroute.scenario import ROW_SUM_TOL, ScenarioFormatError, _bad_row_sums
+from mftroute.scenario import ROW_SUM_TOL, ScenarioFormatError, bad_row_sums
 from mftroute.symmetric_equilibrium import _MAX_BISECT, INNER_TOL, OUTER_TOL, EquilibriumResult
 
 
@@ -1149,7 +1149,7 @@ def read_policy_csv_loop(path, scenario: Scenario) -> PolicyKernel:
     g = scenario.graph
     missing = "policy file missing"
     probs = fill_table_loop(g, scenario.horizon, entries(), "policy row", "not in scenario graph", missing)
-    bad_rows = _bad_row_sums(g, probs)
+    bad_rows = bad_row_sums(g, probs)
     if bad_rows:
         raise ScenarioFormatError("policy rows of stage {} node {} sum to {:.17g}, expected 1".format(*bad_rows[0]))
     return PolicyKernel(probs)

@@ -35,7 +35,7 @@ from mftroute.cli import (
     read_policy_csv,
     three_route_scenario,
 )
-from mftroute.scenario import _OTHER_BREAKS
+from mftroute.textio import _OTHER_BREAKS
 
 
 def _payload(path):

@@ -56,6 +56,20 @@ def test_package_imports_sit_at_module_level():
     assert local == []
 
 
+def test_no_private_name_leaves_the_data_model_or_the_text_module():
+    """Every other module reaches scenario and textio through their public names only."""
+    modules = _package_modules()
+    private = [
+        f"{name}.py:{node.lineno} imports {alias.name} from {target}"
+        for name, tree in modules.items()
+        for node, target in _relative_imports(tree, set(modules))
+        if target in ("scenario", "textio")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+    assert private == []
+
+
 def test_toll_commands_run_without_scipy(tmp_path):
     """Every command that reaches the toll kernel runs in a process where importing scipy fails."""
     script = """\

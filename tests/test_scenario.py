@@ -23,7 +23,7 @@ from mftroute import (
     truncate_scenario,
     validate,
 )
-from mftroute.scenario import _OTHER_BREAKS
+from mftroute.textio import _OTHER_BREAKS
 
 
 def test_validate_accepts_three_route(three_route):

@@ -164,7 +164,7 @@ def test_writers_are_byte_identical_to_the_edge_loop_writers(tmp_path_factory, s
     policy = PolicyKernel(scenario.reference.probs)
     manifest = RunManifest("mfe", {"scenario": "x.scn"})
     out = tmp_path_factory.mktemp("policy")
-    with patch("mftroute.scenario._CHUNK_ROWS", chunk):
+    with patch("mftroute.textio._CHUNK_ROWS", chunk):
         assert serialize(scenario) == serialize_loop(scenario)
         write_policy_csv(out / "new.csv", scenario, policy, manifest)
     write_policy_csv_loop(out / "loop.csv", scenario, policy, manifest)
@@ -199,7 +199,7 @@ def test_write_csv_is_byte_identical_to_the_cell_loop(tmp_path_factory, columns,
     out = tmp_path_factory.mktemp("csv")
     # an iterator of rows, as older callers pass them, holds numpy scalars taken from the arrays
     table = zip(*columns) if as_rows else columns
-    with patch("mftroute.cli._CHUNK_ROWS", chunk):
+    with patch("mftroute.textio._CHUNK_ROWS", chunk):
         write_csv(out / "new.csv", "a,b", table, manifest)
     write_csv_loop(out / "loop.csv", "a,b", list(zip(*columns)), manifest)
     assert (out / "new.csv").read_bytes() == (out / "loop.csv").read_bytes()
@@ -383,7 +383,7 @@ def _scenario_bytes(scenario: Scenario) -> tuple:
 @given(readable_scenarios(), mutations, st.sampled_from([16, 64, 1 << 16]))
 def test_deserialize_matches_the_line_reference_on_mutated_files(scenario, ops, chunk):
     text = _mutate(serialize(scenario), ops, " ")
-    with patch("mftroute.scenario._CHUNK_CHARS", chunk):
+    with patch("mftroute.textio._CHUNK_CHARS", chunk):
         got_error, got = _outcome(deserialize, text)
     want_error, want = _outcome(deserialize_loop, text)
     assert got_error == want_error
@@ -398,7 +398,7 @@ def test_read_policy_csv_matches_the_line_reference_on_mutated_files(tmp_path_fa
     write_policy_csv(out / "policy.csv", scenario, PolicyKernel(scenario.reference.probs), RunManifest("mfe", {}))
     path = out / "mutated.csv"
     path.write_text(_mutate((out / "policy.csv").read_text(encoding="utf-8"), ops, ","), encoding="utf-8")
-    with patch("mftroute.scenario._CHUNK_CHARS", chunk):
+    with patch("mftroute.textio._CHUNK_CHARS", chunk):
         got_error, got = _outcome(read_policy_csv, path, scenario)
     want_error, want = _outcome(read_policy_csv_loop, path, scenario)
     assert got_error == want_error
@@ -449,9 +449,9 @@ def test_writer_output_is_read_without_the_token_walk(tmp_path, stationary):
     policy = PolicyKernel(scenario.reference.probs)
     write_policy_csv(tmp_path / "policy.csv", scenario, policy, RunManifest("mfe", {"scenario": "x.scn"}))
     walk = AssertionError("the line walk was called on a clean chunk")
-    with patch("mftroute.scenario._walk_lines", side_effect=walk):
+    with patch("mftroute.textio._walk_lines", side_effect=walk):
         for chunk in (64, 1 << 16):
-            with patch("mftroute.scenario._CHUNK_CHARS", chunk):
+            with patch("mftroute.textio._CHUNK_CHARS", chunk):
                 again = deserialize(text)
                 back = read_policy_csv(tmp_path / "policy.csv", scenario)
             assert _scenario_bytes(again) == _scenario_bytes(scenario)
@@ -487,7 +487,7 @@ CHUNK_FAULTS = {
 @pytest.mark.parametrize("chunk", [16, 64, 1 << 16])
 @pytest.mark.parametrize("text, error", CHUNK_FAULTS.values(), ids=CHUNK_FAULTS.keys())
 def test_the_first_faulty_line_wins_across_chunks_and_terminal_lines(text, error, chunk):
-    with patch("mftroute.scenario._CHUNK_CHARS", chunk):
+    with patch("mftroute.textio._CHUNK_CHARS", chunk):
         with pytest.raises(ScenarioFormatError) as fault:
             deserialize(text)
     assert str(fault.value) == error
@@ -525,7 +525,7 @@ def test_the_first_faulty_policy_line_wins_across_chunks(tmp_path, changes, erro
     path = tmp_path / "policy.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     scenario = deserialize(_scenario_text(_ROWS))
-    with patch("mftroute.scenario._CHUNK_CHARS", chunk):
+    with patch("mftroute.textio._CHUNK_CHARS", chunk):
         with pytest.raises(ScenarioFormatError) as fault:
             read_policy_csv(path, scenario)
     assert str(fault.value) == error
