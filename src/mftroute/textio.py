@@ -3,9 +3,9 @@
 Every output file carries its run manifest as leading comment lines, so a
 run can be reproduced exactly; with a fixed seed the numeric payload
 (every non-comment line) is byte-identical across runs on one platform.
-Numeric formatting is locale-independent (dot decimal separator).  The
-two (t, i, j, value) readers, of scenario tables and of policy CSVs, share
-one chunk walker (see docs/scenario_format.md).
+Numeric formatting is locale-independent (dot decimal separator).  Every
+table section of a scenario and the rows of a policy CSV are read by one
+chunk walker (see docs/scenario_format.md).
 """
 
 from __future__ import annotations
@@ -322,31 +322,31 @@ def _read_rows(first: int, piece: str, lines: list[str], kinds, sep: str | None,
     return _walk_lines(first, lines, kinds, row)
 
 
-def _table_chunks(blocks, kinds, sep: str | None, row, claim, bad_values=None):
-    """(line number of row k, key columns, values) of a (t, i, j, value) table's rows, a chunk at a time.
+def _table_chunks(blocks, kinds, sep: str | None, row, claim=None, bad_rows=None):
+    """(line number of row k, columns) of a table section's rows, a chunk at a time.
 
     Per chunk of ``blocks``, ``claim(first, lines, piece)`` blanks the lines
     a pre-pass reads (terminal lines, a CSV header), keeping the rows' line
     numbers, and returns the pass's first fault as (line number, error) or
     None.  _read_rows parses the rest, and the grammar ``row`` words the
-    first value ``bad_values`` marks.  A chunk ends ahead of its earliest
-    faulty line, whose fault is raised once the caller has checked the rows.
+    first row that ``bad_rows(columns)`` marks.  A chunk ends ahead of its
+    earliest faulty line, whose fault is raised once the caller has read the rows.
     """
     for first, lines, piece in blocks:
-        faults = [claim(first, lines, piece)]
+        faults = [claim(first, lines, piece)] if claim is not None else []
         rows = _read_rows(first, piece, lines, kinds, sep, row)
-        values = np.asarray(rows.columns[-1], dtype=np.float64)
+        parsed = len(rows.columns[0])
         if rows.fault is not None:
-            faults.append((rows.lineno(len(values)), rows.fault))
-        bad = np.flatnonzero(bad_values(values)) if bad_values is not None else ()
+            faults.append((rows.lineno(parsed), rows.fault))
+        bad = np.flatnonzero(bad_rows(rows.columns)) if bad_rows is not None else ()
         if len(bad):
             try:
                 row(rows.lineno(bad[0]), rows.line(bad[0]))
             except ScenarioFormatError as exc:
                 faults.append((rows.lineno(bad[0]), exc))
         fault = min(filter(None, faults), default=None, key=lambda f: f[0])
-        n = len(values) if fault is None else bisect_left(rows.linenos, fault[0])
-        yield rows.lineno, [column[:n] for column in rows.columns[:-1]], values[:n]
+        n = parsed if fault is None else bisect_left(rows.linenos, fault[0])
+        yield rows.lineno, [column[:n] for column in rows.columns]
         if fault is not None:
             raise fault[1]
 
@@ -370,7 +370,7 @@ def _fill_table(graph: TrafficGraph, stages: int, chunks, label: str, undeclared
     table = np.empty((stages, e_count))
     seen = np.zeros(table.shape, dtype=bool)
     cells, cells_seen = table.reshape(-1), seen.reshape(-1)
-    for lineno, keys, values in chunks:
+    for lineno, (*keys, values) in chunks:
         t, i, j = keys if len(keys) == 3 else ([0] * len(values), *keys)
         stage = as_int64(t)
         edge = graph.edge_ids(as_int64(i), as_int64(j))
@@ -471,20 +471,16 @@ def deserialize(text: str) -> Scenario:
                 raise ScenarioFormatError(f"line {lineno}: {name} node {n} outside 0..{node_count - 1}")
         return i, j
 
+    def outside(columns) -> np.ndarray:
+        """The rows whose source or destination is no node."""
+        ends = np.array([as_int64(column) for column in columns])
+        return ((ends < 0) | (ends >= node_count)).any(axis=0)
+
     neighbors: list[list[int]] = [[] for _ in range(node_count)]
-    edge_lines = 0
-    for first, lines, piece in _line_blocks(text, spans["graph"]):
-        rows = _read_rows(first, piece, lines, (int, int), None, graph_row)
-        ends = np.concatenate([as_int64(src) for src in rows.columns]).reshape(2, -1)
-        outside = np.flatnonzero(((ends < 0) | (ends >= node_count)).any(axis=0))
-        if len(outside):
-            graph_row(rows.lineno(outside[0]), rows.line(outside[0]))
-        if rows.fault is not None:
-            raise rows.fault
-        for i, j in zip(*ends.tolist()):
+    for _, (src, dst) in _table_chunks(_line_blocks(text, spans["graph"]), (int, int), None, graph_row, None, outside):
+        for i, j in zip(as_int64(src).tolist(), as_int64(dst).tolist()):
             neighbors[i].append(j)
-        edge_lines += ends.shape[1]
-    if not edge_lines:
+    if not any(neighbors):
         raise ScenarioFormatError("missing or empty [graph] section")
     graph = TrafficGraph(tuple(tuple(row) for row in neighbors))
 
@@ -505,20 +501,18 @@ def deserialize(text: str) -> Scenario:
         terminal[j] = _parse(float, tokens[2], lineno, "terminal cost")
 
     def terminals(first: int, lines: list[str], piece: str, section: str):
-        """Blank the chunk's terminal lines after reading each; the first faulty one's (line number, error)."""
-        fault = None
-        if "terminal" in piece.lower():
-            for k in [k for k, line in enumerate(lines) if "terminal" in line.lower()]:
-                tokens = lines[k].split()
-                if tokens[0].lower() != "terminal":
-                    continue
+        """Read and blank terminal lines up to a faulty one (a later one fails the table grammar); its fault."""
+        if "terminal" not in piece.lower():
+            return None
+        for k in [k for k, line in enumerate(lines) if "terminal" in line.lower()]:
+            tokens = lines[k].split()
+            if tokens[0].lower() == "terminal":
                 lines[k] = ""
-                if fault is None:
-                    try:
-                        terminal_line(first + k, tokens, section)
-                    except ScenarioFormatError as exc:
-                        fault = (first + k, exc)
-        return fault
+                try:
+                    terminal_line(first + k, tokens, section)
+                except ScenarioFormatError as exc:
+                    return first + k, exc
+        return None
 
     fields = ([] if stationary else [(int, "stage")]) + [(int, "source node"), (int, "destination node")]
     kinds = [kind for kind, _ in fields] + [float]
@@ -607,8 +601,13 @@ def read_policy_csv(path, scenario: Scenario) -> PolicyKernel:
         if "t,i,j,value" in piece:
             lines[:] = ["" if line == "t,i,j,value" else line for line in lines]
 
+    def bad_value(columns) -> np.ndarray:
+        """The rows whose value is not finite or is negative."""
+        values = np.asarray(columns[-1], dtype=np.float64)
+        return ~np.isfinite(values) | (values < 0)
+
     chunks = _table_chunks(_line_blocks(text, [(0, len(text), 1)]), (int, int, int, float), ",", policy_row, header,
-                           bad_values=lambda p: ~np.isfinite(p) | (p < 0))
+                           bad_value)
     g = scenario.graph
     probs = _fill_table(g, scenario.horizon, chunks, "policy row", "not in scenario graph", "policy file missing")
     bad_rows = bad_row_sums(g, probs)
