@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .fictitious_play import fp_run
-from .finite_population import _nash_gap_rows, realized_taxes, simulate_replications
+from .finite_population import MAX_COUNT, _nash_gap_rows, realized_taxes, simulate_replications
 from .kl_solver import backward_pass, extract_policy, value
 from .mean_field import FlowTrajectory, equalizer_gap, mfe_solve, propagate, random_policy
 from .scenario import (
@@ -186,7 +186,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_nash_gap(args) -> int:
-    n_list = _comma_list(args.agents, "--agents", int, least=1)
+    n_list = _comma_list(args.agents, "--agents", int, least=1, most=MAX_COUNT)
     if not n_list:
         raise ValueError("--agents needs at least one player count")
     start = time.perf_counter()
@@ -199,8 +199,8 @@ def _cmd_nash_gap(args) -> int:
     return 0
 
 
-def _comma_list(text: str, flag: str, kind=float, least=None) -> list:
-    """The entries of a comma-separated option, empty tokens skipped; a bad token or an entry below least raises."""
+def _comma_list(text: str, flag: str, kind=float, least=None, most=None) -> list:
+    """The entries of a comma-separated option, empty tokens skipped; a bad token or one outside least..most raises."""
     what = "an integer" if kind is int else "a number"
     values = []
     for tok in filter(str.strip, text.split(",")):
@@ -208,9 +208,15 @@ def _comma_list(text: str, flag: str, kind=float, least=None) -> list:
             values.append(kind(tok))
         except ValueError:
             raise ValueError(f"{flag} must be {what}, got {tok.strip()}") from None
-        if least is not None and values[-1] < least:
-            raise ValueError(f"{flag} must be >= {least}")
+        _check_range(values[-1], flag, least, most)
     return values
+
+
+def _check_range(value, flag: str, least=None, most=None) -> None:
+    if least is not None and value < least:
+        raise ValueError(f"{flag} must be >= {least}")
+    if most is not None and value > most:
+        raise ValueError(f"{flag} must be <= {most}")
 
 
 def _route_list(text: str, flag: str, routes: int) -> np.ndarray:
@@ -320,10 +326,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         p.set_defaults(handler=handler)
         return p
 
-    def count(p, flag, least, **kwargs):
-        """An integer option of p; main rejects a value below least as a data error, before p's handler runs."""
+    def count(p, flag, least, most=None, **kwargs):
+        """An integer option of p; main rejects a value outside least..most as a data error, before p's handler runs."""
         action = p.add_argument(flag, type=int, **kwargs)
-        floors.setdefault(p.get_default("handler"), []).append((action, least))
+        floors.setdefault(p.get_default("handler"), []).append((action, least, most))
 
     def scenario_parser(name, handler, summary):
         p = command(sub, name, handler, summary)
@@ -335,7 +341,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         p.add_argument("--costs", required=True, help="comma-separated route travel costs, one per route")
         p.add_argument("--ref", required=True, help="comma-separated reference probabilities")
         p.add_argument("--alpha", type=float, required=True, help="toll aggressiveness")
-        count(p, "--agents", 1, required=True, help="number of players")
+        count(p, "--agents", 1, MAX_COUNT, required=True, help="number of players")
         return p
 
     scenario_parser("validate", _cmd_validate, "check a scenario file against all invariants")
@@ -351,7 +357,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = scenario_parser("simulate", _cmd_simulate, "finite-population Monte Carlo with realized tolls")
     count(p, "--seed", 0, default=0, help="root RNG seed of the replication substreams")
     p.add_argument("--policy", required=True, help="policy CSV to simulate under")
-    count(p, "--agents", 1, required=True, help="number of players")
+    count(p, "--agents", 1, MAX_COUNT, required=True, help="number of players")
     count(p, "--reps", 0, default=1, help="independent replications")
     p.add_argument("--out", required=True, help="output CSV (rep,t,i,j,count,realized_tax)")
 
@@ -360,7 +366,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--out", required=True, help="output CSV (n_agents,expected_tax_gap,epsilon_nash)")
 
     p = game_parser("fp", _cmd_fp, "symmetric fictitious play on a parallel-route game")
-    count(p, "--days", 1, required=True, help="days to play")
+    count(p, "--days", 1, MAX_COUNT, required=True, help="days to play")
     p.add_argument("--init", default="uniform", help="'uniform' or comma-separated belief")
     p.add_argument("--out", required=True, help="output CSV (day,q...,r,dist_to_ne,dist_to_mfe)")
 
@@ -383,7 +389,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--alpha", type=float, default=0.1, help="toll aggressiveness")
     p.add_argument("--out-dir", required=True, help="directory for output files")
     p = command(presets, "fig4", _cmd_reproduce_fig4, "fictitious play for N = 20 and N = 200")
-    count(p, "--days", 1, default=FIG4_DAYS, help="days to play")
+    count(p, "--days", 1, MAX_COUNT, default=FIG4_DAYS, help="days to play")
     p.add_argument("--out-dir", required=True, help="directory for output files")
 
     return parser, floors
@@ -393,9 +399,8 @@ def main(argv=None) -> int:
     parser, floors = _build_parser()
     args = parser.parse_args(argv)
     try:
-        for action, least in floors.get(args.handler, ()):
-            if getattr(args, action.dest) < least:
-                raise ValueError(f"{action.option_strings[0]} must be >= {least}")
+        for action, least, most in floors.get(args.handler, ()):
+            _check_range(getattr(args, action.dest), action.option_strings[0], least, most)
         return args.handler(args)
     except (ScenarioFormatError, InvalidScenarioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

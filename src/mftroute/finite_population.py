@@ -12,7 +12,6 @@ Monte Carlo is a cross-check, not the primary path.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -54,6 +53,10 @@ _WHOLE_SUPPORT = 256
 # twice the blocks, 9-26 % slower than 2**14 at N = 1e5.
 _CHUNK_FLOATS = 1 << 13
 
+# The largest player, agent, replication or day count: float64 holds every integer up
+# to 2**53, so k, N-1-k, a day index and a rollout's float count sums stay exact
+MAX_COUNT = 2**53
+
 # expected_tax_gap's floor on an edge's mean-field flow probability
 SUPPORT_TOL = 1e-9
 
@@ -69,15 +72,17 @@ _MASS_TOL = math.sqrt(np.finfo(np.float64).eps)
 
 
 def _player_count(n_players, name: str = "n_players", least: int = 1) -> int:
-    """n_players as an int; an integral float or numpy integer of at least ``least`` passes, any other value raises."""
+    """n_players as an int in least..MAX_COUNT; an integral float or numpy integer passes, any other value raises."""
     try:
         integral = math.isfinite(n_players) and n_players == int(n_players)
     except OverflowError:  # an int beyond the float range, which math.isfinite cannot convert
-        raise ValueError(f"{name} must be <= {sys.float_info.max!r}") from None
+        integral = True
     if not integral:
         raise ValueError(f"{name} must be an integer, got {n_players}")
     if n_players < least:
         raise ValueError(f"{name} must be >= {least}")
+    if n_players > MAX_COUNT:
+        raise ValueError(f"{name} must be <= 2**53, got {n_players}")
     return int(n_players)
 
 
@@ -546,8 +551,6 @@ def simulate_replications(scenario: Scenario, policy: PolicyKernel, n_agents: in
 def _sampler(scenario: Scenario, policy: PolicyKernel, n_agents: int):
     """The rollout of n_agents under the policy, as a function of its seed sequence; the checks are made here."""
     n_agents = _player_count(n_agents, "n_agents")
-    if n_agents > 2**53:  # the rollout sums counts in float64, exact up to 2**53
-        raise ValueError(f"n_agents must be <= 2**53, got {n_agents}")
     _check_policy_shape(scenario, policy)
     start = _start_probs(scenario.initial.mass)
     return partial(_rollout, _SamplingTable(scenario.graph, policy.probs), start, n_agents)

@@ -259,6 +259,22 @@ def test_negative_counts_are_data_errors(tmp_path, capsys, args, error):
 
 
 @pytest.mark.parametrize(
+    "args", [["fp", "--days"], ["fp", "--agents"], ["symmetric-ne", "--agents"], ["simulate", "--agents"],
+             ["reproduce fig4", "--days"], ["nash-gap", "--agents"]],
+)
+def test_a_count_above_2_53_is_a_data_error_named_by_its_flag(tmp_path, capsys, args):
+    # float64 holds every count up to 2**53 exactly; main rejects one above before its handler allocates
+    # anything, and no input file exists, so an error raised after the check would name it
+    runs = {**_GATED_RUNS, "nash-gap": {"--scenario": "{missing}", "--out": "{out}"}}
+    options = {**runs[args[0]], args[1]: f"10,{2**53 + 1}" if args[0] == "nash-gap" else str(2**53 + 1)}
+    files = {"missing": tmp_path / "missing", "out": tmp_path / "out"}
+    argv = args[0].split() + [tok.format(**files) for item in options.items() for tok in item]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {args[1]} must be <= {2**53}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "args, error",
     [
         (["symmetric-ne", "--ref", "nan,0.5,0.5"], "reference probabilities must be strictly positive"),
@@ -300,19 +316,19 @@ def test_simulate_rejects_a_population_above_2_53(tmp_path, three_route_file, ca
     capsys.readouterr()
     out = tmp_path / "sim.csv"
     args = ["simulate", "--scenario", str(three_route_file), "--policy", str(policy_csv), "--out", str(out)]
-    assert main(args + ["--agents", "10000000000000000000"]) == 1
-    assert capsys.readouterr() == ("", "error: n_agents must be <= 2**53, got 10000000000000000000\n")
+    assert main(args + ["--agents", str(2**53 + 1)]) == 1
+    assert capsys.readouterr() == ("", f"error: --agents must be <= {2**53}\n")
     assert not out.exists()
 
 
-@pytest.mark.parametrize("args, name", [(["fp", "--days"], "days"), (["symmetric-ne", "--agents"], "n_players")])
-def test_a_count_beyond_the_float_range_is_a_data_error(tmp_path, capsys, args, name):
-    # math.isfinite cannot convert such an int to a float; the count is still rejected by name
+@pytest.mark.parametrize("args", [["fp", "--days"], ["symmetric-ne", "--agents"]])
+def test_a_count_beyond_the_float_range_is_a_data_error(tmp_path, capsys, args):
+    # math.isfinite cannot convert such an int to a float; the count is still rejected by its flag
     options = {**_GAME_OPTIONS, "--days": "5"} if args[0] == "fp" else dict(_GAME_OPTIONS)
     options[args[1]] = "1" + "0" * 400
     out = tmp_path / "out.csv"
     assert main(args[:1] + [tok for item in options.items() for tok in item] + ["--out", str(out)]) == 1
-    assert capsys.readouterr() == ("", f"error: {name} must be <= 1.7976931348623157e+308\n")
+    assert capsys.readouterr() == ("", f"error: {args[1]} must be <= {2**53}\n")
     assert not out.exists()
 
 

@@ -33,6 +33,7 @@ from mftroute import (
     expected_tax_heterogeneous,
     expected_tax_symmetric,
     expected_tax_gap,
+    fp_run,
     mfe_solve,
     poisson_binomial_pmf,
     random_policy,
@@ -624,6 +625,28 @@ def test_simulate_replications_checks_its_inputs_at_the_call(three_route):
         for (scenario, kernel, n_agents), message in cases:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 simulate_replications(scenario, kernel, n_agents, 0, reps)
+
+
+def test_every_count_above_2_53_is_rejected_before_anything_is_allocated(three_route, three_route_game):
+    # float64 holds k, N-1-k and a day index exactly up to 2**53; each call would allocate at least
+    # N floats (the toll kernel's tables) or one row per day, so the check must come first
+    n = 2**53 + 1
+    policy = mfe_solve(three_route).policy
+    calls = {
+        "n_players": [
+            lambda: three_route_game(n),
+            lambda: binomial_expected_log_share(n, np.array([0.5])),
+            lambda: expected_tax_symmetric(n, np.array([1.0]), np.array([0.5]), np.array([0.5]), 1.0),
+            lambda: expected_tax_gap(three_route, policy, [10, n]),
+            lambda: best_response_finite_n(three_route, policy, n),
+        ],
+        "days": [lambda: fp_run(three_route_game(20), np.full(3, 1 / 3), n)],
+        "reps": [lambda: simulate_replications(three_route, policy, 10, 0, n)],
+    }
+    for name, makes in calls.items():
+        for make in makes:
+            with pytest.raises(ValueError, match="^" + re.escape(f"{name} must be <= 2**53, got {n}") + "$"):
+                make()
 
 
 @pytest.mark.parametrize("n_agents", [2**53 + 1, 2**63 - 1, 10**19])

@@ -218,6 +218,28 @@ def test_deviation_cost_holds_no_whole_table():
     assert peak / table_bytes <= 0.5
 
 
+def test_plain_mfe_holds_no_whole_table(tmp_path, capsys):
+    """mft-route mfe without outputs, on a stationary 40x40/T60 file, peaks below one (T, E) float64 table.
+
+    It reads and validates the file, runs the backward pass and prints the
+    optimal cost: 0.84 of a table, most of it the file's text and the
+    (T+1, V) log-desirability.  Extracting the policy, which no output here
+    reads, would add two tables.
+    """
+    scenario = build_gridworld(40, 40, [], 0, 40 * 40 - 1, 60, 1.0)
+    path = tmp_path / "grid.scn"
+    write_scenario(scenario, path)
+    tracemalloc.start()
+    try:
+        assert main(["mfe", "--scenario", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "optimal expected cost" in capsys.readouterr().out
+    table_bytes = scenario.horizon * scenario.graph.edge_count * 8
+    assert peak / table_bytes < 1.0
+
+
 def _walled_grid_40x40() -> Scenario:
     width = height = 40
     wall = [y * width + 20 for y in range(30)]
