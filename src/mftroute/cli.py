@@ -312,13 +312,13 @@ def _cmd_reproduce_fig4(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser, and each handler's count options with the least value main accepts of each."""
+    """The parser, and each handler's count options with the least and greatest values main accepts of each."""
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="Mean-field traffic routing under a log-population toll.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    floors = {}
+    bounds = {}
 
     def command(parent, name, handler, summary):
         """A subcommand parser whose parsed args name its handler."""
@@ -329,7 +329,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     def count(p, flag, least, most=None, **kwargs):
         """An integer option of p; main rejects a value outside least..most as a data error, before p's handler runs."""
         action = p.add_argument(flag, type=int, **kwargs)
-        floors.setdefault(p.get_default("handler"), []).append((action, least, most))
+        bounds.setdefault(p.get_default("handler"), []).append((action, least, most))
 
     def scenario_parser(name, handler, summary):
         p = command(sub, name, handler, summary)
@@ -392,14 +392,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     count(p, "--days", 1, MAX_COUNT, default=FIG4_DAYS, help="days to play")
     p.add_argument("--out-dir", required=True, help="directory for output files")
 
-    return parser, floors
+    return parser, bounds
 
 
 def main(argv=None) -> int:
-    parser, floors = _build_parser()
+    parser, bounds = _build_parser()
     args = parser.parse_args(argv)
     try:
-        for action, least, most in floors.get(args.handler, ()):
+        for action, least, most in bounds.get(args.handler, ()):
             _check_range(getattr(args, action.dest), action.option_strings[0], least, most)
         return args.handler(args)
     except (ScenarioFormatError, InvalidScenarioError, ValueError, OSError) as exc:
