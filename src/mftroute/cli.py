@@ -76,7 +76,7 @@ def fig2_scenario(alpha: float) -> Scenario:
 def three_route_scenario(costs=FIG4_COSTS, reference=FIG4_REFERENCE, alpha=FIG4_ALPHA) -> Scenario:
     """Origin plus one sink per route; sinks self-loop at zero cost."""
     routes = len(costs)
-    graph = TrafficGraph((tuple(range(1, routes + 1)),) + tuple((j,) for j in range(1, routes + 1)))
+    graph = TrafficGraph.from_neighbors([range(1, routes + 1), *([j] for j in range(1, routes + 1))])
     cost_row = np.concatenate([np.asarray(costs, dtype=np.float64), np.zeros(routes)])
     ref_row = np.concatenate([np.asarray(reference, dtype=np.float64), np.ones(routes)])
     return Scenario(

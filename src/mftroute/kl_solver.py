@@ -73,6 +73,17 @@ def _check_policy_shape(scenario: Scenario, policy: PolicyKernel) -> None:
         raise ValueError(f"policy shape {policy.probs.shape}, expected {expect}")
 
 
+def _check_desirability(scenario: Scenario, desirability: LogDesirability) -> None:
+    """Raise a ValueError unless the table has the scenario's horizon, (T+1, V) shape and alpha."""
+    if desirability.horizon != scenario.horizon:
+        raise ValueError(f"desirability horizon {desirability.horizon}, scenario horizon {scenario.horizon}")
+    shape = (scenario.horizon + 1, scenario.graph.node_count)
+    if desirability.log_phi.shape != shape:
+        raise ValueError(f"desirability table of shape {desirability.log_phi.shape}, scenario needs {shape}")
+    if desirability.alpha != scenario.alpha:
+        raise ValueError(f"desirability alpha {desirability.alpha!r}, scenario alpha {scenario.alpha!r}")
+
+
 def _log_weights(scenario: Scenario, log_phi_next: np.ndarray, t: int) -> np.ndarray:
     """Stage t's unnormalized log kernel row: log R[t] - C_t/alpha + log_phi[t+1][dest]."""
     weights = np.log(scenario.reference.probs[t])
@@ -110,14 +121,8 @@ def extract_policy(scenario: Scenario, desirability: LogDesirability) -> PolicyK
     table of another shape (T+1, V) or alpha than the scenario's raises a
     ValueError.
     """
+    _check_desirability(scenario, desirability)
     g = scenario.graph
-    if desirability.horizon != scenario.horizon:
-        raise ValueError(f"desirability horizon {desirability.horizon}, scenario horizon {scenario.horizon}")
-    shape = (scenario.horizon + 1, g.node_count)
-    if desirability.log_phi.shape != shape:
-        raise ValueError(f"desirability table of shape {desirability.log_phi.shape}, scenario needs {shape}")
-    if desirability.alpha != scenario.alpha:
-        raise ValueError(f"desirability alpha {desirability.alpha!r}, scenario alpha {scenario.alpha!r}")
     probs, log_probs = np.empty((2, scenario.horizon, g.edge_count))
     for t, (row, log_row) in enumerate(zip(probs, log_probs)):
         log_row[:] = _log_weights(scenario, desirability.log_phi[t + 1], t)
@@ -133,4 +138,7 @@ def value(desirability: LogDesirability, dist: Distribution, t: int) -> float:
     """Expected optimal cost-to-go from stage t under location distribution dist."""
     if not 0 <= t <= desirability.horizon:
         raise ValueError(f"stage {t} outside 0..{desirability.horizon}")
+    shape = desirability.log_phi.shape[1:]
+    if dist.mass.shape != shape:
+        raise ValueError(f"distribution of shape {dist.mass.shape}, desirability table needs {shape}")
     return float(_dot(-desirability.alpha * dist.mass, desirability.log_phi[t]))

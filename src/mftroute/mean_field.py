@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kl_solver import LogDesirability, PolicyKernel, backward_pass, extract_policy, value
-from .kl_solver import _check_policy_shape, _dot
+from .kl_solver import _check_desirability, _check_policy_shape, _dot
 from .scenario import Scenario, readonly
 
 
@@ -157,11 +157,14 @@ def equalizer_gap(
     the cost of every admissible deviation.  ``trial_policies`` is read
     into a list and all trials are evaluated in one forward pass, so every
     trial's table is held at once; the first failed trial's error is raised.
-    A NaN cost makes the gap NaN.
+    A NaN cost makes the gap NaN.  A ``desirability`` table of another
+    shape (T+1, V) or alpha than the scenario's raises a ValueError.
     """
     trials = list(trial_policies)
     if desirability is None:
         desirability = backward_pass(scenario)
+    else:
+        _check_desirability(scenario, desirability)
     v0 = value(desirability, scenario.initial, 0)
     costs = np.array(_deviation_costs(scenario, trials, population_policy))
     # np.max keeps a NaN, where max(gap, nan) would keep gap

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
+from numbers import Integral
 
 import numpy as np
 
@@ -59,46 +61,55 @@ def as_int64(values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TrafficGraph:
-    """Directed routing graph; node i's admissible next hops are out_neighbors[i].
+    """Directed routing graph as CSR arrays: node i's out-neighbors are edge_dst[row_start[i]:row_start[i + 1]].
 
-    Edges are also exposed flattened in CSR-like order (sorted by source
-    node, then by position within the node's neighbor list), which is the
-    layout every per-edge array in this package uses.
+    Both are read-only int64 arrays, row_start of length V+1 and edge_dst of
+    length E.  This flat edge order, sorted by source node, is the layout
+    every per-edge array in this package uses.
     """
 
-    out_neighbors: tuple[tuple[int, ...], ...]
+    row_start: np.ndarray
+    edge_dst: np.ndarray
 
     def __post_init__(self):
-        neigh = tuple(tuple(int(j) for j in row) for row in self.out_neighbors)
-        v = len(neigh)
-        for i, row in enumerate(neigh):
-            for j in row:
-                if not 0 <= j < v:
-                    raise ValueError(f"node {i}: out-neighbor {j} outside 0..{v - 1}")
-        object.__setattr__(self, "out_neighbors", neigh)
+        row_start, dst = np.asarray(self.row_start), np.asarray(self.edge_dst)
+        if not (row_start.ndim == dst.ndim == 1 and row_start.dtype.kind in "iu" and row_start[:1].tolist() == [0]
+                and row_start[-1] == len(dst) and np.all(row_start[1:] >= row_start[:-1])):
+            raise ValueError(f"row_start must be integers rising from 0 to the edge count {len(dst)}")
+        if dst.dtype.kind not in "iu":  # ids held as Python objects, as from_neighbors passes them
+            ids = dst.tolist()
+            integral = list(map(isinstance, ids, repeat(Integral)))
+            if not all(integral):
+                e = integral.index(False)
+                node = np.searchsorted(row_start, e, side="right") - 1
+                raise ValueError(f"node {node}: out-neighbor {ids[e]!r} is not an integer")
+        v = len(row_start) - 1
+        outside = np.flatnonzero((dst < 0) | (dst >= v))
+        if len(outside):
+            e = outside[0]
+            node = np.searchsorted(row_start, e, side="right") - 1  # the last node whose edges start at or before e
+            raise ValueError(f"node {node}: out-neighbor {dst[e]} outside 0..{v - 1}")
+        object.__setattr__(self, "row_start", readonly(row_start, np.int64))
+        object.__setattr__(self, "edge_dst", readonly(dst, np.int64))
+
+    @classmethod
+    def from_neighbors(cls, rows) -> TrafficGraph:
+        """The graph whose node i has the out-neighbors rows[i], in that order."""
+        rows = list(map(tuple, rows))
+        ids = list(chain.from_iterable(rows))
+        return cls(np.cumsum([0, *map(len, rows)]), np.fromiter(ids, object, len(ids)))
 
     @property
     def node_count(self) -> int:
-        return len(self.out_neighbors)
+        return len(self.row_start) - 1
 
     @property
     def edge_count(self) -> int:
-        return int(self.row_start[-1])
+        return len(self.edge_dst)
 
     @cached_property
     def edge_src(self) -> np.ndarray:
-        src = [i for i, row in enumerate(self.out_neighbors) for _ in row]
-        return readonly(np.array(src, dtype=np.int64), np.int64)
-
-    @cached_property
-    def edge_dst(self) -> np.ndarray:
-        dst = [j for row in self.out_neighbors for j in row]
-        return readonly(np.array(dst, dtype=np.int64), np.int64)
-
-    @cached_property
-    def row_start(self) -> np.ndarray:
-        degs = np.array([len(row) for row in self.out_neighbors], dtype=np.int64)
-        return readonly(np.concatenate([[0], np.cumsum(degs)]), np.int64)
+        return readonly(np.repeat(np.arange(self.node_count), np.diff(self.row_start)), np.int64)
 
     @cached_property
     def _edge_keys(self) -> tuple[np.ndarray, np.ndarray]:
@@ -123,7 +134,8 @@ class TrafficGraph:
         return e
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, TrafficGraph) and self.out_neighbors == other.out_neighbors
+        same = isinstance(other, TrafficGraph) and np.array_equal(self.row_start, other.row_start)
+        return same and np.array_equal(self.edge_dst, other.edge_dst)
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,6 +204,8 @@ class Distribution:
 
     @classmethod
     def point_mass(cls, node_count: int, node: int):
+        if not 0 <= node < node_count:
+            raise ValueError(f"point mass node {node} outside 0..{node_count - 1}")
         mass = np.zeros(node_count)
         mass[node] = 1.0
         return cls(mass)
@@ -388,25 +402,18 @@ def build_gridworld(
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be a positive real, got {float(alpha)}")
 
-    neighbors = []
-    for y in range(height):
-        for x in range(width):
-            row = [grid_node(width, x, y)]
-            for dx, dy in ((0, -1), (1, 0), (0, 1), (-1, 0)):  # north, east, south, west
-                nx, ny = x + dx, y + dy
-                if 0 <= nx < width and 0 <= ny < height:
-                    row.append(grid_node(width, nx, ny))
-            neighbors.append(tuple(row))
-    graph = TrafficGraph(tuple(neighbors))
+    y, x = np.divmod(np.arange(node_count), width)
+    # each cell's (V, 5) stay, north, east, south and west moves, masked to those that stay on the grid
+    nx, ny = x[:, None] + np.array([0, 0, 1, 0, -1]), y[:, None] + np.array([0, -1, 0, 1, 0])
+    inside = (nx >= 0) & (nx < width) & (ny >= 0) & (ny < height)
+    graph = TrafficGraph(np.append(0, np.cumsum(inside.sum(axis=1))), grid_node(width, nx, ny)[inside])
 
     cost_row = np.where(graph.edge_src == graph.edge_dst, 0.0, GRID_MOVE_COST)
     cost_row = cost_row + GRID_OBSTACLE_PENALTY * np.isin(
         graph.edge_dst, np.array(sorted(obstacle_set), dtype=np.int64)
     )
 
-    dest_x, dest_y = destination % width, destination // width
-    cells = np.arange(node_count)
-    dist = np.abs(cells % width - dest_x) + np.abs(cells // width - dest_y)
+    dist = np.abs(x - destination % width) + np.abs(y - destination // width)
     terminal = GRID_TERMINAL_WEIGHT * np.sqrt(dist)
 
     return Scenario(

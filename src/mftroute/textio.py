@@ -476,13 +476,13 @@ def deserialize(text: str) -> Scenario:
         ends = np.array([as_int64(column) for column in columns])
         return ((ends < 0) | (ends >= node_count)).any(axis=0)
 
-    neighbors: list[list[int]] = [[] for _ in range(node_count)]
-    for _, (src, dst) in _table_chunks(_line_blocks(text, spans["graph"]), (int, int), None, graph_row, None, outside):
-        for i, j in zip(as_int64(src).tolist(), as_int64(dst).tolist()):
-            neighbors[i].append(j)
-    if not any(neighbors):
+    chunks = _table_chunks(_line_blocks(text, spans["graph"]), (int, int), None, graph_row, None, outside)
+    src, dst = np.concatenate([np.empty((2, 0), np.int64), *(as_int64(columns) for _, columns in chunks)], axis=1)
+    if not len(src):
         raise ScenarioFormatError("missing or empty [graph] section")
-    graph = TrafficGraph(tuple(tuple(row) for row in neighbors))
+    # a stable sort by source keeps each node's edges in the order of their lines
+    row_start = np.append(0, np.cumsum(np.bincount(src, minlength=node_count)))
+    graph = TrafficGraph(row_start, dst[np.argsort(src, kind="stable")])
 
     terminal = np.zeros(node_count)
     terminal_lines: dict[int, int] = {}

@@ -49,6 +49,35 @@ def edge_slice(graph: TrafficGraph, node: int) -> slice:
     return slice(int(graph.row_start[node]), int(graph.row_start[node + 1]))
 
 
+def out_neighbors(graph: TrafficGraph) -> tuple[tuple[int, ...], ...]:
+    """Each node's out-neighbors in edge order, read off the CSR arrays."""
+    return tuple(tuple(graph.edge_dst[edge_slice(graph, i)].tolist()) for i in range(graph.node_count))
+
+
+def csr_loop(rows) -> tuple[list[int], list[int]]:
+    """(row_start, edge_dst) of each node's neighbor row, one edge at a time."""
+    row_start, edge_dst = [0], []
+    for row in rows:
+        for j in row:
+            edge_dst.append(j)
+        row_start.append(len(edge_dst))
+    return row_start, edge_dst
+
+
+def gridworld_neighbors_loop(width: int, height: int) -> list[tuple[int, ...]]:
+    """Each cell's stay, north, east, south and west neighbors on the grid, one cell at a time."""
+    neighbors = []
+    for y in range(height):
+        for x in range(width):
+            row = [y * width + x]
+            for dx, dy in ((0, -1), (1, 0), (0, 1), (-1, 0)):  # north, east, south, west
+                nx, ny = x + dx, y + dy
+                if 0 <= nx < width and 0 <= ny < height:
+                    row.append(ny * width + nx)
+            neighbors.append(tuple(row))
+    return neighbors
+
+
 def folded_costs(scenario: Scenario) -> np.ndarray:
     """Effective (T, E) costs: a copy of the stage table with the terminal cost folded into stage T-1."""
     folded = scenario.costs.stage.copy()
@@ -73,7 +102,7 @@ def random_scenario(
     for _ in range(node_count):
         deg = int(rng.integers(1, min(max_degree, node_count) + 1))
         neigh.append(tuple(sorted(rng.choice(node_count, size=deg, replace=False).tolist())))
-    graph = TrafficGraph(tuple(neigh))
+    graph = TrafficGraph.from_neighbors(tuple(neigh))
 
     costs = StageCosts(horizon, rng.uniform(-cost_bound, cost_bound, size=(horizon, graph.edge_count)))
     probs = np.empty((horizon, graph.edge_count))
@@ -107,11 +136,12 @@ def backward_pass_linear(scenario: Scenario) -> np.ndarray:
     g = scenario.graph
     t_count = scenario.horizon
     costs = folded_costs(scenario)
+    neighbors = out_neighbors(g)
     phi = np.ones((t_count + 1, g.node_count))
     for t in range(t_count - 1, -1, -1):
         for i in range(g.node_count):
             total = 0.0
-            for k, j in enumerate(g.out_neighbors[i]):
+            for k, j in enumerate(neighbors[i]):
                 e = g.row_start[i] + k
                 total += (
                     scenario.reference.probs[t, e]
@@ -126,12 +156,13 @@ def cost_plain_loop(scenario: Scenario, policy: PolicyKernel, population: Policy
     """Deviation cost by direct summation with Python loops and dict state."""
     g = scenario.graph
     costs = folded_costs(scenario)
+    neighbors = out_neighbors(g)
     mass = {i: float(scenario.initial.mass[i]) for i in range(g.node_count)}
     total = 0.0
     for t in range(scenario.horizon):
         nxt: dict[int, float] = {i: 0.0 for i in range(g.node_count)}
         for i in range(g.node_count):
-            for k, j in enumerate(g.out_neighbors[i]):
+            for k, j in enumerate(neighbors[i]):
                 e = g.row_start[i] + k
                 flow = mass[i] * float(policy.probs[t, e])
                 if flow > 0.0:
@@ -663,7 +694,8 @@ def validate_loop(scenario: Scenario) -> list[Violation]:
     if not (math.isfinite(scenario.alpha) and scenario.alpha > 0):
         out.append(Violation("alpha", f"alpha must be a positive real, got {scenario.alpha}"))
 
-    for i, row in enumerate(g.out_neighbors):
+    neighbors = out_neighbors(g)
+    for i, row in enumerate(neighbors):
         if not row:
             out.append(Violation("empty_out_neighbors", "node has no out-neighbors", node=i))
         seen = set()
@@ -698,7 +730,7 @@ def validate_loop(scenario: Scenario) -> list[Violation]:
                 )
             )
         for i in range(g.node_count):
-            if not g.out_neighbors[i]:
+            if not neighbors[i]:
                 continue
             row_sum = float(ref[t, edge_slice(g, i)].sum())
             if not abs(row_sum - 1.0) <= ROW_SUM_TOL:
@@ -762,13 +794,13 @@ def extract_policy_loop(scenario: Scenario, log_phi: np.ndarray) -> tuple[np.nda
 
 # ---------------------------------------------------------------------------
 # Loop references for the edge-table writers: (t, i, j) columns from a walk
-# over out_neighbors, the way serialize and write_policy_csv used to build them
+# over each node's out-neighbors, the way serialize and write_policy_csv used to build them
 # ---------------------------------------------------------------------------
 
 def edges_loop(graph: TrafficGraph):
     """Yield (flat_index, src, dst) in storage order."""
     e = 0
-    for i, row in enumerate(graph.out_neighbors):
+    for i, row in enumerate(out_neighbors(graph)):
         for j in row:
             yield e, i, j
             e += 1
@@ -1076,7 +1108,7 @@ def deserialize_loop(text: str) -> Scenario:
             if not 0 <= n < node_count:
                 raise ScenarioFormatError(f"line {lineno}: {name} node {n} outside 0..{node_count - 1}")
         neighbors[i].append(j)
-    graph = TrafficGraph(tuple(tuple(row) for row in neighbors))
+    graph = TrafficGraph.from_neighbors(tuple(tuple(row) for row in neighbors))
 
     terminal = np.zeros(node_count)
     terminal_lines: dict[int, int] = {}

@@ -82,7 +82,7 @@ def test_criterion_2_equalizer_property():
 
 def test_criterion_3_backward_pass_matches_grid_search_oracle():
     start = time.perf_counter()
-    graph = TrafficGraph(((0, 1), (0, 1)))
+    graph = TrafficGraph.from_neighbors(((0, 1), (0, 1)))
     costs = np.array([[0.5, 0.3, 0.2, 0.6], [0.1, 0.4, 0.3, 0.2]])
     scenario = Scenario(
         graph,

@@ -15,6 +15,7 @@ from helpers import (
     edge_slice,
     exact_expected_log_share,
     interior_log_shares_gather,
+    out_neighbors,
     random_scenario,
     realized_taxes_loop,
     simulate_population_mask_loop,
@@ -189,7 +190,7 @@ def _hub_scenario(rng, nodes: int, hub_degree: int, horizon: int, start: str, ze
         if rng.random() < 0.7:
             row.add(0)
         neigh.append(tuple(sorted(row)))
-    graph = TrafficGraph(tuple(neigh))
+    graph = TrafficGraph.from_neighbors(tuple(neigh))
     reference = np.empty((horizon, graph.edge_count))
     probs = np.empty((horizon, graph.edge_count))
     for t in range(horizon):
@@ -313,9 +314,9 @@ def test_the_lowest_bad_occupied_row_is_named():
     probs[1, edge_slice(g, 2)] = 0.0  # a later stage's fault comes second
     for node, value in sorted(spoiled) + [(2, None)]:
         if value is None:
-            message = f"policy row at stage 1, node 2 (edges to {', '.join(map(str, g.out_neighbors[2]))}) sums to 0.0"
+            message = f"policy row at stage 1, node 2 (edges to {', '.join(map(str, out_neighbors(g)[2]))}) sums to 0.0"
         else:
-            message = f"policy has probability {value!r} at stage 0, node {node}, edge to {g.out_neighbors[node][-1]};"
+            message = f"policy has probability {value!r} at stage 0, node {node}, edge to {out_neighbors(g)[node][-1]};"
         for sampler in (simulate_population, simulate_population_multinomial_loop):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
                 sampler(scenario, PolicyKernel(probs.copy()), 4000, seed=1)
@@ -350,7 +351,7 @@ class _RecordingGenerator:
 def test_every_multinomial_row_ends_at_a_positive_probability(monkeypatch):
     # numpy's multinomial gives its last column whatever the earlier ones leave over: for this row
     # 0.5774932122512072 / (1 - 0.42250678774879274) rounds below 1, so a zero last would take agents
-    graph = TrafficGraph(((0, 1, 2, 3, 4, 5), *((0, i, (i + 1) % 6) for i in range(1, 6))))
+    graph = TrafficGraph.from_neighbors(((0, 1, 2, 3, 4, 5), *((0, i, (i + 1) % 6) for i in range(1, 6))))
     probs = np.zeros((2, graph.edge_count))
     for t in range(2):
         probs[t, :6] = [0.1, 0.2, 0.3, 0.4, 0.0, 0.0]
@@ -402,7 +403,7 @@ def test_the_initial_mass_is_checked_as_generator_choice_checks_it(monkeypatch, 
 
 def test_an_occupied_node_without_edges_is_located():
     dead_end = Scenario(
-        TrafficGraph(((1,), ())),
+        TrafficGraph.from_neighbors(((1,), ())),
         StageCosts(2, np.ones((2, 1))),
         ReferencePolicy(np.ones((2, 1))),
         1.0,
@@ -413,7 +414,7 @@ def test_an_occupied_node_without_edges_is_located():
         simulate_population(dead_end, PolicyKernel(np.ones((2, 1))), 5, seed=1)
     # a graph without edges at all
     nowhere = Scenario(
-        TrafficGraph(((),)), StageCosts(1, np.ones((1, 0))), ReferencePolicy(np.ones((1, 0))), 1.0,
+        TrafficGraph.from_neighbors(((),)), StageCosts(1, np.ones((1, 0))), ReferencePolicy(np.ones((1, 0))), 1.0,
         Distribution.point_mass(1, 0),
     )
     message = "policy row at stage 0, node 0 (no edges) sums to 0.0; "
@@ -562,7 +563,7 @@ def test_a_sub_normal_entry_that_divides_to_zero_is_rolled_ahead_of_the_row(monk
     # the rows of test_every_multinomial_row_ends_at_a_positive_probability, scaled, with 5e-324 last: over a
     # total of 2 or more that entry divides to 0.0, which must go ahead of the row, not stay last
     monkeypatch.setattr(finite_population, "_WHOLE_STAGE_ENTRIES", 1024 if whole else 0)
-    graph = TrafficGraph(((0, 1, 2, 3, 4, 5), *((0, i, (i + 1) % 6) for i in range(1, 6))))
+    graph = TrafficGraph.from_neighbors(((0, 1, 2, 3, 4, 5), *((0, i, (i + 1) % 6) for i in range(1, 6))))
     probs = np.zeros((2, graph.edge_count))
     for t in range(2):
         probs[t, :6] = [0.1, 0.2, 0.3, 0.4, 0.0, 5e-324]
@@ -1090,7 +1091,7 @@ def test_kernels_reject_bad_probabilities_counts_and_graphs(three_route):
         simulate_population(three_route, mfe_solve(three_route).policy, 2.5, seed=1)
     # node 1 is a dead end: the shortest path has no edge to take there
     dead_end = Scenario(
-        TrafficGraph(((1,), ())),
+        TrafficGraph.from_neighbors(((1,), ())),
         StageCosts(2, np.ones((2, 1))),
         ReferencePolicy(np.ones((2, 1))),
         1.0,

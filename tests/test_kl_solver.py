@@ -29,7 +29,9 @@ from mftroute import (
     TrafficGraph,
     backward_pass,
     build_gridworld,
+    equalizer_gap,
     extract_policy,
+    random_policy,
     truncate_scenario,
     value,
 )
@@ -56,7 +58,7 @@ def test_single_node_self_loop_scalar_recursion():
     horizon = 9
     alpha = 0.35
     scenario = Scenario(
-        TrafficGraph(((0,),)),
+        TrafficGraph.from_neighbors(((0,),)),
         StageCosts(horizon, np.full((horizon, 1), cost)),
         ReferencePolicy(np.ones((horizon, 1))),
         alpha,
@@ -85,7 +87,7 @@ def test_three_route_policy_matches_reported_rounding(three_route):
 
 def test_two_node_chain_matches_grid_search_oracle():
     # out-degree 2 everywhere; costs chosen so every row optimum is interior
-    graph = TrafficGraph(((0, 1), (0, 1)))
+    graph = TrafficGraph.from_neighbors(((0, 1), (0, 1)))
     costs = np.array([[0.5, 0.3, 0.2, 0.6], [0.1, 0.4, 0.3, 0.2]])
     reference = ReferencePolicy(np.full((2, 4), 0.5))
     scenario = Scenario(graph, StageCosts(2, costs), reference, 1.0, Distribution.point_mass(2, 0))
@@ -156,7 +158,7 @@ def test_stage_constant_cost_shift_leaves_policy_invariant():
 
 
 def test_extreme_costs_and_small_alpha_stay_finite():
-    graph = TrafficGraph(((0, 1), (0, 1)))
+    graph = TrafficGraph.from_neighbors(((0, 1), (0, 1)))
     costs = np.array([[0.0, 1e6, 1e6, 0.0]] * 3)
     scenario = Scenario(
         graph,
@@ -192,7 +194,7 @@ def test_truncated_solve_reproduces_policy_tail():
 
 
 def test_backward_pass_rejects_invalid_scenario():
-    graph = TrafficGraph(((0,), ()))
+    graph = TrafficGraph.from_neighbors(((0,), ()))
     scenario = Scenario(
         graph,
         StageCosts(1, np.zeros((1, 1))),
@@ -223,6 +225,25 @@ def test_extract_policy_rejects_the_table_of_another_grid_or_alpha():
             extract_policy(grid, backward_pass(other))
     with pytest.raises(ValueError, match=r"^desirability alpha 0\.5, scenario alpha 1\.0$"):
         extract_policy(grid, backward_pass(build_gridworld(4, 3, (), 0, 11, 6, 0.5)))
+
+
+def test_equalizer_gap_rejects_the_table_of_another_horizon_or_alpha():
+    grid = build_gridworld(4, 4, (), 0, 15, 6, 1.0)
+    policy = extract_policy(grid, backward_pass(grid))
+    shorter = build_gridworld(4, 4, (), 0, 15, 5, 1.0)
+    for scenario, desirability, message in (
+        (grid, backward_pass(build_gridworld(4, 4, (), 0, 15, 6, 2.0)), r"^desirability alpha 2\.0, scenario alpha 1\.0$"),
+        (shorter, backward_pass(grid), r"^desirability horizon 6, scenario horizon 5$"),
+    ):
+        trials = [random_policy(scenario, np.random.default_rng(0))]
+        with pytest.raises(ValueError, match=message):
+            equalizer_gap(scenario, PolicyKernel(policy.probs[: scenario.horizon]), trials, desirability)
+
+
+def test_value_rejects_a_distribution_over_another_node_count():
+    desirability = backward_pass(build_gridworld(4, 4, (), 0, 15, 6, 1.0))
+    with pytest.raises(ValueError, match=r"^distribution of shape \(1,\), desirability table needs \(16,\)$"):
+        value(desirability, Distribution(np.array([1.0])), 0)
 
 
 def test_policy_kernel_freezes_a_view_and_leaves_the_callers_array_writeable(three_route):

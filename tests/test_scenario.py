@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from helpers import edge_slice, folded_costs, random_scenario
+from helpers import csr_loop, edge_slice, folded_costs, gridworld_neighbors_loop, out_neighbors, random_scenario
 from mftroute import (
     Distribution,
     InvalidScenarioError,
@@ -73,7 +74,7 @@ def test_validate_reports_an_inf_minus_inf_row_without_a_warning(three_route):
 
 
 def test_validate_flags_empty_out_neighbors():
-    graph = TrafficGraph(((0,), ()))
+    graph = TrafficGraph.from_neighbors(((0,), ()))
     scenario = Scenario(
         graph,
         StageCosts(1, np.zeros((1, 1))),
@@ -86,7 +87,7 @@ def test_validate_flags_empty_out_neighbors():
 
 
 def test_validate_flags_duplicates_nonfinite_and_bad_initial():
-    graph = TrafficGraph(((0, 1, 1), (0,)))
+    graph = TrafficGraph.from_neighbors(((0, 1, 1), (0,)))
     costs = np.zeros((1, 4))
     costs[0, 1] = np.inf
     ref = np.array([[0.5, 0.25, 0.25, 1.0]])
@@ -120,7 +121,7 @@ def test_dimension_mismatch_rejected_at_construction(three_route):
 
 
 def test_graph_edge_layout():
-    graph = TrafficGraph(((1, 2), (1,), (0, 2)))
+    graph = TrafficGraph.from_neighbors(((1, 2), (1,), (0, 2)))
     assert graph.node_count == 3
     assert graph.edge_count == 5
     assert list(graph.edge_src) == [0, 0, 1, 2, 2]
@@ -129,9 +130,74 @@ def test_graph_edge_layout():
     for node, dest in ((1, 0), (-1, 2), (3, 0)):  # absent edge, then nodes outside 0..2
         with pytest.raises(KeyError, match=f"no edge {node} -> {dest}"):
             graph.edge_index(node, dest)
-    assert TrafficGraph(((1, 1), (0,))).edge_index(0, 1) == 0  # the first of duplicate edges
+    assert TrafficGraph.from_neighbors(((1, 1), (0,))).edge_index(0, 1) == 0  # the first of duplicate edges
     with pytest.raises(ValueError):
-        TrafficGraph(((3,),))
+        TrafficGraph.from_neighbors(((3,),))
+
+
+@pytest.mark.parametrize("rows, message", [
+    (((1.5,), (0,)), "node 0: out-neighbor 1.5 is not an integer"),
+    (((), (0, "1")), "node 1: out-neighbor '1' is not an integer"),
+    (((0,), (), (np.float64(2.0),)), "node 2: out-neighbor np.float64(2.0) is not an integer"),
+    (((1,), (0, 2)), "node 1: out-neighbor 2 outside 0..1"),
+    (((), (2**70,)), "node 1: out-neighbor 1180591620717411303424 outside 0..1"),
+    (((0,), (), (-1, 3)), "node 2: out-neighbor -1 outside 0..2"),
+])
+def test_a_neighbor_that_is_no_integer_or_no_node_is_named(rows, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TrafficGraph.from_neighbors(rows)
+
+
+@pytest.mark.parametrize("row_start, edge_dst, message", [
+    ([0, 1], [0.0], "node 0: out-neighbor 0.0 is not an integer"),
+    ([0, 0, 2], [1, 2], "node 1: out-neighbor 2 outside 0..1"),
+    ([0, 2], [0], "row_start must be integers rising from 0 to the edge count 1"),
+    ([1, 1], [0], "row_start must be integers rising from 0 to the edge count 1"),
+    ([0, 2, 1], [0], "row_start must be integers rising from 0 to the edge count 1"),
+    ([0.0, 1.0], [0], "row_start must be integers rising from 0 to the edge count 1"),
+    ([], [], "row_start must be integers rising from 0 to the edge count 0"),
+])
+def test_the_csr_arrays_are_checked_at_construction(row_start, edge_dst, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TrafficGraph(np.array(row_start), np.array(edge_dst))
+
+
+def _random_rows(rng: np.random.Generator, node_count: int) -> list[list[int]]:
+    """0 to 4 ids per node drawn with replacement: nodes with no edges, self-loops and duplicate edges."""
+    return [rng.integers(0, node_count, int(rng.integers(0, 5))).tolist() for _ in range(node_count)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_graphs_from_neighbor_rows_and_from_a_file_equal_the_loop_reference(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        node_count = int(rng.integers(1, 9))
+        rows = _random_rows(rng, node_count)
+        graph = TrafficGraph.from_neighbors(rows)
+        assert (graph.row_start.tolist(), graph.edge_dst.tolist()) == csr_loop(rows)
+        assert graph.edge_src.tolist() == [i for i, row in enumerate(rows) for _ in row]
+        assert graph.row_start.dtype == graph.edge_dst.dtype == graph.edge_src.dtype == np.int64
+        assert not (graph.row_start.flags.writeable or graph.edge_dst.flags.writeable)
+        assert graph == TrafficGraph(np.array(graph.row_start), np.array(graph.edge_dst))
+
+        # a file names each edge's cost by its (i, j), so it cannot hold a duplicate edge
+        rows = [list(dict.fromkeys(row)) for row in rows]
+        graph = TrafficGraph.from_neighbors(rows)
+        if not graph.edge_count:
+            continue
+        table = np.ones((1, graph.edge_count))
+        mass = Distribution.point_mass(node_count, 0)
+        text = serialize(Scenario(graph, StageCosts(1, table), ReferencePolicy(table), 1.0, mass))
+        assert deserialize(text).graph == graph
+        # [graph] lines in any order: each node's edges keep the order of their lines
+        lines = text.split("\n")
+        first = lines.index("[graph]") + 1
+        edges = lines[first : first + graph.edge_count]
+        shuffled = [edges[k] for k in rng.permutation(len(edges))]
+        by_line = [[int(line.split()[1]) for line in shuffled if int(line.split()[0]) == i] for i in range(node_count)]
+        text = "\n".join(lines[:first] + shuffled + lines[first + graph.edge_count :])
+        got = deserialize(text).graph
+        assert (got.row_start.tolist(), got.edge_dst.tolist()) == csr_loop(by_line)
 
 
 # ---------------------------------------------------------------------------
@@ -145,15 +211,21 @@ def test_gridworld_matches_experiment_dimensions():
     assert validate(scenario) == []
     # interior cell: self plus four moves, uniform reference
     interior = grid_node(10, 5, 5)
-    assert len(scenario.graph.out_neighbors[interior]) == 5
+    assert len(out_neighbors(scenario.graph)[interior]) == 5
     row = scenario.reference.probs[0, edge_slice(scenario.graph, interior)]
     np.testing.assert_allclose(row, 0.2)
     assert scenario.initial.mass[0] == 1.0
 
 
+@pytest.mark.parametrize("width, height, obstacles", [(1, 1, ()), (1, 7, (3,)), (7, 1, (2, 5)), (6, 5, (8, 14, 21))])
+def test_gridworld_graph_equals_the_per_cell_loop(width, height, obstacles):
+    graph = build_gridworld(width, height, obstacles, 0, width * height - 1, 3, 1.0).graph
+    assert (graph.row_start.tolist(), graph.edge_dst.tolist()) == csr_loop(gridworld_neighbors_loop(width, height))
+
+
 def test_gridworld_single_cell_degenerates_to_self_loop():
     scenario = build_gridworld(1, 1, (), 0, 0, 3, 1.0)
-    assert scenario.graph.out_neighbors == ((0,),)
+    assert out_neighbors(scenario.graph) == ((0,),)
     assert scenario.reference.probs[0, 0] == 1.0
     assert validate(scenario) == []
 
@@ -184,6 +256,12 @@ def test_gridworld_rejects_bad_endpoints_and_horizon():
         build_gridworld(2, 2, (), 0, 3, 0, 1.0)
     with pytest.raises(ValueError, match=r"^obstacle 9 is off-grid \(0\.\.8\)$"):
         build_gridworld(3, 3, (9,), 0, 8, 4, 1.0)
+
+
+@pytest.mark.parametrize("node", [-1, 4])
+def test_point_mass_rejects_a_node_off_the_graph(node):
+    with pytest.raises(ValueError, match=rf"^point mass node {node} outside 0\.\.3$"):
+        Distribution.point_mass(4, node)
 
 
 @pytest.mark.parametrize("alpha, shown", [(-1, "-1.0"), (0.0, "0.0"), (float("nan"), "nan"), (float("inf"), "inf")])

@@ -23,6 +23,7 @@ from helpers import (
     deserialize_loop,
     edge_slice,
     extract_policy_loop,
+    out_neighbors,
     random_scenario,
     read_policy_csv_loop,
     serialize_loop,
@@ -57,7 +58,7 @@ def _values(draw, count: int, finite: st.SearchStrategy) -> list[float]:
 def defective_scenarios(draw):
     """Scenarios with empty and duplicate out-neighborhoods, non-finite costs and bad rows."""
     node_count = draw(st.integers(1, 6))
-    graph = TrafficGraph(
+    graph = TrafficGraph.from_neighbors(
         tuple(tuple(draw(st.lists(st.integers(0, node_count - 1), max_size=10))) for _ in range(node_count))
     )
     horizon = draw(st.integers(0, 4))
@@ -122,7 +123,7 @@ def serializable_scenarios(draw):
     """Stationary and per-stage tables of arbitrary non-NaN floats, signed zeros included."""
     node_count = draw(st.integers(1, 5))
     dests = st.lists(st.integers(0, node_count - 1), min_size=1, max_size=3, unique=True)
-    graph = TrafficGraph(tuple(tuple(draw(dests)) for _ in range(node_count)))
+    graph = TrafficGraph.from_neighbors(tuple(tuple(draw(dests)) for _ in range(node_count)))
     horizon = draw(st.integers(1, 4))
     rows = 1 if draw(st.booleans()) else horizon
     value = st.floats(allow_nan=False)
@@ -150,7 +151,7 @@ def test_serialize_round_trips_exactly(scenario):
 
 
 def test_serialize_keeps_the_signed_zeros_of_later_stages():
-    graph = TrafficGraph(((0, 1), (1,)))
+    graph = TrafficGraph.from_neighbors(((0, 1), (1,)))
     stage = np.array([[0.0, 1.0, -0.0], [-0.0, 1.0, 0.0]])
     ref = np.array([[0.5, 0.5, 1.0]] * 2)
     scenario = Scenario(graph, StageCosts(2, stage), ReferencePolicy(ref), 1.0, Distribution.point_mass(2, 0))
@@ -370,7 +371,7 @@ def _outcome(read, *args):
 def _scenario_bytes(scenario: Scenario) -> tuple:
     terminal = scenario.costs.terminal
     return (
-        scenario.graph.out_neighbors,
+        out_neighbors(scenario.graph),
         np.float64(scenario.alpha).tobytes(),
         scenario.initial.mass.tobytes(),
         scenario.costs.stage.tobytes(),
