@@ -408,10 +408,11 @@ def _check_tolled(edge_prob, ref) -> None:
     _check_reference(ref)
 
 
-def _taxes(ladder: _Ladder, n_players: int, ref, alpha: float, edge_src=None) -> np.ndarray:
+def _taxes(ladder: _Ladder, n_players: int, log_ref, alpha: float, edge_src=None) -> np.ndarray:
     """alpha (E log share on the edge - E log share at its node) - alpha log ref, from a ladder of (joint, node) tables.
 
-    ``edge_src`` gathers a (T, V) table of node shares onto the edges.
+    ``log_ref`` is the log of the reference probabilities; ``edge_src`` gathers a (T, V)
+    table of node shares onto the edges.
     """
     share_edge, share_node = ladder.shares(n_players)
     if edge_src is not None:
@@ -420,9 +421,7 @@ def _taxes(ladder: _Ladder, n_players: int, ref, alpha: float, edge_src=None) ->
     share_edge -= share_node
     del share_node
     share_edge *= alpha
-    toll = np.log(ref)
-    toll *= alpha
-    return share_edge - toll
+    return share_edge - log_ref * alpha
 
 
 def expected_tax_symmetric(n_players: int, node_prob, edge_prob, ref, alpha: float):
@@ -439,7 +438,8 @@ def expected_tax_symmetric(n_players: int, node_prob, edge_prob, ref, alpha: flo
     edge_prob = np.asarray(edge_prob, dtype=np.float64)
     _check_tolled(edge_prob, ref)
     n_players = _player_count(n_players)
-    tax = _taxes(_Ladder((np.multiply(node_prob, edge_prob), node_prob), n_players), n_players, ref, alpha)
+    ladder = _Ladder((np.multiply(node_prob, edge_prob), node_prob), n_players)
+    tax = _taxes(ladder, n_players, np.log(ref), alpha)
     return float(tax) if np.ndim(tax) == 0 else tax
 
 
@@ -772,11 +772,11 @@ def expected_tax_gap(scenario: Scenario, population_policy: PolicyKernel, n_list
     support = node_probs * population_policy.probs > SUPPORT_TOL
     node_probs = node_probs[support]
     edge_probs = population_policy.probs[support]
-    ref = scenario.reference.probs[support]
-    limits = scenario.alpha * (population_policy.toll_log()[support] - np.log(ref))
-    _check_tolled(edge_probs, ref)
+    _check_tolled(edge_probs, scenario.reference.probs[support])
+    log_ref = scenario.log_reference(support)
+    limits = scenario.alpha * (population_policy.toll_log()[support] - log_ref)
     ladder = _Ladder((node_probs * edge_probs, node_probs), max(n_list, default=1))
-    return {n: _worst_gap(_taxes(ladder, n, ref, scenario.alpha), limits) for n in n_list}
+    return {n: _worst_gap(_taxes(ladder, n, log_ref, scenario.alpha), limits) for n in n_list}
 
 
 def _worst_gap(tax: np.ndarray, limits: np.ndarray) -> float:
@@ -793,11 +793,10 @@ def _nash_gap_rows(scenario: Scenario, population_policy: PolicyKernel, flow, n_
     """
     joint, ladder = _flow_ladder(scenario, population_policy, flow, max(n_list))
     support = joint > SUPPORT_TOL
-    ref = scenario.reference.probs
-    limits = scenario.alpha * (population_policy.toll_log()[support] - np.log(ref[support]))
+    limits = scenario.alpha * (population_policy.toll_log()[support] - scenario.log_reference(support))
     rows = {}
     for n in dict.fromkeys(n_list):
-        tax = _taxes(ladder, n, ref, scenario.alpha, scenario.graph.edge_src)
+        tax = _taxes(ladder, n, scenario.log_reference(), scenario.alpha, scenario.graph.edge_src)
         rows[n] = _worst_gap(tax[support], limits), _respond(scenario, joint, tax).epsilon
     return [rows[n] for n in n_list]
 
@@ -827,7 +826,7 @@ def best_response_finite_n(
     _check_policy_shape(scenario, population_policy)
     n_players = _player_count(n_players)
     joint, ladder = _flow_ladder(scenario, population_policy, propagate(scenario, population_policy), n_players)
-    tax = _taxes(ladder, n_players, scenario.reference.probs, scenario.alpha, scenario.graph.edge_src)
+    tax = _taxes(ladder, n_players, scenario.log_reference(), scenario.alpha, scenario.graph.edge_src)
     return _respond(scenario, joint, tax)
 
 

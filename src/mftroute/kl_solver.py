@@ -85,9 +85,14 @@ def _check_desirability(scenario: Scenario, desirability: LogDesirability) -> No
 
 
 def _log_weights(scenario: Scenario, log_phi_next: np.ndarray, t: int) -> np.ndarray:
-    """Stage t's unnormalized log kernel row: log R[t] - C_t/alpha + log_phi[t+1][dest]."""
-    weights = np.log(scenario.reference.probs[t])
-    weights -= scenario.stage_costs(t) / scenario.alpha
+    """Stage t's unnormalized log kernel row: log R[t] - C_t/alpha + log_phi[t+1][dest].
+
+    Every stage but a terminal-folded T-1 reads the scenario's base weights
+    log R - C/alpha, which a stationary scenario forms once.
+    """
+    if t < scenario.horizon - 1 or scenario.costs.terminal is None:
+        return scenario.base_weights(t) + log_phi_next[scenario.graph.edge_dst]
+    weights = scenario.log_reference(t) - scenario.stage_costs(t) / scenario.alpha
     weights += log_phi_next[scenario.graph.edge_dst]
     return weights
 
@@ -117,10 +122,11 @@ def extract_policy(scenario: Scenario, desirability: LogDesirability) -> PolicyK
     Rows are renormalized to machine-exact stochasticity after
     exponentiation; the pre-normalization row sums already equal one up to
     float rounding because each row's log normalizer is its own log_phi
-    entry.  The two (T, E) outputs are filled a stage row at a time.  A
-    table of another shape (T+1, V) or alpha than the scenario's raises a
-    ValueError.
+    entry.  The two (T, E) outputs are filled a stage row at a time.  An
+    invalid scenario raises InvalidScenarioError, and a table of another
+    shape (T+1, V) or alpha than the scenario's a ValueError.
     """
+    require_valid(scenario)
     _check_desirability(scenario, desirability)
     g = scenario.graph
     probs, log_probs = np.empty((2, scenario.horizon, g.edge_count))

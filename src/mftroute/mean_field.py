@@ -15,7 +15,7 @@ import numpy as np
 
 from .kl_solver import LogDesirability, PolicyKernel, backward_pass, extract_policy, value
 from .kl_solver import _check_desirability, _check_policy_shape, _dot
-from .scenario import Scenario, readonly
+from .scenario import Scenario, readonly, require_valid
 
 
 class ZeroSupportError(ValueError):
@@ -77,6 +77,7 @@ def _deviation_costs(
     _check_policy_shape(scenario, population_policy)
     g = scenario.graph
     k_count, v = len(trials), g.node_count
+    degrees = np.diff(g.row_start)
     toll_log = population_policy.toll_log()
     bins = (np.arange(k_count)[:, None] * v + g.edge_dst).ravel()
     dists = np.tile(scenario.initial.mass, (k_count, 1))
@@ -91,22 +92,23 @@ def _deviation_costs(
         failed = np.zeros(k_count, dtype=bool)
         if not (edge_flow.min(initial=0.0) >= 0 and edge_flow.max(initial=0.0) < np.inf):
             failed = ~((edge_flow >= 0) & (edge_flow < np.inf)).all(axis=1)
-        # np.take keeps the gather C-ordered; dists[:, edge_src] is Fortran-ordered and
-        # made this product several times slower.  An infinite entry where no mass stands
-        # makes a NaN here, in a failed row.
+        # each node's mass repeated over its out-degree is the gather dists[:, edge_src], but
+        # C-ordered: that fancy index is Fortran-ordered and made this product several times
+        # slower, and np.take took twice as long.  An infinite entry where no mass stands makes
+        # a NaN here, in a failed row.
         with np.errstate(invalid="ignore"):
-            edge_flow *= np.take(dists, g.edge_src, axis=1)
-        used = edge_flow > 0
-        dead = used & np.isneginf(toll_log[t])
+            edge_flow *= np.repeat(dists, degrees, axis=1)
+        # flow on an edge the population never takes: only the toll row's -inf columns can have it
+        zero_support = np.flatnonzero(np.isneginf(toll_log[t]))
+        dead = edge_flow[:, zero_support] > 0
         for k in np.flatnonzero(failed | dead.any(axis=1)).tolist():
             if k not in faults:
-                faults[k] = _fault(scenario, trials[k], k, t, dead[k])
+                faults[k] = _fault(scenario, trials[k], k, t, zero_support[dead[k]])
         if 0 in faults:  # trial 0's fault is the one raised, whatever later stages find
             break
-        log_ref = np.log(scenario.reference.probs[t])
-        stage_cost = scenario.stage_costs(t) + scenario.alpha * (toll_log[t] - log_ref)
+        stage_cost = scenario.stage_costs(t) + scenario.alpha * (toll_log[t] - scenario.log_reference(t))
         if not np.isfinite(stage_cost).all():  # an unused edge adds 0 * cost, which is 0 for a finite cost only
-            stage_cost = np.where(used, stage_cost, 0.0)
+            stage_cost = np.where(edge_flow > 0, stage_cost, 0.0)
         with np.errstate(invalid="ignore"):  # only a failed row, raised after the pass, makes a NaN here
             totals += _dot(edge_flow, stage_cost)
         dists = np.bincount(bins, weights=edge_flow.ravel(), minlength=k_count * v).reshape(k_count, v)
@@ -116,10 +118,13 @@ def _deviation_costs(
 
 
 def _fault(scenario: Scenario, trial: PolicyKernel, k: int, t: int, dead: np.ndarray) -> ValueError:
-    """Trial k's fault at stage t: its first entry that is not finite and >= 0, else its first zero-support edge."""
+    """Trial k's fault at stage t: its first entry that is not finite and >= 0, else the first of its ``dead`` edges.
+
+    ``dead`` lists, in edge order, the edges where trial k has flow and the population none.
+    """
     g = scenario.graph
     bad = ~(np.isfinite(trial.probs[t]) & (trial.probs[t] >= 0))
-    e = int(np.flatnonzero(bad if bad.any() else dead)[0])
+    e = int(np.flatnonzero(bad)[0] if bad.any() else dead[0])
     node, dest = int(g.edge_src[e]), int(g.edge_dst[e])
     if bad.any():
         return ValueError(
@@ -184,9 +189,12 @@ def random_policy(scenario: Scenario, rng: np.random.Generator) -> PolicyKernel:
 
     The (T, E) exponential draws are divided by their node sums in place,
     a stage row at a time, so the table is the only whole (T, E) array.
+    An invalid scenario raises InvalidScenarioError.
     """
+    require_valid(scenario)
     g = scenario.graph
+    starts, degrees = g.row_start[:-1], np.diff(g.row_start)
     probs = rng.standard_exponential((scenario.horizon, g.edge_count))
     for row in probs:
-        row /= np.add.reduceat(row, g.row_start[:-1])[g.edge_src]
+        row /= np.repeat(np.add.reduceat(row, starts), degrees)  # each node's sum over its out-edges
     return PolicyKernel(probs)

@@ -19,6 +19,8 @@ from numbers import Integral
 import numpy as np
 
 ROW_SUM_TOL = 1e-12
+# entries of a per-stage table that one block of the value checks covers
+CHECK_BLOCK = 1 << 16
 
 # Grid-world cost structure: staying is free, moving costs one unit, and
 # entering an obstacle cell adds a prohibitive penalty on top.
@@ -126,6 +128,19 @@ class TrafficGraph:
         pos = np.searchsorted(keys, query)  # never past the last key
         return np.where(inside & (keys[pos] == query), first[pos], -1)
 
+    def repeated_edges(self) -> np.ndarray:
+        """Every edge that repeats an earlier edge (i, j) of its node, in edge order."""
+        if "_edge_keys" in self.__dict__:  # the key index edge_ids builds, which a file's reader has built
+            distinct = len(self._edge_keys[0]) - 1  # less the key no edge reaches
+        else:  # counted from one sorted copy of the keys, without building the index
+            keys = self.edge_src * self.node_count
+            keys += self.edge_dst
+            keys.sort(kind="stable")  # timsort: the keys of a CSR graph are nearly sorted already
+            distinct = self.edge_count - int(np.count_nonzero(keys[1:] == keys[:-1]))
+        if distinct == self.edge_count:
+            return np.empty(0, dtype=np.int64)
+        return np.flatnonzero(self.edge_ids(self.edge_src, self.edge_dst) != np.arange(self.edge_count))
+
     def edge_index(self, node: int, dest: int) -> int:
         """Flat index of edge (node, dest); raises KeyError if absent."""
         e = int(self.edge_ids(as_int64([node]), as_int64([dest]))[0])
@@ -185,8 +200,8 @@ class ReferencePolicy:
     @classmethod
     def uniform(cls, graph: TrafficGraph, horizon: int):
         """Uniform over each out-neighborhood at every stage: one row, broadcast."""
-        degs = np.diff(graph.row_start)
-        row = (1.0 / degs.astype(np.float64))[graph.edge_src]
+        degs = np.diff(graph.row_start).astype(np.float64)
+        row = 1.0 / degs[graph.edge_src]  # divided on the edges, so a node with none divides nothing
         return cls(np.broadcast_to(row, (horizon, graph.edge_count)))
 
     def __eq__(self, other) -> bool:
@@ -252,9 +267,48 @@ class Scenario:
             return row
         return row + self.costs.terminal[self.graph.edge_dst]
 
+    def log_reference(self, index=slice(None)) -> np.ndarray:
+        """log R[index], for any numpy index into the (T, E) reference table.
+
+        A table that stores one row for every stage has its log taken once,
+        cached as a read-only view broadcast over the stages.  Any other
+        table's log is taken over the indexed entries on each call, so a
+        per-stage scenario holds no (T, E) log table.
+        """
+        table = self._log_reference_table
+        return np.log(self.reference.probs[index]) if table is None else table[index]
+
+    def base_weights(self, index=slice(None)) -> np.ndarray:
+        """(log R - C/alpha)[index]: the kernel's log weights before the terminal fold and log_phi[t+1].
+
+        Cached as one row broadcast over the stages when both tables store
+        one row for every stage, else formed over the indexed entries on
+        each call.
+        """
+        table = self._base_weights_table
+        if table is None:
+            return self.log_reference(index) - self.costs.stage[index] / self.alpha
+        return table[index]
+
+    @cached_property
+    def _log_reference_table(self) -> np.ndarray | None:
+        probs = self.reference.probs
+        return np.broadcast_to(np.log(probs[0]), probs.shape) if stored_once(probs) else None
+
+    @cached_property
+    def _base_weights_table(self) -> np.ndarray | None:
+        log_ref = self._log_reference_table
+        if log_ref is None or not stored_once(self.costs.stage):
+            return None
+        return np.broadcast_to(log_ref[0] - self.costs.stage[0] / self.alpha, log_ref.shape)
+
     @cached_property
     def _violations(self) -> tuple[Violation, ...]:
-        """Every value-level invariant violation, in report order, checked once (see validate)."""
+        """Every value-level invariant violation, in report order, checked once (see validate).
+
+        Each stored row of a stage table is checked once (see _stage_blocks),
+        and what it fails is reported at every stage that reads it.
+        """
         out: list[Violation] = []
         g = self.graph
 
@@ -268,34 +322,34 @@ class Scenario:
         def at(t, e) -> dict:
             return {"t": int(t), "node": int(src[e]), "dest": int(dst[e])}
 
-        # an edge is a duplicate unless edge_ids finds it: the first of its node with that dest
-        duplicate = g.edge_ids(src, dst) != np.arange(g.edge_count)
         graph_violations = [
             Violation("empty_out_neighbors", "node has no out-neighbors", node=int(i))
             for i in np.flatnonzero(np.diff(g.row_start) == 0)
         ] + [
             Violation("duplicate_out_neighbor", "duplicate edge", node=int(src[e]), dest=int(dst[e]))
-            for e in np.flatnonzero(duplicate)
+            for e in g.repeated_edges()
         ]
         out.extend(sorted(graph_violations, key=lambda v: v.node))
 
-        for t, e in np.argwhere(~np.isfinite(self.costs.stage)):
-            out.append(Violation("nonfinite_cost", "cost must be finite", **at(t, e)))
+        for stages, rows in _stage_blocks(self.costs.stage):
+            for t, e in _at_stages(stages, rows, np.argwhere(~np.isfinite(rows)).tolist()):
+                out.append(Violation("nonfinite_cost", "cost must be finite", **at(t, e)))
         if self.costs.terminal is not None:
             for j in np.flatnonzero(~np.isfinite(self.costs.terminal)):
                 out.append(Violation("nonfinite_terminal", "terminal cost must be finite", dest=int(j)))
 
-        # written as ~(ok) so that NaN entries fail
-        ref = self.reference.probs
-        ref_violations = [
-            Violation("reference_nonpositive", f"reference probability {ref[t, e]} must be > 0", **at(t, e))
-            for t, e in np.argwhere(~(ref > 0))
-        ] + [
-            Violation("reference_row_sum", f"reference row sums to {total:.17g}, expected 1", t=t, node=i)
-            for t, i, total in bad_row_sums(g, ref)
-        ]
-        # stable: each stage's entry violations stay ahead of its row-sum violations
-        out.extend(sorted(ref_violations, key=lambda v: v.t))
+        for stages, rows in _stage_blocks(self.reference.probs):
+            # written as ~(ok) so that NaN entries fail
+            entries = [(r, e, rows[r, e]) for r, e in np.argwhere(~(rows > 0)).tolist()]
+            ref_violations = [
+                Violation("reference_nonpositive", f"reference probability {p} must be > 0", **at(t, e))
+                for t, e, p in _at_stages(stages, rows, entries)
+            ] + [
+                Violation("reference_row_sum", f"reference row sums to {total:.17g}, expected 1", t=t, node=i)
+                for t, i, total in _at_stages(stages, rows, bad_row_sums(g, rows))
+            ]
+            # stable: each stage's entry violations stay ahead of its row-sum violations
+            out.extend(sorted(ref_violations, key=lambda v: v.t))
 
         mass = self.initial.mass
         for i in np.flatnonzero(~np.isfinite(mass) | (mass < 0)):
@@ -331,6 +385,39 @@ class Violation:
             f"{k}={v}" for k, v in (("t", self.t), ("i", self.node), ("j", self.dest)) if v is not None
         )
         return f"{self.code}[{loc}]: {self.message}" if loc else f"{self.code}: {self.message}"
+
+
+def stored_once(table: np.ndarray) -> bool:
+    """Whether every stage of a (T, E) table reads one stored row: a stage stride of 0, or one stage."""
+    return len(table) == 1 or (len(table) > 1 and table.strides[0] == 0)
+
+
+def _stage_blocks(table: np.ndarray):
+    """(stages, rows) blocks that hold each stored row of a (T, E) table once.
+
+    Stage stages[k] reads rows[k], or rows[0] when that is the block's only
+    row: a table that stores one row for every stage is one block of one
+    row.  Any other table comes CHECK_BLOCK entries' worth of stages at a
+    time, so a check over the blocks forms no (T, E) mask.
+    """
+    t_count, width = table.shape
+    if stored_once(table):
+        yield range(t_count), table[:1]
+        return
+    step = max(1, CHECK_BLOCK // max(width, 1))
+    for start in range(0, t_count, step):
+        yield range(start, min(start + step, t_count)), table[start : start + step]
+
+
+def _at_stages(stages: range, rows: np.ndarray, found) -> list[tuple]:
+    """Findings (r, ...) on a block's stored rows as (t, ...) at every stage t that reads row r, stage-major.
+
+    Within a stage the findings keep their order in ``found``.
+    """
+    by_row: list[list] = [[] for _ in range(len(rows))]
+    for r, *rest in found:
+        by_row[r].append(rest)
+    return [(t, *rest) for k, t in enumerate(stages) for rest in by_row[min(k, len(rows) - 1)]]
 
 
 def bad_row_sums(graph: TrafficGraph, table: np.ndarray) -> list[tuple[int, int, float]]:

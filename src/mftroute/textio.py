@@ -31,6 +31,7 @@ from .scenario import (
     TrafficGraph,
     as_int64,
     bad_row_sums,
+    stored_once,
 )
 
 __version__ = "0.1.0"  # the package's version, written into every run manifest
@@ -150,12 +151,21 @@ def write_fp_csv(path, result: FictitiousPlayResult, manifest: RunManifest) -> N
 
 
 def serialize(scenario: Scenario) -> str:
-    """Render a scenario in the sectioned text format (exact round trip)."""
+    """Render a scenario in the sectioned text format (exact round trip).
+
+    A graph that repeats an edge (i, j) raises a ValueError: table lines
+    name an edge by (i, j), so no reader could take the file.
+    """
     g = scenario.graph
+    repeated = g.repeated_edges()
+    if len(repeated):
+        e = int(repeated[0])
+        i, j = int(g.edge_src[e]), int(g.edge_dst[e])
+        raise ValueError(f"edge {i} -> {j} is repeated; a scenario file names an edge by (i, j)")
     t_count = scenario.horizon
     # compared bit for bit, so a -0.0 in a later stage is not written as stage 0's 0.0
     stationary = t_count >= 1 and all(
-        np.all(table.view(np.uint64) == table[0].view(np.uint64))
+        stored_once(table) or np.all(table.view(np.uint64) == table[0].view(np.uint64))
         for table in (scenario.costs.stage, scenario.reference.probs)
     )
 
@@ -185,8 +195,9 @@ def serialize(scenario: Scenario) -> str:
 
 
 def write_scenario(scenario: Scenario, path) -> None:
+    text = serialize(scenario)  # before the file is opened, so a scenario serialize refuses leaves none
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize(scenario))
+        fh.write(text)
 
 
 def _pieces(text: str, start: int, stop: int):

@@ -228,6 +228,59 @@ def equalizer_gap_per_trial(scenario: Scenario, population: PolicyKernel, trials
     return gap
 
 
+def deviation_costs_stage_log(scenario: Scenario, trials, population: PolicyKernel) -> list[float]:
+    """Each trial's deviation cost as the one-pass kernel formed it with a log of the reference at every stage.
+
+    The reference for ``mean_field._deviation_costs`` over stored rows:
+    two (K, E) masks (the used and the dead edges) at every stage, the
+    (K, V) to (K, E) gather through ``np.take``, and the lowest failed
+    trial's fault raised after the pass.
+    """
+    g = scenario.graph
+    k_count, v = len(trials), g.node_count
+    toll_log = population.toll_log()
+    bins = (np.arange(k_count)[:, None] * v + g.edge_dst).ravel()
+    dists = np.tile(scenario.initial.mass, (k_count, 1))
+    edge_flow = np.empty((k_count, g.edge_count))
+    totals = np.zeros(k_count)
+    faults: dict[int, ValueError] = {}
+    for t in range(scenario.horizon):
+        for row, trial in zip(edge_flow, trials):
+            row[:] = trial.probs[t]
+        failed = ~((edge_flow >= 0) & (edge_flow < np.inf)).all(axis=1)
+        with np.errstate(invalid="ignore"):
+            edge_flow *= np.take(dists, g.edge_src, axis=1)
+        used = edge_flow > 0
+        dead = used & np.isneginf(toll_log[t])
+        for k in np.flatnonzero(failed | dead.any(axis=1)).tolist():
+            if k in faults:
+                continue
+            probs = trials[k].probs[t]
+            bad = ~(np.isfinite(probs) & (probs >= 0))
+            e = int(np.flatnonzero(bad if bad.any() else dead[k])[0])
+            node, dest = int(g.edge_src[e]), int(g.edge_dst[e])
+            faults[k] = (
+                ValueError(
+                    f"trial policy {k} has probability {float(probs[e])!r} at stage {t}, node {node}, "
+                    f"edge to {dest}; routing probabilities must be finite and >= 0"
+                )
+                if bad.any()
+                else ZeroSupportError(t, node, dest)
+            )
+        if 0 in faults:
+            break
+        log_ref = np.log(scenario.reference.probs[t])
+        stage_cost = scenario.stage_costs(t) + scenario.alpha * (toll_log[t] - log_ref)
+        if not np.isfinite(stage_cost).all():
+            stage_cost = np.where(used, stage_cost, 0.0)
+        with np.errstate(invalid="ignore"):
+            totals += np.add.reduce(edge_flow * stage_cost, axis=-1)
+        dists = np.bincount(bins, weights=edge_flow.ravel(), minlength=k_count * v).reshape(k_count, v)
+    if faults:
+        raise faults[min(faults)]
+    return totals.tolist()
+
+
 def random_policy_one_shot(scenario: Scenario, rng: np.random.Generator) -> PolicyKernel:
     """``random_policy``'s draws normalized in one whole-table division by their (T, V) node sums."""
     g = scenario.graph

@@ -11,6 +11,7 @@ from helpers import csr_loop, edge_slice, folded_costs, gridworld_neighbors_loop
 from mftroute import (
     Distribution,
     InvalidScenarioError,
+    LogDesirability,
     ReferencePolicy,
     Scenario,
     ScenarioFormatError,
@@ -19,10 +20,13 @@ from mftroute import (
     backward_pass,
     build_gridworld,
     deserialize,
+    extract_policy,
     grid_node,
+    random_policy,
     serialize,
     truncate_scenario,
     validate,
+    write_scenario,
 )
 from mftroute.textio import _OTHER_BREAKS
 
@@ -100,6 +104,57 @@ def test_validate_flags_duplicates_nonfinite_and_bad_initial():
     )
     codes = {v.code for v in validate(scenario)}
     assert {"duplicate_out_neighbor", "nonfinite_cost", "alpha", "initial_sum"} <= codes
+
+
+def _graph_with_a_dead_end() -> Scenario:
+    """Node 2 has no out-edges, and node 1 has an edge into it."""
+    graph = TrafficGraph.from_neighbors(((0, 1), (0, 1, 2), ()))
+    return Scenario(
+        graph,
+        StageCosts(2, np.zeros((2, 5))),
+        ReferencePolicy.uniform(graph, 2),
+        1.0,
+        Distribution.point_mass(3, 0),
+    )
+
+
+def test_uniform_reference_divides_nothing_for_a_node_without_out_edges():
+    scenario = _graph_with_a_dead_end()  # a RuntimeWarning here is an error under the test settings
+    row = np.array([1 / 2, 1 / 2, 1 / 3, 1 / 3, 1 / 3])
+    assert scenario.reference.probs.tobytes() == np.tile(row, (2, 1)).tobytes()
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda s: random_policy(s, np.random.default_rng(0)),
+        lambda s: extract_policy(s, LogDesirability(np.zeros((3, 3)), 1.0)),
+    ],
+    ids=["random_policy", "extract_policy"],
+)
+def test_policy_builders_name_an_empty_out_neighborhood(solve):
+    with pytest.raises(InvalidScenarioError, match=re.escape("empty_out_neighbors[i=2]")):
+        solve(_graph_with_a_dead_end())
+
+
+@pytest.mark.parametrize("indexed", [False, True], ids=["sorted keys", "key index"])
+def test_serialize_names_a_repeated_edge_no_reader_could_take(tmp_path, indexed):
+    graph = TrafficGraph.from_neighbors(((0, 1, 1), (0,)))
+    if indexed:  # the edge lookup builds the key index, which the repeat check then reads
+        assert graph.edge_index(0, 1) == 1
+    scenario = Scenario(
+        graph,
+        StageCosts(1, np.zeros((1, 4))),
+        ReferencePolicy(np.array([[0.5, 0.25, 0.25, 1.0]])),
+        1.0,
+        Distribution.point_mass(2, 0),
+    )
+    with pytest.raises(ValueError, match=re.escape("edge 0 -> 1 is repeated")):
+        serialize(scenario)
+    with pytest.raises(ValueError, match=re.escape("edge 0 -> 1 is repeated")):
+        write_scenario(scenario, tmp_path / "grid.scn")
+    assert not (tmp_path / "grid.scn").exists()
+    assert [str(v) for v in validate(scenario)] == ["duplicate_out_neighbor[i=0, j=1]: duplicate edge"]
 
 
 def test_negative_costs_are_permitted():

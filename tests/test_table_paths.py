@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from helpers import (
     backward_pass_loop,
     deserialize_loop,
+    deviation_costs_stage_log,
     edge_slice,
     extract_policy_loop,
     out_neighbors,
@@ -41,11 +42,15 @@ from mftroute import (
     TrafficGraph,
     backward_pass,
     deserialize,
+    equalizer_gap,
     extract_policy,
+    random_policy,
     serialize,
     validate,
+    value,
 )
 from mftroute.cli import RunManifest, read_policy_csv, write_csv, write_policy_csv
+from mftroute.mean_field import _deviation_costs
 
 SPECIAL = (0.0, -0.0, -0.5, 1.0, 1e5, np.inf, -np.inf, np.nan)
 
@@ -93,15 +98,87 @@ def test_validate_matches_the_loop_reference(scenario):
     ]
 
 
+def _laid_out(draw, rows: np.ndarray, horizon: int) -> np.ndarray:
+    """A (T, E) table from per-stage rows: as given, or its first row tiled or broadcast (stage stride 0)."""
+    layout = draw(st.sampled_from(["per-stage", "tiled", "broadcast"]))
+    if layout == "per-stage":
+        return rows
+    if layout == "tiled":
+        return np.tile(rows[0], (horizon, 1))
+    return np.broadcast_to(rows[0], (horizon, rows.shape[1]))
+
+
+def _with_fault(draw, rows: np.ndarray, fault) -> np.ndarray:
+    """rows with one edge's entries replaced by fault(entries) in one stage, in every stage, or in none."""
+    where = draw(st.sampled_from(["none", "one stage", "all stages"]))
+    if where == "none" or rows.shape[1] == 0:
+        return rows
+    rows = rows.copy()
+    e = draw(st.integers(0, rows.shape[1] - 1))
+    stages = [draw(st.integers(0, len(rows) - 1))] if where == "one stage" else slice(None)
+    rows[stages, e] = fault(rows[stages, e])
+    return rows
+
+
+@st.composite
+def stored_row_scenarios(draw):
+    """Stationary and per-stage tables with faults in one stage or in all of them.
+
+    The faults are a NaN or infinite cost, a reference entry that is not
+    positive, and a positive reference entry that throws its row sum off.
+    A table whose stages all hold its first row may be stored as that one
+    row, broadcast with stage stride 0.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = random_scenario(rng, max_nodes=8, max_horizon=6)
+    t_count = base.horizon
+
+    def table(rows: np.ndarray, *faults) -> np.ndarray:
+        if draw(st.booleans()):
+            rows = np.tile(rows[0], (t_count, 1))
+        for fault in faults:
+            rows = _with_fault(draw, rows, fault)
+        if np.all(rows.view(np.uint64) == rows[0].view(np.uint64)) and draw(st.booleans()):
+            return np.broadcast_to(rows[0], rows.shape)
+        return rows
+
+    costs = table(base.costs.stage, lambda _: draw(st.sampled_from([np.nan, np.inf, -np.inf])))
+    ref = table(
+        base.reference.probs, lambda _: draw(st.sampled_from([0.0, -0.0, -0.5, np.nan])), lambda column: 1.5 * column
+    )
+    terminal = np.zeros(base.graph.node_count) if draw(st.booleans()) else None
+    return Scenario(base.graph, StageCosts(t_count, costs, terminal), ReferencePolicy(ref), base.alpha, base.initial)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf in a row sum
+@given(stored_row_scenarios(), st.sampled_from([1, 5, 1 << 16]))
+def test_validate_over_stored_rows_matches_the_loop_reference_and_every_layout(scenario, block):
+    """Each stored row is checked once, in blocks of any size, and reported at every stage as the loop does."""
+    copied = Scenario(scenario.graph, StageCosts(scenario.horizon, scenario.costs.stage.copy(),
+                                                 scenario.costs.terminal),
+                      ReferencePolicy(scenario.reference.probs.copy()), scenario.alpha, scenario.initial)
+    with patch("mftroute.scenario.CHECK_BLOCK", block):
+        got, whole = validate(scenario), validate(copied)
+    want = validate_loop(scenario)
+    assert [_loc(v) for v in got] == [_loc(v) for v in want]
+    assert [str(v) for v in got if v.code != "reference_row_sum"] == [
+        str(v) for v in want if v.code != "reference_row_sum"
+    ]
+    # one stored row, read by every stage, is reported as its copies in a per-stage table are
+    assert list(map(str, got)) == list(map(str, whole))
+
+
 @st.composite
 def solvable_scenarios(draw):
-    """Valid scenarios: long rows, prohibitive costs, small alpha, terminal costs, stationary tables."""
+    """Valid scenarios: long rows, prohibitive costs, small alpha, terminal costs, stationary tables.
+
+    Each table is per-stage, or its first row tiled or broadcast with stage stride 0.
+    """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     base = random_scenario(rng, max_nodes=14, max_horizon=8, max_degree=draw(st.integers(1, 12)))
     stage = base.costs.stage + 1e5 * (rng.random(base.costs.stage.shape) < 0.2)
-    probs = base.reference.probs
-    if draw(st.booleans()):
-        stage, probs = np.tile(stage[0], (base.horizon, 1)), np.tile(probs[0], (base.horizon, 1))
+    stage = _laid_out(draw, stage, base.horizon)
+    probs = _laid_out(draw, base.reference.probs, base.horizon)
     terminal = rng.uniform(0.0, 10.0, base.graph.node_count) if draw(st.booleans()) else None
     alpha = draw(st.sampled_from([1e-3, 0.1, base.alpha]))
     costs = StageCosts(base.horizon, stage, terminal)
@@ -116,6 +193,55 @@ def test_backward_pass_and_extract_policy_are_bit_identical_to_the_stage_loop(sc
     probs, log_probs = extract_policy_loop(scenario, desirability.log_phi)
     assert policy.probs.tobytes() == probs.tobytes()
     assert policy.log_probs.tobytes() == log_probs.tobytes()
+
+
+def _sparse_policy(scenario: Scenario, rng: np.random.Generator, support: np.ndarray | None = None) -> PolicyKernel:
+    """A policy with about a third of its entries exactly 0, and each within ``support`` when given; no log_probs.
+
+    Each node's first edge stays positive.
+    """
+    g = scenario.graph
+    shape = (scenario.horizon, g.edge_count)
+    draws = rng.standard_exponential(shape) * (rng.random(shape) < 0.7)
+    draws[:, g.row_start[:-1]] += 0.5
+    if support is not None:
+        draws *= support
+    return PolicyKernel(draws / np.add.reduceat(draws, g.row_start[:-1], axis=1)[:, g.edge_src])
+
+
+@given(solvable_scenarios(), st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_equalizer_gap_is_bit_identical_to_the_stage_log_certificate(scenario, seed, count):
+    desirability = backward_pass(scenario)
+    optimal = extract_policy(scenario, desirability)
+    rng = np.random.default_rng(seed)
+    trials = [random_policy(scenario, rng) for _ in range(count)]
+    v0 = value(desirability, scenario.initial, 0)
+    costs = np.array(deviation_costs_stage_log(scenario, trials, optimal))
+    want = float(np.max(np.abs(costs - v0), initial=0.0))
+    got = equalizer_gap(scenario, optimal, trials, desirability)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@given(solvable_scenarios(), st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_deviation_costs_keep_the_stage_log_certificate_costs_and_faults(scenario, seed, count):
+    """Zero-support edges, zero and faulty trial entries: the same costs bit for bit, or the same fault."""
+    rng = np.random.default_rng(seed)
+    population = _sparse_policy(scenario, rng)
+    # a trial within the population's support has a cost; one outside it meets a zero-support edge
+    trials = [_sparse_policy(scenario, rng, population.probs > 0 if rng.random() < 0.7 else None) for _ in range(count)]
+    for k in np.flatnonzero(rng.random(count) < 0.3):
+        probs = trials[k].probs.copy()
+        t, e = rng.integers(scenario.horizon), rng.integers(scenario.graph.edge_count)
+        probs[t, e] = rng.choice([np.nan, -0.25, np.inf])
+        trials[k] = PolicyKernel(probs)
+    try:
+        want = deviation_costs_stage_log(scenario, trials, population)
+    except ValueError as error:
+        with pytest.raises(type(error)) as raised:
+            _deviation_costs(scenario, trials, population)
+        assert type(raised.value) is type(error) and str(raised.value) == str(error)
+    else:
+        assert np.array(_deviation_costs(scenario, trials, population)).tobytes() == np.array(want).tobytes()
 
 
 @st.composite
@@ -165,8 +291,14 @@ def test_writers_are_byte_identical_to_the_edge_loop_writers(tmp_path_factory, s
     policy = PolicyKernel(scenario.reference.probs)
     manifest = RunManifest("mfe", {"scenario": "x.scn"})
     out = tmp_path_factory.mktemp("policy")
+    g = scenario.graph
     with patch("mftroute.textio._CHUNK_ROWS", chunk):
-        assert serialize(scenario) == serialize_loop(scenario)
+        if len(set(zip(g.edge_src.tolist(), g.edge_dst.tolist()))) < g.edge_count:
+            # a repeated edge (i, j) could not be read back, so serialize refuses the graph
+            with pytest.raises(ValueError, match="is repeated"):
+                serialize(scenario)
+        else:
+            assert serialize(scenario) == serialize_loop(scenario)
         write_policy_csv(out / "new.csv", scenario, policy, manifest)
     write_policy_csv_loop(out / "loop.csv", scenario, policy, manifest)
     assert (out / "new.csv").read_bytes() == (out / "loop.csv").read_bytes()

@@ -177,6 +177,26 @@ def test_solve_holds_few_whole_tables(tmp_path):
     assert peak / table_bytes <= 3.0
 
 
+def test_require_valid_checks_each_stored_row_once():
+    """require_valid on a stationary 40x40/T60 grid peaks within 5 % of one (T, E) float64 table.
+
+    Each table stores one row, which is checked once; masks over the
+    broadcast (T, E) tables took the peak to 0.65 of a table.
+    """
+    width = height = 40
+    horizon = 60
+    wall = [y * width + 20 for y in range(30)]
+    scenario = build_gridworld(width, height, wall, 0, width * height - 1, horizon, 0.1)
+    tracemalloc.start()
+    try:
+        require_valid(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table_bytes = horizon * scenario.graph.edge_count * 8
+    assert peak / table_bytes <= 0.05
+
+
 @pytest.mark.parametrize("stationary", [True, False], ids=["stationary", "per-stage"])
 @pytest.mark.parametrize("seed", range(4))
 def test_stage_row_logs_of_the_reference_keep_every_bit(seed, stationary):
