@@ -408,20 +408,31 @@ def _check_tolled(edge_prob, ref) -> None:
     _check_reference(ref)
 
 
-def _taxes(ladder: _Ladder, n_players: int, log_ref, alpha: float, edge_src=None) -> np.ndarray:
-    """alpha (E log share on the edge - E log share at its node) - alpha log ref, from a ladder of (joint, node) tables.
+def _taxes(ladder: _Ladder, n_players: int, alpha: float, edge_src=None) -> np.ndarray:
+    """alpha (E log share on the edge - E log share at its node), from a ladder of (joint, node) tables.
 
-    ``log_ref`` is the log of the reference probabilities; ``edge_src`` gathers a (T, V)
-    table of node shares onto the edges.
+    The expected tax is this less alpha log ref, which the caller subtracts;
+    ``edge_src`` gathers a (T, V) table of node shares onto the edges.
     """
     share_edge, share_node = ladder.shares(n_players)
     if edge_src is not None:
         share_node = np.take(share_node, edge_src, axis=1)
-    # alpha * (share_edge - share_node) - alpha * log(ref), bit for bit, with fewer (T, E) temporaries
+    # alpha * (share_edge - share_node), bit for bit, with fewer (T, E) temporaries
     share_edge -= share_node
     del share_node
     share_edge *= alpha
-    return share_edge - log_ref * alpha
+    return share_edge
+
+
+def _scenario_taxes(scenario: Scenario, ladder: _Ladder, n_players: int) -> np.ndarray:
+    """The (T, E) expected taxes from a ladder of the (T, E) joint and (T, V) node flows.
+
+    alpha log R is subtracted once the shares are formed, so a per-stage
+    reference's (T, E) log table is not held next to them.
+    """
+    tax = _taxes(ladder, n_players, scenario.alpha, scenario.graph.edge_src)
+    tax -= scenario.log_reference() * scenario.alpha
+    return tax
 
 
 def expected_tax_symmetric(n_players: int, node_prob, edge_prob, ref, alpha: float):
@@ -439,7 +450,7 @@ def expected_tax_symmetric(n_players: int, node_prob, edge_prob, ref, alpha: flo
     _check_tolled(edge_prob, ref)
     n_players = _player_count(n_players)
     ladder = _Ladder((np.multiply(node_prob, edge_prob), node_prob), n_players)
-    tax = _taxes(ladder, n_players, np.log(ref), alpha)
+    tax = _taxes(ladder, n_players, alpha) - np.log(ref) * alpha
     return float(tax) if np.ndim(tax) == 0 else tax
 
 
@@ -776,7 +787,7 @@ def expected_tax_gap(scenario: Scenario, population_policy: PolicyKernel, n_list
     log_ref = scenario.log_reference(support)
     limits = scenario.alpha * (population_policy.toll_log()[support] - log_ref)
     ladder = _Ladder((node_probs * edge_probs, node_probs), max(n_list, default=1))
-    return {n: _worst_gap(_taxes(ladder, n, log_ref, scenario.alpha), limits) for n in n_list}
+    return {n: _worst_gap(_taxes(ladder, n, scenario.alpha) - log_ref * scenario.alpha, limits) for n in n_list}
 
 
 def _worst_gap(tax: np.ndarray, limits: np.ndarray) -> float:
@@ -796,7 +807,7 @@ def _nash_gap_rows(scenario: Scenario, population_policy: PolicyKernel, flow, n_
     limits = scenario.alpha * (population_policy.toll_log()[support] - scenario.log_reference(support))
     rows = {}
     for n in dict.fromkeys(n_list):
-        tax = _taxes(ladder, n, scenario.log_reference(), scenario.alpha, scenario.graph.edge_src)
+        tax = _scenario_taxes(scenario, ladder, n)
         rows[n] = _worst_gap(tax[support], limits), _respond(scenario, joint, tax).epsilon
     return [rows[n] for n in n_list]
 
@@ -826,7 +837,7 @@ def best_response_finite_n(
     _check_policy_shape(scenario, population_policy)
     n_players = _player_count(n_players)
     joint, ladder = _flow_ladder(scenario, population_policy, propagate(scenario, population_policy), n_players)
-    tax = _taxes(ladder, n_players, scenario.log_reference(), scenario.alpha, scenario.graph.edge_src)
+    tax = _scenario_taxes(scenario, ladder, n_players)
     return _respond(scenario, joint, tax)
 
 

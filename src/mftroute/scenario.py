@@ -130,14 +130,12 @@ class TrafficGraph:
 
     def repeated_edges(self) -> np.ndarray:
         """Every edge that repeats an earlier edge (i, j) of its node, in edge order."""
-        if "_edge_keys" in self.__dict__:  # the key index edge_ids builds, which a file's reader has built
-            distinct = len(self._edge_keys[0]) - 1  # less the key no edge reaches
-        else:  # counted from one sorted copy of the keys, without building the index
-            keys = self.edge_src * self.node_count
-            keys += self.edge_dst
-            keys.sort(kind="stable")  # timsort: the keys of a CSR graph are nearly sorted already
-            distinct = self.edge_count - int(np.count_nonzero(keys[1:] == keys[:-1]))
-        if distinct == self.edge_count:
+        # one sorted copy of the keys: building edge_ids' index here took require_valid's
+        # peak on a stationary 40x40/T60 grid from 0.02 to 0.10 of a (T, E) table
+        keys = self.edge_src * self.node_count
+        keys += self.edge_dst
+        keys.sort(kind="stable")  # timsort: the keys of a CSR graph are nearly sorted already
+        if not np.any(keys[1:] == keys[:-1]):
             return np.empty(0, dtype=np.int64)
         return np.flatnonzero(self.edge_ids(self.edge_src, self.edge_dst) != np.arange(self.edge_count))
 

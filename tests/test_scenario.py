@@ -137,11 +137,8 @@ def test_policy_builders_name_an_empty_out_neighborhood(solve):
         solve(_graph_with_a_dead_end())
 
 
-@pytest.mark.parametrize("indexed", [False, True], ids=["sorted keys", "key index"])
-def test_serialize_names_a_repeated_edge_no_reader_could_take(tmp_path, indexed):
+def test_serialize_names_a_repeated_edge_no_reader_could_take(tmp_path):
     graph = TrafficGraph.from_neighbors(((0, 1, 1), (0,)))
-    if indexed:  # the edge lookup builds the key index, which the repeat check then reads
-        assert graph.edge_index(0, 1) == 1
     scenario = Scenario(
         graph,
         StageCosts(1, np.zeros((1, 4))),

@@ -303,6 +303,34 @@ def test_equalizer_gap_over_five_trials_holds_no_whole_table():
     assert peak / table_bytes <= 0.5
 
 
+def test_best_response_on_a_per_stage_reference_holds_no_log_table():
+    """best_response_finite_n on a per-stage 40x40/T60 grid peaks below 5.8 (T, E) float64 tables.
+
+    The flows, the ladder of their shares and the taxes reach 5.4 tables;
+    alpha log R is subtracted once the shares are formed.  Logging and
+    scaling the reference beside the unscaled taxes took the peak to 6.1
+    tables, and a log table held next to the shares to 7.1.
+    """
+    base = _walled_grid_40x40()
+    g = base.graph
+    shape = (base.horizon, g.edge_count)
+    rng = np.random.default_rng(0)
+    stage = base.costs.stage + rng.uniform(0.0, 1.0, shape) * (g.edge_src != g.edge_dst)
+    weights = rng.uniform(0.5, 1.5, shape)
+    reference = weights / np.take(np.add.reduceat(weights, g.row_start[:-1], axis=1), g.edge_src, axis=1)
+    costs = StageCosts(base.horizon, stage, base.costs.terminal)
+    scenario = Scenario(g, costs, ReferencePolicy(reference), base.alpha, base.initial)
+    population = mfe_solve(scenario).policy
+    tracemalloc.start()
+    try:
+        best_response_finite_n(scenario, population, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table_bytes = scenario.horizon * g.edge_count * 8
+    assert peak / table_bytes <= 5.8, peak / table_bytes
+
+
 @pytest.fixture
 def counted_checks(monkeypatch):
     """Counts the runs of the scenario checks."""

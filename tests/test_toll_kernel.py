@@ -402,18 +402,30 @@ def test_segment_argmin_is_bit_identical_to_the_per_node_loop_under_ties():
         np.testing.assert_array_equal(values, loop_values)
 
 
+def _assert_best_response_matches_the_loop(scenario, n_players: int) -> None:
+    """The best response equals the shortest-path loop over the folded costs plus the whole-table taxes."""
+    population = mfe_solve(scenario).policy
+    br = best_response_finite_n(scenario, population, n_players)
+    node_probs = propagate(scenario, population).distributions[:-1, scenario.graph.edge_src]
+    tax = expected_tax_symmetric(
+        n_players, node_probs, population.probs, scenario.reference.probs, scenario.alpha
+    )
+    total_cost = folded_costs(scenario) + tax
+    loop_probs, loop_values = shortest_path_loop(scenario.graph, total_cost)
+    np.testing.assert_array_equal(br.policy.probs, loop_probs)
+    np.testing.assert_array_equal(br.state_values, loop_values)
+
+
 def test_best_response_on_random_grids_matches_the_loop():
     rng = np.random.default_rng(66)
     for _ in range(5):
         scenario = _random_grid(rng)
-        population = mfe_solve(scenario).policy
-        n_players = int(rng.integers(2, 200))
-        br = best_response_finite_n(scenario, population, n_players)
-        node_probs = propagate(scenario, population).distributions[:-1, scenario.graph.edge_src]
-        tax = expected_tax_symmetric(
-            n_players, node_probs, population.probs, scenario.reference.probs, scenario.alpha
-        )
-        total_cost = folded_costs(scenario) + tax
-        loop_probs, loop_values = shortest_path_loop(scenario.graph, total_cost)
-        np.testing.assert_array_equal(br.policy.probs, loop_probs)
-        np.testing.assert_array_equal(br.state_values, loop_values)
+        _assert_best_response_matches_the_loop(scenario, int(rng.integers(2, 200)))
+
+
+def test_best_response_on_a_per_stage_reference_matches_the_whole_table_log():
+    # random_scenario draws a reference per stage, where the best response logs the table itself
+    rng = np.random.default_rng(69)
+    for _ in range(8):
+        scenario = random_scenario(rng)
+        _assert_best_response_matches_the_loop(scenario, int(rng.integers(2, 200)))
