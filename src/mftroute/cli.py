@@ -402,7 +402,8 @@ def main(argv=None) -> int:
         for action, least, most in bounds.get(args.handler, ()):
             _check_range(getattr(args, action.dest), action.option_strings[0], least, most)
         return args.handler(args)
-    except (ScenarioFormatError, InvalidScenarioError, ValueError, OSError) as exc:
+    # a count the flags accept may size a table no machine holds: numpy names the allocation
+    except (ScenarioFormatError, InvalidScenarioError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .kl_solver import PolicyKernel, _check_policy_shape, _dot
 from .mean_field import propagate
-from .scenario import Scenario, TrafficGraph, readonly
+from .scenario import Scenario, TrafficGraph, readonly, require_valid, stage_slices
 
 GENERATOR_NAME = "pcg64"
 
@@ -401,11 +401,10 @@ class _Ladder:
         return [shares[index] for index in self.index]
 
 
-def _check_tolled(edge_prob, ref) -> None:
-    """Raise unless the edge probabilities lie in [0, 1 + PROB_TOL] and the references are positive and finite."""
-    if not np.all((edge_prob >= 0) & (edge_prob <= 1 + PROB_TOL)):
+def _check_probs(probs) -> None:
+    """Raise unless every probability lies in [0, 1 + PROB_TOL]; NaN fails."""
+    if not np.all((probs >= 0) & (probs <= 1 + PROB_TOL)):
         raise ValueError("probabilities must lie in [0, 1]")
-    _check_reference(ref)
 
 
 def _taxes(ladder: _Ladder, n_players: int, alpha: float, edge_src=None) -> np.ndarray:
@@ -424,17 +423,6 @@ def _taxes(ladder: _Ladder, n_players: int, alpha: float, edge_src=None) -> np.n
     return share_edge
 
 
-def _scenario_taxes(scenario: Scenario, ladder: _Ladder, n_players: int) -> np.ndarray:
-    """The (T, E) expected taxes from a ladder of the (T, E) joint and (T, V) node flows.
-
-    alpha log R is subtracted once the shares are formed, so a per-stage
-    reference's (T, E) log table is not held next to them.
-    """
-    tax = _taxes(ladder, n_players, scenario.alpha, scenario.graph.edge_src)
-    tax -= scenario.log_reference() * scenario.alpha
-    return tax
-
-
 def expected_tax_symmetric(n_players: int, node_prob, edge_prob, ref, alpha: float):
     """Exact expected tax on an edge when all other players are exchangeable.
 
@@ -442,25 +430,29 @@ def expected_tax_symmetric(n_players: int, node_prob, edge_prob, ref, alpha: flo
     the edge's source node; ``edge_prob`` is her conditional probability of
     then taking the edge; ``ref`` is the reference probability of the edge.
     Array arguments broadcast; scalars give a float.  A probability
-    outside [0, 1] (beyond PROB_TOL above 1) or NaN, and a reference
-    probability that is not positive and finite, raise a ValueError.
+    outside [0, 1] (beyond PROB_TOL above 1) or NaN, a reference
+    probability that is not positive and finite, and an alpha that is not
+    finite raise a ValueError.
     """
     node_prob = np.asarray(node_prob, dtype=np.float64)
     edge_prob = np.asarray(edge_prob, dtype=np.float64)
-    _check_tolled(edge_prob, ref)
+    _check_probs(edge_prob)
+    _check_toll(ref, alpha)
     n_players = _player_count(n_players)
     ladder = _Ladder((np.multiply(node_prob, edge_prob), node_prob), n_players)
     tax = _taxes(ladder, n_players, alpha) - np.log(ref) * alpha
     return float(tax) if np.ndim(tax) == 0 else tax
 
 
-def _check_reference(ref) -> None:
-    """Raise unless every reference probability is positive and finite; NaN fails."""
+def _check_toll(ref, alpha: float) -> None:
+    """Raise unless every reference probability is positive and finite (NaN fails) and alpha is finite."""
     ref = np.asarray(ref, dtype=np.float64)
     bad = ~((ref > 0) & (ref < math.inf))
     if bad.any():
         value = ref[bad][0]
         raise ValueError(f"reference probability must be {'finite' if value > 0 else 'positive'}, got {value}")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
 
 
 def poisson_binomial_pmf(probs) -> np.ndarray:
@@ -490,9 +482,7 @@ def expected_tax_heterogeneous(
     node_probs = np.asarray(node_probs, dtype=np.float64)
     if edge_probs.shape != (n_players - 1,) or node_probs.shape != (n_players - 1,):
         raise ValueError("need one event probability per other player (N - 1 each)")
-    _check_reference(ref)
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
+    _check_toll(ref, alpha)
     log_share = np.log(np.arange(1, n_players + 1) / n_players)
     share_edge = math.fsum(log_share * poisson_binomial_pmf(edge_probs))
     share_node = math.fsum(log_share * poisson_binomial_pmf(node_probs))
@@ -774,16 +764,17 @@ def expected_tax_gap(scenario: Scenario, population_policy: PolicyKernel, n_list
     The limit on a supported edge is alpha * log(policy / reference); the
     maximum runs over edges whose mean-field flow probability exceeds
     ``SUPPORT_TOL``.  One ladder of the supported probabilities serves
-    every N.
+    every N.  An invalid scenario raises InvalidScenarioError.
     """
     n_list = [_player_count(n) for n in n_list]
+    require_valid(scenario)
     flow = propagate(scenario, population_policy)
     # np.take keeps the gather C-ordered like the policy tables; flow[:, edge_src] is Fortran-ordered
     node_probs = np.take(flow.distributions[:-1], scenario.graph.edge_src, axis=1)
     support = node_probs * population_policy.probs > SUPPORT_TOL
     node_probs = node_probs[support]
     edge_probs = population_policy.probs[support]
-    _check_tolled(edge_probs, scenario.reference.probs[support])
+    _check_probs(edge_probs)
     log_ref = scenario.log_reference(support)
     limits = scenario.alpha * (population_policy.toll_log()[support] - log_ref)
     ladder = _Ladder((node_probs * edge_probs, node_probs), max(n_list, default=1))
@@ -796,20 +787,10 @@ def _worst_gap(tax: np.ndarray, limits: np.ndarray) -> float:
 
 
 def _nash_gap_rows(scenario: Scenario, population_policy: PolicyKernel, flow, n_list) -> list[tuple[float, float]]:
-    """Per N, ``expected_tax_gap``'s gap and ``best_response_finite_n``'s epsilon, bit for bit.
-
-    ``flow`` is the policy's propagated flow.  One ladder serves every N,
-    and each distinct N forms one (T, E) tax table, which the gap reads on
-    the supported edges and the best response then turns into its costs.
-    """
-    joint, ladder = _flow_ladder(scenario, population_policy, flow, max(n_list))
-    support = joint > SUPPORT_TOL
-    limits = scenario.alpha * (population_policy.toll_log()[support] - scenario.log_reference(support))
-    rows = {}
-    for n in dict.fromkeys(n_list):
-        tax = _scenario_taxes(scenario, ladder, n)
-        rows[n] = _worst_gap(tax[support], limits), _respond(scenario, joint, tax).epsilon
-    return [rows[n] for n in n_list]
+    """Per N, ``expected_tax_gap``'s gap and ``best_response_finite_n``'s epsilon, bit for bit, given the ``flow``."""
+    require_valid(scenario)
+    runs = _backward_pass(scenario, population_policy, flow, n_list)
+    return [runs[n][:2] for n in n_list]
 
 
 @dataclass(frozen=True, eq=False)
@@ -832,57 +813,73 @@ def best_response_finite_n(
     best response is a deterministic finite-horizon shortest path.  The
     returned epsilon = J(symmetric vs symmetric) - best-response cost is
     the suboptimality of staying with the crowd; it is >= 0 up to float
-    rounding.
+    rounding.  An invalid scenario raises InvalidScenarioError.
     """
     _check_policy_shape(scenario, population_policy)
     n_players = _player_count(n_players)
-    joint, ladder = _flow_ladder(scenario, population_policy, propagate(scenario, population_policy), n_players)
-    tax = _scenario_taxes(scenario, ladder, n_players)
-    return _respond(scenario, joint, tax)
+    require_valid(scenario)
+    runs = _backward_pass(scenario, population_policy, propagate(scenario, population_policy), [n_players], True)
+    _, epsilon, values, symmetric_cost, edges = runs[n_players]
+    probs = np.zeros((scenario.horizon, scenario.graph.edge_count))
+    probs[np.arange(scenario.horizon)[:, None], edges] = 1.0
+    return FiniteBestResponse(PolicyKernel(probs), epsilon, values, symmetric_cost)
 
 
-def _flow_ladder(scenario: Scenario, population_policy: PolicyKernel, flow, most_players: int):
-    """The population's (T, E) edge flow, and one ``_Ladder`` of it and of the (T, V) node flow."""
-    node_table = flow.distributions[:-1]
-    joint = np.take(node_table, scenario.graph.edge_src, axis=1)
-    joint *= population_policy.probs
-    _check_tolled(population_policy.probs, scenario.reference.probs)
-    return joint, _Ladder((joint, node_table), most_players)
+def _backward_pass(scenario: Scenario, population_policy: PolicyKernel, flow, n_list, keep_edges: bool = False):
+    """Per distinct N: the tax gap, epsilon, the (T+1, V) cost-to-go, the symmetric cost and the best edges.
 
-
-def _respond(scenario: Scenario, edge_flow: np.ndarray, total_cost: np.ndarray) -> FiniteBestResponse:
-    """The best response to the (T, E) expected taxes ``total_cost``, which it overwrites with the total costs.
-
-    ``edge_flow`` is the population's (T, E) flow, which weighs its symmetric cost.
+    The stages run from last to first in validate's blocks (``stage_slices``).
+    Per block one ladder serves every N; per N the block's tax rows give the
+    gap's max over their supported entries, then, with the stage costs
+    added, the block's shortest-path step and each stage's symmetric-cost
+    sum, added in ascending t at the end.  The (T, V) best edges are None
+    unless ``keep_edges``.
     """
-    total_cost[:-1] += scenario.costs.stage[:-1]
-    total_cost[-1] += scenario.stage_costs(scenario.horizon - 1)
-    probs, values = _shortest_path(scenario.graph, total_cost)
-    symmetric_cost = 0.0
-    for t in range(scenario.horizon):
-        symmetric_cost += float(_dot(edge_flow[t], total_cost[t]))
-    best_cost = float(_dot(scenario.initial.mass, values[0]))
-    return FiniteBestResponse(PolicyKernel(probs), symmetric_cost - best_cost, values, symmetric_cost)
+    g, alpha, t_count = scenario.graph, scenario.alpha, scenario.horizon
+    toll_log = population_policy.toll_log()
+    gaps, sums = {n: [] for n in n_list}, {n: np.empty(t_count) for n in n_list}
+    values = {n: np.zeros((t_count + 1, g.node_count)) for n in n_list}
+    edges = {n: np.empty((t_count, g.node_count), dtype=np.intp) if keep_edges else None for n in n_list}
+    for rows in reversed(stage_slices(t_count, g.edge_count)):
+        _check_probs(population_policy.probs[rows])
+        node = flow.distributions[rows]
+        joint = np.take(node, g.edge_src, axis=1)
+        joint *= population_policy.probs[rows]
+        ladder = _Ladder((joint, node), max(n_list))
+        log_ref = scenario.log_reference(rows)
+        support = joint > SUPPORT_TOL
+        limits = alpha * (toll_log[rows][support] - log_ref[support])
+        costs = np.array([scenario.stage_costs(t) for t in range(t_count)[rows]])
+        for n in gaps:
+            tax = _taxes(ladder, n, alpha, g.edge_src)
+            tax -= log_ref * alpha
+            gaps[n].append(_worst_gap(tax[support], limits))
+            tax += costs
+            best = _shortest_path(g, tax, values[n][rows.start : rows.stop + 1])
+            if keep_edges:
+                edges[n][rows] = best
+            sums[n][rows] = _dot(joint, tax)
+    out = {}
+    for n in gaps:
+        symmetric_cost = reduce(float.__add__, sums[n].tolist(), 0.0)
+        epsilon = symmetric_cost - float(_dot(scenario.initial.mass, values[n][0]))
+        out[n] = float(np.max(gaps[n])), epsilon, values[n], symmetric_cost, edges[n]
+    return out
 
 
-def _shortest_path(graph: TrafficGraph, total_cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic finite-horizon shortest path over per-(t, edge) costs.
+def _shortest_path(graph: TrafficGraph, total_cost: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """A block's step of the deterministic finite-horizon shortest path over its (B, E) costs.
 
-    Returns point-mass rows on each node's cheapest edge (ties go to the
-    first edge in the node's slice) and the (T+1, V) cost-to-go.
+    It reads the last of the block's B + 1 cost-to-go rows ``values`` and
+    fills the others, and returns each (t, node)'s cheapest edge; ties go
+    to the first edge in the node's slice.  Every node needs an out-edge.
     """
-    degrees = np.diff(graph.row_start)
-    if not np.all(degrees > 0):
-        raise ValueError(f"node {int(np.argmin(degrees))} has no out-edges")
-    t_count, e_count = total_cost.shape
-    starts = graph.row_start[:-1]
-    edge_ids = np.arange(e_count)
-    values = np.zeros((t_count + 1, graph.node_count))
-    probs = np.zeros((t_count, e_count))
-    for t in range(t_count - 1, -1, -1):
-        through = total_cost[t] + values[t + 1][graph.edge_dst]
+    dst, src, starts = graph.edge_dst, graph.edge_src, graph.row_start[:-1]
+    edge_ids = np.arange(len(dst))
+    best = np.empty((len(total_cost), graph.node_count), dtype=np.intp)
+    for t in range(len(total_cost) - 1, -1, -1):
+        through = total_cost[t] + values[t + 1][dst]
         lowest = np.minimum.reduceat(through, starts)
-        best = np.minimum.reduceat(np.where(through == lowest[graph.edge_src], edge_ids, e_count), starts)
-        values[t] = through[best]
-        probs[t, best] = 1.0
-    return probs, values
+        best[t] = np.minimum.reduceat(np.where(through == lowest[src], edge_ids, len(dst)), starts)
+        values[t] = through[best[t]]
+    return best

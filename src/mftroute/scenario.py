@@ -390,7 +390,7 @@ def stored_once(table: np.ndarray) -> bool:
     return len(table) == 1 or (len(table) > 1 and table.strides[0] == 0)
 
 
-def _stage_blocks(table: np.ndarray):
+def _stage_blocks(table: np.ndarray) -> list[tuple[range, np.ndarray]]:
     """(stages, rows) blocks that hold each stored row of a (T, E) table once.
 
     Stage stages[k] reads rows[k], or rows[0] when that is the block's only
@@ -398,13 +398,15 @@ def _stage_blocks(table: np.ndarray):
     row.  Any other table comes CHECK_BLOCK entries' worth of stages at a
     time, so a check over the blocks forms no (T, E) mask.
     """
-    t_count, width = table.shape
     if stored_once(table):
-        yield range(t_count), table[:1]
-        return
+        return [(range(len(table)), table[:1])]
+    return [(range(len(table))[rows], table[rows]) for rows in stage_slices(*table.shape)]
+
+
+def stage_slices(t_count: int, width: int) -> list[slice]:
+    """Stages 0..t_count-1 of a (T, width) table in runs of CHECK_BLOCK entries' worth (one stage at least)."""
     step = max(1, CHECK_BLOCK // max(width, 1))
-    for start in range(0, t_count, step):
-        yield range(start, min(start + step, t_count)), table[start : start + step]
+    return [slice(start, min(start + step, t_count)) for start in range(0, t_count, step)]
 
 
 def _at_stages(stages: range, rows: np.ndarray, found) -> list[tuple]:

@@ -39,7 +39,8 @@ from mftroute import (
 )
 from mftroute.cli import OBSTACLE_SENTINEL
 from mftroute.fictitious_play import BeliefPath, FictitiousPlayResult
-from mftroute.finite_population import _WHOLE_SUPPORT, _row_fault
+from mftroute.finite_population import SUPPORT_TOL, _WHOLE_SUPPORT, FiniteBestResponse, _Ladder, _row_fault, _taxes
+from mftroute.kl_solver import _dot
 from mftroute.scenario import ROW_SUM_TOL, ScenarioFormatError, bad_row_sums
 from mftroute.symmetric_equilibrium import _MAX_BISECT, INNER_TOL, OUTER_TOL, EquilibriumResult
 
@@ -696,6 +697,33 @@ def shortest_path_loop(graph: TrafficGraph, total_cost: np.ndarray) -> tuple[np.
             values[t, i] = through[sl][best]
             probs[t, sl.start + best] = 1.0
     return probs, values
+
+
+def nash_pass_whole_table(scenario: Scenario, policy: PolicyKernel, n_players: int):
+    """(tax gap, best response) at N as one (T, E) tax table per N gave them, before the stage-block pass.
+
+    The taxes come from one ladder of the whole (T, E) joint and (T, V) node
+    flows, the gap is their max over the supported entries, and the best
+    response is the per-node shortest-path loop over the taxes plus the
+    stage costs, with the symmetric cost added one stage at a time.
+    """
+    g = scenario.graph
+    node_table = propagate(scenario, policy).distributions[:-1]
+    joint = np.take(node_table, g.edge_src, axis=1)
+    joint *= policy.probs
+    tax = _taxes(_Ladder((joint, node_table), n_players), n_players, scenario.alpha, g.edge_src)
+    tax -= scenario.log_reference() * scenario.alpha
+    support = joint > SUPPORT_TOL
+    limits = scenario.alpha * (policy.toll_log()[support] - scenario.log_reference(support))
+    gap = float(np.max(np.abs(tax[support] - limits), initial=0.0))
+    tax[:-1] += scenario.costs.stage[:-1]
+    tax[-1] += scenario.stage_costs(scenario.horizon - 1)
+    probs, values = shortest_path_loop(g, tax)
+    symmetric_cost = 0.0
+    for t in range(scenario.horizon):
+        symmetric_cost += float(_dot(joint[t], tax[t]))
+    epsilon = symmetric_cost - float(_dot(scenario.initial.mass, values[0]))
+    return gap, FiniteBestResponse(PolicyKernel(probs), epsilon, values, symmetric_cost)
 
 
 def bfs_distances(width: int, height: int, obstacles, start: int) -> dict[int, int]:

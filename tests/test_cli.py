@@ -321,6 +321,21 @@ def test_simulate_rejects_a_population_above_2_53(tmp_path, three_route_file, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["symmetric-ne", "fp", "nash-gap"])
+def test_a_count_too_large_to_allocate_for_is_one_error_line(tmp_path, three_route_file, capsys, command):
+    # 2**53 passes the --agents bound, but the toll kernel's (4, N) tables would take 2**58 bytes
+    out = tmp_path / "out.csv"
+    options = {**_GAME_OPTIONS, "--days": "5"} if command == "fp" else dict(_GAME_OPTIONS)
+    if command == "nash-gap":
+        options = {"--scenario": str(three_route_file)}
+    options.update({"--agents": str(2**53), "--out": str(out)})
+    assert main([command, *[tok for item in options.items() for tok in item]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: Unable to allocate ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [["fp", "--days"], ["symmetric-ne", "--agents"]])
 def test_a_count_beyond_the_float_range_is_a_data_error(tmp_path, capsys, args):
     # math.isfinite cannot convert such an int to a float; the count is still rejected by its flag

@@ -23,6 +23,7 @@ from helpers import (
 )
 from mftroute import (
     Distribution,
+    InvalidScenarioError,
     PolicyKernel,
     PopulationSample,
     ReferencePolicy,
@@ -790,6 +791,13 @@ def test_the_symmetric_toll_rejects_bad_probabilities_and_references(node_prob, 
         expected_tax_symmetric(10, node_prob, edge_prob, ref, 1.0)
 
 
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+def test_the_symmetric_toll_rejects_a_nonfinite_alpha(alpha):
+    # the heterogeneous toll's message; an infinite alpha times a zero share difference would be NaN
+    with pytest.raises(ValueError, match=f"^alpha must be finite, got {alpha}$"):
+        expected_tax_symmetric(10, 0.5, 0.5, 0.5, alpha)
+
+
 def test_the_symmetric_toll_counts_a_rounded_flow_above_one_as_one():
     # propagate can sum a node's mass to 1 + 2**-52; the toll is that of mass 1
     above = np.nextafter(1.0, 2.0)
@@ -1089,7 +1097,7 @@ def test_kernels_reject_bad_probabilities_counts_and_graphs(three_route):
         simulate_population(three_route, mfe_solve(three_route).policy, 0, seed=1)
     with pytest.raises(ValueError, match=r"^n_agents must be an integer, got 2\.5$"):
         simulate_population(three_route, mfe_solve(three_route).policy, 2.5, seed=1)
-    # node 1 is a dead end: the shortest path has no edge to take there
+    # node 1 is a dead end: the shortest path has no edge to take there, and validation names it
     dead_end = Scenario(
         TrafficGraph.from_neighbors(((1,), ())),
         StageCosts(2, np.ones((2, 1))),
@@ -1097,5 +1105,5 @@ def test_kernels_reject_bad_probabilities_counts_and_graphs(three_route):
         1.0,
         Distribution.point_mass(2, 0),
     )
-    with pytest.raises(ValueError, match="^node 1 has no out-edges$"):
+    with pytest.raises(InvalidScenarioError, match=re.escape("empty_out_neighbors[i=1]")):
         best_response_finite_n(dead_end, PolicyKernel(np.ones((2, 1))), 5)

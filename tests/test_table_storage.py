@@ -40,6 +40,7 @@ from mftroute import (
     write_scenario,
 )
 from mftroute.cli import main
+from mftroute.finite_population import _nash_gap_rows
 from mftroute.scenario import require_valid
 
 
@@ -303,14 +304,8 @@ def test_equalizer_gap_over_five_trials_holds_no_whole_table():
     assert peak / table_bytes <= 0.5
 
 
-def test_best_response_on_a_per_stage_reference_holds_no_log_table():
-    """best_response_finite_n on a per-stage 40x40/T60 grid peaks below 5.8 (T, E) float64 tables.
-
-    The flows, the ladder of their shares and the taxes reach 5.4 tables;
-    alpha log R is subtracted once the shares are formed.  Logging and
-    scaling the reference beside the unscaled taxes took the peak to 6.1
-    tables, and a log table held next to the shares to 7.1.
-    """
+def _per_stage_walled_grid_40x40() -> Scenario:
+    """The walled 40x40/T60 grid with random per-stage moving costs and reference."""
     base = _walled_grid_40x40()
     g = base.graph
     shape = (base.horizon, g.edge_count)
@@ -319,7 +314,20 @@ def test_best_response_on_a_per_stage_reference_holds_no_log_table():
     weights = rng.uniform(0.5, 1.5, shape)
     reference = weights / np.take(np.add.reduceat(weights, g.row_start[:-1], axis=1), g.edge_src, axis=1)
     costs = StageCosts(base.horizon, stage, base.costs.terminal)
-    scenario = Scenario(g, costs, ReferencePolicy(reference), base.alpha, base.initial)
+    return Scenario(g, costs, ReferencePolicy(reference), base.alpha, base.initial)
+
+
+def test_best_response_on_a_per_stage_reference_holds_no_log_table():
+    """best_response_finite_n on a per-stage 40x40/T60 grid peaks below 5.8 (T, E) float64 tables.
+
+    The stage-block pass, with the point-mass policy it returns, reads 2.1
+    tables; whole-table flows, their ladder and the taxes read 5.4, with
+    alpha log R subtracted once the shares are formed.  Logging and
+    scaling the reference beside the unscaled taxes took the peak to 6.1
+    tables, and a log table held next to the shares to 7.1.
+    """
+    scenario = _per_stage_walled_grid_40x40()
+    g = scenario.graph
     population = mfe_solve(scenario).policy
     tracemalloc.start()
     try:
@@ -329,6 +337,25 @@ def test_best_response_on_a_per_stage_reference_holds_no_log_table():
         tracemalloc.stop()
     table_bytes = scenario.horizon * g.edge_count * 8
     assert peak / table_bytes <= 5.8, peak / table_bytes
+
+
+def test_nash_gap_rows_on_a_per_stage_grid_hold_no_tax_table_per_n():
+    """_nash_gap_rows for N = 10, 100, 1000 on a per-stage 40x40/T60 grid peaks within 3.5 (T, E) tables.
+
+    The solution and its flow exist before the call.  The stage-block pass reads 2.1 tables;
+    one (T, E) tax table per N, beside a ladder of the whole joint and node flows and a
+    point-mass policy per N, read 6.5.
+    """
+    scenario = _per_stage_walled_grid_40x40()
+    solution = mfe_solve(scenario)
+    tracemalloc.start()
+    try:
+        _nash_gap_rows(scenario, solution.policy, solution.flow, [10, 100, 1000])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table_bytes = scenario.horizon * scenario.graph.edge_count * 8
+    assert peak / table_bytes <= 3.5, peak / table_bytes
 
 
 @pytest.fixture

@@ -11,9 +11,11 @@ in how the terms are summed and in the terms the window drops.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from helpers import (
     folded_costs,
     interior_log_shares_gather,
     interior_log_shares_hoeffding,
+    nash_pass_whole_table,
     random_game,
     random_scenario,
     shortest_path_loop,
@@ -37,6 +40,7 @@ from helpers import (
 )
 from mftroute import (
     SingleStageGame,
+    StageCosts,
     assumed_cost,
     best_response_finite_n,
     build_gridworld,
@@ -49,6 +53,7 @@ from mftroute import (
     solve_symmetric_ne,
 )
 from mftroute.cli import FIG4_ALPHA, FIG4_COSTS, FIG4_REFERENCE
+from mftroute.scenario import CHECK_BLOCK
 from mftroute import finite_population
 from mftroute.finite_population import (
     _CHUNK_FLOATS,
@@ -58,6 +63,7 @@ from mftroute.finite_population import (
     _binomial_tables,
     _interior_log_shares,
     _log_factorials,
+    _nash_gap_rows,
     _shortest_path,
     _windows,
     binomial_expected_log_share,
@@ -396,7 +402,10 @@ def test_segment_argmin_is_bit_identical_to_the_per_node_loop_under_ties():
         g = scenario.graph
         # few distinct integer costs force exact ties in every row
         total_cost = rng.integers(0, 3, size=(scenario.horizon, g.edge_count)).astype(np.float64)
-        probs, values = _shortest_path(g, total_cost)
+        values = np.zeros((scenario.horizon + 1, g.node_count))
+        best = _shortest_path(g, total_cost, values)
+        probs = np.zeros_like(total_cost)
+        probs[np.arange(scenario.horizon)[:, None], best] = 1.0
         loop_probs, loop_values = shortest_path_loop(g, total_cost)
         np.testing.assert_array_equal(probs, loop_probs)
         np.testing.assert_array_equal(values, loop_values)
@@ -429,3 +438,34 @@ def test_best_response_on_a_per_stage_reference_matches_the_whole_table_log():
     for _ in range(8):
         scenario = random_scenario(rng)
         _assert_best_response_matches_the_loop(scenario, int(rng.integers(2, 200)))
+
+
+def _terminal_scenarios(rng: np.random.Generator) -> list:
+    """Stationary grids, whose terminal cost is built in, and per-stage random scenarios given one."""
+    per_stage = []
+    for _ in range(3):
+        scenario = random_scenario(rng, max_nodes=8)
+        costs = StageCosts(scenario.horizon, scenario.costs.stage, rng.uniform(0.0, 3.0, scenario.graph.node_count))
+        per_stage.append(dataclasses.replace(scenario, costs=costs))
+    return [_random_grid(rng) for _ in range(3)] + per_stage
+
+
+@pytest.mark.parametrize("stages_per_block", [1, 3, None], ids=["one-stage", "three-stages", "default"])
+def test_stage_blocks_give_the_whole_table_bits(stages_per_block):
+    """The stage-block pass of nash-gap and the best response against one (T, E) tax table per N."""
+    n_list = [2, 255, 256, 257, 1000]
+    for scenario in _terminal_scenarios(np.random.default_rng(70)):
+        solution = mfe_solve(scenario)
+        policy = solution.policy
+        block = CHECK_BLOCK if stages_per_block is None else stages_per_block * scenario.graph.edge_count
+        with patch("mftroute.scenario.CHECK_BLOCK", block):
+            rows = _nash_gap_rows(scenario, policy, solution.flow, n_list)
+            responses = [best_response_finite_n(scenario, policy, n) for n in n_list]
+        for n, row, br in zip(n_list, rows, responses):
+            gap, want = nash_pass_whole_table(scenario, policy, n)
+            assert np.array(row).tobytes() == np.array([gap, want.epsilon]).tobytes()
+            assert np.array([br.epsilon, br.symmetric_cost]).tobytes() == np.array(
+                [want.epsilon, want.symmetric_cost]
+            ).tobytes()
+            np.testing.assert_array_equal(br.policy.probs, want.policy.probs)
+            assert br.state_values.tobytes() == want.state_values.tobytes()
