@@ -8,7 +8,6 @@ mftroute.textio.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 import time
 from pathlib import Path
@@ -36,6 +35,7 @@ from .symmetric_equilibrium import SingleStageGame, solve_single_stage_mfe, solv
 from .textio import (
     PROG,
     RunManifest,
+    file_digest,
     read_policy_csv,
     read_scenario,
     write_csv,
@@ -108,10 +108,6 @@ def emit_heatmap(flow: FlowTrajectory, t: int, width: int, height: int, obstacle
     return "\n".join(lines) + "\n"
 
 
-def _digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
@@ -128,7 +124,7 @@ def _manifest(args, start: float, input_digests: dict | None = None) -> RunManif
 def _load_scenario(args) -> tuple[Scenario, dict]:
     scenario = read_scenario(args.scenario)
     require_valid(scenario)
-    return scenario, {"scenario": _digest(args.scenario)}
+    return scenario, {"scenario": file_digest(args.scenario)}
 
 
 def _cmd_validate(args) -> int:
@@ -174,7 +170,7 @@ def _cmd_simulate(args) -> int:
     start = time.perf_counter()
     scenario, digests = _load_scenario(args)
     policy = read_policy_csv(args.policy, scenario)
-    digests["policy"] = _digest(args.policy)
+    digests["policy"] = file_digest(args.policy)
 
     samples = simulate_replications(scenario, policy, args.agents, args.seed, args.reps)
     tables = [realized_taxes(sample, scenario) for sample in samples]

@@ -825,21 +825,21 @@ def best_response_finite_n(
     return FiniteBestResponse(PolicyKernel(probs), epsilon, values, symmetric_cost)
 
 
-def _backward_pass(scenario: Scenario, population_policy: PolicyKernel, flow, n_list, keep_edges: bool = False):
+def _backward_pass(scenario: Scenario, population_policy: PolicyKernel, flow, n_list, best_response: bool = False):
     """Per distinct N: the tax gap, epsilon, the (T+1, V) cost-to-go, the symmetric cost and the best edges.
 
     The stages run from last to first in validate's blocks (``stage_slices``).
     Per block one ladder serves every N; per N the block's tax rows give the
     gap's max over their supported entries, then, with the stage costs
     added, the block's shortest-path step and each stage's symmetric-cost
-    sum, added in ascending t at the end.  The (T, V) best edges are None
-    unless ``keep_edges``.
+    sum, added in ascending t at the end.  For the ``best_response`` the
+    pass keeps the (T, V) best edges and takes no gap (None); otherwise it
+    keeps no edges (None).
     """
     g, alpha, t_count = scenario.graph, scenario.alpha, scenario.horizon
-    toll_log = population_policy.toll_log()
     gaps, sums = {n: [] for n in n_list}, {n: np.empty(t_count) for n in n_list}
     values = {n: np.zeros((t_count + 1, g.node_count)) for n in n_list}
-    edges = {n: np.empty((t_count, g.node_count), dtype=np.intp) if keep_edges else None for n in n_list}
+    edges = {n: np.empty((t_count, g.node_count), dtype=np.intp) if best_response else None for n in n_list}
     for rows in reversed(stage_slices(t_count, g.edge_count)):
         _check_probs(population_policy.probs[rows])
         node = flow.distributions[rows]
@@ -847,23 +847,26 @@ def _backward_pass(scenario: Scenario, population_policy: PolicyKernel, flow, n_
         joint *= population_policy.probs[rows]
         ladder = _Ladder((joint, node), max(n_list))
         log_ref = scenario.log_reference(rows)
-        support = joint > SUPPORT_TOL
-        limits = alpha * (toll_log[rows][support] - log_ref[support])
+        if not best_response:
+            support = joint > SUPPORT_TOL
+            limits = alpha * (population_policy.toll_log(rows)[support] - log_ref[support])
         costs = np.array([scenario.stage_costs(t) for t in range(t_count)[rows]])
         for n in gaps:
             tax = _taxes(ladder, n, alpha, g.edge_src)
             tax -= log_ref * alpha
-            gaps[n].append(_worst_gap(tax[support], limits))
+            if not best_response:
+                gaps[n].append(_worst_gap(tax[support], limits))
             tax += costs
             best = _shortest_path(g, tax, values[n][rows.start : rows.stop + 1])
-            if keep_edges:
+            if best_response:
                 edges[n][rows] = best
             sums[n][rows] = _dot(joint, tax)
     out = {}
     for n in gaps:
         symmetric_cost = reduce(float.__add__, sums[n].tolist(), 0.0)
         epsilon = symmetric_cost - float(_dot(scenario.initial.mass, values[n][0]))
-        out[n] = float(np.max(gaps[n])), epsilon, values[n], symmetric_cost, edges[n]
+        gap = None if best_response else float(np.max(gaps[n]))
+        out[n] = gap, epsilon, values[n], symmetric_cost, edges[n]
     return out
 
 

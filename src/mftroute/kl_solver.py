@@ -54,12 +54,12 @@ class PolicyKernel:
         if self.log_probs is not None:
             object.__setattr__(self, "log_probs", readonly(np.atleast_2d(self.log_probs)))
 
-    def toll_log(self) -> np.ndarray:
-        """Log probabilities for toll evaluation; -inf marks true zeros."""
+    def toll_log(self, rows=slice(None)) -> np.ndarray:
+        """Log probabilities of the stages ``rows`` (all by default) for toll evaluation; -inf marks true zeros."""
         if self.log_probs is not None:
-            return self.log_probs
+            return self.log_probs[rows]
         with np.errstate(divide="ignore"):
-            return np.log(self.probs)
+            return np.log(self.probs[rows])
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -3,14 +3,17 @@
 Every output file carries its run manifest as leading comment lines, so a
 run can be reproduced exactly; with a fixed seed the numeric payload
 (every non-comment line) is byte-identical across runs on one platform.
-Numeric formatting is locale-independent (dot decimal separator).  Every
-table section of a scenario and the rows of a policy CSV are read by one
-chunk walker (see docs/scenario_format.md).
+Numeric formatting is locale-independent (dot decimal separator).  Input
+files are read a chunk of text at a time, never whole, and every table
+section of a scenario and the rows of a policy CSV are read by one chunk
+walker (see docs/scenario_format.md).
 """
 
 from __future__ import annotations
 
+import io
 import math
+import sys
 from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -31,6 +34,7 @@ from .scenario import (
     TrafficGraph,
     as_int64,
     bad_row_sums,
+    stage_slices,
     stored_once,
 )
 
@@ -200,12 +204,16 @@ def write_scenario(scenario: Scenario, path) -> None:
         fh.write(text)
 
 
-def _pieces(text: str, start: int, stop: int):
-    """(start, end) of text[start:stop] in pieces of about _CHUNK_CHARS, each cut just after a newline."""
-    while start < stop:
-        end = text.find("\n", min(start + _CHUNK_CHARS, stop), stop) + 1 or stop
-        yield start, end
-        start = end
+def _pieces(fh, count: int = sys.maxsize):
+    """The next ``count`` characters of a text stream, all by default, in pieces of about _CHUNK_CHARS.
+
+    Each piece but the last ends just after the first newline at or past
+    _CHUNK_CHARS characters, so it holds whole lines.
+    """
+    while count > 0 and (piece := fh.read(min(count, _CHUNK_CHARS))):
+        piece += fh.readline(count - len(piece))
+        count -= len(piece)
+        yield piece
 
 
 # the line boundaries of str.splitlines other than "\n" (tests/test_scenario.py derives them from it)
@@ -217,57 +225,63 @@ def _uncommented(piece: str, lines: list[str]) -> list[str]:
     return [line.split("#", 1)[0] for line in lines] if "#" in piece else lines
 
 
-def _line_blocks(text: str, spans):
-    """(first line number, lines without comments, piece) of each (start, stop, first line number) span's text.
-
-    The pieces, of about _CHUNK_CHARS, are cut just after a newline, so each
-    holds whole lines and ``str.splitlines`` numbers them as in the whole text.
-    """
-    for start, stop, lineno in spans:
-        for lo, hi in _pieces(text, start, stop):
-            piece = text[lo:hi]
-            lines = piece.splitlines()
-            yield lineno, _uncommented(piece, lines), piece
-            lineno += len(lines)
+def _line_blocks(pieces, lineno: int = 1):
+    """(first line number, lines without comments, piece) of each piece of whole lines, numbered from ``lineno``."""
+    for piece in pieces:
+        lines = piece.splitlines()
+        yield lineno, _uncommented(piece, lines), piece
+        lineno += len(lines)
 
 
-def _section_spans(text: str) -> dict[str, list[tuple[int, int, int]]]:
-    """(start, stop, first line number) of the text under each section header, in file order.
+def _section_blocks(fh, spans):
+    """_line_blocks of a section's (position, skip, length, first line number) spans, each read again from fh."""
+    for position, skip, length, lineno in spans:
+        fh.seek(position)
+        fh.read(skip)
+        yield from _line_blocks(_pieces(fh, length), lineno)
 
+
+def _section_spans(fh) -> dict[str, list[tuple[int, int, int, int]]]:
+    """(position, skip, length, first line number) of the text under each section header, in file order.
+
+    ``position`` is the stream's position (its ``tell``) at the start of the
+    piece that holds the header, ``skip`` the characters of that piece up to
+    the section's first line, and ``length`` the section's characters.
     Raises at the first unknown header or line of content ahead of every header.
     """
-    spans: dict[str, list[tuple[int, int, int]]] = {name: [] for name in _SECTIONS}
-    current = None  # (name, start, first line number) of the open section
-    lineno = 1
-    for offset, end in _pieces(text, 0, len(text)):
-        piece = text[offset:end]
-        if current is not None and "[" not in piece and not any(map(piece.__contains__, _OTHER_BREAKS)):
+    spans: dict[str, list[tuple[int, int, int, int]]] = {name: [] for name in _SECTIONS}
+    opened = []  # (name, position, skip, first character, first line number) of each section in file order
+    header_at = []  # the first character of each header line
+    lineno, offset, position = 1, 0, fh.tell()
+    for piece in _pieces(fh):
+        if opened and "[" not in piece and not any(map(piece.__contains__, _OTHER_BREAKS)):
             # no header and nothing to check: count the lines without splitting them
             lineno += piece.count("\n") + (not piece.endswith("\n"))
-            continue
-        lines = piece.splitlines(keepends=True)
-        heads = []
-        if "[" in piece:
-            for k in [k for k, line in enumerate(lines) if "[" in line]:
-                line = lines[k].split("#", 1)[0].strip()
-                if line.startswith("[") and line.endswith("]"):
-                    heads.append((k, line[1:-1].strip().lower()))
-        if current is None:
-            ahead = lines[: heads[0][0]] if heads else lines
-            for k, line in enumerate(_uncommented(piece, ahead)):
-                if line.strip():
-                    raise ScenarioFormatError(f"line {lineno + k}: content before any section header")
-        if heads:
-            starts = list(accumulate(map(len, lines), initial=offset))
-        for k, name in heads:
-            if name not in spans:
-                raise ScenarioFormatError(f"line {lineno + k}: unknown section [{name}]")
-            if current is not None:
-                spans[current[0]].append((current[1], starts[k], current[2]))
-            current = (name, starts[k + 1], lineno + k + 1)
-        lineno += len(lines)
-    if current is not None:
-        spans[current[0]].append((current[1], len(text), current[2]))
+        else:
+            lines = piece.splitlines(keepends=True)
+            heads = []
+            if "[" in piece:
+                for k in [k for k, line in enumerate(lines) if "[" in line]:
+                    line = lines[k].split("#", 1)[0].strip()
+                    if line.startswith("[") and line.endswith("]"):
+                        heads.append((k, line[1:-1].strip().lower()))
+            if not opened:
+                ahead = lines[: heads[0][0]] if heads else lines
+                for k, line in enumerate(_uncommented(piece, ahead)):
+                    if line.strip():
+                        raise ScenarioFormatError(f"line {lineno + k}: content before any section header")
+            if heads:
+                starts = list(accumulate(map(len, lines), initial=0))
+            for k, name in heads:
+                if name not in spans:
+                    raise ScenarioFormatError(f"line {lineno + k}: unknown section [{name}]")
+                header_at.append(offset + starts[k])
+                opened.append((name, position, starts[k + 1], offset + starts[k + 1], lineno + k + 1))
+            lineno += len(lines)
+        offset += len(piece)
+        position = fh.tell()
+    for (name, position, skip, first, line), end in zip(opened, header_at[1:] + [offset]):
+        spans[name].append((position, skip, end - first, line))
     return spans
 
 
@@ -408,16 +422,23 @@ def _fill_table(graph: TrafficGraph, stages: int, chunks, label: str, undeclared
 
 
 def deserialize(text: str) -> Scenario:
-    """Parse the sectioned text format; raises ScenarioFormatError with line info.
+    """Parse the sectioned text format; raises ScenarioFormatError with line info."""
+    return _parse_scenario(io.StringIO(text))
 
-    Sections are read in the order params, graph, costs, reference, each a
-    chunk of lines at a time.  Within a section the fault reported is the
-    first faulty line (see docs/scenario_format.md for the check order).
+
+def _parse_scenario(fh) -> Scenario:
+    """Parse the sectioned text format from a text stream, holding a piece of it at a time.
+
+    A first pass over the stream finds and checks the section headers; the
+    sections are then read again from their positions, in the order params,
+    graph, costs, reference, each a chunk of lines at a time.  Within a
+    section the fault reported is the first faulty line (see
+    docs/scenario_format.md for the check order).
     """
-    spans = _section_spans(text)
+    spans = _section_spans(fh)
 
     params: dict[str, tuple[int, str]] = {}
-    for first, lines, _ in _line_blocks(text, spans["params"]):
+    for first, lines, _ in _section_blocks(fh, spans["params"]):
         for lineno, line in enumerate(lines, start=first):
             line = line.strip()
             if not line:
@@ -487,7 +508,7 @@ def deserialize(text: str) -> Scenario:
         ends = np.array([as_int64(column) for column in columns])
         return ((ends < 0) | (ends >= node_count)).any(axis=0)
 
-    chunks = _table_chunks(_line_blocks(text, spans["graph"]), (int, int), None, graph_row, None, outside)
+    chunks = _table_chunks(_section_blocks(fh, spans["graph"]), (int, int), None, graph_row, None, outside)
     src, dst = np.concatenate([np.empty((2, 0), np.int64), *(as_int64(columns) for _, columns in chunks)], axis=1)
     if not len(src):
         raise ScenarioFormatError("missing or empty [graph] section")
@@ -543,7 +564,7 @@ def deserialize(text: str) -> Scenario:
     def table(section: str, label: str) -> np.ndarray:
         # a stationary file fills one row, broadcast to every stage
         stages, missing = (1 if stationary else horizon), f"[{section}] missing {label} for"
-        chunks = _table_chunks(_line_blocks(text, spans[section]), kinds, None, partial(table_row, label=label),
+        chunks = _table_chunks(_section_blocks(fh, spans[section]), kinds, None, partial(table_row, label=label),
                                partial(terminals, section=section))
         filled = _fill_table(graph, stages, chunks, label, "not declared in [graph]", missing)
         return np.broadcast_to(filled, (horizon, graph.edge_count))
@@ -560,26 +581,66 @@ def deserialize(text: str) -> Scenario:
     )
 
 
-def _read_text(path, what: str) -> str:
-    """A UTF-8 file's text with universal newlines, a leading byte-order mark dropped.
+def _read_file(path, what: str, read):
+    """``read(fh)`` of a UTF-8 file as a text stream with universal newlines, a leading byte-order mark dropped.
 
-    Its error names the path, and the line of a bad byte.
+    A byte that is not UTF-8 anywhere in the file is reported, at its line,
+    ahead of any fault that ``read`` raises, as if the whole file had been
+    decoded first.  A file that cannot seek, such as a pipe, is read whole
+    first, since a scenario's sections and a bad byte's line are read
+    again.  Every error names the path.
     """
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            return fh.read()
-    except UnicodeDecodeError as exc:
-        # read() decodes the whole file in one call, so exc.object holds every byte ahead of the bad one
-        ahead = exc.object[: exc.start].decode("utf-8")
-        line = len((ahead + "x").splitlines())  # the line that a character in the bad byte's place would be on
-        fault = f"line {line}: byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})"
-        raise ScenarioFormatError(f"cannot read {what} file {path}: {fault}") from None
+        with open(path, "rb") as raw:
+            if not raw.seekable():
+                raw = io.BytesIO(raw.read())
+            fh = io.TextIOWrapper(raw, encoding="utf-8-sig")
+            try:
+                try:
+                    return read(fh)
+                except Exception:
+                    while fh.read(_CHUNK_CHARS):  # decode the rest, which raises at a bad byte
+                        pass
+                    raise
+            except UnicodeDecodeError:
+                raw.seek(0)
+                raise ScenarioFormatError(f"cannot read {what} file {path}: {_bad_byte(raw)}") from None
     except OSError as exc:
         raise ScenarioFormatError(f"cannot read {what} file {path}: {exc}") from exc
 
 
+def _bad_byte(raw) -> str:
+    """'line N: byte 0xNN is not UTF-8 (reason)' for the first byte of a binary stream that is not UTF-8.
+
+    The stream is read in blocks, each cut just after a newline byte, which
+    falls inside neither a UTF-8 character nor a CR LF, so each block
+    decodes alone and its lines are counted as str.splitlines counts them.
+    """
+    lines = 0
+    while block := raw.read(_CHUNK_CHARS) + raw.readline():
+        try:
+            lines += len(block.decode("utf-8").splitlines())
+        except UnicodeDecodeError as exc:
+            # the line that a character in the bad byte's place would be on
+            line = lines + len((block[: exc.start].decode("utf-8") + "x").splitlines())
+            return f"line {line}: byte 0x{block[exc.start]:02x} is not UTF-8 ({exc.reason})"
+    return "the file changed while it was read"
+
+
 def read_scenario(path) -> Scenario:
-    return deserialize(_read_text(path, "scenario"))
+    return _read_file(path, "scenario", _parse_scenario)
+
+
+def file_digest(path) -> str:
+    """The SHA-256 hex digest of a file's bytes, hashed a block at a time."""
+    # imported here: hashlib loads OpenSSL's libcrypto, which a process that hashes no file need not map
+    import hashlib
+
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(_CHUNK_CHARS):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def read_policy_csv(path, scenario: Scenario) -> PolicyKernel:
@@ -589,8 +650,6 @@ def read_policy_csv(path, scenario: Scenario) -> PolicyKernel:
     faulty line, with its first failing check: field count, parse, finite
     value, sign, then the stage, edge and repeat checks of the fill.
     """
-    text = _read_text(path, "policy")
-
     def policy_row(lineno: int, line: str) -> tuple[int, int, int, float]:
         """The (t, i, j, value) of one policy row, or its fault."""
         parts = line.split(",")
@@ -617,11 +676,17 @@ def read_policy_csv(path, scenario: Scenario) -> PolicyKernel:
         values = np.asarray(columns[-1], dtype=np.float64)
         return ~np.isfinite(values) | (values < 0)
 
-    chunks = _table_chunks(_line_blocks(text, [(0, len(text), 1)]), (int, int, int, float), ",", policy_row, header,
-                           bad_value)
     g = scenario.graph
-    probs = _fill_table(g, scenario.horizon, chunks, "policy row", "not in scenario graph", "policy file missing")
-    bad_rows = bad_row_sums(g, probs)
-    if bad_rows:
-        raise ScenarioFormatError("policy rows of stage {} node {} sum to {:.17g}, expected 1".format(*bad_rows[0]))
+
+    def fill(fh) -> np.ndarray:
+        chunks = _table_chunks(_line_blocks(_pieces(fh)), (int, int, int, float), ",", policy_row, header, bad_value)
+        return _fill_table(g, scenario.horizon, chunks, "policy row", "not in scenario graph", "policy file missing")
+
+    probs = _read_file(path, "policy", fill)
+    for rows in stage_slices(scenario.horizon, g.edge_count):  # in blocks, so the sums are a block's
+        bad_rows = bad_row_sums(g, probs[rows])
+        if bad_rows:
+            t, node, total = bad_rows[0]
+            raise ScenarioFormatError(f"policy rows of stage {rows.start + t} node {node} sum to {total:.17g}, "
+                                      "expected 1")
     return PolicyKernel(probs)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,7 +36,7 @@ from mftroute.cli import (
     read_policy_csv,
     three_route_scenario,
 )
-from mftroute.textio import _OTHER_BREAKS
+from mftroute.textio import _CHUNK_CHARS, _OTHER_BREAKS, file_digest
 
 
 def _payload(path):
@@ -690,6 +691,14 @@ def test_a_bad_byte_after_a_byte_order_mark_is_an_error_at_its_line(tmp_path, th
         fault = "byte 0xff is not UTF-8 (invalid start byte)"
         assert capsys.readouterr().err == f"error: cannot read {what} file {path}: line 4: {fault}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("size", [0, 1, _CHUNK_CHARS - 1, _CHUNK_CHARS, _CHUNK_CHARS + 1])
+def test_file_digest_is_the_sha256_of_the_whole_file(tmp_path, size):
+    """The digest hashes blocks of _CHUNK_CHARS bytes: no block, one short block, one or two blocks."""
+    path = tmp_path / "input"
+    path.write_bytes(np.random.default_rng(size).bytes(size))
+    assert file_digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_simulate_builds_one_sampling_table_per_run(tmp_path, three_route_file, monkeypatch):

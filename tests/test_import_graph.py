@@ -102,3 +102,15 @@ for argv in runs:
     )
     assert run.returncode == 0, run.stderr
     assert run.stderr == ""
+
+
+def test_importing_the_cli_loads_no_hashlib():
+    """hashlib maps OpenSSL's libcrypto; only file_digest imports it, when it runs."""
+    script = "import sys\nimport mftroute.cli\nprint(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+    path = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"

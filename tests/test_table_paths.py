@@ -11,6 +11,8 @@ scenario file and the policy CSV, must report one fault with one message.
 
 from __future__ import annotations
 
+import os
+import threading
 from unittest.mock import patch
 
 import numpy as np
@@ -45,6 +47,7 @@ from mftroute import (
     equalizer_gap,
     extract_policy,
     random_policy,
+    read_scenario,
     serialize,
     validate,
     value,
@@ -665,3 +668,148 @@ def test_the_first_faulty_policy_line_wins_across_chunks(tmp_path, changes, erro
     with pytest.raises(ScenarioFormatError) as reference_fault:
         read_policy_csv_loop(path, scenario)
     assert str(reference_fault.value) == error
+
+
+# Files read a piece at a time: the readers hold about _CHUNK_CHARS characters of a file, not its text,
+# and report what they reported when they read the whole file first.
+
+def _read_both(tmp_path, text: str, newline: str = "\n"):
+    """read_scenario of text written with the given line ending, and read_policy_csv of a CSV of _ROWS alike."""
+    scenario_file, policy_csv = tmp_path / "rows.scn", tmp_path / "rows.csv"
+    scenario_file.write_bytes(text.replace("\n", newline).encode())
+    rows = "t,i,j,value\n" + "".join(",".join(map(str, r)) + "\n" for r in _ROWS)
+    policy_csv.write_bytes(rows.replace("\n", newline).encode())
+    scenario = _outcome(read_scenario, scenario_file)
+    return scenario, _outcome(read_policy_csv, policy_csv, deserialize(_scenario_text(_ROWS)))
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["CRLF", "CR"])
+def test_crlf_and_cr_line_ends_read_alike_at_every_chunk_cut(tmp_path, newline):
+    """Every chunk size from 1 to 48 characters puts a cut next to a line end somewhere in these files."""
+    text, faulty = _scenario_text(_ROWS), _scenario_text(_edited({21: (1, 0, 9, 0.5)}))
+    for chunk in range(1, 49):
+        with patch("mftroute.textio._CHUNK_CHARS", chunk):
+            (error, got), (policy_error, policy) = _read_both(tmp_path, text, newline)
+            assert error is None and policy_error is None
+            assert _scenario_bytes(got) == _scenario_bytes(deserialize(text))
+            assert policy.probs.tobytes() == np.array([r[3] for r in _ROWS]).reshape(2, 3).tobytes()
+            (error, _), _ = _read_both(tmp_path, faulty, newline)
+            assert error == "line 21: edge 0 -> 9 not declared in [graph]"
+
+
+SECTION_ORDERS = {
+    "reversed": "[reference]\n{reference}[costs]\n{costs}[graph]\n{graph}[params]\n{params}",
+    "costs split around the graph": "[costs]\n{costs_head}[params]\n{params}[graph]\n{graph}[costs]\n{costs_tail}"
+                                    "[reference]\n{reference}",
+    "a header repeated with nothing under it": "[params]\n{params}[graph]\n[reference]\n{reference}[graph]\n{graph}"
+                                               "[costs]\n{costs}",
+    "an unknown header after a faulty [params] line": "[params]\n{params}bad line\n[graph]\n{graph}[costs]\n{costs}"
+                                                      "[reference]\n{reference}[weights]\n",
+    "a faulty [params] line read after a faulty table line": "[costs]\n0 0 0 x\n{costs}[graph]\n{graph}"
+                                                            "[reference]\n{reference}[params]\n{params}bad line\n",
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 16, 64, 1 << 16])
+@pytest.mark.parametrize("layout", SECTION_ORDERS.values(), ids=SECTION_ORDERS.keys())
+def test_sections_in_any_order_read_as_the_line_reference(tmp_path, layout, chunk):
+    """Each section is read again from where the first pass found it, so the file order changes nothing."""
+    text = serialize(random_scenario(np.random.default_rng(3), max_nodes=6, max_horizon=4))
+    body = {name: text.split(f"[{name}]\n")[1].split("\n[")[0].strip("\n") + "\n"
+            for name in ("params", "graph", "costs", "reference")}
+    cost_lines = body["costs"].splitlines(keepends=True)
+    text = layout.format(**body, costs_head="".join(cost_lines[:2]), costs_tail="".join(cost_lines[2:]))
+    path = tmp_path / "ordered.scn"
+    path.write_text(text, encoding="utf-8")
+    want_error, want = _outcome(deserialize_loop, text)
+    with patch("mftroute.textio._CHUNK_CHARS", chunk):
+        for read, source in ((deserialize, text), (read_scenario, path)):
+            got_error, got = _outcome(read, source)
+            assert got_error == want_error
+            if want is not None:
+                assert _scenario_bytes(got) == _scenario_bytes(want)
+
+
+@pytest.mark.parametrize("chunk", [16, 64, 1 << 16])
+def test_a_bad_byte_in_a_later_chunk_is_reported_ahead_of_an_earlier_fault(tmp_path, chunk):
+    """As when the whole file was decoded first: the bad byte's line is counted across the chunks ahead.
+
+    The fault comes first, then more comment lines than the file object decodes ahead of a read.
+    """
+    scenario = deserialize(_scenario_text(_ROWS))
+    pad = [b"# a comment"] * 12000  # 144 kB
+    cases = (
+        ([b"[params]", b"[weights]", *pad], read_scenario, "scenario", "line 2: unknown section [weights]"),
+        ([b"t,i,j,value", b"0,0,9,0.5", *pad], read_policy_csv, "policy", "line 2: edge 0 -> 9 not in scenario graph"),
+    )
+    fault = "byte 0xff is not UTF-8 (invalid start byte)"
+    for lines, read, what, first_fault in cases:
+        path = tmp_path / f"bad.{what}"
+        bad_byte = f"cannot read {what} file {path}: line {len(lines) + 1}: {fault}"
+        for tail, error in (([], first_fault), ([b"# \xff"], bad_byte)):
+            path.write_bytes(b"\n".join(lines + tail))
+            with patch("mftroute.textio._CHUNK_CHARS", chunk):
+                assert _outcome(read, path, *([scenario] if what == "policy" else []))[0] == error
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 16, 1 << 16])
+def test_a_byte_order_mark_is_dropped_from_the_first_chunk_only(tmp_path, chunk):
+    """A leading mark is dropped; one further on is text, so a table line that starts with it does not parse."""
+    scenario = deserialize(_scenario_text(_ROWS))
+    policy_lines = ["t,i,j,value", *(",".join(map(str, r)) for r in _ROWS)]
+    scenario_lines = _scenario_text(_ROWS).split("\n")
+    for lines, read, what in ((scenario_lines, read_scenario, "scenario"), (policy_lines, read_policy_csv, "policy")):
+        path = tmp_path / f"bom.{what}"
+        args = [scenario] if what == "policy" else []
+        with patch("mftroute.textio._CHUNK_CHARS", chunk):
+            path.write_text("\ufeff" + "\n".join(lines), encoding="utf-8")
+            got = read(path, *args)
+            path.write_text("\n".join(lines[:3] + ["\ufeff" + lines[3]] + lines[4:]), encoding="utf-8")
+            error, _ = _outcome(read, path, *args)
+        if what == "scenario":
+            assert _scenario_bytes(got) == _scenario_bytes(scenario)
+            assert error == "line 4: unknown key '\ufeffalpha' in [params]"
+        else:
+            assert got.probs.tobytes() == np.array([r[3] for r in _ROWS]).reshape(2, 3).tobytes()
+            assert error == "line 4: cannot parse policy row"
+
+
+def _read_from_a_pipe(tmp_path, data: bytes, read, *args):
+    """The outcome of read(pipe, *args) while another thread writes data into the pipe."""
+    fifo = tmp_path / "pipe"
+    fifo.unlink(missing_ok=True)
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+    writer.start()
+    try:
+        return _outcome(read, fifo, *args)
+    finally:
+        writer.join()
+
+
+def test_a_pipe_reads_as_a_file_does(tmp_path):
+    """A stream that cannot seek is read whole, then parsed, and a bad byte located, as a file is."""
+    text = serialize(random_scenario(np.random.default_rng(5), max_nodes=6, max_horizon=4))
+    error, got = _read_from_a_pipe(tmp_path, text.encode(), read_scenario)
+    assert error is None and _scenario_bytes(got) == _scenario_bytes(deserialize(text))
+    scenario = deserialize(_scenario_text(_ROWS))
+    csv = ("t,i,j,value\n" + "".join(",".join(map(str, r)) + "\n" for r in _ROWS)).encode()
+    for data, line in ((text.encode(), 3), (csv, 5)):
+        lines = data.split(b"\n")
+        lines[line - 1] += b"\xff"
+        read, args = (read_scenario, []) if data is not csv else (read_policy_csv, [scenario])
+        error, _ = _read_from_a_pipe(tmp_path, b"\n".join(lines), read, *args)
+        assert error.endswith(f": line {line}: byte 0xff is not UTF-8 (invalid start byte)")
+
+
+def test_a_policy_row_sum_fault_names_its_stage_past_the_first_check_block(tmp_path):
+    """The row sums are checked a stage block at a time; a block of one stage still reports the stage."""
+    scenario = deserialize(_scenario_text(_ROWS))
+    path = tmp_path / "policy.csv"
+    path.write_text("t,i,j,value\n" + "".join(f"{t},{i},{j},{0.25 if (t, i, j) == (1, 0, 1) else p}\n"
+                                              for t, i, j, p in _ROWS), encoding="utf-8")
+    want_error, _ = _outcome(read_policy_csv_loop, path, scenario)
+    assert want_error == "policy rows of stage 1 node 0 sum to 0.75, expected 1"
+    for block in (1, 3, 1 << 16):
+        with patch("mftroute.scenario.CHECK_BLOCK", block):
+            assert _outcome(read_policy_csv, path, scenario)[0] == want_error

@@ -17,6 +17,7 @@ from helpers import edge_slice, evaluate_policy_cost_table_log, expected_tax_gap
 from mftroute import (
     Distribution,
     InvalidScenarioError,
+    PolicyKernel,
     ReferencePolicy,
     Scenario,
     StageCosts,
@@ -42,6 +43,7 @@ from mftroute import (
 from mftroute.cli import main
 from mftroute.finite_population import _nash_gap_rows
 from mftroute.scenario import require_valid
+from mftroute.textio import RunManifest, file_digest, read_policy_csv, write_policy_csv
 
 
 def _bits(values) -> np.ndarray:
@@ -427,3 +429,53 @@ def test_validate_returns_a_fresh_list():
     again = validate(scenario)
     assert [v.code for v in again] == ["alpha", "reference_nonpositive", "reference_row_sum"]
     assert again is not validate(scenario)
+
+
+def test_best_response_logs_a_policy_without_cached_logs_per_stage_block():
+    """best_response_finite_n on a PolicyKernel of bare probabilities, per-stage 40x40/T60, peaks within 2.3 tables.
+
+    It takes no tax gap and so no log of the policy; a whole (T, E) log table took the peak to 3.05.
+    Epsilon and the values are those of the policy with its cached logs, bit for bit.
+    """
+    scenario = _per_stage_walled_grid_40x40()
+    population = mfe_solve(scenario).policy
+    bare = PolicyKernel(population.probs.copy())
+    tracemalloc.start()
+    try:
+        got = best_response_finite_n(scenario, bare, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table_bytes = scenario.horizon * scenario.graph.edge_count * 8
+    assert peak / table_bytes <= 2.3, peak / table_bytes
+    want = best_response_finite_n(scenario, population, 10)
+    assert _bits(got.epsilon).tobytes() == _bits(want.epsilon).tobytes()
+    assert got.state_values.tobytes() == want.state_values.tobytes()
+
+
+def _traced_peak(read, *args) -> int:
+    tracemalloc.start()
+    try:
+        read(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("per_stage", [False, True], ids=["stationary", "per-stage"])
+def test_file_readers_hold_a_chunk_of_text_not_the_file(tmp_path, per_stage):
+    """The readers and the digest on 40x40/T60 files hold a chunk of the file, not its text.
+
+    read_policy_csv peaks within 1.5 (T, E) tables: the table it fills, its
+    mask of filled entries and a chunk.  read_scenario on the per-stage file
+    peaks within 2.5: the two tables and a chunk.  file_digest holds a block,
+    within 0.3.  Reading each file whole took them to 8.0-8.1, 14.6 and 4.0.
+    """
+    scenario = _per_stage_walled_grid_40x40() if per_stage else _walled_grid_40x40()
+    write_scenario(scenario, tmp_path / "grid.scn")
+    write_policy_csv(tmp_path / "policy.csv", scenario, mfe_solve(scenario).policy, RunManifest("mfe", {}))
+    table_bytes = scenario.horizon * scenario.graph.edge_count * 8
+    assert _traced_peak(read_policy_csv, tmp_path / "policy.csv", scenario) / table_bytes <= 1.5
+    assert _traced_peak(file_digest, tmp_path / "policy.csv") / table_bytes <= 0.3
+    if per_stage:
+        assert _traced_peak(read_scenario, tmp_path / "grid.scn") / table_bytes <= 2.5
